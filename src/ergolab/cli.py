@@ -32,6 +32,7 @@ from .fluctuation import (
     _branch_quantities,
     max_chain,
     corollary_bound,
+    default_eta,
     theorem_bound,
     verify_corollary,
     verify_main_theorem,
@@ -78,9 +79,39 @@ def _cfg_get(cfg: dict, key: str, default=None, required: bool = False):
     return cfg[key]
 
 
+def _cfg_section(cfg: dict, key: str, default=None, required: bool = False) -> dict:
+    value = _cfg_get(cfg, key, default, required)
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
+def _cfg_int(value, what: str, lo: int, hi: Optional[int] = None) -> int:
+    """value as an integer with lo <= value < hi (no upper limit if hi is None), else a ConfigError."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+    if n < lo or (hi is not None and n >= hi):
+        upper = "" if hi is None else f" and below {hi}"
+        raise ConfigError(f"{what} must be an integer >= {lo}{upper}, got {value!r}")
+    return n
+
+
+def _cfg_floats(cfg: dict, key: str) -> List[float]:
+    value = _cfg_get(cfg, key, required=True)
+    problem = ConfigError(f"{key} must be a nonempty list of numbers, got {value!r}")
+    if not isinstance(value, list) or not value:
+        raise problem
+    try:
+        return [float(v) for v in value]
+    except (TypeError, ValueError) as exc:
+        raise problem from exc
+
+
 def _build_system(cfg: dict, group: Group) -> FiniteMeasureSystem:
-    sys_cfg = _cfg_get(cfg, "system", required=True)
-    points = _cfg_get(sys_cfg, "points", required=True)
+    sys_cfg = _cfg_section(cfg, "system", required=True)
+    points = _cfg_int(_cfg_get(sys_cfg, "points", required=True), "system points", 1)
     weights = _cfg_get(sys_cfg, "weights", "uniform")
     if weights == "uniform":
         weights = [Fraction(1, points)] * points
@@ -101,13 +132,14 @@ def _build_system(cfg: dict, group: Group) -> FiniteMeasureSystem:
 
 def _build_observable(cfg: dict, system: FiniteMeasureSystem, rng: np.random.Generator) -> Observable:
     p = float(_cfg_get(cfg, "p", required=True))
-    spec = _cfg_get(cfg, "observable", required=True)
+    spec = _cfg_section(cfg, "observable", required=True)
     kind = spec.get("type")
     if kind == "explicit":
         values = np.asarray(spec["values"], dtype=float)
     elif kind == "indicator":
         values = np.zeros(system.n_points)
-        values[int(spec["point"])] = 1.0
+        point = _cfg_int(_cfg_get(spec, "point", required=True), "indicator point", 0, system.n_points)
+        values[point] = 1.0
     elif kind == "random":
         dist = spec.get("distribution", "normal")
         scale = float(spec.get("scale", 1.0))
@@ -120,7 +152,7 @@ def _build_observable(cfg: dict, system: FiniteMeasureSystem, rng: np.random.Gen
     else:
         raise ConfigError(f"unknown observable type {spec.get('type')!r}")
     f = system.observable(values, p)
-    target = spec.get("norm") if isinstance(spec, dict) else None
+    target = spec.get("norm")
     if target is not None:
         cur = lp_norm(system, f)
         if cur == 0:
@@ -131,12 +163,12 @@ def _build_observable(cfg: dict, system: FiniteMeasureSystem, rng: np.random.Gen
 
 def _build_convexity(cfg: dict) -> ConvexityModulus:
     p = float(_cfg_get(cfg, "p", required=True))
-    spec = _cfg_get(cfg, "modulus", {"type": "hanner" if p >= 2 else "small-p"})
+    spec = _cfg_section(cfg, "modulus", {"type": "hanner" if p >= 2 else "small-p"})
     return ConvexityModulus.from_config(spec, default_p=p)
 
 
 def _eta_value(cfg: dict) -> Optional[float]:
-    spec = _cfg_get(cfg, "eta", {"type": "default"})
+    spec = _cfg_section(cfg, "eta", {"type": "default"})
     if spec.get("type") == "default":
         return None
     if spec.get("type") == "fixed":
@@ -145,7 +177,7 @@ def _eta_value(cfg: dict) -> Optional[float]:
 
 
 def _build_main_family(cfg: dict, group: Group, window: int) -> FolnerFamily:
-    spec = _cfg_get(cfg, "family", {"type": "standard"})
+    spec = _cfg_section(cfg, "family", {"type": "standard"})
     kind = spec.get("type", "standard")
     if kind == "standard":
         return standard_family(group, max(window, int(spec.get("n_max", window))))
@@ -214,9 +246,7 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
     f = _build_observable(config, system, rng)
     conv = _build_convexity(config)
     eta_cfg = _eta_value(config)
-    epsilons = [float(e) for e in _cfg_get(config, "epsilons", required=True)]
-    if not epsilons:
-        raise ConfigError("epsilons must be a nonempty list")
+    epsilons = _cfg_floats(config, "epsilons")
     window = int(_cfg_get(config, "window", required=True))
     mode = _cfg_get(config, "verify", "main")
     defect_against = [int(N) for N in _cfg_get(config, "defect_against", [])]
@@ -244,7 +274,7 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
             )
         csv_family, csv_window, refined = family, window, False
     elif mode == "corollary":
-        fam_cfg = _cfg_get(config, "family", {"type": "refined"})
+        fam_cfg = _cfg_section(config, "family", {"type": "refined"})
         if fam_cfg.get("type", "refined") != "refined":
             raise ConfigError("corollary mode requires a refined family")
         count = int(fam_cfg.get("count", 8))
@@ -392,9 +422,7 @@ def _cmd_fluct_count(args) -> int:
         beta = [int(tok) for tok in args.beta.split(",") if tok != ""]
     elif args.lam is not None:
         beta = [n + args.lam for n in range(1, L + 1)]
-    report = max_chain(
-        [[abs(a - b) for b in data] for a in data], args.eps, beta=beta
-    )
+    report = max_chain(np.abs(np.subtract.outer(data, data)), args.eps, beta=beta)
     print(report.count)
     return 0
 
@@ -415,10 +443,7 @@ def _modulus_from_args(args) -> ConvexityModulus:
 
 def _cmd_bound_eval(args) -> int:
     modulus = _modulus_from_args(args)
-    eta = args.eta
-    if eta is None:
-        u_eff = modulus(args.eps if args.norm <= 1 else args.eps / args.norm)
-        eta = 0.25 * u_eff
+    eta = default_eta(modulus, args.norm, args.eps) if args.eta is None else args.eta
     if args.lam is not None:
         print(corollary_bound(modulus, args.norm, args.eps, eta, args.lam, lower=args.lower))
     else:

@@ -35,11 +35,11 @@ def _perm_tuple(perm: Sequence[int], n_points: int) -> Tuple[int, ...]:
     return p
 
 
-def _perm_power(perm: Tuple[int, ...], k: int) -> Tuple[int, ...]:
-    """perm^k via cycle decomposition; k may be any integer, however large."""
+def _cycles(perm: Sequence[int]) -> List[List[int]]:
+    """The cycles of a permutation, each starting at its least point, in order of that point."""
     n = len(perm)
-    out = [0] * n
     seen = [False] * n
+    cycles = []
     for start in range(n):
         if seen[start]:
             continue
@@ -50,6 +50,14 @@ def _perm_power(perm: Tuple[int, ...], k: int) -> Tuple[int, ...]:
             seen[nxt] = True
             cycle.append(nxt)
             nxt = perm[nxt]
+        cycles.append(cycle)
+    return cycles
+
+
+def _perm_power(perm: Tuple[int, ...], k: int) -> Tuple[int, ...]:
+    """perm^k via cycle decomposition; k may be any integer, however large."""
+    out = [0] * len(perm)
+    for cycle in _cycles(perm):
         ln = len(cycle)
         shift = k % ln
         for i, s in enumerate(cycle):
@@ -128,6 +136,11 @@ class FiniteMeasureSystem:
                     )
 
     @property
+    def float_weights(self) -> np.ndarray:
+        """The weights as a float64 vector, the one every L^p norm uses."""
+        return self._weights_float
+
+    @property
     def total_mass(self) -> Fraction:
         return sum(self.weights, Fraction(0))
 
@@ -196,39 +209,42 @@ def lp_norm(system: FiniteMeasureSystem, f: Observable) -> float:
     return float(np.sum(system._weights_float * np.abs(f.values) ** f.p) ** (1.0 / f.p))
 
 
-def _z_interval_average_values(system: FiniteMeasureSystem, radius: int, values: np.ndarray) -> np.ndarray:
-    """Average of s -> f(k . s) over k in [-radius, radius] by residue counting.
+def _z_interval_averages(system: FiniteMeasureSystem, radii: Sequence[int], values: np.ndarray) -> np.ndarray:
+    """Averages of s -> f(k . s) over k in [-r, r], one row per radius r in radii.
 
-    Never iterates the interval: within each cycle of the generator the count
-    of k hitting a given residue class is floor(L/len) plus at most one, so the
-    cost is O(points * max cycle length) whatever the radius.
+    Never iterates an interval: within a cycle of length ln of the generator,
+    the count of k hitting a residue class is floor((2r+1)/ln) plus at most
+    one, so the cost is O(len(radii) * points * ln) whatever the radii.  The
+    counts are exact Python integers converted once with float(), so radii
+    beyond 2^63 work.  Cycles of equal length share one count matrix.
+
+    Each entry is bitwise the sum count_t * f_t accumulated left to right over
+    the cycle positions t, then divided by float(2r+1): the same operations in
+    the same order for every radius, so a batch of radii gives exactly the rows
+    that one call per radius gives.
     """
-    perm = system.generators["t"]
-    n = system.n_points
-    big_l = 2 * radius + 1
-    out = np.zeros(n)
-    seen = [False] * n
-    fl = float(big_l)
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            seen[nxt] = True
-            cycle.append(nxt)
-            nxt = perm[nxt]
-        ln = len(cycle)
-        base, rem = divmod(big_l, ln)
-        # count of k in [-radius, radius] with k = j (mod ln)
-        counts = [base + (1 if (j + radius) % ln < rem else 0) for j in range(ln)]
-        fvals = [values[c] for c in cycle]
-        for i in range(ln):
-            acc = 0.0
-            for t in range(ln):
-                acc += counts[(t - i) % ln] * fvals[t]
-            out[cycle[i]] = acc / fl
+    n_rows = len(radii)
+    out = np.zeros((n_rows, system.n_points))
+    by_length: Dict[int, List[List[int]]] = {}
+    for cycle in _cycles(system.generators["t"]):
+        by_length.setdefault(len(cycle), []).append(cycle)
+    widths = [2 * r + 1 for r in radii]
+    fl = np.array([float(w) for w in widths])[:, None, None]
+    for ln, cycles in by_length.items():
+        idx = np.array(cycles)  # (cycles, ln) point indices
+        fvals = values[idx]
+        split = [divmod(w, ln) for w in widths]
+        lo = np.array([float(base) for base, _ in split])[:, None]
+        hi = np.array([float(base + 1) for base, _ in split])[:, None]
+        rem = np.array([rem for _, rem in split])[:, None]
+        shift = np.array([r % ln for r in radii])[:, None]
+        pos = np.arange(ln)
+        # counts[r, j]: number of k in [-r, r] with k = j (mod ln)
+        counts = np.where((pos + shift) % ln < rem, hi, lo)
+        acc = np.zeros((n_rows, len(cycles), ln))
+        for t in range(ln):
+            acc += counts[:, None, (t - pos) % ln] * fvals[None, :, t, None]
+        out[:, idx] = acc / fl
     return out
 
 
@@ -244,7 +260,7 @@ def ergodic_average(system: FiniteMeasureSystem, family: FolnerFamily, n: int, f
     family._check_index(n)
     radius = family.box_radius(n)
     if radius is not None and isinstance(system.group, IntegerGroup):
-        return Observable(_z_interval_average_values(system, radius, f.values), f.p)
+        return Observable(_z_interval_averages(system, [radius], f.values)[0], f.p)
     elems = sorted(family.elements(n), key=lambda g: g if isinstance(g, tuple) else (g,))
     acc = np.zeros(system.n_points)
     for g in elems:
@@ -255,9 +271,19 @@ def ergodic_average(system: FiniteMeasureSystem, family: FolnerFamily, n: int, f
 def average_sequence(
     system: FiniteMeasureSystem, family: FolnerFamily, f: Observable, window: int
 ) -> List[Observable]:
-    """[A_1 f, ..., A_window f]."""
+    """[A_1 f, ..., A_window f].
+
+    When every F_n is an integer interval, the whole window comes from one
+    residue-counting pass over all radii, bitwise equal to ergodic_average
+    index by index.
+    """
     if not 1 <= window <= family.n_max:
         raise StructureError(f"window must be in [1, {family.n_max}], got {window}")
+    radii = [family.box_radius(n) for n in range(1, window + 1)]
+    if isinstance(system.group, IntegerGroup) and None not in radii:
+        if len(f) != system.n_points:
+            raise StructureError(f"observable length {len(f)} does not match {system.n_points} points")
+        return [Observable(row, f.p) for row in _z_interval_averages(system, radii, f.values)]
     return [ergodic_average(system, family, n, f) for n in range(1, window + 1)]
 
 
@@ -270,7 +296,7 @@ def average_operator(system: FiniteMeasureSystem, family: FolnerFamily, n: int) 
         cols = np.empty((m, m))
         eye = np.eye(m)
         for j in range(m):
-            cols[:, j] = _z_interval_average_values(system, radius, eye[:, j])
+            cols[:, j] = _z_interval_averages(system, [radius], eye[:, j])[0]
         return cols
     mat = np.zeros((m, m))
     rows = np.arange(m)

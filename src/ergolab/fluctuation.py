@@ -125,6 +125,11 @@ def max_chain(
     distances: square table or callable d(i, j) on 1-based indices.
     beta: optional at-distance map (callable or per-index sequence) with
     beta(n) > n; edges then additionally require m >= beta(n).
+
+    Each index takes one masked numpy step over its predecessors: the
+    predecessor is the first j < i of greatest chain length among the
+    admissible ones, exactly the one a scan over j with a strict > keeps, so
+    the chain itself (not only its length) is that of the nested-loop DP.
     """
     eps = float(eps)
     if eps <= 0:
@@ -135,17 +140,20 @@ def max_chain(
         raise StructureError("need at least one index")
     beta_vals = _beta_values(beta, L)
 
-    best = [1] * L
+    # beta beyond L + 1 admits no edge inside the table; clamping keeps the
+    # comparison in int64 whatever the size of the supplied values
+    beta_arr = None if beta_vals is None else np.array([min(v, L + 1) for v in beta_vals])
+    best = np.ones(L, dtype=np.int64)
     pred = [-1] * L
-    for i in range(L):
-        for j in range(i):
-            if mat[j, i] < eps:
-                continue
-            if beta_vals is not None and (i + 1) < beta_vals[j]:
-                continue
-            if best[j] + 1 > best[i]:
-                best[i] = best[j] + 1
-                pred[i] = j
+    for i in range(1, L):
+        ok = mat[:i, i] >= eps
+        if beta_arr is not None:
+            ok &= beta_arr[:i] <= i + 1
+        cand = np.where(ok, best[:i], 0)
+        j = int(np.argmax(cand))  # first maximum: the predecessor a strict > scan keeps
+        if cand[j]:
+            best[i] = cand[j] + 1
+            pred[i] = j
     end = int(np.argmax(best))  # first maximum: deterministic chain choice
     chain = []
     at = end
@@ -249,12 +257,24 @@ def _zero_report(eps: float, mode: str, window: int) -> FluctuationReport:
 
 
 def _pairwise_norms(system: FiniteMeasureSystem, avgs: List[Observable]) -> np.ndarray:
+    """The symmetric table of ||avgs[i] - avgs[j]||_p.
+
+    Rows of the upper triangle are filled one at a time from the stacked
+    averages, so memory stays O(len(avgs) * points).  Each entry is bitwise
+    lp_norm(system, Observable(avgs[i] - avgs[j])): the weighted row sum is
+    the same contiguous numpy sum, and the 1/p root is taken with the same
+    scalar pow (Python float ** float), not with an array power, whose fast
+    paths can round differently in the last place.
+    """
+    stacked = np.stack([a.values for a in avgs])
+    p = avgs[0].p
+    root = 1.0 / p
+    w = system.float_weights
     L = len(avgs)
     mat = np.zeros((L, L))
-    for i in range(L):
-        for j in range(i + 1, L):
-            diff = Observable(avgs[i].values - avgs[j].values, avgs[i].p)
-            mat[i, j] = mat[j, i] = lp_norm(system, diff)
+    for i in range(L - 1):
+        sums = np.sum(w * np.abs(stacked[i] - stacked[i + 1 :]) ** p, axis=1)
+        mat[i, i + 1 :] = mat[i + 1 :, i] = [s ** root for s in sums.tolist()]
     return mat
 
 

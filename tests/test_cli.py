@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from ergolab import (
     ConvexityModulus,
     convergence_modulus,
@@ -200,6 +202,26 @@ def test_bad_eta_config_exits_one(tmp_path, capsys):
     code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path))
     assert code == 1
     assert "eta" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("observable", "oops"),
+        ("eta", "x"),
+        ("observable", {"type": "indicator", "point": 1000000}),
+        ("system", {"points": "x", "weights": "uniform", "generators": {"t": [1, 0]}}),
+        ("epsilons", "abc"),
+    ],
+)
+def test_malformed_config_is_a_config_error(tmp_path, capsys, key, value):
+    config = demo_config()
+    config[key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_verify_corollary_cli(tmp_path, capsys):

@@ -19,6 +19,7 @@ from ergolab import (
     average_sequence,
     convergence_modulus,
     ergodic_average,
+    fast_refinement,
     group_by_name,
     heisenberg_torus_system,
     koopman_apply,
@@ -28,7 +29,7 @@ from ergolab import (
     torus_translation_system,
     weighted_mean,
 )
-from ergolab.dynamics import FiniteMeasureSystem, _perm_power
+from ergolab.dynamics import FiniteMeasureSystem, _perm_power, _z_interval_averages
 
 Z = group_by_name("Z")
 
@@ -205,6 +206,80 @@ def test_interval_fast_path_huge_radius():
     f = system.observable([1.0] + [0.0] * 11, 2)
     out = ergodic_average(system, fam, 10**20, f)
     assert np.allclose(out.values, 1 / 12, atol=1e-12)
+
+
+def scalar_interval_average(system, radius, values):
+    """The one-radius residue-counting loop: per cycle position i, sum count * f
+    left to right over the cycle, then divide by 2r+1; the batched route must
+    reproduce it bit for bit."""
+    perm = system.generators["t"]
+    n = system.n_points
+    width = 2 * radius + 1
+    out = np.zeros(n)
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+            seen[cycle[-1]] = True
+        ln = len(cycle)
+        base, rem = divmod(width, ln)
+        counts = [base + (1 if (j + radius) % ln < rem else 0) for j in range(ln)]
+        for i in range(ln):
+            acc = 0.0
+            for t in range(ln):
+                acc += counts[(t - i) % ln] * values[cycle[t]]
+            out[cycle[i]] = acc / float(width)
+    return out
+
+
+def multi_cycle_system():
+    # cycles 7 + 5 + 5 + 3 + 1 + 1, weights constant on each orbit
+    perm = [1, 2, 3, 4, 5, 6, 0, 8, 9, 10, 11, 7, 13, 14, 15, 16, 12, 18, 19, 17, 20, 21]
+    weights = [Fraction(1, 30)] * 7 + [Fraction(1, 60)] * 10 + [Fraction(1, 20)] * 3 + [Fraction(1, 15)] * 2
+    return FiniteMeasureSystem(Z, weights, {"t": perm})
+
+
+def test_batched_interval_averages_match_element_sum_and_scalar_loop():
+    system = multi_cycle_system()
+    rng = np.random.default_rng(17)
+    values = rng.normal(size=system.n_points) * 10.0 ** rng.integers(-3, 4, size=system.n_points)
+    f = system.observable(values, 2)
+    radii = list(range(61))
+    rows = _z_interval_averages(system, radii, f.values)
+    assert rows.shape == (61, system.n_points)
+    boxes = ExplicitFamily(Z, [set(range(-r, r + 1)) for r in radii])
+    for r in radii:
+        oracle = ergodic_average(system, boxes, r + 1, f)
+        assert np.allclose(rows[r], oracle.values, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(rows[r], scalar_interval_average(system, r, f.values))
+    # a batch gives exactly the rows of one call per radius, astronomically wide ones included;
+    # at r = 3 * 2^52 + 2 the 3-cycle counts are 2^53 + 1 and 2^53 + 2, which float
+    # arithmetic on the counts would round together
+    huge = [3, 10**20, 2**70, 10**30 + 7, 2**63 + 1, 3 * 2**52 + 2]
+    batch = _z_interval_averages(system, huge, f.values)
+    for r, row in zip(huge, batch):
+        assert np.array_equal(row, _z_interval_averages(system, [r], f.values)[0])
+        assert np.array_equal(row, scalar_interval_average(system, r, f.values))
+
+
+def test_average_sequence_on_intervals_equals_per_index_averages():
+    system = multi_cycle_system()
+    rng = np.random.default_rng(23)
+    f = system.observable(rng.normal(size=system.n_points), 3)
+    refined = fast_refinement(standard_family(Z, 10**30), Fraction(1, 4), count=6)
+    for family in (standard_family(Z, 40), refined):
+        window = min(family.n_max, 40)
+        seq = average_sequence(system, family, f, window)
+        assert len(seq) == window
+        for n, avg in enumerate(seq, start=1):
+            assert avg.p == f.p
+            assert np.array_equal(avg.values, ergodic_average(system, family, n, f).values)
+    with pytest.raises(StructureError):
+        average_sequence(system, standard_family(Z, 5), Observable(np.ones(3), 2), 5)
 
 
 def test_average_operator_matches_direct():

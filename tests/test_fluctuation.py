@@ -26,13 +26,16 @@ from ergolab import (
     rotation_system,
     standard_family,
     theorem_bound,
+    torus_translation_system,
     verify_corollary,
     verify_main_theorem,
 )
-from ergolab.fluctuation import _branch_quantities
+from ergolab.dynamics import FiniteMeasureSystem, Observable, average_sequence
+from ergolab.fluctuation import _branch_quantities, _pairwise_norms
 
 mp.mp.dps = 60
 Z = group_by_name("Z")
+Z2 = group_by_name("Z^2")
 
 
 def scalar_distances(data):
@@ -108,6 +111,50 @@ def test_dp_matches_exhaustive_enumeration():
         )
 
 
+def nested_loop_chain(d, eps, beta=None):
+    """Longest-path DP by a scan over predecessors that keeps the first strict maximum."""
+    L = len(d)
+    best = [1] * L
+    pred = [-1] * L
+    for i in range(L):
+        for j in range(i):
+            if d[j][i] < eps or (beta is not None and i + 1 < beta[j]):
+                continue
+            if best[j] + 1 > best[i]:
+                best[i] = best[j] + 1
+                pred[i] = j
+    at = best.index(max(best))
+    chain = []
+    while at != -1:
+        chain.append(at + 1)
+        at = pred[at]
+    return chain[::-1]
+
+
+def test_dp_chain_matches_nested_loop_reference():
+    # few distinct values make many equal distances and many tied chain lengths,
+    # so the choice among tied predecessors and ends is what is being checked
+    rng = np.random.default_rng(1618)
+    for trial in range(300):
+        L = int(rng.integers(1, 40))
+        if trial % 2:
+            data = list(rng.integers(0, 4, size=L).astype(float))
+            d = scalar_distances(data)
+        else:
+            upper = np.triu(rng.choice([0.0, 0.5, 1.0, 1.5], size=(L, L)), 1)
+            d = (upper + upper.T).tolist()
+        eps = float(rng.choice([0.5, 1.0, 1.5]))
+        rep = max_chain(d, eps)
+        assert rep.chain == nested_loop_chain(d, eps)
+        assert rep.count == len(rep.chain) - 1
+        beta = [n + int(rng.integers(1, 5)) for n in range(1, L + 1)]
+        if L > 2:
+            beta[int(rng.integers(L))] = 10**30  # an index no chain may leave
+        rep = max_chain(d, eps, beta=beta)
+        assert rep.chain == nested_loop_chain(d, eps, beta)
+        assert rep.beta_used == beta
+
+
 def test_count_monotone_in_eps_and_beta():
     rng = np.random.default_rng(2718)
     for _ in range(40):
@@ -123,6 +170,35 @@ def test_count_monotone_in_eps_and_beta():
 def test_nonfinite_distances_rejected():
     with pytest.raises(StructureError):
         max_chain([[0.0, float("nan")], [float("nan"), 0.0]], 1.0)
+
+
+def test_pairwise_norms_bitwise_equal_per_pair_lp_norm():
+    rng = np.random.default_rng(2024)
+    # Z on 24 points in cycles 10 + 8 + 6, a Z^2 action on two 3 x 4 tori;
+    # weights differ from orbit to orbit
+    z_perm = [(s + 1) % 10 for s in range(10)] + [10 + (s + 1) % 8 for s in range(8)]
+    z_perm += [18 + (s + 1) % 6 for s in range(6)]
+    z_weights = [Fraction(1, 40)] * 10 + [Fraction(3, 80)] * 8 + [Fraction(1, 20)] * 6
+    torus = torus_translation_system(3, 4)
+    gens = {k: list(v) + [12 + i for i in v] for k, v in torus.generators.items()}
+    z2_weights = [Fraction(1, 36)] * 12 + [Fraction(1, 18)] * 12
+    systems = [
+        (FiniteMeasureSystem(Z, z_weights, {"t": z_perm}), standard_family(Z, 30), 30),
+        (FiniteMeasureSystem(Z2, z2_weights, gens), standard_family(Z2, 6), 6),
+    ]
+    for system, family, window in systems:
+        for p in (1.5, 2.0, 3.0):
+            f = system.observable(rng.normal(size=system.n_points) * 3.0, p)
+            avgs = average_sequence(system, family, f, window)
+            avgs += [system.observable(rng.normal(size=system.n_points) * 10.0**k, p) for k in (-6, 0, 5)]
+            mat = _pairwise_norms(system, avgs)
+            L = len(avgs)
+            expect = np.zeros((L, L))
+            for i in range(L):
+                for j in range(L):
+                    if i != j:
+                        expect[i, j] = lp_norm(system, Observable(avgs[i].values - avgs[j].values, p))
+            assert np.array_equal(mat, expect)
 
 
 # ---------------------------------------------------------------------------
