@@ -87,11 +87,14 @@ def _cfg_section(cfg: dict, key: str, default=None, required: bool = False) -> d
 
 
 def _cfg_int(value, what: str, lo: int, hi: Optional[int] = None) -> int:
-    """value as an integer with lo <= value < hi (no upper limit if hi is None), else a ConfigError."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+    """value as an integer with lo <= value < hi (no upper limit if hi is None), else a ConfigError.
+
+    JSON integers and integral numbers such as 3.0 pass; booleans, strings,
+    fractional numbers and infinities are refused rather than truncated.
+    """
+    n = int(value) if isinstance(value, float) and value.is_integer() else value
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
     if n < lo or (hi is not None and n >= hi):
         upper = "" if hi is None else f" and below {hi}"
         raise ConfigError(f"{what} must be an integer >= {lo}{upper}, got {value!r}")

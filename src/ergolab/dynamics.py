@@ -136,11 +136,6 @@ class FiniteMeasureSystem:
                     )
 
     @property
-    def float_weights(self) -> np.ndarray:
-        """The weights as a float64 vector, the one every L^p norm uses."""
-        return self._weights_float
-
-    @property
     def total_mass(self) -> Fraction:
         return sum(self.weights, Fraction(0))
 
@@ -216,23 +211,21 @@ def _z_interval_averages(system: FiniteMeasureSystem, radii: Sequence[int], valu
     the count of k hitting a residue class is floor((2r+1)/ln) plus at most
     one, so the cost is O(len(radii) * points * ln) whatever the radii.  The
     counts are exact Python integers converted once with float(), so radii
-    beyond 2^63 work.  Cycles of equal length share one count matrix.
+    beyond 2^63 work.
 
     Each entry is bitwise the sum count_t * f_t accumulated left to right over
     the cycle positions t, then divided by float(2r+1): the same operations in
     the same order for every radius, so a batch of radii gives exactly the rows
     that one call per radius gives.
     """
-    n_rows = len(radii)
-    out = np.zeros((n_rows, system.n_points))
-    by_length: Dict[int, List[List[int]]] = {}
-    for cycle in _cycles(system.generators["t"]):
-        by_length.setdefault(len(cycle), []).append(cycle)
+    if len(values) != system.n_points:
+        raise StructureError(f"observable length {len(values)} does not match {system.n_points} points")
+    out = np.zeros((len(radii), system.n_points))
     widths = [2 * r + 1 for r in radii]
-    fl = np.array([float(w) for w in widths])[:, None, None]
-    for ln, cycles in by_length.items():
-        idx = np.array(cycles)  # (cycles, ln) point indices
-        fvals = values[idx]
+    fl = np.array([float(w) for w in widths])[:, None]
+    for cycle in _cycles(system.generators["t"]):
+        ln = len(cycle)
+        fvals = values[cycle]
         split = [divmod(w, ln) for w in widths]
         lo = np.array([float(base) for base, _ in split])[:, None]
         hi = np.array([float(base + 1) for base, _ in split])[:, None]
@@ -241,11 +234,23 @@ def _z_interval_averages(system: FiniteMeasureSystem, radii: Sequence[int], valu
         pos = np.arange(ln)
         # counts[r, j]: number of k in [-r, r] with k = j (mod ln)
         counts = np.where((pos + shift) % ln < rem, hi, lo)
-        acc = np.zeros((n_rows, len(cycles), ln))
+        acc = np.zeros((len(radii), ln))
         for t in range(ln):
-            acc += counts[:, None, (t - pos) % ln] * fvals[None, :, t, None]
-        out[:, idx] = acc / fl
+            acc += counts[:, (t - pos) % ln] * fvals[t]
+        out[:, cycle] = acc / fl
     return out
+
+
+def _interval_radii(system: FiniteMeasureSystem, family: FolnerFamily, indices) -> Optional[List[int]]:
+    """The radii of F_n for n in indices when all are integer intervals acting on Z, else None.
+
+    Not None exactly when the residue-counting route (_z_interval_averages)
+    computes A_n f instead of the element sum.
+    """
+    if not isinstance(system.group, IntegerGroup):
+        return None
+    radii = [family.box_radius(n) for n in indices]
+    return None if None in radii else radii
 
 
 def ergodic_average(system: FiniteMeasureSystem, family: FolnerFamily, n: int, f: Observable) -> Observable:
@@ -258,9 +263,9 @@ def ergodic_average(system: FiniteMeasureSystem, family: FolnerFamily, n: int, f
     if len(f) != system.n_points:
         raise StructureError(f"observable length {len(f)} does not match {system.n_points} points")
     family._check_index(n)
-    radius = family.box_radius(n)
-    if radius is not None and isinstance(system.group, IntegerGroup):
-        return Observable(_z_interval_averages(system, [radius], f.values)[0], f.p)
+    radii = _interval_radii(system, family, [n])
+    if radii is not None:
+        return Observable(_z_interval_averages(system, radii, f.values)[0], f.p)
     elems = sorted(family.elements(n), key=lambda g: g if isinstance(g, tuple) else (g,))
     acc = np.zeros(system.n_points)
     for g in elems:
@@ -279,10 +284,8 @@ def average_sequence(
     """
     if not 1 <= window <= family.n_max:
         raise StructureError(f"window must be in [1, {family.n_max}], got {window}")
-    radii = [family.box_radius(n) for n in range(1, window + 1)]
-    if isinstance(system.group, IntegerGroup) and None not in radii:
-        if len(f) != system.n_points:
-            raise StructureError(f"observable length {len(f)} does not match {system.n_points} points")
+    radii = _interval_radii(system, family, range(1, window + 1))
+    if radii is not None:
         return [Observable(row, f.p) for row in _z_interval_averages(system, radii, f.values)]
     return [ergodic_average(system, family, n, f) for n in range(1, window + 1)]
 
@@ -291,12 +294,12 @@ def average_operator(system: FiniteMeasureSystem, family: FolnerFamily, n: int) 
     """The matrix of A_n acting on observables: (A_n f) = M @ f."""
     family._check_index(n)
     m = system.n_points
-    radius = family.box_radius(n)
-    if radius is not None and isinstance(system.group, IntegerGroup):
+    radii = _interval_radii(system, family, [n])
+    if radii is not None:
         cols = np.empty((m, m))
         eye = np.eye(m)
         for j in range(m):
-            cols[:, j] = _z_interval_averages(system, [radius], eye[:, j])[0]
+            cols[:, j] = _z_interval_averages(system, radii, eye[:, j])[0]
         return cols
     mat = np.zeros((m, m))
     rows = np.arange(m)

@@ -269,7 +269,7 @@ def _pairwise_norms(system: FiniteMeasureSystem, avgs: List[Observable]) -> np.n
     stacked = np.stack([a.values for a in avgs])
     p = avgs[0].p
     root = 1.0 / p
-    w = system.float_weights
+    w = system._weights_float
     L = len(avgs)
     mat = np.zeros((L, L))
     for i in range(L - 1):

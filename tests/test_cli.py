@@ -211,6 +211,9 @@ def test_bad_eta_config_exits_one(tmp_path, capsys):
         ("eta", "x"),
         ("observable", {"type": "indicator", "point": 1000000}),
         ("system", {"points": "x", "weights": "uniform", "generators": {"t": [1, 0]}}),
+        ("system", {"points": 2.5, "weights": "uniform", "generators": {"t": [1, 0]}}),
+        ("system", {"points": True, "weights": "uniform", "generators": {"t": [0]}}),
+        ("observable", {"type": "indicator", "point": float("inf")}),
         ("epsilons", "abc"),
     ],
 )
