@@ -43,6 +43,7 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .fluctuation import (
+    Branch,
     FluctuationReport,
     corollary_bound,
     default_eta,
@@ -71,7 +72,9 @@ from .folner import (
     fast_refinement,
     folner_ratio,
     greedy_folner,
+    least_index,
     standard_family,
+    worst_ratio,
     worst_ratio_table,
 )
 from .groups import (

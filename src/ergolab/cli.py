@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -28,8 +29,8 @@ from .dynamics import (
 )
 from .errors import ConfigError, ErgolabError
 from .fluctuation import (
+    Branch,
     FluctuationReport,
-    _branch_quantities,
     max_chain,
     corollary_bound,
     default_eta,
@@ -101,6 +102,20 @@ def _cfg_int(value, what: str, lo: int, hi: Optional[int] = None) -> int:
     return n
 
 
+def _cfg_int_list(value, what: str, lo: int) -> List[int]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list of integers, got {value!r}")
+    return [_cfg_int(v, f"{what} entry", lo) for v in value]
+
+
+def _cfg_float(cfg: dict, key: str, default: Optional[float] = None) -> float:
+    """cfg[key] as a finite number; default when absent, required when default is None."""
+    value = _cfg_get(cfg, key, default, required=default is None)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _cfg_floats(cfg: dict, key: str) -> List[float]:
     value = _cfg_get(cfg, key, required=True)
     problem = ConfigError(f"{key} must be a nonempty list of numbers, got {value!r}")
@@ -124,7 +139,10 @@ def _build_system(cfg: dict, group: Group) -> FiniteMeasureSystem:
         weights = [as_fraction(w) for w in weights]
     else:
         raise ConfigError('weights must be "uniform" or a list of rational strings')
-    generators = _cfg_get(sys_cfg, "generators", required=True)
+    generators = {
+        name: _cfg_int_list(perm, f"generator {name!r}", 0)
+        for name, perm in _cfg_section(sys_cfg, "generators", required=True).items()
+    }
     try:
         system = FiniteMeasureSystem(group, weights, generators)
         system.validate_action()
@@ -134,18 +152,23 @@ def _build_system(cfg: dict, group: Group) -> FiniteMeasureSystem:
 
 
 def _build_observable(cfg: dict, system: FiniteMeasureSystem, rng: np.random.Generator) -> Observable:
-    p = float(_cfg_get(cfg, "p", required=True))
+    p = _cfg_float(cfg, "p")
     spec = _cfg_section(cfg, "observable", required=True)
     kind = spec.get("type")
     if kind == "explicit":
-        values = np.asarray(spec["values"], dtype=float)
+        try:
+            values = np.asarray(_cfg_get(spec, "values", required=True), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"observable values must be a list of numbers: {exc}") from exc
     elif kind == "indicator":
         values = np.zeros(system.n_points)
         point = _cfg_int(_cfg_get(spec, "point", required=True), "indicator point", 0, system.n_points)
         values[point] = 1.0
     elif kind == "random":
         dist = spec.get("distribution", "normal")
-        scale = float(spec.get("scale", 1.0))
+        scale = _cfg_float(spec, "scale", 1.0)
+        if scale < 0:
+            raise ConfigError(f"observable scale must be >= 0, got {scale!r}")
         if dist == "normal":
             values = rng.normal(0.0, scale, size=system.n_points)
         elif dist == "uniform":
@@ -155,17 +178,16 @@ def _build_observable(cfg: dict, system: FiniteMeasureSystem, rng: np.random.Gen
     else:
         raise ConfigError(f"unknown observable type {spec.get('type')!r}")
     f = system.observable(values, p)
-    target = spec.get("norm")
-    if target is not None:
+    if spec.get("norm") is not None:
         cur = lp_norm(system, f)
         if cur == 0:
             raise ConfigError("cannot rescale the zero observable to a target norm")
-        f = Observable(f.values * (float(target) / cur), p)
+        f = Observable(f.values * (_cfg_float(spec, "norm") / cur), p)
     return f
 
 
 def _build_convexity(cfg: dict) -> ConvexityModulus:
-    p = float(_cfg_get(cfg, "p", required=True))
+    p = _cfg_float(cfg, "p")
     spec = _cfg_section(cfg, "modulus", {"type": "hanner" if p >= 2 else "small-p"})
     return ConvexityModulus.from_config(spec, default_p=p)
 
@@ -175,7 +197,7 @@ def _eta_value(cfg: dict) -> Optional[float]:
     if spec.get("type") == "default":
         return None
     if spec.get("type") == "fixed":
-        return float(spec["value"])
+        return _cfg_float(spec, "value")
     raise ConfigError(f"unknown eta policy {spec!r}")
 
 
@@ -183,11 +205,13 @@ def _build_main_family(cfg: dict, group: Group, window: int) -> FolnerFamily:
     spec = _cfg_section(cfg, "family", {"type": "standard"})
     kind = spec.get("type", "standard")
     if kind == "standard":
-        return standard_family(group, max(window, int(spec.get("n_max", window))))
+        return standard_family(group, max(window, _cfg_int(spec.get("n_max", window), "family n_max", 1)))
     if kind == "greedy":
-        return greedy_folner(group, int(spec["n_max"]), int(spec.get("budget", 10_000)))
+        n_max = _cfg_int(_cfg_get(spec, "n_max", required=True), "family n_max", 1)
+        return greedy_folner(group, n_max, _cfg_int(spec.get("budget", 10_000), "family budget", 1))
     if kind == "explicit":
-        return family_from_jsonable({"kind": "explicit", "group": group.name, "sets": spec["sets"]})
+        sets = _cfg_get(spec, "sets", required=True)
+        return family_from_jsonable({"kind": "explicit", "group": group.name, "sets": sets})
     raise ConfigError(f"family type {kind!r} is not valid for main-mode verification")
 
 
@@ -195,10 +219,11 @@ def _seed(cfg: dict) -> int:
     env = os.environ.get("ERGOLAB_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"ERGOLAB_SEED must be an integer, got {env!r}") from exc
-    return int(_cfg_get(cfg, "seed", 0))
+        return _cfg_int(seed, "ERGOLAB_SEED", 0)
+    return _cfg_int(_cfg_get(cfg, "seed", 0), "seed", 0)
 
 
 def _averages_rows(
@@ -250,9 +275,10 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
     conv = _build_convexity(config)
     eta_cfg = _eta_value(config)
     epsilons = _cfg_floats(config, "epsilons")
-    window = int(_cfg_get(config, "window", required=True))
+    window = _cfg_int(_cfg_get(config, "window", required=True), "window", 1)
     mode = _cfg_get(config, "verify", "main")
-    defect_against = [int(N) for N in _cfg_get(config, "defect_against", [])]
+    defect_against = _cfg_int_list(_cfg_get(config, "defect_against", []), "defect_against", 1)
+    lam = _cfg_int(_cfg_get(config, "lambda", 1), "lambda", 1)
     norm = lp_norm(system, f)
 
     reports: List[FluctuationReport] = []
@@ -263,14 +289,8 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
         if window > family.n_max:
             raise ConfigError(f"window {window} exceeds family length {family.n_max}")
         if norm > 0.0:
-            entries = []
-            for eps in epsilons:
-                _, _, eps_beta = _branch_quantities(conv, norm, eps, eta_cfg)
-                entries.extend(
-                    convergence_modulus(family, n, eps_beta, m_max=window)
-                    for n in range(1, window + 1)
-                )
-            table = ModulusTable(group.name, family.provenance, entries)
+            tolerances = [Branch.of(conv, norm, eps, eta_cfg).tolerance for eps in epsilons]
+            table = build_modulus_table(family, range(1, window + 1), tolerances, m_max=window)
         for eps in epsilons:
             reports.append(
                 verify_main_theorem(system, family, table, conv, f, eps, eta=eta_cfg, window=window)
@@ -280,9 +300,8 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
         fam_cfg = _cfg_section(config, "family", {"type": "refined"})
         if fam_cfg.get("type", "refined") != "refined":
             raise ConfigError("corollary mode requires a refined family")
-        count = int(fam_cfg.get("count", 8))
-        source_n_max = int(fam_cfg.get("source_n_max", 10**30))
-        lam = int(_cfg_get(config, "lambda", 1))
+        count = _cfg_int(fam_cfg.get("count", 8), "family count", 1)
+        source_n_max = _cfg_int(fam_cfg.get("source_n_max", 10**30), "family source_n_max", 1)
         source = standard_family(group, source_n_max)
         families = []
         entries = []
@@ -295,7 +314,7 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
                     )
                 )
                 continue
-            _, _, eps_fast = _branch_quantities(conv, norm, eps, eta_cfg)
+            eps_fast = Branch.of(conv, norm, eps, eta_cfg).tolerance
             refined_family = fast_refinement(source, eps_fast, count=count)
             families.append(refined_family)
             reports.append(
@@ -403,11 +422,10 @@ def _cmd_avg_run(args) -> int:
     system = _build_system(config, group)
     rng = np.random.default_rng(_seed(config))
     f = _build_observable(config, system, rng)
-    window = int(_cfg_get(config, "window", required=True))
+    window = _cfg_int(_cfg_get(config, "window", required=True), "window", 1)
     family = _build_main_family(config, group, window)
-    rows = _averages_rows(
-        system, family, f, window, [int(N) for N in _cfg_get(config, "defect_against", [])], False
-    )
+    defect_against = _cfg_int_list(_cfg_get(config, "defect_against", []), "defect_against", 1)
+    rows = _averages_rows(system, family, f, window, defect_against, False)
     text = "\n".join(rows) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -14,6 +14,7 @@ keeps the closed-form examples stable under double-precision evaluation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,6 @@ from .folner import (
     ModulusTable,
     build_modulus_table,
     check_fast,
-    envelope,
 )
 
 FLOOR_GUARD = 1e-12
@@ -170,6 +170,40 @@ def max_chain(
     )
 
 
+@dataclass(frozen=True)
+class Branch:
+    """The branch of the uniform bound at one (norm, eps, eta), built by `Branch.of`.
+
+    "norm<=1" uses u_eff = u(eps), "norm>1" uses u_eff = u(eps/norm), and
+    `Branch.of` refuses an eta outside (0, u_eff/2).
+    """
+
+    name: str
+    norm: float
+    u_eff: float
+    eta: float
+
+    @classmethod
+    def of(cls, modulus: ConvexityModulus, norm_x: float, eps: float, eta: Optional[float] = None) -> "Branch":
+        """The branch for this norm and eps; eta None means u_eff/4."""
+        norm_x = float(norm_x)
+        small = norm_x <= 1
+        u_eff = modulus(eps) if small else modulus(eps / norm_x)
+        if eta is None:
+            eta = 0.25 * u_eff
+        if not 0 < eta < 0.5 * u_eff:
+            what = "u(eps)/2" if small else "u(eps/norm)/2"
+            raise DomainError(
+                f"eta violates its precondition 0 < eta < {what}: eta={eta}, {what}={0.5 * u_eff}"
+            )
+        return cls("norm<=1" if small else "norm>1", norm_x, u_eff, eta)
+
+    @property
+    def tolerance(self) -> Fraction:
+        """The exact modulus/fastness tolerance eta / (3 min(norm, 1)), nudged down."""
+        return Fraction(self.eta / (3 * min(self.norm, 1.0))) * _EPS_DOWN
+
+
 def theorem_bound(
     modulus: ConvexityModulus,
     norm_x: float,
@@ -186,24 +220,14 @@ def theorem_bound(
     norm_x = float(norm_x)
     if norm_x < 0:
         raise DomainError(f"norm must be nonnegative, got {norm_x}")
-    if norm_x <= 1:
-        u_eff = modulus(eps)
-        what = "u(eps)/2"
-        num = norm_x
-    else:
-        u_eff = modulus(eps / norm_x)
-        what = "u(eps/norm)/2"
-        num = 1.0
-    if not 0 < eta < 0.5 * u_eff:
-        raise DomainError(
-            f"eta violates its precondition 0 < eta < {what}: eta={eta}, {what}={0.5 * u_eff}"
-        )
+    branch = Branch.of(modulus, norm_x, eps, eta)
+    num = min(norm_x, 1.0)
     if lower is not None:
         lower = float(lower)
         if not 0 <= lower <= norm_x:
             raise DomainError(f"lower bound must lie in [0, norm]=[0, {norm_x}], got {lower}")
         num -= lower if norm_x <= 1 else lower / norm_x
-    return guarded_floor(num / (0.5 * u_eff - eta))
+    return guarded_floor(num / (0.5 * branch.u_eff - branch.eta))
 
 
 def corollary_bound(
@@ -222,24 +246,7 @@ def corollary_bound(
 
 def default_eta(modulus: ConvexityModulus, norm_x: float, eps: float) -> float:
     """eta = u(branch eps)/4, safely inside the strict precondition."""
-    norm_x = float(norm_x)
-    u_eff = modulus(eps) if norm_x <= 1 else modulus(eps / norm_x)
-    return 0.25 * u_eff
-
-
-def _branch_quantities(modulus: ConvexityModulus, norm: float, eps: float, eta: Optional[float]):
-    branch = "norm<=1" if norm <= 1 else "norm>1"
-    u_eff = modulus(eps) if norm <= 1 else modulus(eps / norm)
-    if eta is None:
-        eta = 0.25 * u_eff
-    if not 0 < eta < 0.5 * u_eff:
-        what = "u(eps)/2" if norm <= 1 else "u(eps/norm)/2"
-        raise DomainError(
-            f"eta violates its precondition 0 < eta < {what}: eta={eta}, {what}={0.5 * u_eff}"
-        )
-    eps_beta_float = eta / (3 * norm) if norm <= 1 else eta / 3
-    eps_beta = Fraction(eps_beta_float) * _EPS_DOWN
-    return branch, eta, eps_beta
+    return Branch.of(modulus, norm_x, eps).eta
 
 
 def _zero_report(eps: float, mode: str, window: int) -> FluctuationReport:
@@ -303,7 +310,8 @@ def verify_main_theorem(
     norm = lp_norm(system, f)
     if norm == 0.0:
         return _zero_report(eps, "at-distance", window)
-    branch, eta, eps_beta = _branch_quantities(convexity_modulus, norm, eps, eta)
+    branch = Branch.of(convexity_modulus, norm, eps, eta)
+    eps_beta = branch.tolerance
 
     if modulus_table is None:
         modulus_table = build_modulus_table(
@@ -320,19 +328,15 @@ def verify_main_theorem(
                 f"(have {modulus_table.epsilons()}, certified_up_to={modulus_table.certified_up_to})"
             )
         used_eps = max(usable)
-    sub = ModulusTable(
-        modulus_table.group_name,
-        modulus_table.provenance,
-        [e for (n, ep), e in modulus_table.entries.items() if ep == used_eps and n <= window],
-    )
-    env = envelope(sub)
-    beta_vals = [max(env.value(n, used_eps), n + 1) for n in range(1, window + 1)]
+    row = modulus_table.entries_at(used_eps)
+    envelope = itertools.accumulate((row[n].value for n in range(1, window + 1)), max)
+    beta_vals = [max(v, n + 1) for n, v in enumerate(envelope, start=1)]
 
     avgs = average_sequence(system, family, f, window)
     rep = max_chain(_pairwise_norms(system, avgs), eps, beta=beta_vals)
-    rep.eta = eta
-    rep.branch = branch
-    rep.bound = theorem_bound(convexity_modulus, norm, eps, eta, lower=lower)
+    rep.eta = branch.eta
+    rep.branch = branch.name
+    rep.bound = theorem_bound(convexity_modulus, norm, eps, branch.eta, lower=lower)
     rep.verdict = rep.count <= rep.bound
     rep.certified_window = window
     rep.norm_x = norm
@@ -361,7 +365,8 @@ def verify_corollary(
     norm = lp_norm(system, f)
     if norm == 0.0:
         return _zero_report(eps, "plain", window)
-    branch, eta, eps_fast = _branch_quantities(convexity_modulus, norm, eps, eta)
+    branch = Branch.of(convexity_modulus, norm, eps, eta)
+    eps_fast = branch.tolerance
 
     fast_rep = check_fast(fast_family, lam, eps_fast, window)
     if not fast_rep.ok:
@@ -372,10 +377,10 @@ def verify_corollary(
 
     avgs = average_sequence(system, fast_family, f, window)
     rep = max_chain(_pairwise_norms(system, avgs), eps)
-    rep.eta = eta
-    rep.branch = branch
+    rep.eta = branch.eta
+    rep.branch = branch.name
     rep.lam = lam
-    rep.bound = corollary_bound(convexity_modulus, norm, eps, eta, lam, lower=lower)
+    rep.bound = corollary_bound(convexity_modulus, norm, eps, branch.eta, lam, lower=lower)
     rep.verdict = rep.count <= rep.bound
     rep.certified_window = window
     rep.norm_x = norm

@@ -16,9 +16,12 @@ larger index).
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,8 +84,10 @@ def _packed_overlap(arr: np.ndarray, g: int) -> Optional[int]:
     return int(np.count_nonzero(inside & (arr[pos] == shifted)))
 
 
-def _set_overlap(group: Group, s: frozenset, g) -> int:
-    return len(s & group.translate_set(s, g))
+def _overlap(group: Group, s: frozenset, arr: Optional[np.ndarray], g) -> int:
+    """|s intersect gs|: searched in `arr`, the packed form of s, when g fits, else by set arithmetic."""
+    overlap = None if arr is None else _packed_overlap(arr, g)
+    return len(s & group.translate_set(s, g)) if overlap is None else overlap
 
 
 def box_ratio(group: Group, r: int, g) -> Fraction:
@@ -116,9 +121,6 @@ class FolnerFamily:
 
     def elements(self, n: int) -> frozenset:
         raise NotImplementedError
-
-    def contains(self, n: int, g) -> bool:
-        return g in self.elements(n)
 
     def box_radius(self, n: int) -> Optional[int]:
         """Radius when F_n is a standard box of this group, else None."""
@@ -166,13 +168,7 @@ class ExplicitFamily(FolnerFamily):
         self._check_index(n)
         self.group.check_element(g)
         s = self._sets[n - 1]
-        overlap = None
-        arr = self._packed_at(n)
-        if arr is not None:
-            overlap = _packed_overlap(arr, g)
-        if overlap is None:
-            overlap = _set_overlap(self.group, s, g)
-        return Fraction(2 * (len(s) - overlap), len(s))
+        return Fraction(2 * (len(s) - _overlap(self.group, s, self._packed_at(n), g)), len(s))
 
     def to_jsonable(self) -> dict:
         return {
@@ -215,10 +211,6 @@ class StandardBoxFamily(FolnerFamily):
                 )
             self._cache[n] = frozenset(self.group.box_elements(n))
         return self._cache[n]
-
-    def contains(self, n: int, g) -> bool:
-        self._check_index(n)
-        return self.group.box_contains(n, g)
 
     def box_radius(self, n: int) -> Optional[int]:
         self._check_index(n)
@@ -263,9 +255,6 @@ class RefinedFamily(FolnerFamily):
 
     def elements(self, n: int) -> frozenset:
         return self.source.elements(self._src(n))
-
-    def contains(self, n: int, g) -> bool:
-        return self.source.contains(self._src(n), g)
 
     def box_radius(self, n: int) -> Optional[int]:
         return self.source.box_radius(self._src(n))
@@ -335,47 +324,57 @@ class ModulusEntry:
 
 
 class ModulusTable:
-    """Certified values of the Folner convergence modulus beta(n, eps)."""
+    """Certified values of the Folner convergence modulus beta(n, eps).
+
+    Entries are keyed by tolerance, then by n.  Hashing an exact tolerance
+    costs a modular inverse of its denominator (about 104 bits for a float
+    tolerance), so each query looks its tolerance up once and then indexes
+    by integers.
+    """
 
     def __init__(self, group_name: str, provenance: str, entries: Iterable[ModulusEntry]):
         self.group_name = group_name
         self.provenance = provenance
-        self._entries: Dict[Tuple[int, Fraction], ModulusEntry] = {}
+        self._rows: Dict[Fraction, Dict[int, ModulusEntry]] = {}
         for e in entries:
-            self._entries[(e.n, e.epsilon)] = e
+            self._rows.setdefault(e.epsilon, {})[e.n] = e
+
+    def _all(self) -> Iterator[ModulusEntry]:
+        return (e for row in self._rows.values() for e in row.values())
 
     @property
-    def entries(self) -> Dict[Tuple[int, Fraction], ModulusEntry]:
-        return dict(self._entries)
+    def entries(self) -> Mapping[Tuple[int, Fraction], ModulusEntry]:
+        """Every entry keyed by (n, eps), as a read-only view."""
+        return MappingProxyType({(e.n, e.epsilon): e for e in self._all()})
+
+    def entries_at(self, eps) -> Mapping[int, ModulusEntry]:
+        """The entries at one tolerance keyed by n, as a read-only view (empty if none)."""
+        return MappingProxyType(self._rows.get(as_fraction(eps), {}))
 
     @property
     def kind(self) -> str:
-        return "analytic" if all(e.kind == "analytic" for e in self._entries.values()) else "empirical"
+        return "analytic" if all(e.kind == "analytic" for e in self._all()) else "empirical"
 
     @property
     def certified_up_to(self) -> Optional[int]:
-        caps = [e.certified_up_to for e in self._entries.values() if e.certified_up_to is not None]
+        caps = [e.certified_up_to for e in self._all() if e.certified_up_to is not None]
         return min(caps) if caps else None
 
     def value(self, n: int, eps) -> int:
         eps = as_fraction(eps)
         try:
-            return self._entries[(n, eps)].value
+            return self._rows[eps][n].value
         except KeyError:
             raise StructureError(f"no modulus entry for (n={n}, eps={eps})") from None
 
     def epsilons(self) -> List[Fraction]:
-        return sorted({e.epsilon for e in self._entries.values()})
-
-    def ns_for(self, eps) -> List[int]:
-        eps = as_fraction(eps)
-        return sorted(e.n for e in self._entries.values() if e.epsilon == eps)
+        return sorted(self._rows)
 
     def covers(self, window: int, eps) -> bool:
         """True if entries exist for n = 1..window at eps and certify past window."""
-        eps = as_fraction(eps)
+        row = self.entries_at(eps)
         for n in range(1, window + 1):
-            e = self._entries.get((n, eps))
+            e = row.get(n)
             if e is None:
                 return False
             if e.certified_up_to is not None and e.certified_up_to < window:
@@ -383,7 +382,7 @@ class ModulusTable:
         return True
 
     def to_jsonable(self) -> dict:
-        entries = sorted(self._entries.values(), key=lambda e: (str(e.epsilon), e.n))
+        entries = sorted(self._all(), key=lambda e: (str(e.epsilon), e.n))
         return {
             "group": self.group_name,
             "provenance": self.provenance,
@@ -416,33 +415,62 @@ class ModulusTable:
         return cls(data["group"], data.get("provenance", "explicit"), entries)
 
 
-def _analytic_box_modulus(group: Group, n: int, eps: Fraction) -> int:
-    """Least N with ratio(B_m, corner of B_n) < eps for all m >= N (Z/Z^d boxes).
+def least_index(pred: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
+    """Least i in [lo, hi] with pred(i) for pred monotone in i (false, then true), else None.
 
-    The box ratio is nonincreasing in m and, per axis, nondecreasing in the
-    translation, so the corner of B_n dominates all g in B_n and a single
-    threshold search certifies every larger m.
+    Probes lo, then doubles (0 steps to 1) until pred holds or hi is reached,
+    then bisects between the last false and the first true probe: for a
+    monotone pred, the index an index-by-index scan finds.
     """
-    corner = group.box_corner(n)
+    if lo > hi:
+        return None
+    if pred(lo):
+        return lo
+    bad = lo
+    while bad < hi:
+        good = min(max(2 * bad, bad + 1), hi)
+        if pred(good):
+            while good - bad > 1:
+                mid = (bad + good) // 2
+                if pred(mid):
+                    good = mid
+                else:
+                    bad = mid
+            return good
+        bad = good
+    return None
 
-    def ok(m: int) -> bool:
-        return box_ratio(group, m, corner) < eps
 
-    if ok(1):
-        return 1
-    hi = 2
-    while not ok(hi):
-        hi *= 2
-        if hi > 10**18:
-            raise DomainError(f"no analytic modulus below 10^18 for (n={n}, eps={eps})")
-    lo = hi // 2  # ok(lo) is False
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _worst_first(group: Group, elems) -> list:
+    # largest norm first (violations of a ratio bound usually sit there), then by value
+    return sorted(elems, key=lambda g: (-group.norm1(g), g if isinstance(g, tuple) else (g,)))
+
+
+def worst_ratio(family: FolnerFamily, n: int, m: int, stop_at=None, over=None) -> Tuple[Fraction, object]:
+    """(ratio, g): the max over g in F_n of |F_m delta gF_m|/|F_m|, and a g attaining it.
+
+    Corner route: on Z or Z^d with F_n and F_m standard boxes, the box ratio is
+    per axis nondecreasing in the translation, so the corner of F_n attains it.
+    Set route otherwise: the max of family.ratio(m, g), over `over` in place of
+    F_n when given (a shell, a union), in the order given.  With stop_at, the
+    first g whose ratio is >= stop_at is returned as a witness; F_n is then
+    visited largest norm first.  No elements give (0, None).
+    """
+    group = family.group
+    if over is None:
+        rn, rm = family.box_radius(n), family.box_radius(m)
+        if isinstance(group, (IntegerGroup, LatticeGroup)) and rn is not None and rm is not None:
+            corner = group.box_corner(rn)
+            return box_ratio(group, rm, corner), corner
+        over = family.elements(n) if stop_at is None else _worst_first(group, family.elements(n))
+    worst, arg = Fraction(0), None
+    for g in over:
+        r = family.ratio(m, g)
+        if arg is None or r > worst:
+            worst, arg = r, g
+            if stop_at is not None and r >= stop_at:
+                break
+    return worst, arg
 
 
 def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] = None) -> ModulusEntry:
@@ -457,8 +485,15 @@ def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] 
         raise DomainError(f"modulus tolerance must be positive, got {eps}")
     family._check_index(n)
 
-    if isinstance(family, StandardBoxFamily) and isinstance(family.group, (IntegerGroup, LatticeGroup)):
-        value = _analytic_box_modulus(family.group, n, eps)
+    group = family.group
+    if isinstance(family, StandardBoxFamily) and isinstance(group, (IntegerGroup, LatticeGroup)):
+        # The box ratio is nonincreasing in m and the corner of B_n dominates
+        # all g in B_n, so one threshold search certifies every larger m, also
+        # past the family's length.
+        corner = group.box_corner(n)
+        value = least_index(lambda m: box_ratio(group, m, corner) < eps, 1, 10**18)
+        if value is None:
+            raise DomainError(f"no analytic modulus up to 10^18 for (n={n}, eps={eps})")
         return ModulusEntry(n=n, epsilon=eps, value=value, kind="analytic", certified_up_to=None)
 
     if m_max is None:
@@ -466,22 +501,7 @@ def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] 
     if not 1 <= m_max <= family.n_max:
         raise DomainError(f"m_max must be in [1, {family.n_max}], got {m_max}")
 
-    group = family.group
-    corner_mode = (
-        isinstance(group, (IntegerGroup, LatticeGroup))
-        and family.box_radius(n) is not None
-        and all(family.box_radius(m) is not None for m in range(1, m_max + 1))
-    )
-    worst_by_m: Dict[int, Fraction] = {}
-    if corner_mode:
-        # per-axis monotone overlap: the corner of F_n dominates every g in F_n
-        corner = group.box_corner(family.box_radius(n))
-        for m in range(1, m_max + 1):
-            worst_by_m[m] = box_ratio(group, family.box_radius(m), corner)
-    else:
-        gs = sorted(family.elements(n), key=lambda g: (-group.norm1(g), _sort_key(g)))
-        for m in range(1, m_max + 1):
-            worst_by_m[m] = max(family.ratio(m, g) for g in gs)
+    worst_by_m = {m: worst_ratio(family, n, m)[0] for m in range(1, m_max + 1)}
     if worst_by_m[m_max] >= eps:
         raise ModulusNotFoundError(n, eps, m_max, worst_by_m)
     value = m_max
@@ -511,14 +531,15 @@ def envelope(table: ModulusTable) -> ModulusTable:
     """
     out: List[ModulusEntry] = []
     for eps in table.epsilons():
-        ns = table.ns_for(eps)
+        row = table.entries_at(eps)
+        ns = sorted(row)
         if ns != list(range(1, len(ns) + 1)):
             raise StructureError(f"envelope needs entries for all i <= n at eps={eps}, have n in {ns}")
         running = 0
         cap: Optional[int] = None
         kind = "analytic"
         for n in ns:
-            e = table.entries[(n, eps)]
+            e = row[n]
             running = max(running, e.value)
             if e.certified_up_to is not None:
                 cap = e.certified_up_to if cap is None else min(cap, e.certified_up_to)
@@ -534,53 +555,31 @@ def check_modulus(family: FolnerFamily, n: int, eps, claimed: int, window: int) 
     family._check_index(n)
     if window > family.n_max:
         raise DomainError(f"window {window} exceeds family length {family.n_max}")
-    gs = sorted(family.elements(n), key=lambda g: (-family.group.norm1(g), _sort_key(g)))
-    for m in range(max(claimed, 1), window + 1):
-        for g in gs:
-            if family.ratio(m, g) >= eps:
-                return False
-    return True
-
-
-def _sort_key(g):
-    return g if isinstance(g, tuple) else (g,)
+    return all(
+        worst_ratio(family, n, m, stop_at=eps)[0] < eps for m in range(max(claimed, 1), window + 1)
+    )
 
 
 def worst_ratio_table(family: FolnerFamily, n_hi: int, m_hi: int) -> Dict[Tuple[int, int], Fraction]:
     """worst[(n, m)] = max over g in F_n of |F_m delta g F_m|/|F_m|.
 
-    For nested families each g is attributed to the first index containing it,
-    so every (g, m) ratio is computed once; non-nested families fall back to
-    per-index loops.
+    For nested families the max over F_n is the running max over the shells
+    F_k minus F_(k-1), k <= n, so every (g, m) ratio is computed once;
+    non-nested families take the max over each F_n.
     """
     family._check_index(n_hi)
     family._check_index(m_hi)
-    nested = all(
-        family.elements(n) <= family.elements(n + 1) for n in range(1, n_hi)
-    )
+    sets = [frozenset()] + [family.elements(n) for n in range(1, n_hi + 1)]
+    nested = all(a <= b for a, b in zip(sets[1:], sets[2:]))
+    shells = [b - a for a, b in zip(sets, sets[1:])]
     table: Dict[Tuple[int, int], Fraction] = {}
-    if not nested:
-        for n in range(1, n_hi + 1):
-            for m in range(1, m_hi + 1):
-                table[(n, m)] = max(family.ratio(m, g) for g in family.elements(n))
-        return table
-
-    first_stage: Dict = {}
-    for n in range(1, n_hi + 1):
-        for g in family.elements(n):
-            first_stage.setdefault(g, n)
-    top = sorted(family.elements(n_hi), key=_sort_key)
-    zero = Fraction(0)
     for m in range(1, m_hi + 1):
-        worst_at_stage = [zero] * (n_hi + 1)
-        for g in top:
-            r = family.ratio(m, g)
-            st = first_stage[g]
-            if r > worst_at_stage[st]:
-                worst_at_stage[st] = r
-        running = zero
+        running = Fraction(0)
         for n in range(1, n_hi + 1):
-            running = max(running, worst_at_stage[n])
+            if nested:
+                running = max(running, worst_ratio(family, n, m, over=shells[n - 1])[0])
+            else:
+                running = worst_ratio(family, n, m)[0]
             table[(n, m)] = running
     return table
 
@@ -590,14 +589,6 @@ def worst_ratio_table(family: FolnerFamily, n_hi: int, m_hi: int) -> Dict[Tuple[
 # ---------------------------------------------------------------------------
 
 
-def _stage_condition_holds(group: Group, stage: int, card: int, overlap_of, prev_sorted) -> bool:
-    # |C delta gC| < |C|/stage as integers: stage * 2 * (card - overlap) < card
-    for g in prev_sorted:
-        if stage * 2 * (card - overlap_of(g)) >= card:
-            return False
-    return True
-
-
 def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> ExplicitFamily:
     """The computable greedy Folner construction.
 
@@ -605,7 +596,7 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
     deterministic stream (F_{n-1} itself, then F_{n-1} united with standard
     boxes of growing radius) satisfying |F~ delta g F~| < |F~|/n for all g in
     F_{n-1}; then F_n = F~_n union {g_n}.  The least valid box radius is
-    located by doubling plus bisection, which matches a radius-by-radius scan
+    located by `least_index`, which matches a radius-by-radius scan
     whenever validity is monotone in the radius (true for the supported box
     geometries at these scales).  Each candidate evaluation counts against
     search_budget per stage.
@@ -622,62 +613,31 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
 
     for stage in range(2, n_max + 1):
         prev = sets[-1]
-        prev_sorted = sorted(prev, key=lambda g: (-group.norm1(g), _sort_key(g)))
-        evals = 0
-
-        def spend():
-            nonlocal evals
-            evals += 1
-            if evals > search_budget:
-                raise ConstructionBudgetError(stage, search_budget)
-
-        def box_valid(r: int) -> bool:
-            # only called when prev is inside the box, so the candidate IS the box
-            card = group.box_card(r)
-            return _stage_condition_holds(
-                group, stage, card, lambda g: group.box_overlap(r, g), prev_sorted
-            )
-
-        def set_valid(s: frozenset) -> bool:
-            card = len(s)
-            arr = _pack_sorted(s)
-            if arr is not None:
-                def overlap_of(g):
-                    ov = _packed_overlap(arr, g)
-                    return ov if ov is not None else _set_overlap(group, s, g)
-            else:
-                def overlap_of(g):
-                    return _set_overlap(group, s, g)
-            return _stage_condition_holds(group, stage, card, overlap_of, prev_sorted)
+        prev_sorted = _worst_first(group, prev)
+        evals = itertools.count(1)
 
         def candidate_valid(r: int) -> bool:
-            spend()
-            if r == 0:
-                return set_valid(prev)
-            if all(group.box_contains(r, g) for g in prev):
-                return box_valid(r)
-            union = frozenset(prev | set(group.box_elements(r)))
-            return set_valid(union)
+            if next(evals) > search_budget:
+                raise ConstructionBudgetError(stage, search_budget)
+            if r and all(group.box_contains(r, g) for g in prev):
+                # prev lies inside the box, so the candidate is the box itself
+                card = group.box_card(r)
+                overlap_of = functools.partial(group.box_overlap, r)
+            else:
+                s = prev if r == 0 else frozenset(prev | set(group.box_elements(r)))
+                card = len(s)
+                overlap_of = functools.partial(_overlap, group, s, _pack_sorted(s))
+            # |C delta gC| < |C|/stage as integers: stage * 2 * (card - overlap) < card
+            return all(stage * 2 * (card - overlap_of(g)) < card for g in prev_sorted)
 
-        if candidate_valid(0):
-            chosen = prev
-        else:
-            hi = 1
-            while not candidate_valid(hi):
-                hi *= 2
-            lo = hi // 2  # invalid (or 0, whose candidate was prev and failed)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if candidate_valid(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            if group.box_card(hi) > MATERIALIZE_CAP:
-                raise FamilyTooLargeError(
-                    f"greedy stage {stage} needs a box with {group.box_card(hi)} elements; "
-                    f"materialization cap is {MATERIALIZE_CAP}"
-                )
-            chosen = frozenset(prev | set(group.box_elements(hi)))
+        # the budget runs out long before the doubling reaches 2**search_budget
+        radius = least_index(candidate_valid, 0, 2**search_budget)
+        if radius and group.box_card(radius) > MATERIALIZE_CAP:
+            raise FamilyTooLargeError(
+                f"greedy stage {stage} needs a box with {group.box_card(radius)} elements; "
+                f"materialization cap is {MATERIALIZE_CAP}"
+            )
+        chosen = frozenset(prev | set(group.box_elements(radius))) if radius else prev
         sets.append(frozenset(chosen | {enum[stage - 1]}))
 
     return ExplicitFamily(group, sets, provenance="greedy-constructed")
@@ -686,38 +646,6 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
 # ---------------------------------------------------------------------------
 # Fast refinement and fastness checks
 # ---------------------------------------------------------------------------
-
-
-def _next_box_index(group: Group, radius_bound: int, eps: Fraction, after: int, n_max: int) -> Optional[int]:
-    """Least m > after with corner-of-B_radius_bound ratio against B_m below eps.
-
-    The box ratio is nonincreasing in m, so the predicate is monotone and the
-    bisection result equals an index-by-index scan.
-    """
-    corner = group.box_corner(radius_bound)
-
-    def ok(m: int) -> bool:
-        return box_ratio(group, m, corner) < eps
-
-    lo = after + 1
-    if lo > n_max:
-        return None
-    if ok(lo):
-        return lo
-    hi = lo
-    while True:
-        hi = min(hi * 2, n_max)
-        if ok(hi):
-            break
-        if hi == n_max:
-            return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> RefinedFamily:
@@ -741,31 +669,25 @@ def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> R
         raise DomainError("count is required when refining a source longer than 10^6")
 
     indices = [1]
-    if box_mode:
-        while count is None or len(indices) < count:
-            nxt = _next_box_index(family.group, indices[-1], eps, indices[-1], family.n_max)
-            if nxt is None:
-                if count is not None:
-                    raise RefinementWindowError(indices, count)
-                break
-            indices.append(nxt)
-    else:
-        union = set(family.elements(1))
-        while count is None or len(indices) < count:
-            ordered = sorted(union, key=lambda g: (-family.group.norm1(g), _sort_key(g)))
-            nxt = None
-            for m in range(indices[-1] + 1, family.n_max + 1):
-                if all(family.ratio(m, g) < eps for g in ordered):
-                    nxt = m
-                    break
-            if nxt is None:
-                if count is not None:
-                    raise RefinementWindowError(indices, count)
-                break
-            indices.append(nxt)
-            if count is not None and len(indices) == count:
-                break
-            union |= family.elements(nxt)
+    union: set = set()
+    while count is None or len(indices) < count:
+        last = indices[-1]
+        if box_mode:
+            # nested boxes: the union is F_last, and its worst ratio is monotone in m
+            nxt = least_index(lambda m: worst_ratio(family, last, m)[0] < eps, last + 1, family.n_max)
+        else:
+            union |= family.elements(last)
+            ordered = _worst_first(family.group, union)
+            fast = (
+                m for m in range(last + 1, family.n_max + 1)
+                if worst_ratio(family, last, m, stop_at=eps, over=ordered)[0] < eps
+            )
+            nxt = next(fast, None)
+        if nxt is None:
+            if count is not None:
+                raise RefinementWindowError(indices, count)
+            break
+        indices.append(nxt)
     return RefinedFamily(family, indices)
 
 
@@ -777,31 +699,14 @@ class FastCheckReport:
     window: int
     violation: Optional[tuple] = None  # (n, m, g, ratio)
 
-    def to_jsonable(self) -> dict:
-        viol = None
-        if self.violation is not None:
-            n, m, g, r = self.violation
-            viol = {
-                "n": n,
-                "m": m,
-                "g": list(g) if isinstance(g, tuple) else g,
-                "ratio": f"{r.numerator}/{r.denominator}",
-            }
-        return {
-            "ok": self.ok,
-            "lambda": self.lam,
-            "eps": f"{self.epsilon.numerator}/{self.epsilon.denominator}",
-            "window": self.window,
-            "violation": viol,
-        }
-
 
 def check_fast(family: FolnerFamily, lam: int, eps, window: int) -> FastCheckReport:
     """Verify the (lam, eps)-fast property over [1, window]; report first violation.
 
-    When both F_n and F_m are standard Z/Z^d boxes the maximizing translation
-    is the corner of F_n, so a single closed-form evaluation decides each
-    (n, m) pair; the reported g is then that corner witness.
+    The first violating (n, m) pair in (n, m) order is reported with a
+    witness g from `worst_ratio(..., stop_at=eps)`: the corner of F_n when
+    both sets are standard Z/Z^d boxes, else the first violator in F_n
+    taken largest norm first (not necessarily the least g in key order).
     """
     eps = as_fraction(eps)
     if lam < 1:
@@ -809,19 +714,9 @@ def check_fast(family: FolnerFamily, lam: int, eps, window: int) -> FastCheckRep
     if not 1 <= window <= family.n_max:
         raise DomainError(f"window must be in [1, {family.n_max}], got {window}")
 
-    corner_ok = isinstance(family.group, (IntegerGroup, LatticeGroup))
     for n in range(1, window + 1):
-        rn = family.box_radius(n)
         for m in range(n + lam, window + 1):
-            rm = family.box_radius(m)
-            if corner_ok and rn is not None and rm is not None:
-                g = family.group.box_corner(rn)
-                r = box_ratio(family.group, rm, g)
-                if r >= eps:
-                    return FastCheckReport(False, lam, eps, window, (n, m, g, r))
-                continue
-            for g in sorted(family.elements(n), key=_sort_key):
-                r = family.ratio(m, g)
-                if r >= eps:
-                    return FastCheckReport(False, lam, eps, window, (n, m, g, r))
+            r, g = worst_ratio(family, n, m, stop_at=eps)
+            if r >= eps:
+                return FastCheckReport(False, lam, eps, window, (n, m, g, r))
     return FastCheckReport(True, lam, eps, window)

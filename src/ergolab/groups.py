@@ -325,7 +325,7 @@ def group_by_name(name: str) -> Group:
         return IntegerGroup()
     if name == "H3":
         return HeisenbergGroup()
-    m = re.fullmatch(r"Z\^(\d+)", name)
+    m = re.fullmatch(r"Z\^(\d+)", name) if isinstance(name, str) else None
     if m:
         return LatticeGroup(int(m.group(1)))
     raise UnsupportedGroupError(f"unknown group name {name!r}; expected Z, Z^d or H3")

@@ -37,7 +37,7 @@ from ergolab import (
     worst_ratio_table,
 )
 from ergolab.dynamics import _perm_power
-from ergolab.fluctuation import _branch_quantities
+from ergolab.fluctuation import Branch
 
 Z = group_by_name("Z")
 Z2 = group_by_name("Z^2")
@@ -169,7 +169,7 @@ def test_criterion_4_corollary_on_fast_refinements(trials):
     for system, f in trials:
         norm = lp_norm(system, f)
         for eps in TRIAL_EPSILONS:
-            _, _, eps_fast = _branch_quantities(HANNER2, norm, eps, None)
+            eps_fast = Branch.of(HANNER2, norm, eps, None).tolerance
             refined = fast_refinement(source, eps_fast, count=count)
             rep = verify_corollary(system, refined, lam, HANNER2, f, eps, window=count)
             assert rep.verdict, (eps, rep.count, rep.bound)

@@ -1,9 +1,14 @@
 """CLI subcommands as thin wrappers: printed numbers equal library results."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab import (
     ConvexityModulus,
@@ -193,6 +198,13 @@ def test_env_seed_overrides_config(tmp_path, monkeypatch):
     assert report["seed"] == 777
 
 
+def test_negative_env_seed_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ERGOLAB_SEED", "-1")
+    code, _, err = run_cli(capsys, "run", "--config", str(DEMO), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error:") and "ERGOLAB_SEED" in err
+
+
 def test_bad_eta_config_exits_one(tmp_path, capsys):
     config = demo_config()
     hm = ConvexityModulus.hanner(2)
@@ -215,6 +227,19 @@ def test_bad_eta_config_exits_one(tmp_path, capsys):
         ("system", {"points": True, "weights": "uniform", "generators": {"t": [0]}}),
         ("observable", {"type": "indicator", "point": float("inf")}),
         ("epsilons", "abc"),
+        ("p", "x"),
+        ("window", "x"),
+        ("seed", "x"),
+        ("defect_against", ["x"]),
+        ("lambda", "x"),
+        ("family", {"type": "standard", "n_max": "x"}),
+        ("family", {"type": "greedy"}),
+        ("eta", {"type": "fixed", "value": "x"}),
+        ("eta", {"type": "fixed"}),
+        ("observable", {"type": "random", "scale": "x"}),
+        ("observable", {"type": "explicit"}),
+        ("system", {"points": 2, "weights": "uniform", "generators": {"t": "x"}}),
+        ("group", []),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, key, value):
@@ -225,6 +250,35 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, key, value):
     code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path))
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+WRONG_TYPED = ("x", ["x"], None, True, 2.5, -1, float("inf"), {})
+
+
+def _config_keys(cfg, prefix=()):
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _config_keys(value, prefix + (key,))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(path=st.sampled_from(list(_config_keys(demo_config()))), value=st.sampled_from(WRONG_TYPED))
+def test_wrong_typed_config_key_never_escapes(path, value):
+    config = demo_config()
+    section = config
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "bad.json"
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(cfg), "--out-dir", tmp])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
 
 
 def test_verify_corollary_cli(tmp_path, capsys):

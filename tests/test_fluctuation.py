@@ -31,7 +31,7 @@ from ergolab import (
     verify_main_theorem,
 )
 from ergolab.dynamics import FiniteMeasureSystem, Observable, average_sequence
-from ergolab.fluctuation import _branch_quantities, _pairwise_norms
+from ergolab.fluctuation import Branch, _pairwise_norms
 
 mp.mp.dps = 60
 Z = group_by_name("Z")
@@ -331,7 +331,7 @@ def test_verify_main_accepts_fine_enough_table():
     f = system.observable([1.0] + [0.0] * 11, 2)
     norm = lp_norm(system, f)
     hm = ConvexityModulus.hanner(2)
-    _, _, eps_beta = _branch_quantities(hm, norm, 0.3, None)
+    eps_beta = Branch.of(hm, norm, 0.3, None).tolerance
     fine = build_modulus_table(fam, range(1, 61), [eps_beta / 2])
     rep = verify_main_theorem(system, fam, fine, hm, f, 0.3, window=60)
     assert rep.verdict
@@ -346,7 +346,7 @@ def test_verify_main_accepts_empirical_table_from_explicit_family():
     f = system.observable([1.0] + [0.0] * 11, 2)
     hm = ConvexityModulus.hanner(2)
     norm = lp_norm(system, f)
-    _, _, eps_beta = _branch_quantities(hm, norm, 0.3, None)
+    eps_beta = Branch.of(hm, norm, 0.3, None).tolerance
     try:
         table = build_modulus_table(explicit, range(1, 31), [eps_beta], m_max=30)
     except Exception:
@@ -385,7 +385,7 @@ def test_verify_corollary_refined_pipeline():
     f = system.observable([1.0] + [0.0] * 11, 2)
     hm = ConvexityModulus.hanner(2)
     norm = lp_norm(system, f)
-    _, _, eps_fast = _branch_quantities(hm, norm, 0.3, None)
+    eps_fast = Branch.of(hm, norm, 0.3, None).tolerance
     refined = fast_refinement(standard_family(Z, 10**30), eps_fast, count=8)
     rep = verify_corollary(system, refined, 1, hm, f, 0.3, window=8)
     assert rep.verdict is True
@@ -398,7 +398,7 @@ def test_verify_corollary_invariant_observable():
     system = rotation_system(12)
     f = system.observable(np.full(12, 1.2), 2)
     hm = ConvexityModulus.hanner(2)
-    _, _, eps_fast = _branch_quantities(hm, lp_norm(system, f), 0.3, None)
+    eps_fast = Branch.of(hm, lp_norm(system, f), 0.3, None).tolerance
     refined = fast_refinement(standard_family(Z, 10**30), eps_fast, count=5)
     rep = verify_corollary(system, refined, 1, hm, f, 0.3, window=5)
     assert rep.verdict and rep.count == 0

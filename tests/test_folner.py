@@ -28,10 +28,12 @@ from ergolab import (
     folner_ratio,
     greedy_folner,
     group_by_name,
+    least_index,
     standard_family,
+    worst_ratio,
     worst_ratio_table,
 )
-from ergolab.folner import ModulusEntry, ModulusTable
+from ergolab.folner import ModulusEntry, ModulusTable, RefinedFamily
 
 Z = group_by_name("Z")
 Z2 = group_by_name("Z^2")
@@ -324,6 +326,70 @@ def test_check_fast_matches_explicit_route():
 # ---------------------------------------------------------------------------
 
 
+def test_least_index_matches_a_scan():
+    rng = random.Random(17)
+    for _ in range(400):
+        lo = rng.randrange(0, 50)
+        hi = lo + rng.choice([0, 1, 2, rng.randrange(0, 200)])
+        turn = rng.randrange(lo, hi + 3)  # past hi: never true inside [lo, hi]
+        probed = []
+
+        def pred(i):
+            assert lo <= i <= hi
+            probed.append(i)
+            return i >= turn
+
+        expected = next((i for i in range(lo, hi + 1) if pred(i)), None)
+        probed.clear()
+        assert least_index(pred, lo, hi) == expected
+        assert len(probed) <= 2 * (hi - lo + 1).bit_length() + 2
+    for lo, hi in ((7, 7), (0, 0), (3, 1000)):
+        assert least_index(lambda i: False, lo, hi) is None
+        assert least_index(lambda i: True, lo, hi) == lo
+    assert least_index(lambda i: True, 5, 4) is None
+    # lo, then doubling, then bisection between the last false and first true probe
+    probed = []
+    assert least_index(lambda i: probed.append(i) or i >= 5, 0, 100) == 5
+    assert probed == [0, 1, 2, 4, 8, 6, 5]
+
+
+def _worst_ratio_cases():
+    rng = random.Random(3)
+    non_nested = ExplicitFamily(Z, [rng.sample(range(-30, 30), k) for k in (3, 9, 5, 12)])
+    return [
+        (standard_family(Z, 6), 6),
+        (standard_family(Z2, 4), 4),
+        (standard_family(H3, 2), 2),
+        (RefinedFamily(standard_family(Z2, 40), [1, 3, 7]), 3),  # corner route
+        (greedy_folner(Z, 5), 5),
+        (non_nested, 4),
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, top", _worst_ratio_cases(), ids=["Z", "Z^2", "H3", "refined-Z^2", "greedy-Z", "non-nested"]
+)
+def test_worst_ratio_equals_set_arithmetic(family, top):
+    group = family.group
+    for n in range(1, top + 1):
+        for m in range(1, top + 1):
+            target = family.elements(m)
+            ratios = {g: brute_ratio(group, target, g) for g in family.elements(n)}
+            worst = max(ratios.values())
+            r, g = worst_ratio(family, n, m)
+            assert r == worst and brute_ratio(group, target, g) == r
+            for eps in (Fraction(1, 10), worst, worst + Fraction(1, 10**9)):
+                r, g = worst_ratio(family, n, m, stop_at=eps)
+                if worst >= eps:
+                    # early exit: the witness is a real violation of the bound
+                    assert r >= eps and g in family.elements(n) and brute_ratio(group, target, g) == r
+                else:
+                    assert r == worst
+            some = sorted(family.elements(n), key=str)[::2]
+            assert worst_ratio(family, n, m, over=some)[0] == max(ratios[g] for g in some)
+    assert worst_ratio(family, 1, 1, over=[]) == (0, None)
+
+
 def test_worst_ratio_table_matches_direct_loops():
     fam = greedy_folner(Z, 5)
     table = worst_ratio_table(fam, 4, 5)
@@ -331,6 +397,16 @@ def test_worst_ratio_table_matches_direct_loops():
         for m in range(1, 6):
             direct = max(fam.ratio(m, g) for g in fam.elements(n))
             assert table[(n, m)] == direct
+
+
+def test_worst_ratio_table_keeps_the_worst_of_earlier_shells():
+    # the worst translation of F_3 is -20, which entered at F_1
+    fam = ExplicitFamily(Z, [{-20}, {-20, 0}, {-20, 0, 1}, range(-25, 26)])
+    table = worst_ratio_table(fam, 3, 4)
+    for n in range(1, 4):
+        for m in range(1, 5):
+            assert table[(n, m)] == max(brute_ratio(Z, fam.elements(m), g) for g in fam.elements(n))
+    assert table[(3, 4)] == Fraction(40, 51)
 
 
 def test_family_serialization_roundtrips():

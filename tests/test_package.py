@@ -1,0 +1,15 @@
+"""Structure of the package itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ergolab"
+
+
+def test_no_module_imports_another_modules_private_names():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                found += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []
