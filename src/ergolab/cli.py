@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from .config import get, get_choice, get_float, get_floats, get_int, get_ints, get_section, get_str
 from .convexity import ConvexityModulus
 from .dynamics import (
     FiniteMeasureSystem,
@@ -72,65 +72,28 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _cfg_get(cfg: dict, key: str, default=None, required: bool = False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"config is missing required key {key!r}")
-        return default
-    return cfg[key]
-
-
-def _cfg_section(cfg: dict, key: str, default=None, required: bool = False) -> dict:
-    value = _cfg_get(cfg, key, default, required)
-    if not isinstance(value, dict):
-        raise ConfigError(f"config key {key!r} must be a JSON object, got {value!r}")
-    return value
-
-
-def _cfg_int(value, what: str, lo: int, hi: Optional[int] = None) -> int:
-    """value as an integer with lo <= value < hi (no upper limit if hi is None), else a ConfigError.
-
-    JSON integers and integral numbers such as 3.0 pass; booleans, strings,
-    fractional numbers and infinities are refused rather than truncated.
-    """
-    n = int(value) if isinstance(value, float) and value.is_integer() else value
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    if n < lo or (hi is not None and n >= hi):
-        upper = "" if hi is None else f" and below {hi}"
-        raise ConfigError(f"{what} must be an integer >= {lo}{upper}, got {value!r}")
-    return n
-
-
-def _cfg_int_list(value, what: str, lo: int) -> List[int]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{what} must be a list of integers, got {value!r}")
-    return [_cfg_int(v, f"{what} entry", lo) for v in value]
-
-
-def _cfg_float(cfg: dict, key: str, default: Optional[float] = None) -> float:
-    """cfg[key] as a finite number; default when absent, required when default is None."""
-    value = _cfg_get(cfg, key, default, required=default is None)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _cfg_floats(cfg: dict, key: str) -> List[float]:
-    value = _cfg_get(cfg, key, required=True)
-    problem = ConfigError(f"{key} must be a nonempty list of numbers, got {value!r}")
-    if not isinstance(value, list) or not value:
-        raise problem
+def _parsed(token: str, convert: Callable, name: str):
+    """convert(token) for a value given on the command line; a ConfigError if it does not parse."""
     try:
-        return [float(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise problem from exc
+        return convert(token)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: cannot read {token!r} as {convert.__name__}") from exc
 
 
-def _build_system(cfg: dict, group: Group) -> FiniteMeasureSystem:
-    sys_cfg = _cfg_section(cfg, "system", required=True)
-    points = _cfg_int(_cfg_get(sys_cfg, "points", required=True), "system points", 1)
-    weights = _cfg_get(sys_cfg, "weights", "uniform")
+def _parsed_list(text: str, convert: Callable, name: str) -> list:
+    return [_parsed(tok, convert, name) for tok in text.split(",") if tok != ""]
+
+
+def _seed(cfg: dict) -> int:
+    env = os.environ.get("ERGOLAB_SEED")
+    if env is None:
+        return get_int(cfg, "seed", 0)
+    return get_int({"ERGOLAB_SEED": _parsed(env, int, "ERGOLAB_SEED")}, "ERGOLAB_SEED")
+
+
+def _system(spec: dict, group: Group) -> FiniteMeasureSystem:
+    points = get_int(spec, "points", lo=1)
+    weights = get(spec, "weights", "uniform")
     if weights == "uniform":
         weights = [Fraction(1, points)] * points
     elif isinstance(weights, list):
@@ -139,10 +102,8 @@ def _build_system(cfg: dict, group: Group) -> FiniteMeasureSystem:
         weights = [as_fraction(w) for w in weights]
     else:
         raise ConfigError('weights must be "uniform" or a list of rational strings')
-    generators = {
-        name: _cfg_int_list(perm, f"generator {name!r}", 0)
-        for name, perm in _cfg_section(sys_cfg, "generators", required=True).items()
-    }
+    perms = get_section(spec, "generators")
+    generators = {name: get_ints(perms, name) for name in perms}
     try:
         system = FiniteMeasureSystem(group, weights, generators)
         system.validate_action()
@@ -151,89 +112,88 @@ def _build_system(cfg: dict, group: Group) -> FiniteMeasureSystem:
     return system
 
 
-def _build_observable(cfg: dict, system: FiniteMeasureSystem, rng: np.random.Generator) -> Observable:
-    p = _cfg_float(cfg, "p")
-    spec = _cfg_section(cfg, "observable", required=True)
-    kind = spec.get("type")
+def _observable(spec: dict, system: FiniteMeasureSystem, p: float, rng) -> Observable:
+    kind = get_choice(spec, "type", ("explicit", "indicator", "random"))
     if kind == "explicit":
-        try:
-            values = np.asarray(_cfg_get(spec, "values", required=True), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"observable values must be a list of numbers: {exc}") from exc
+        values = np.asarray(get_floats(spec, "values"), dtype=float)
     elif kind == "indicator":
         values = np.zeros(system.n_points)
-        point = _cfg_int(_cfg_get(spec, "point", required=True), "indicator point", 0, system.n_points)
-        values[point] = 1.0
-    elif kind == "random":
-        dist = spec.get("distribution", "normal")
-        scale = _cfg_float(spec, "scale", 1.0)
+        values[get_int(spec, "point", hi=system.n_points)] = 1.0
+    else:
+        dist = get_choice(spec, "distribution", ("normal", "uniform"), "normal")
+        scale = get_float(spec, "scale", 1.0)
         if scale < 0:
             raise ConfigError(f"observable scale must be >= 0, got {scale!r}")
         if dist == "normal":
             values = rng.normal(0.0, scale, size=system.n_points)
-        elif dist == "uniform":
-            values = rng.uniform(-scale, scale, size=system.n_points)
         else:
-            raise ConfigError(f"unknown observable distribution {dist!r}")
-    else:
-        raise ConfigError(f"unknown observable type {spec.get('type')!r}")
+            values = rng.uniform(-scale, scale, size=system.n_points)
     f = system.observable(values, p)
-    if spec.get("norm") is not None:
+    target = get_float(spec, "norm", None)
+    if target is not None:
         cur = lp_norm(system, f)
         if cur == 0:
             raise ConfigError("cannot rescale the zero observable to a target norm")
-        f = Observable(f.values * (_cfg_float(spec, "norm") / cur), p)
+        f = Observable(f.values * (target / cur), p)
     return f
 
 
-def _build_convexity(cfg: dict) -> ConvexityModulus:
-    p = _cfg_float(cfg, "p")
-    spec = _cfg_section(cfg, "modulus", {"type": "hanner" if p >= 2 else "small-p"})
-    return ConvexityModulus.from_config(spec, default_p=p)
+def _family(spec: dict, group: Group, window: int, corollary=False, tolerance=None) -> FolnerFamily:
+    """The family a `family` section names, at least `window` long in main mode.
 
-
-def _eta_value(cfg: dict) -> Optional[float]:
-    spec = _cfg_section(cfg, "eta", {"type": "default"})
-    if spec.get("type") == "default":
-        return None
-    if spec.get("type") == "fixed":
-        return _cfg_float(spec, "value")
-    raise ConfigError(f"unknown eta policy {spec!r}")
-
-
-def _build_main_family(cfg: dict, group: Group, window: int) -> FolnerFamily:
-    spec = _cfg_section(cfg, "family", {"type": "standard"})
-    kind = spec.get("type", "standard")
+    Corollary mode takes a `refined` family: the (1, tolerance)-fast refinement
+    of the standard boxes, or the first `count` boxes when tolerance is None
+    (the zero observable, which needs no fastness).
+    """
+    kinds = ("refined",) if corollary else ("standard", "greedy", "explicit")
+    kind = get_choice(spec, "type", kinds, kinds[0])
+    if kind == "refined":
+        count = get_int(spec, "count", 8, lo=1)
+        source = standard_family(group, get_int(spec, "source_n_max", 10**30, lo=1))
+        if tolerance is None:
+            return standard_family(group, count)
+        return fast_refinement(source, tolerance, count=count)
     if kind == "standard":
-        return standard_family(group, max(window, _cfg_int(spec.get("n_max", window), "family n_max", 1)))
-    if kind == "greedy":
-        n_max = _cfg_int(_cfg_get(spec, "n_max", required=True), "family n_max", 1)
-        return greedy_folner(group, n_max, _cfg_int(spec.get("budget", 10_000), "family budget", 1))
-    if kind == "explicit":
-        sets = _cfg_get(spec, "sets", required=True)
-        return family_from_jsonable({"kind": "explicit", "group": group.name, "sets": sets})
-    raise ConfigError(f"family type {kind!r} is not valid for main-mode verification")
-
-
-def _seed(cfg: dict) -> int:
-    env = os.environ.get("ERGOLAB_SEED")
-    if env is not None:
+        family = standard_family(group, max(window, get_int(spec, "n_max", window, lo=1)))
+    elif kind == "greedy":
+        family = greedy_folner(group, get_int(spec, "n_max", lo=1), get_int(spec, "budget", 10_000, lo=1))
+    else:
+        sets = get(spec, "sets")
         try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"ERGOLAB_SEED must be an integer, got {env!r}") from exc
-        return _cfg_int(seed, "ERGOLAB_SEED", 0)
-    return _cfg_int(_cfg_get(cfg, "seed", 0), "seed", 0)
+            family = family_from_jsonable({"kind": "explicit", "group": group.name, "sets": sets})
+        except TypeError as exc:
+            raise ConfigError(f"sets must be a list of lists of group elements: {exc}") from exc
+    if window > family.n_max:
+        raise ConfigError(f"window {window} exceeds family length {family.n_max}")
+    return family
 
 
-def _averages_rows(
-    system: FiniteMeasureSystem,
-    family: FolnerFamily,
-    f: Observable,
-    window: int,
-    defect_against: List[int],
-    refined: bool,
-) -> List[str]:
+@dataclass
+class _Inputs:
+    """The config keys that `run` and `avg run` share, each read and checked here once."""
+
+    group: Group
+    seed: int
+    system: FiniteMeasureSystem
+    f: Observable
+    window: int
+    defect_against: List[int]
+    family: dict  # the `family` section, read by _family
+
+    @classmethod
+    def read(cls, config: dict) -> "_Inputs":
+        group = group_by_name(get(config, "group"))
+        seed = _seed(config)
+        system = _system(get_section(config, "system"), group)
+        rng = np.random.default_rng(seed)
+        f = _observable(get_section(config, "observable"), system, get_float(config, "p"), rng)
+        window = get_int(config, "window", lo=1)
+        defect_against = get_ints(config, "defect_against", [], lo=1)
+        return cls(group, seed, system, f, window, defect_against, get_section(config, "family", {}))
+
+
+def _averages_csv(system, family: FolnerFamily, f: Observable, window: int, defect_against: List[int]):
+    refined = isinstance(family, RefinedFamily)
     header = ["n", "card", "norm_Anf"] + [f"defect_{N}" for N in defect_against]
     if refined:
         header.insert(1, "source_index")
@@ -250,7 +210,7 @@ def _averages_rows(
             a_n_ref = ergodic_average(system, family, n, defect_refs[N])
             cells.append(_fmt(lp_norm(system, Observable(avgs[n - 1].values - a_n_ref.values, f.p))))
         rows.append(",".join(cells))
-    return rows
+    return "\n".join(rows) + "\n"
 
 
 @dataclass
@@ -267,80 +227,51 @@ def exit_code_for(reports: List[FluctuationReport]) -> int:
 
 def run_experiment(config: dict, out_dir=None, write: bool = True) -> ExperimentResult:
     """Execute one experiment config: verify, then emit averages.csv/report.json/modulus.json."""
-    group = group_by_name(_cfg_get(config, "group", required=True))
-    seed = _seed(config)
-    rng = np.random.default_rng(seed)
-    system = _build_system(config, group)
-    f = _build_observable(config, system, rng)
-    conv = _build_convexity(config)
-    eta_cfg = _eta_value(config)
-    epsilons = _cfg_floats(config, "epsilons")
-    window = _cfg_int(_cfg_get(config, "window", required=True), "window", 1)
-    mode = _cfg_get(config, "verify", "main")
-    defect_against = _cfg_int_list(_cfg_get(config, "defect_against", []), "defect_against", 1)
-    lam = _cfg_int(_cfg_get(config, "lambda", 1), "lambda", 1)
+    inp = _Inputs.read(config)
+    system, f, window = inp.system, inp.f, inp.window
+    conv = ConvexityModulus.from_config(get_section(config, "modulus", {}), default_p=f.p)
+    eta_spec = get_section(config, "eta", {"type": "default"})
+    fixed_eta = get_choice(eta_spec, "type", ("default", "fixed")) == "fixed"
+    eta = get_float(eta_spec, "value") if fixed_eta else None
+    epsilons = get_floats(config, "epsilons")
+    corollary = get_choice(config, "verify", ("main", "corollary"), "main") == "corollary"
+    lam = get_int(config, "lambda", 1, lo=1)
     norm = lp_norm(system, f)
 
-    reports: List[FluctuationReport] = []
     table: Optional[ModulusTable] = None
-
-    if mode == "main":
-        family = _build_main_family(config, group, window)
-        if window > family.n_max:
-            raise ConfigError(f"window {window} exceeds family length {family.n_max}")
+    if not corollary:
+        family = _family(inp.family, inp.group, window)
         if norm > 0.0:
-            tolerances = [Branch.of(conv, norm, eps, eta_cfg).tolerance for eps in epsilons]
+            tolerances = [Branch.of(conv, norm, eps, eta).tolerance for eps in epsilons]
             table = build_modulus_table(family, range(1, window + 1), tolerances, m_max=window)
-        for eps in epsilons:
-            reports.append(
-                verify_main_theorem(system, family, table, conv, f, eps, eta=eta_cfg, window=window)
-            )
-        csv_family, csv_window, refined = family, window, False
-    elif mode == "corollary":
-        fam_cfg = _cfg_section(config, "family", {"type": "refined"})
-        if fam_cfg.get("type", "refined") != "refined":
-            raise ConfigError("corollary mode requires a refined family")
-        count = _cfg_int(fam_cfg.get("count", 8), "family count", 1)
-        source_n_max = _cfg_int(fam_cfg.get("source_n_max", 10**30), "family source_n_max", 1)
-        source = standard_family(group, source_n_max)
-        families = []
-        entries = []
-        for eps in epsilons:
-            if norm == 0.0:
-                families.append(standard_family(group, max(window, count)))
-                reports.append(
-                    verify_corollary(
-                        system, families[-1], lam, conv, f, eps, eta=eta_cfg, window=count
-                    )
-                )
-                continue
-            eps_fast = Branch.of(conv, norm, eps, eta_cfg).tolerance
-            refined_family = fast_refinement(source, eps_fast, count=count)
-            families.append(refined_family)
-            reports.append(
-                verify_corollary(
-                    system, refined_family, lam, conv, f, eps, eta=eta_cfg, window=count
-                )
-            )
-            # the last refined index has no within-window modulus (beta(n) > n)
-            entries.extend(
-                convergence_modulus(refined_family, n, eps_fast, m_max=count)
-                for n in range(1, count)
-            )
-        if entries:
-            table = ModulusTable(group.name, "refined", entries)
-        csv_family, csv_window, refined = families[0], count, isinstance(families[0], RefinedFamily)
+        reports = [
+            verify_main_theorem(system, family, table, conv, f, eps, eta=eta, window=window) for eps in epsilons
+        ]
+        csv_family, csv_window = family, window
     else:
-        raise ConfigError(f'verify must be "main" or "corollary", got {mode!r}')
+        reports, families, entries = [], [], []
+        for eps in epsilons:
+            tolerance = Branch.of(conv, norm, eps, eta).tolerance if norm > 0.0 else None
+            family = _family(inp.family, inp.group, window, corollary=True, tolerance=tolerance)
+            families.append(family)
+            reports.append(verify_corollary(system, family, lam, conv, f, eps, eta=eta, window=family.n_max))
+            if tolerance is not None:
+                # the last refined index has no within-window modulus (beta(n) > n)
+                entries.extend(
+                    convergence_modulus(family, n, tolerance, m_max=family.n_max) for n in range(1, family.n_max)
+                )
+        if entries:
+            table = ModulusTable(inp.group.name, "refined", entries)
+        csv_family, csv_window = families[0], families[0].n_max
 
-    result = ExperimentResult(exit_code=exit_code_for(reports), reports=reports, seed=seed)
+    result = ExperimentResult(exit_code=exit_code_for(reports), reports=reports, seed=inp.seed)
     if write:
-        out = Path(out_dir if out_dir is not None else _cfg_get(config, "output_dir", "."))
+        out = Path(out_dir if out_dir is not None else get_str(config, "output_dir", "."))
         out.mkdir(parents=True, exist_ok=True)
-        rows = _averages_rows(system, csv_family, f, csv_window, defect_against, refined)
-        (out / "averages.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        csv = _averages_csv(system, csv_family, f, csv_window, inp.defect_against)
+        (out / "averages.csv").write_text(csv, encoding="utf-8")
         report_doc = {
-            "seed": seed,
+            "seed": inp.seed,
             "config": config,
             "all_verdicts_true": result.exit_code == 0,
             "reports": [r.to_jsonable() for r in reports],
@@ -361,17 +292,9 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
 # ---------------------------------------------------------------------------
 
 
-def _family_for_args(group: Group, kind: str, n_max: int, budget: int) -> FolnerFamily:
-    if kind == "standard":
-        return standard_family(group, n_max)
-    if kind == "greedy":
-        return greedy_folner(group, n_max, budget)
-    raise ConfigError(f"unknown family kind {kind!r}")
-
-
 def _cmd_folner_build(args) -> int:
-    group = group_by_name(args.group)
-    family = _family_for_args(group, args.kind, args.n_max, args.budget)
+    spec = {"type": args.kind, "n_max": args.n_max, "budget": args.budget}
+    family = _family(spec, group_by_name(args.group), args.n_max)
     for n in range(1, family.n_max + 1):
         print(f"{n} {family.card(n)}")
     if args.out:
@@ -380,10 +303,10 @@ def _cmd_folner_build(args) -> int:
 
 
 def _cmd_folner_check(args) -> int:
-    group = group_by_name(args.group)
-    family = _family_for_args(group, args.family, max(args.window, args.n), args.budget)
-    entry = convergence_modulus(family, args.n, as_fraction(args.eps), m_max=args.window)
-    print(entry.value)
+    n_max = max(args.window, args.n)
+    spec = {"type": args.family, "n_max": n_max, "budget": args.budget}
+    family = _family(spec, group_by_name(args.group), n_max)
+    print(convergence_modulus(family, args.n, as_fraction(args.eps), m_max=args.window).value)
     return 0
 
 
@@ -399,71 +322,58 @@ def _cmd_folner_refine(args) -> int:
 
 def _parse_ns(spec: str) -> List[int]:
     if "-" in spec and "," not in spec:
-        lo, hi = spec.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in spec.split(",") if tok]
+        lo, hi = (_parsed(tok, int, "--ns") for tok in spec.split("-", 1))
+        ns = list(range(lo, hi + 1))
+    else:
+        ns = _parsed_list(spec, int, "--ns")
+    if not ns:
+        raise ConfigError(f"--ns names no index: {spec!r}")
+    return ns
 
 
 def _cmd_modulus_compute(args) -> int:
-    group = group_by_name(args.group)
     ns = _parse_ns(args.ns)
-    family = _family_for_args(group, args.family, max(max(ns), args.window), args.budget)
-    table = build_modulus_table(family, ns, [as_fraction(args.eps)], m_max=args.window)
+    n_max = max(max(ns), args.window)
+    spec = {"type": args.family, "n_max": n_max, "budget": args.budget}
+    family = _family(spec, group_by_name(args.group), n_max)
+    eps = as_fraction(args.eps)
+    table = build_modulus_table(family, ns, [eps], m_max=args.window)
     for n in ns:
-        print(f"{n} {table.value(n, as_fraction(args.eps))}")
+        print(f"{n} {table.value(n, eps)}")
     if args.out:
         Path(args.out).write_text(_json_text(table.to_jsonable()), encoding="utf-8")
     return 0
 
 
 def _cmd_avg_run(args) -> int:
-    config = load_config(args.config)
-    group = group_by_name(_cfg_get(config, "group", required=True))
-    system = _build_system(config, group)
-    rng = np.random.default_rng(_seed(config))
-    f = _build_observable(config, system, rng)
-    window = _cfg_int(_cfg_get(config, "window", required=True), "window", 1)
-    family = _build_main_family(config, group, window)
-    defect_against = _cfg_int_list(_cfg_get(config, "defect_against", []), "defect_against", 1)
-    rows = _averages_rows(system, family, f, window, defect_against, False)
-    text = "\n".join(rows) + "\n"
+    inp = _Inputs.read(load_config(args.config))
+    family = _family(inp.family, inp.group, inp.window)
+    csv = _averages_csv(inp.system, family, inp.f, inp.window, inp.defect_against)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(csv, encoding="utf-8")
         print(args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(csv)
     return 0
 
 
 def _cmd_fluct_count(args) -> int:
-    data = [float(tok) for tok in args.data.split(",") if tok != ""]
-    L = len(data)
+    data = _parsed_list(args.data, float, "--data")
     beta = None
     if args.beta:
-        beta = [int(tok) for tok in args.beta.split(",") if tok != ""]
+        beta = _parsed_list(args.beta, int, "--beta")
     elif args.lam is not None:
-        beta = [n + args.lam for n in range(1, L + 1)]
+        beta = [n + args.lam for n in range(1, len(data) + 1)]
     report = max_chain(np.abs(np.subtract.outer(data, data)), args.eps, beta=beta)
     print(report.count)
     return 0
 
 
-def _modulus_from_args(args) -> ConvexityModulus:
-    if args.modulus == "hanner":
-        return ConvexityModulus.hanner(args.p)
-    if args.modulus == "small-p":
-        return ConvexityModulus.small_p(args.p)
-    if args.modulus == "p-uniform":
-        if args.K is None:
-            raise ConfigError("--K is required for the p-uniform modulus")
-        return ConvexityModulus.p_uniform(args.K, args.p)
-    if args.modulus == "auto":
-        return ConvexityModulus.for_lp(args.p)
-    raise ConfigError(f"unknown modulus {args.modulus!r}")
-
-
 def _cmd_bound_eval(args) -> int:
-    modulus = _modulus_from_args(args)
+    # `--modulus auto` names no type, which selects the default by p
+    named = (("type", args.modulus), ("p", args.p), ("K", args.K))
+    spec = {key: v for key, v in named if v not in (None, "auto")}
+    modulus = ConvexityModulus.from_config(spec)
     eta = default_eta(modulus, args.norm, args.eps) if args.eta is None else args.eta
     if args.lam is not None:
         print(corollary_bound(modulus, args.norm, args.eps, eta, args.lam, lower=args.lower))
@@ -472,26 +382,19 @@ def _cmd_bound_eval(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    config = load_config(args.config)
-    config["verify"] = args.which
-    result = run_experiment(config, out_dir=args.out_dir, write=args.out_dir is not None)
-    for rep in result.reports:
-        print(
-            f"eps={rep.epsilon} count={rep.count} bound={rep.bound} verdict={rep.verdict}"
-        )
-    return result.exit_code
-
-
 def _cmd_run(args) -> int:
+    """`run`, or `verify main|corollary` (args.which): verify forces the config's
+    mode, writes artifacts only with --out-dir and prints no paths."""
     config = load_config(args.config)
-    result = run_experiment(config, out_dir=args.out_dir, write=True)
+    if args.which is not None:
+        config["verify"] = args.which
+    write = args.which is None or args.out_dir is not None
+    result = run_experiment(config, out_dir=args.out_dir, write=write)
     for rep in result.reports:
-        print(
-            f"eps={rep.epsilon} count={rep.count} bound={rep.bound} verdict={rep.verdict}"
-        )
-    for name in sorted(result.paths):
-        print(f"{name}: {result.paths[name]}")
+        print(f"eps={rep.epsilon} count={rep.count} bound={rep.bound} verdict={rep.verdict}")
+    if args.which is None:
+        for name in sorted(result.paths):
+            print(f"{name}: {result.paths[name]}")
     return result.exit_code
 
 
@@ -574,12 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
         v = ver_sub.add_parser(which)
         v.add_argument("--config", required=True)
         v.add_argument("--out-dir", dest="out_dir")
-        v.set_defaults(func=_cmd_verify, which=which)
+        v.set_defaults(func=_cmd_run, which=which)
 
     p_run = sub.add_parser("run", help="run a full experiment config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out-dir", dest="out_dir")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, which=None)
 
     return parser
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .config import REQUIRED, get_float
 from .errors import DomainError
 
 
@@ -106,15 +107,18 @@ class ConvexityModulus:
 
     @classmethod
     def from_config(cls, cfg: dict, default_p: Optional[float] = None) -> "ConvexityModulus":
+        """The modulus a config section names, at its `p` (default_p when absent).
+
+        `type` is hanner, small-p or p-uniform (which reads `K`); without a
+        `type` it is the natural choice for L^p (for_lp).
+        """
         kind = cfg.get("type")
-        p = cfg.get("p", default_p)
-        if kind == "hanner":
-            return cls.hanner(p)
+        if kind not in (None, "hanner", "small-p", "p-uniform"):
+            raise DomainError(f"unknown convexity modulus type {kind!r}")
+        p = get_float(cfg, "p", REQUIRED if default_p is None else default_p)
         if kind == "p-uniform":
-            return cls.p_uniform(cfg["K"], p)
-        if kind == "small-p":
-            return cls.small_p(p)
-        raise DomainError(f"unknown convexity modulus type {cfg.get('type')!r}")
+            return cls.p_uniform(get_float(cfg, "K"), p)
+        return {None: cls.for_lp, "hanner": cls.hanner, "small-p": cls.small_p}[kind](p)
 
     def __call__(self, eps: float) -> float:
         if self.kind == "hanner-lp":

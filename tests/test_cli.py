@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from ergolab.fluctuation import FluctuationReport
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO = REPO / "configs" / "demo.json"
+COROLLARY = REPO / "configs" / "corollary.json"
+README = REPO / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +243,12 @@ def test_bad_eta_config_exits_one(tmp_path, capsys):
         ("observable", {"type": "explicit"}),
         ("system", {"points": 2, "weights": "uniform", "generators": {"t": "x"}}),
         ("group", []),
+        ("modulus", {"type": "p-uniform"}),
+        ("modulus", {"type": "p-uniform", "K": "x"}),
+        ("modulus", {"type": "hanner", "p": "x"}),
+        ("output_dir", 5),
+        ("family", {"type": "explicit", "sets": 5}),
+        ("family", {"type": "explicit", "sets": [5]}),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, key, value):
@@ -247,12 +256,33 @@ def test_malformed_config_is_a_config_error(tmp_path, capsys, key, value):
     config[key] = value
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
-    code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path))
+    # output_dir is read only when no --out-dir is given
+    out_dir = [] if key == "output_dir" else ["--out-dir", str(tmp_path)]
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg), *out_dir)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["modulus", "compute", "--group", "Z", "--ns", "1-x", "--eps", "1/4", "--window", "40"],
+        ["modulus", "compute", "--group", "Z", "--ns", ",", "--eps", "1/4", "--window", "40"],
+        ["fluct", "count", "--eps", "1", "--data", "a,b"],
+        ["fluct", "count", "--eps", "1", "--data", "0,1", "--beta", "x"],
+    ],
+    ids=["ns-range", "ns-empty", "data", "beta"],
+)
+def test_malformed_argv_value_is_a_config_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
 
 
 WRONG_TYPED = ("x", ["x"], None, True, 2.5, -1, float("inf"), {})
+# demo.json lacks the corollary-mode family keys, lambda, a random observable
+# with a target norm, defect_against and a p-uniform modulus; corollary.json has them
+BASES = {"demo": DEMO, "corollary": COROLLARY}
 
 
 def _config_keys(cfg, prefix=()):
@@ -262,10 +292,15 @@ def _config_keys(cfg, prefix=()):
             yield from _config_keys(value, prefix + (key,))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(path=st.sampled_from(list(_config_keys(demo_config()))), value=st.sampled_from(WRONG_TYPED))
-def test_wrong_typed_config_key_never_escapes(path, value):
-    config = demo_config()
+BASE_PATHS = [(base, path) for base, file in BASES.items() for path in _config_keys(json.loads(file.read_text()))]
+
+
+# 110 derandomised examples fall 51 on demo.json and 59 on corollary.json
+@settings(max_examples=110, deadline=None, derandomize=True)
+@given(base_path=st.sampled_from(BASE_PATHS), value=st.sampled_from(WRONG_TYPED))
+def test_wrong_typed_config_key_never_escapes(base_path, value):
+    base, path = base_path
+    config = json.loads(BASES[base].read_text())
     section = config
     for key in path[:-1]:
         section = section[key]
@@ -302,3 +337,15 @@ def test_exit_code_for_reports():
 def test_missing_config_exits_one(capsys):
     code, _, err = run_cli(capsys, "run", "--config", "/nonexistent/x.json")
     assert code == 1 and "error:" in err
+
+
+def test_readme_cli_examples_print_what_they_claim(capsys):
+    examples = [
+        line.split("# ->") for line in README.read_text().splitlines() if line.startswith("ergolab ") and "# ->" in line
+    ]
+    assert [shlex.split(command)[1:3] for command, _ in examples] == [
+        ["folner", "check"], ["folner", "refine"], ["fluct", "count"], ["bound", "eval"]
+    ]
+    for command, expected in examples:
+        code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
+        assert (code, out.strip()) == (0, expected.strip()), command

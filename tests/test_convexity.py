@@ -6,6 +6,7 @@ import mpmath as mp
 import pytest
 
 from ergolab import (
+    ConfigError,
     ConvexityModulus,
     DomainError,
     hanner_delta,
@@ -115,3 +116,12 @@ def test_modulus_selection_from_config():
     assert ConvexityModulus.for_lp(1.5).kind == "lp-small-p"
     with pytest.raises(DomainError):
         ConvexityModulus.from_config({"type": "mystery"})
+
+
+def test_modulus_from_config_defaults_by_p_and_types_its_numbers():
+    # no type: the same choice as for_lp, which `bound eval --modulus auto` also takes
+    assert ConvexityModulus.from_config({}, default_p=3) == ConvexityModulus.for_lp(3)
+    assert ConvexityModulus.from_config({"p": 1.5}) == ConvexityModulus.for_lp(1.5)
+    for cfg in ({"type": "p-uniform", "p": 2}, {"type": "p-uniform", "K": "x", "p": 2}, {"type": "hanner", "p": "x"}, {}):
+        with pytest.raises(ConfigError):
+            ConvexityModulus.from_config(cfg)
