@@ -80,6 +80,18 @@ def _parsed(token: str, convert: Callable, name: str):
         raise ConfigError(f"{name}: cannot read {token!r} as {convert.__name__}") from exc
 
 
+class _Number(argparse.Action):
+    """A numeric flag: stores convert(value), and a value that does not parse
+    is a ConfigError (exit 1) rather than argparse's usage error (exit 2)."""
+
+    def __init__(self, option_strings, dest, convert: Callable, **kwargs):
+        super().__init__(option_strings, dest, **kwargs)
+        self.convert = convert
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, _parsed(values, self.convert, self.option_strings[0]))
+
+
 def _parsed_list(text: str, convert: Callable, name: str) -> list:
     return [_parsed(tok, convert, name) for tok in text.split(",") if tok != ""]
 
@@ -408,25 +420,25 @@ def build_parser() -> argparse.ArgumentParser:
     b = folner_sub.add_parser("build")
     b.add_argument("--group", required=True)
     b.add_argument("--kind", default="standard", choices=["standard", "greedy"])
-    b.add_argument("--n-max", type=int, required=True, dest="n_max")
-    b.add_argument("--budget", type=int, default=10_000)
+    b.add_argument("--n-max", action=_Number, convert=int, required=True, dest="n_max")
+    b.add_argument("--budget", action=_Number, convert=int, default=10_000)
     b.add_argument("--out")
     b.set_defaults(func=_cmd_folner_build)
 
     c = folner_sub.add_parser("check")
     c.add_argument("--group", required=True)
     c.add_argument("--family", default="standard", choices=["standard", "greedy"])
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", action=_Number, convert=int, required=True)
     c.add_argument("--eps", required=True)
-    c.add_argument("--window", type=int, required=True)
-    c.add_argument("--budget", type=int, default=10_000)
+    c.add_argument("--window", action=_Number, convert=int, required=True)
+    c.add_argument("--budget", action=_Number, convert=int, default=10_000)
     c.set_defaults(func=_cmd_folner_check)
 
     r = folner_sub.add_parser("refine")
     r.add_argument("--group", required=True)
     r.add_argument("--eps", required=True)
-    r.add_argument("--count", type=int, default=8)
-    r.add_argument("--source-n-max", type=int, default=10**12, dest="source_n_max")
+    r.add_argument("--count", action=_Number, convert=int, default=8)
+    r.add_argument("--source-n-max", action=_Number, convert=int, default=10**12, dest="source_n_max")
     r.add_argument("--out")
     r.set_defaults(func=_cmd_folner_refine)
 
@@ -437,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--family", default="standard", choices=["standard", "greedy"])
     mc.add_argument("--ns", required=True, help="indices, e.g. 1-10 or 1,3,5")
     mc.add_argument("--eps", required=True)
-    mc.add_argument("--window", type=int, required=True)
-    mc.add_argument("--budget", type=int, default=10_000)
+    mc.add_argument("--window", action=_Number, convert=int, required=True)
+    mc.add_argument("--budget", action=_Number, convert=int, default=10_000)
     mc.add_argument("--out")
     mc.set_defaults(func=_cmd_modulus_compute)
 
@@ -452,23 +464,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_fl = sub.add_parser("fluct", help="fluctuation counting")
     fl_sub = p_fl.add_subparsers(dest="subcommand", required=True)
     fc = fl_sub.add_parser("count")
-    fc.add_argument("--eps", type=float, required=True)
+    fc.add_argument("--eps", action=_Number, convert=float, required=True)
     fc.add_argument("--data", required=True, help="comma-separated real sequence")
     fc.add_argument("--beta", help="comma-separated beta values, one per index")
-    fc.add_argument("--lam", type=int, help="use beta(n) = n + lam")
+    fc.add_argument("--lam", action=_Number, convert=int, help="use beta(n) = n + lam")
     fc.set_defaults(func=_cmd_fluct_count)
 
     p_bd = sub.add_parser("bound", help="theorem/corollary bound evaluation")
     bd_sub = p_bd.add_subparsers(dest="subcommand", required=True)
     be = bd_sub.add_parser("eval")
-    be.add_argument("--p", type=float, required=True)
-    be.add_argument("--eps", type=float, required=True)
-    be.add_argument("--norm", type=float, required=True)
-    be.add_argument("--eta", type=float)
-    be.add_argument("--lower", type=float)
-    be.add_argument("--lam", type=int)
+    be.add_argument("--p", action=_Number, convert=float, required=True)
+    be.add_argument("--eps", action=_Number, convert=float, required=True)
+    be.add_argument("--norm", action=_Number, convert=float, required=True)
+    be.add_argument("--eta", action=_Number, convert=float)
+    be.add_argument("--lower", action=_Number, convert=float)
+    be.add_argument("--lam", action=_Number, convert=int)
     be.add_argument("--modulus", default="auto", choices=["auto", "hanner", "small-p", "p-uniform"])
-    be.add_argument("--K", type=float)
+    be.add_argument("--K", action=_Number, convert=float)
     be.set_defaults(func=_cmd_bound_eval)
 
     p_ver = sub.add_parser("verify", help="verify the main theorem or the corollary")
@@ -489,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         code = args.func(args)
     except ErgolabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -132,7 +132,7 @@ def max_chain(
     the chain itself (not only its length) is that of the nested-loop DP.
     """
     eps = float(eps)
-    if eps <= 0:
+    if not eps > 0:  # NaN too: no d >= NaN holds, so every count would read 0
         raise DomainError(f"eps must be positive, got {eps}")
     mat = _distance_matrix(distances, length)
     L = mat.shape[0]

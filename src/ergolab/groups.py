@@ -29,6 +29,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _progression_sum(lo: int, hi: int, base: int, step: int) -> int:
+    """Sum of base + step*x over the integers x in [lo, hi]; 0 when lo > hi."""
+    if lo > hi:
+        return 0
+    k = hi - lo + 1
+    return k * base + step * ((lo + hi) * k // 2)
+
+
 def _zigzag(i: int) -> int:
     """i-th integer along 0, 1, -1, 2, -2, ..."""
     q, r = divmod(i, 2)
@@ -170,6 +178,8 @@ class LatticeGroup(Group):
         return (0,) * self.dimension
 
     def check_element(self, a) -> None:
+        if type(a) is tuple and len(a) == self.dimension and all(type(c) is int for c in a):
+            return  # exact types: the common case, accepted without the general check
         if (
             not isinstance(a, tuple)
             or len(a) != self.dimension
@@ -250,6 +260,8 @@ class HeisenbergGroup(Group):
         return (0, 0, 0)
 
     def check_element(self, a) -> None:
+        if type(a) is tuple and len(a) == 3 and type(a[0]) is int and type(a[1]) is int and type(a[2]) is int:
+            return  # exact types: the common case, accepted without the general check
         if not isinstance(a, tuple) or len(a) != 3 or not all(_is_int(c) for c in a):
             raise GroupElementError(f"H3 element must be a 3-tuple of ints, got {a!r}")
 
@@ -302,21 +314,28 @@ class HeisenbergGroup(Group):
         return itertools.product(rng, rng, crng)
 
     def box_overlap(self, r, g):
-        # x in B_r and g^-1 x in B_r; the c-condition couples to x2 through a*x2
+        # x in B_r and g^-1 x in B_r: cnt_x1 choices of x1 and, for each x2 in
+        # [lo, hi], max(0, D - |t0 + a*x2|) choices of x3; the tent over that
+        # progression is summed in closed form, in exact integers
         a, b, c = g
-        cnt_x1 = max(0, 2 * r + 1 - abs(a))
-        if cnt_x1 == 0:
+        cnt_x1 = 2 * r + 1 - abs(a)
+        if cnt_x1 <= 0 or abs(b) > 2 * r:
             return 0
-        lo = max(-r, b - r)
-        hi = min(r, b + r)
-        if lo > hi:
-            return 0
+        # x2 in [-r, r] and x2 - b in [-r, r]
+        lo, hi = (b - r, r) if b > 0 else (-r, b + r)
         depth = 2 * r * r + 1
-        total = 0
-        for x2 in range(lo, hi + 1):
-            t = c - a * b + a * x2
-            total += max(0, depth - abs(t))
-        return cnt_x1 * total
+        t0 = c - a * b
+        if a == 0:
+            return cnt_x1 * (hi - lo + 1) * max(0, depth - abs(t0))
+        if a < 0:
+            # x2 -> -x2 turns the slope positive
+            a, lo, hi = -a, -hi, -lo
+        # t = t0 + a*x2 rises with x2; the tent is depth + t on -depth < t <= 0
+        # and depth - t on 0 < t < depth
+        split = -t0 // a
+        rising = _progression_sum(max(lo, -((depth - 1 + t0) // a)), min(hi, split), depth + t0, a)
+        falling = _progression_sum(max(lo, split + 1), min(hi, (depth - 1 - t0) // a), depth - t0, -a)
+        return cnt_x1 * (rising + falling)
 
 
 def group_by_name(name: str) -> Group:

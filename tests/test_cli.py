@@ -279,6 +279,32 @@ def test_malformed_argv_value_is_a_config_error(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--p", ["bound", "eval", "--p", "x", "--eps", "0.5", "--norm", "1"]),
+        ("--eps", ["fluct", "count", "--eps", "x", "--data", "0,1"]),
+        ("--n-max", ["folner", "build", "--group", "Z", "--n-max", "x"]),
+        ("--window", ["modulus", "compute", "--group", "Z", "--ns", "1", "--eps", "1/4", "--window", "4.5"]),
+        ("--lam", ["bound", "eval", "--p", "2", "--eps", "0.5", "--norm", "1", "--lam", "x"]),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_non_numeric_flag_value_is_a_config_error_naming_the_flag(capsys, flag, argv):
+    # argparse's own type check would exit 2 (a failed verdict) with a usage line
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {flag}:") and "usage:" not in err and "Traceback" not in err
+
+
+def test_fluct_count_refuses_nan_eps(capsys):
+    code, out, err = run_cli(capsys, "fluct", "count", "--eps", "nan", "--data", "0,1,0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    code, out, _ = run_cli(capsys, "fluct", "count", "--eps", "inf", "--data", "0,1,0")
+    assert code == 0 and out.strip() == "0"
+
+
 WRONG_TYPED = ("x", ["x"], None, True, 2.5, -1, float("inf"), {})
 # demo.json lacks the corollary-mode family keys, lambda, a random observable
 # with a target norm, defect_against and a p-uniform modulus; corollary.json has them

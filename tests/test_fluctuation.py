@@ -172,6 +172,16 @@ def test_nonfinite_distances_rejected():
         max_chain([[0.0, float("nan")], [float("nan"), 0.0]], 1.0)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0])
+def test_eps_must_be_positive_nan_included(eps):
+    with pytest.raises(DomainError):
+        max_chain(scalar_distances([0, 1, 0]), eps)
+
+
+def test_infinite_eps_is_accepted_and_admits_no_jump():
+    assert max_chain(scalar_distances([0, 1, 0]), float("inf")).count == 0
+
+
 def test_pairwise_norms_bitwise_equal_per_pair_lp_norm():
     rng = np.random.default_rng(2024)
     # Z on 24 points in cycles 10 + 8 + 6, a Z^2 action on two 3 x 4 tori;

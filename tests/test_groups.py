@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ergolab import (
@@ -112,3 +113,111 @@ def test_h3_box_geometry_against_enumeration():
     elems = set(H3.box_elements(1))
     assert len(elems) == 27
     assert all(H3.box_contains(1, g) for g in elems)
+
+
+# ---------------------------------------------------------------------------
+# H3 box overlap: closed form against the fibre loop and against set arithmetic
+# ---------------------------------------------------------------------------
+
+
+def loop_overlap(r, a, b, cs):
+    """The former O(r) fibre loop of HeisenbergGroup.box_overlap, run for a
+    column of central coordinates cs at once: entry k is |B_r ∩ (a, b, cs[k]) B_r|."""
+    cs = np.asarray(cs, dtype=np.int64)
+    cnt_x1 = max(0, 2 * r + 1 - abs(a))
+    lo = max(-r, b - r)
+    hi = min(r, b + r)
+    depth = 2 * r * r + 1
+    total = np.zeros_like(cs)
+    for x2 in range(lo, hi + 1):
+        t = cs - a * b + a * x2
+        total += np.maximum(0, depth - np.abs(t))
+    return cnt_x1 * total
+
+
+@pytest.mark.parametrize("r", range(9))
+def test_h3_box_overlap_matches_fibre_loop_on_full_grid(r):
+    # |a|, |b| up to 2r + 2 and |c| up to 3r^2 + 3: a of both signs and zero,
+    # empty x1 and x2 ranges (|a| > 2r, |b| > 2r), tents cut at either end
+    span = range(-(2 * r + 2), 2 * r + 3)
+    cs = range(-(3 * r * r + 3), 3 * r * r + 4)
+    for a in span:
+        for b in span:
+            got = [H3.box_overlap(r, (a, b, c)) for c in cs]
+            assert got == loop_overlap(r, a, b, cs).tolist(), (r, a, b)
+
+
+def test_h3_box_overlap_matches_set_arithmetic():
+    rng = random.Random(77)
+    for r in range(4):
+        box = frozenset(H3.box_elements(r))
+        # translations just beyond the reach of the box, the identity, and a random sample
+        side, depth = 2 * r + 1, 2 * r * r + 1
+        gs = list(itertools.product((-side, 0, side), (-side, 0, side), (-depth, 0, depth)))
+        for _ in range(150):
+            a, b = rng.randint(-side, side), rng.randint(-side, side)
+            gs.append((a, b, rng.randint(-2 * depth, 2 * depth)))
+        for g in gs:
+            assert H3.box_overlap(r, g) == len(box & H3.translate_set(box, g)), (r, g)
+
+
+def test_h3_box_overlap_is_exact_beyond_machine_integers():
+    r = 10**12
+    assert H3.box_overlap(r, H3.identity) == H3.box_card(r)
+    for g in [(r, -r // 3, r * r // 2), (-2 * r, r, 1), (1, 2 * r, -(r * r)), (7, -5, 3 * r * r), (-r // 7, r // 11, 2**70)]:
+        assert H3.box_overlap(r, g) == H3.box_overlap(r, inverse(H3, g)), g
+    # a = 0: every x2 fibre has the same depth
+    b, c = r // 2, r * r // 3
+    assert H3.box_overlap(r, (0, b, c)) == (2 * r + 1) * (2 * r + 1 - b) * (2 * r * r + 1 - c)
+
+
+# ---------------------------------------------------------------------------
+# element checks: the exact-type fast path accepts what the general check did
+# ---------------------------------------------------------------------------
+
+
+class SubInt(int):
+    pass
+
+
+class SubTuple(tuple):
+    pass
+
+
+def general_check(dimension, a):
+    """The element check without a fast path: a tuple of the right length of non-bool ints."""
+    return (
+        isinstance(a, tuple)
+        and len(a) == dimension
+        and all(isinstance(c, int) and not isinstance(c, bool) for c in a)
+    )
+
+
+@pytest.mark.parametrize("group", [Z2, group_by_name("Z^3"), H3], ids=lambda g: g.name)
+def test_check_element_accepts_exactly_the_general_check(group):
+    d = len(group.identity)
+    candidates = [
+        group.identity,
+        (1,) * d,
+        (-(2**80),) * d,
+        (True,) * d,
+        (1,) * (d - 1) + (True,),
+        (SubInt(3),) * d,
+        SubTuple((1,) * d),
+        list((1,) * d),
+        (1,) * (d - 1),
+        (1,) * (d + 1),
+        (),
+        (np.int64(1),) * d,
+        (1.0,) * d,
+        (1,) * (d - 1) + ("1",),
+        np.zeros(d, dtype=np.int64),
+        5,
+        None,
+    ]
+    for a in candidates:
+        if general_check(d, a):
+            group.check_element(a)
+        else:
+            with pytest.raises(GroupElementError):
+                group.check_element(a)
