@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
@@ -200,8 +201,25 @@ class Branch:
 
     @property
     def tolerance(self) -> Fraction:
-        """The exact modulus/fastness tolerance eta / (3 min(norm, 1)), nudged down."""
-        return Fraction(self.eta / (3 * min(self.norm, 1.0))) * _EPS_DOWN
+        """The exact modulus/fastness tolerance eta / (3 min(norm, 1)), nudged down.
+
+        The theorem needs a modulus certified at a tolerance no larger than
+        the exact eta / (3 min(norm, 1)), and the corollary a family fast at
+        one no larger than it; a smaller tolerance only asks more of both, so
+        rounding down keeps both hypotheses true.  In the normal float range
+        the two roundings (the product, the quotient) are each within a
+        relative 2**-53, far inside the 1e-12 nudge.  A subnormal operand or
+        quotient carries a larger relative error than the nudge can absorb,
+        so it is refused.
+        """
+        divisor = 3 * min(self.norm, 1.0)
+        quotient = self.eta / divisor
+        if not (divisor >= sys.float_info.min and sys.float_info.min <= quotient < math.inf):
+            raise DomainError(
+                f"tolerance eta / (3 min(norm, 1)) = {self.eta!r} / {divisor!r} is outside the "
+                f"normal float range, where rounding it could err upwards"
+            )
+        return Fraction(quotient) * _EPS_DOWN
 
 
 def theorem_bound(

@@ -75,6 +75,9 @@ def _pack_sorted(elems) -> Optional[np.ndarray]:
 
 
 def _packed_overlap(arr: np.ndarray, g: int) -> Optional[int]:
+    if int(arr[-1]) - int(arr[0]) + 1 == arr.size:
+        # one integer interval: F and g + F share |F| - |g| points, exact for any g
+        return max(0, arr.size - abs(g))
     if abs(g) + max(abs(int(arr[0])), abs(int(arr[-1]))) >= _PACK_LIMIT:
         return None
     shifted = arr + g
@@ -135,7 +138,14 @@ class FolnerFamily:
 
 
 class ExplicitFamily(FolnerFamily):
-    """Family with explicitly stored element sets."""
+    """Family with explicitly stored element sets.
+
+    A set of integers is also kept as a sorted int64 array.  When that array
+    is one integer interval, |F intersect gF| = max(0, |F| - |g|) in closed
+    form for any g; otherwise g + F is searched in the array, and sets that
+    do not pack (tuples, or a shift past the packing limit) take set
+    arithmetic.
+    """
 
     def __init__(self, group: Group, sets: Sequence[Iterable], provenance: str = "explicit"):
         sets = [frozenset(s) for s in sets]
@@ -599,7 +609,10 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
     located by `least_index`, which matches a radius-by-radius scan
     whenever validity is monotone in the radius (true for the supported box
     geometries at these scales).  Each candidate evaluation counts against
-    search_budget per stage.
+    search_budget per stage.  Once per stage, outside that budget, the least
+    radius whose box contains F_{n-1} is found (containment is monotone in
+    the radius); a candidate at or past it is the box itself, whose
+    overlaps are closed-form.
 
     Every built stage then satisfies |F_n delta g F_n|/|F_n| < 3/n for all
     g in F_{n-1}.
@@ -614,12 +627,16 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
     for stage in range(2, n_max + 1):
         prev = sets[-1]
         prev_sorted = _worst_first(group, prev)
+        # the least radius whose box contains prev; a box of radius norm1(g) contains g
+        reach = least_index(
+            lambda r: all(group.box_contains(r, g) for g in prev), 0, max(map(group.norm1, prev))
+        )
         evals = itertools.count(1)
 
         def candidate_valid(r: int) -> bool:
             if next(evals) > search_budget:
                 raise ConstructionBudgetError(stage, search_budget)
-            if r and all(group.box_contains(r, g) for g in prev):
+            if r and r >= reach:
                 # prev lies inside the box, so the candidate is the box itself
                 card = group.box_card(r)
                 overlap_of = functools.partial(group.box_overlap, r)

@@ -275,6 +275,20 @@ def test_corollary_bound_examples():
         corollary_bound(hm, 1.0, 0.5, eta, 0)
 
 
+@pytest.mark.parametrize("norm", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("eta", [1e-4, 1e-310, 1e-320, 1e-323, 2.5e-323])
+def test_branch_tolerance_errs_below_the_exact_tolerance(eta, norm):
+    flat = ConvexityModulus.from_delta(lambda e: 0.2 / e * 2 * 0.5)  # u = 0.1 at any eps
+    branch = Branch.of(flat, norm, 0.5, eta)
+    exact = Fraction(eta) / (3 * min(Fraction(norm), 1))
+    try:
+        tolerance = branch.tolerance
+    except DomainError:
+        assert eta < 1e-300  # only a subnormal quotient is refused
+    else:
+        assert 0 < tolerance < exact
+
+
 def test_default_eta_is_quarter_u():
     hm = ConvexityModulus.hanner(2)
     assert default_eta(hm, 0.7, 0.5) == 0.25 * hm(0.5)

@@ -103,10 +103,21 @@ def test_h3_overlap_formula_against_brute_force():
 def test_explicit_family_packed_path_matches_sets():
     rng = random.Random(5)
     sets = [frozenset(rng.sample(range(-500, 500), 80)) for _ in range(3)]
+    edge = 2**62 - 10  # packable, but a shift past _PACK_LIMIT leaves the searched route
+    sets += [
+        frozenset(range(-3, 4)),  # interval, odd length
+        frozenset(range(5, 15)),  # interval, even length
+        frozenset({-4}),  # single point
+        frozenset(range(-6, 7)) - {2},  # interval with one hole: searched
+        frozenset(range(edge, edge + 9)),  # interval near the packing limit
+        frozenset(range(edge, edge + 9)) - {edge + 4},  # ... with a hole: set arithmetic past the limit
+    ]
     fam = ExplicitFamily(Z, sets)
-    for n in range(1, 4):
-        for g in (-7, 3, 250):
-            assert fam.ratio(n, g) == brute_ratio(Z, sets[n - 1], g)
+    for n, s in enumerate(sets, start=1):
+        k = len(s)
+        shifts = {-7, 3, 250, 0, 1, k - 1, k, k + 5, 2**62, 3 * 2**62}
+        for g in shifts | {-g for g in shifts}:
+            assert fam.ratio(n, g) == brute_ratio(Z, s, g)
 
 
 def test_empty_set_rejected():
@@ -242,6 +253,21 @@ def test_greedy_budget_exhaustion():
         greedy_folner(Z, 6, search_budget=2)
     assert err.value.budget == 2
     assert err.value.stage >= 2
+
+
+@pytest.mark.parametrize(
+    "group, n_max, cards",
+    [
+        (Z, 8, [1, 2, 7, 25, 121, 721, 5041, 40321]),
+        (Z2, 4, [1, 2, 49, 2209]),
+        (H3, 3, [1, 2, 225]),
+    ],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_greedy_stage_cardinalities_are_pinned(group, n_max, cards):
+    # a different least radius would still give a valid family, with other cardinalities
+    fam = greedy_folner(group, n_max)
+    assert [fam.card(n) for n in range(1, n_max + 1)] == cards
 
 
 def test_greedy_z2_small():
