@@ -130,11 +130,3 @@ class ConvexityModulus:
         if self.kind == "from-delta":
             return u_from_delta(self.delta, eps)
         raise DomainError(f"unknown modulus kind {self.kind!r}")
-
-    def describe(self) -> dict:
-        out = {"kind": self.kind}
-        if self.p is not None:
-            out["p"] = self.p
-        if self.K is not None:
-            out["K"] = self.K
-        return out

@@ -1,8 +1,11 @@
 """Finite measure-preserving systems and ergodic averages of Koopman actions.
 
 A system is a finite weighted point set together with a group action given by
-generator images (permutations).  The action of a general element is recovered
-by factoring its canonical form into generator powers:
+generator images (permutations).  Every permutation here is a read-only numpy
+index array: each generator is validated into one when the system is built,
+and act(g) returns a cached one.  The action of a general element is recovered
+by factoring its canonical form into generator powers (_word), each raised by
+repeated squaring for any integer exponent:
 
     Z:    k         -> T^k
     Z^d:  (k_1...)  -> T_1^{k_1} ... T_d^{k_d}
@@ -28,11 +31,16 @@ from .folner import FolnerFamily, as_fraction
 from .groups import Group, HeisenbergGroup, IntegerGroup, LatticeGroup
 
 
-def _perm_tuple(perm: Sequence[int], n_points: int) -> Tuple[int, ...]:
-    p = tuple(int(v) for v in perm)
-    if len(p) != n_points or sorted(p) != list(range(n_points)):
+def _perm_array(perm: Sequence[int], n_points: int) -> np.ndarray:
+    """perm as a read-only index array; entries must be ints or numpy integers, not bools."""
+    entries = list(perm)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in entries):
+        raise StructureError(f"permutation entries must be integers: {perm!r}")
+    if sorted(entries) != list(range(n_points)):
         raise StructureError(f"not a permutation of 0..{n_points - 1}: {perm!r}")
-    return p
+    arr = np.array(entries, dtype=np.intp)
+    arr.flags.writeable = False
+    return arr
 
 
 def _cycles(perm: Sequence[int]) -> List[List[int]]:
@@ -54,20 +62,30 @@ def _cycles(perm: Sequence[int]) -> List[List[int]]:
     return cycles
 
 
-def _perm_power(perm: Tuple[int, ...], k: int) -> Tuple[int, ...]:
-    """perm^k via cycle decomposition; k may be any integer, however large."""
-    out = [0] * len(perm)
-    for cycle in _cycles(perm):
-        ln = len(cycle)
-        shift = k % ln
-        for i, s in enumerate(cycle):
-            out[s] = cycle[(i + shift) % ln]
-    return tuple(out)
+def _perm_power(perm: np.ndarray, k: int) -> np.ndarray:
+    """perm^k by repeated squaring, as a new array; k may be any integer, however large."""
+    if k < 0:
+        perm, k = np.argsort(perm), -k
+    out = np.arange(perm.size)
+    while k:
+        if k & 1:
+            out = perm[out]
+        perm = perm[perm]
+        k >>= 1
+    return out
 
 
-def _compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
-    """(p o q)(s) = p[q[s]]."""
-    return tuple(p[v] for v in q)
+def _word(group: Group, g) -> List[Tuple[str, int]]:
+    """g as generator powers (name, exponent), in the order they act on a point.
+
+    Only for the groups FiniteMeasureSystem accepts: Z, Z^d and H3.
+    """
+    if isinstance(group, IntegerGroup):
+        return [("t", g)]
+    if isinstance(group, LatticeGroup):
+        return [(f"t{i + 1}", k) for i, k in enumerate(g)]
+    a, b, c = g  # H3
+    return [("z", c - a * b), ("y", b), ("x", a)]
 
 
 @dataclass(frozen=True)
@@ -95,9 +113,6 @@ class Observable:
 class FiniteMeasureSystem:
     """Finite point set with positive rational weights and a permutation action."""
 
-    #: generator names expected per group kind
-    GENERATOR_NAMES = {"Z": ("t",), "H3": ("x", "y", "z")}
-
     def __init__(self, group: Group, weights: Sequence, generators: Dict[str, Sequence[int]]):
         self.group = group
         self.weights = tuple(as_fraction(w) for w in weights)
@@ -106,70 +121,43 @@ class FiniteMeasureSystem:
         if any(w <= 0 for w in self.weights):
             raise StructureError("weights must be positive rationals")
         self.n_points = len(self.weights)
-        names = self._expected_names()
+        if not isinstance(group, (IntegerGroup, LatticeGroup, HeisenbergGroup)):
+            raise StructureError(f"unsupported group for dynamics: {group!r}")
+        names = [name for name, _ in _word(group, group.identity)]
         if set(generators) != set(names):
             raise StructureError(
                 f"group {group.name} needs generators named {sorted(names)}, got {sorted(generators)}"
             )
-        self.generators = {k: _perm_tuple(v, self.n_points) for k, v in generators.items()}
+        self.generators = {k: _perm_array(v, self.n_points) for k, v in generators.items()}
         self._check_measure_preserving()
         self._act_cache: Dict = {}
         self._weights_float = np.array([float(w) for w in self.weights])
 
-    def _expected_names(self) -> Tuple[str, ...]:
-        if isinstance(self.group, IntegerGroup):
-            return self.GENERATOR_NAMES["Z"]
-        if isinstance(self.group, HeisenbergGroup):
-            return self.GENERATOR_NAMES["H3"]
-        if isinstance(self.group, LatticeGroup):
-            return tuple(f"t{i + 1}" for i in range(self.group.dimension))
-        raise StructureError(f"unsupported group for dynamics: {self.group!r}")
-
     def _check_measure_preserving(self) -> None:
         # exact: weights constant along every generator orbit
         for name, perm in self.generators.items():
-            for s, img in enumerate(perm):
+            for s, img in enumerate(perm.tolist()):
                 if self.weights[img] != self.weights[s]:
                     raise StructureError(
                         f"generator {name!r} does not preserve the measure: "
                         f"weight({img}) != weight({s})"
                     )
 
-    @property
-    def total_mass(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
-    def act(self, g) -> Tuple[int, ...]:
-        """The permutation s -> g . s."""
+    def act(self, g) -> np.ndarray:
+        """The permutation s -> g . s, as a cached read-only index array."""
         self.group.check_element(g)
-        key = g
-        cached = self._act_cache.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(self.group, IntegerGroup):
-            perm = _perm_power(self.generators["t"], g)
-        elif isinstance(self.group, LatticeGroup):
-            perm = tuple(range(self.n_points))
-            for i, k in enumerate(g):
-                perm = _compose(_perm_power(self.generators[f"t{i + 1}"], k), perm)
-        else:  # H3
-            a, b, c = g
-            perm = _compose(
-                _perm_power(self.generators["x"], a),
-                _compose(
-                    _perm_power(self.generators["y"], b),
-                    _perm_power(self.generators["z"], c - a * b),
-                ),
-            )
-        self._act_cache[key] = perm
+        perm = self._act_cache.get(g)
+        if perm is None:
+            perm = np.arange(self.n_points)
+            for name, k in _word(self.group, g):
+                perm = _perm_power(self.generators[name], k)[perm]
+            perm.flags.writeable = False
+            self._act_cache[g] = perm
         return perm
-
-    def act_array(self, g) -> np.ndarray:
-        return np.array(self.act(g), dtype=np.intp)
 
     def validate_action(self, pairs: int = 50, prefix: int = 24, seed: int = 0) -> None:
         """Check the homomorphism property act(gh) = act(g) o act(h) on sampled pairs."""
-        if self.act(self.group.identity) != tuple(range(self.n_points)):
+        if not np.array_equal(self.act(self.group.identity), np.arange(self.n_points)):
             raise StructureError("identity element does not act as the identity permutation")
         pool = self.group.enumerate_prefix(prefix)
         rng = np.random.default_rng(seed)
@@ -177,7 +165,7 @@ class FiniteMeasureSystem:
             g = pool[int(rng.integers(len(pool)))]
             h = pool[int(rng.integers(len(pool)))]
             gh = self.group.multiply(g, h)
-            if self.act(gh) != _compose(self.act(g), self.act(h)):
+            if not np.array_equal(self.act(gh), self.act(g)[self.act(h)]):
                 raise StructureError(f"action is not a homomorphism at g={g!r}, h={h!r}")
 
     def observable(self, values, p: float) -> Observable:
@@ -191,9 +179,8 @@ def koopman_apply(system: FiniteMeasureSystem, g, f: Observable) -> Observable:
     """pi(g) f = f o g^{-1}, i.e. (pi(g) f)(s) = f(g^{-1} . s)."""
     if len(f) != system.n_points:
         raise StructureError(f"observable length {len(f)} does not match {system.n_points} points")
-    to = system.act_array(g)
     out = np.empty_like(f.values)
-    out[to] = f.values  # out[g.s] = f(s)
+    out[system.act(g)] = f.values  # out[g.s] = f(s)
     return Observable(out, f.p)
 
 
@@ -223,7 +210,7 @@ def _z_interval_averages(system: FiniteMeasureSystem, radii: Sequence[int], valu
     out = np.zeros((len(radii), system.n_points))
     widths = [2 * r + 1 for r in radii]
     fl = np.array([float(w) for w in widths])[:, None]
-    for cycle in _cycles(system.generators["t"]):
+    for cycle in _cycles(system.generators["t"].tolist()):
         ln = len(cycle)
         fvals = values[cycle]
         split = [divmod(w, ln) for w in widths]
@@ -269,7 +256,7 @@ def ergodic_average(system: FiniteMeasureSystem, family: FolnerFamily, n: int, f
     elems = sorted(family.elements(n), key=lambda g: g if isinstance(g, tuple) else (g,))
     acc = np.zeros(system.n_points)
     for g in elems:
-        acc += f.values[system.act_array(g)]
+        acc += f.values[system.act(g)]
     return Observable(acc / len(elems), f.p)
 
 
@@ -304,7 +291,7 @@ def average_operator(system: FiniteMeasureSystem, family: FolnerFamily, n: int) 
     mat = np.zeros((m, m))
     rows = np.arange(m)
     for g in family.elements(n):
-        np.add.at(mat, (rows, system.act_array(g)), 1.0)
+        np.add.at(mat, (rows, system.act(g)), 1.0)
     return mat / family.card(n)
 
 

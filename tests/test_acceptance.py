@@ -36,7 +36,6 @@ from ergolab import (
     weighted_mean,
     worst_ratio_table,
 )
-from ergolab.dynamics import _perm_power
 from ergolab.fluctuation import Branch
 
 Z = group_by_name("Z")
@@ -242,14 +241,17 @@ def test_criterion_7_mean_convergence():
     # orbit-aligned one-sided windows {0..n-1}, n = 12k: exactly the mean.
     # The oracle runs in exact rationals, independent of the float pipeline.
     f_exact = [Fraction(1)] + [Fraction(0)] * 11
-    perm = system.generators["t"]
+    # g . s for g = 0..n-1 is s stepped g times along the generator's image list
+    perm = system.generators["t"].tolist()
     aligned = [12 * k for k in range(1, 6)]
     for n in aligned:
         exact = []
         for s in range(12):
             acc = Fraction(0)
-            for g in range(n):
-                acc += f_exact[_perm_power(perm, g)[s]]
+            point = s
+            for _ in range(n):
+                acc += f_exact[point]
+                point = perm[point]
             exact.append(acc / n)
         assert all(v == Fraction(1, 12) for v in exact)  # exactly the weighted mean
     # float pipeline agrees to machine precision at the aligned windows

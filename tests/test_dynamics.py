@@ -30,18 +30,33 @@ from ergolab import (
     weighted_mean,
 )
 from ergolab.dynamics import FiniteMeasureSystem, _perm_power, _z_interval_averages
+from ergolab.groups import Group, HeisenbergGroup
 
 Z = group_by_name("Z")
 
 
+def power_by_steps(perm, k):
+    """perm^k as a list: step perm (its inverse when k < 0) |k| times from every point."""
+    step = list(perm)
+    if k < 0:
+        step = [0] * len(perm)
+        for s, img in enumerate(perm):
+            step[img] = s
+    out = list(range(len(perm)))
+    for _ in range(abs(k)):
+        out = [step[v] for v in out]
+    return out
+
+
 def exact_average(system, elems, values):
     """(1/|F|) sum_{g in F} f(g . s) with exact rationals; Z-systems only."""
-    perm = system.generators["t"]
+    perm = system.generators["t"].tolist()
+    powers = {g: power_by_steps(perm, g) for g in elems}
     out = []
     for s in range(system.n_points):
         acc = Fraction(0)
         for g in elems:
-            acc += values[_perm_power(perm, g)[s]]
+            acc += values[powers[g][s]]
         out.append(acc / len(elems))
     return out
 
@@ -111,9 +126,108 @@ def test_shipped_systems_are_exact_homomorphisms():
 
 def test_heisenberg_center_acts_trivially():
     system = heisenberg_torus_system(4, 4)
-    assert system.act((0, 0, 5)) == tuple(range(16))
+    assert system.act((0, 0, 5)).tolist() == list(range(16))
     # abelianized action only sees (a, b)
-    assert system.act((2, 3, 7)) == system.act((2, 3, 0))
+    assert np.array_equal(system.act((2, 3, 7)), system.act((2, 3, 0)))
+
+
+def heisenberg_mod3_system():
+    # H3 acting on H3(Z/3) by left multiplication: a faithful, non-abelian action,
+    # so the order of the generator powers in act(g) matters
+    points = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    index = {h: i for i, h in enumerate(points)}
+    h3 = HeisenbergGroup()
+
+    def left(g):
+        return [index[tuple(v % 3 for v in h3.multiply(g, h))] for h in points]
+
+    gens = {"x": left((1, 0, 0)), "y": left((0, 1, 0)), "z": left((0, 0, 1))}
+    return FiniteMeasureSystem(h3, [Fraction(1, 27)] * 27, gens), left
+
+
+def test_heisenberg_act_is_left_multiplication():
+    system, left = heisenberg_mod3_system()
+    for g in system.group.enumerate_prefix(200):
+        assert system.act(g).tolist() == left(g)
+    system.validate_action(pairs=200, prefix=200)
+
+
+def test_act_returns_one_cached_read_only_array():
+    for system, g in [(rotation_system(9), -4), (heisenberg_mod3_system()[0], (2, -1, 5))]:
+        first = system.act(g)
+        assert system.act(g) is first
+        with pytest.raises(ValueError):
+            first[0] = first[1]
+        for perm in system.generators.values():
+            with pytest.raises(ValueError):
+                perm[0] = perm[1]
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[1.9, 0.2], [True, False], ["1", "0"]],
+    ids=["floats", "bools", "strings"],
+)
+def test_generator_entries_must_be_integers(entries):
+    with pytest.raises(StructureError, match="integers"):
+        FiniteMeasureSystem(Z, [Fraction(1, 2)] * 2, {"t": entries})
+
+
+def test_generator_accepts_numpy_integers():
+    for perm in (np.array([1, 2, 0]), np.array([1, 2, 0], dtype=np.int32), [np.int64(1), 2, np.uint8(0)]):
+        system = FiniteMeasureSystem(Z, [Fraction(1, 3)] * 3, {"t": perm})
+        assert system.act(1).tolist() == [1, 2, 0]
+
+
+class _NamedGroup(Group):
+    # every method, identity included, is the base class's NotImplementedError
+    name = "F2"
+
+
+class _GroupWithIdentity(_NamedGroup):
+    @property
+    def identity(self):
+        return ()
+
+
+@pytest.mark.parametrize("group", [_NamedGroup(), _GroupWithIdentity()], ids=["bare", "with-identity"])
+def test_unsupported_group_is_a_structure_error(group):
+    with pytest.raises(StructureError, match="unsupported group for dynamics"):
+        FiniteMeasureSystem(group, [Fraction(1, 2)] * 2, {"t": [1, 0]})
+
+
+POWER_CASES = ["multi-cycle", "t1", "t2"]
+
+
+def power_case(name):
+    """The 7+5+5+3+1+1 generator of multi_cycle_system, or a generator of the 10x10 torus."""
+    if name == "multi-cycle":
+        return multi_cycle_system().generators["t"]
+    return torus_translation_system(10, 10).generators[name]
+
+
+@pytest.mark.parametrize("name", POWER_CASES)
+def test_perm_power_equals_repeated_composition(name):
+    perm = power_case(name)
+    n = len(perm)
+    steps = perm.tolist()
+    for sign in (1, -1):
+        step = power_by_steps(steps, sign)
+        cur = list(range(n))
+        for k in range(3 * n + 1):
+            assert _perm_power(perm, sign * k).tolist() == cur, (name, sign * k)
+            cur = [step[v] for v in cur]
+
+
+@pytest.mark.parametrize("name", POWER_CASES)
+def test_perm_power_huge_exponents_reduce_mod_order(name):
+    perm = power_case(name)
+    steps = perm.tolist()
+    order, cur = 1, steps
+    while cur != list(range(len(steps))):
+        order, cur = order + 1, [steps[v] for v in cur]
+    for k in (2**70, 10**30 + 7, -(10**30)):
+        assert _perm_power(perm, k).tolist() == power_by_steps(steps, k % order), (name, k)
 
 
 # ---------------------------------------------------------------------------
