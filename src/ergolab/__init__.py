@@ -23,6 +23,7 @@ from .dynamics import (
     ergodic_average,
     heisenberg_torus_system,
     koopman_apply,
+    lp_distances,
     lp_norm,
     rotation_system,
     torus_translation_system,

@@ -191,6 +191,28 @@ def lp_norm(system: FiniteMeasureSystem, f: Observable) -> float:
     return float(np.sum(system._weights_float * np.abs(f.values) ** f.p) ** (1.0 / f.p))
 
 
+def lp_distances(system: FiniteMeasureSystem, avgs: Sequence[Observable]) -> np.ndarray:
+    """The symmetric table of ||avgs[i] - avgs[j]||_p.
+
+    Rows of the upper triangle are filled one at a time from the stacked
+    averages, so memory stays O(len(avgs) * points).  Each entry is bitwise
+    lp_norm(system, Observable(avgs[i] - avgs[j])): the weighted row sum is
+    the same contiguous numpy sum, and the 1/p root is taken with the same
+    scalar pow (Python float ** float), not with an array power, whose fast
+    paths can round differently in the last place.
+    """
+    stacked = np.stack([a.values for a in avgs])
+    p = avgs[0].p
+    root = 1.0 / p
+    w = system._weights_float
+    L = len(avgs)
+    mat = np.zeros((L, L))
+    for i in range(L - 1):
+        sums = np.sum(w * np.abs(stacked[i] - stacked[i + 1 :]) ** p, axis=1)
+        mat[i, i + 1 :] = mat[i + 1 :, i] = [s ** root for s in sums.tolist()]
+    return mat
+
+
 def _z_interval_averages(system: FiniteMeasureSystem, radii: Sequence[int], values: np.ndarray) -> np.ndarray:
     """Averages of s -> f(k . s) over k in [-r, r], one row per radius r in radii.
 
@@ -253,7 +275,7 @@ def ergodic_average(system: FiniteMeasureSystem, family: FolnerFamily, n: int, f
     radii = _interval_radii(system, family, [n])
     if radii is not None:
         return Observable(_z_interval_averages(system, radii, f.values)[0], f.p)
-    elems = sorted(family.elements(n), key=lambda g: g if isinstance(g, tuple) else (g,))
+    elems = sorted(family.elements(n))
     acc = np.zeros(system.n_points)
     for g in elems:
         acc += f.values[system.act(g)]

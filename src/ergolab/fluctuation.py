@@ -24,7 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from .convexity import ConvexityModulus
-from .dynamics import FiniteMeasureSystem, Observable, average_sequence, lp_norm
+from .dynamics import FiniteMeasureSystem, Observable, average_sequence, lp_distances, lp_norm
 from .errors import DomainError, NotFastError, StructureError, UncertifiedModulusError
 from .folner import (
     FolnerFamily,
@@ -176,7 +176,7 @@ class Branch:
     """The branch of the uniform bound at one (norm, eps, eta), built by `Branch.of`.
 
     "norm<=1" uses u_eff = u(eps), "norm>1" uses u_eff = u(eps/norm), and
-    `Branch.of` refuses an eta outside (0, u_eff/2).
+    `Branch.of` refuses a negative norm and an eta outside (0, u_eff/2).
     """
 
     name: str
@@ -188,6 +188,8 @@ class Branch:
     def of(cls, modulus: ConvexityModulus, norm_x: float, eps: float, eta: Optional[float] = None) -> "Branch":
         """The branch for this norm and eps; eta None means u_eff/4."""
         norm_x = float(norm_x)
+        if norm_x < 0:
+            raise DomainError(f"norm must be nonnegative, got {norm_x}")
         small = norm_x <= 1
         u_eff = modulus(eps) if small else modulus(eps / norm_x)
         if eta is None:
@@ -198,6 +200,21 @@ class Branch:
                 f"eta violates its precondition 0 < eta < {what}: eta={eta}, {what}={0.5 * u_eff}"
             )
         return cls("norm<=1" if small else "norm>1", norm_x, u_eff, eta)
+
+    def bound(self, lower: Optional[float] = None) -> int:
+        """The uniform at-distance fluctuation bound on this branch.
+
+        norm <= 1: floor((norm - L) / (u(eps)/2 - eta))         [L = 0 without a lower bound]
+        norm >  1: floor((1 - L/norm) / (u(eps/norm)/2 - eta))
+        A lower bound L, when given, must lie in [0, norm].
+        """
+        num = min(self.norm, 1.0)
+        if lower is not None:
+            lower = float(lower)
+            if not 0 <= lower <= self.norm:
+                raise DomainError(f"lower bound must lie in [0, norm]=[0, {self.norm}], got {lower}")
+            num -= lower if self.norm <= 1 else lower / self.norm
+        return guarded_floor(num / (0.5 * self.u_eff - self.eta))
 
     @property
     def tolerance(self) -> Fraction:
@@ -223,38 +240,14 @@ class Branch:
 
 
 def theorem_bound(
-    modulus: ConvexityModulus,
-    norm_x: float,
-    eps: float,
-    eta: float,
-    lower: Optional[float] = None,
+    modulus: ConvexityModulus, norm_x: float, eps: float, eta: float, lower: Optional[float] = None
 ) -> int:
-    """The uniform at-distance fluctuation bound, resolved across all four branches.
-
-    norm <= 1: floor((norm - L) / (u(eps)/2 - eta))         [L = 0 without a lower bound]
-    norm >  1: floor((1 - L/norm) / (u(eps/norm)/2 - eta))
-    requires eta in (0, u(eps)/2) resp. (0, u(eps/norm)/2).
-    """
-    norm_x = float(norm_x)
-    if norm_x < 0:
-        raise DomainError(f"norm must be nonnegative, got {norm_x}")
-    branch = Branch.of(modulus, norm_x, eps, eta)
-    num = min(norm_x, 1.0)
-    if lower is not None:
-        lower = float(lower)
-        if not 0 <= lower <= norm_x:
-            raise DomainError(f"lower bound must lie in [0, norm]=[0, {norm_x}], got {lower}")
-        num -= lower if norm_x <= 1 else lower / norm_x
-    return guarded_floor(num / (0.5 * branch.u_eff - branch.eta))
+    """The uniform at-distance fluctuation bound, resolved across all four branches (`Branch.bound`)."""
+    return Branch.of(modulus, norm_x, eps, eta).bound(lower)
 
 
 def corollary_bound(
-    modulus: ConvexityModulus,
-    norm_x: float,
-    eps: float,
-    eta: float,
-    lam: int,
-    lower: Optional[float] = None,
+    modulus: ConvexityModulus, norm_x: float, eps: float, eta: float, lam: int, lower: Optional[float] = None
 ) -> int:
     """lam * theorem_bound + lam: the plain-count bound on (lam, .)-fast families."""
     if not (isinstance(lam, int) and lam >= 1):
@@ -267,40 +260,36 @@ def default_eta(modulus: ConvexityModulus, norm_x: float, eps: float) -> float:
     return Branch.of(modulus, norm_x, eps).eta
 
 
-def _zero_report(eps: float, mode: str, window: int) -> FluctuationReport:
-    return FluctuationReport(
-        epsilon=float(eps),
-        mode=mode,
-        chain=[1] if window >= 1 else [],
-        count=0,
-        bound=0,
-        verdict=True,
-        branch="zero",
-        certified_window=window,
-        norm_x=0.0,
-    )
+def _verify(system, family, convexity_modulus, f, eps, eta, window, lower, certify, lam=None) -> FluctuationReport:
+    """The steps both verifiers share, around their one certification step.
 
-
-def _pairwise_norms(system: FiniteMeasureSystem, avgs: List[Observable]) -> np.ndarray:
-    """The symmetric table of ||avgs[i] - avgs[j]||_p.
-
-    Rows of the upper triangle are filled one at a time from the stacked
-    averages, so memory stays O(len(avgs) * points).  Each entry is bitwise
-    lp_norm(system, Observable(avgs[i] - avgs[j])): the weighted row sum is
-    the same contiguous numpy sum, and the 1/p root is taken with the same
-    scalar pow (Python float ** float), not with an array power, whose fast
-    paths can round differently in the last place.
+    certify(tolerance, window) checks the mode's hypothesis on the family at
+    the branch tolerance and returns the at-distance map (None for a plain
+    count).  With lam the bound is the corollary's lam * bound + lam.
     """
-    stacked = np.stack([a.values for a in avgs])
-    p = avgs[0].p
-    root = 1.0 / p
-    w = system._weights_float
-    L = len(avgs)
-    mat = np.zeros((L, L))
-    for i in range(L - 1):
-        sums = np.sum(w * np.abs(stacked[i] - stacked[i + 1 :]) ** p, axis=1)
-        mat[i, i + 1 :] = mat[i + 1 :, i] = [s ** root for s in sums.tolist()]
-    return mat
+    window = min(family.n_max, 200) if window is None else window
+    if not 1 <= window <= family.n_max:
+        raise DomainError(f"window must be in [1, {family.n_max}], got {window}")
+    norm = lp_norm(system, f)
+    if norm == 0.0:
+        mode = "at-distance" if lam is None else "plain"
+        return FluctuationReport(
+            float(eps), mode, [1], 0, bound=0, verdict=True, branch="zero", certified_window=window, norm_x=0.0
+        )
+    branch = Branch.of(convexity_modulus, norm, eps, eta)
+    beta_vals = certify(branch.tolerance, window)
+
+    avgs = average_sequence(system, family, f, window)
+    rep = max_chain(lp_distances(system, avgs), eps, beta=beta_vals)
+    bound = branch.bound(lower)
+    rep.eta = branch.eta
+    rep.branch = branch.name
+    rep.lam = lam
+    rep.bound = bound if lam is None else lam * bound + lam
+    rep.verdict = rep.count <= rep.bound
+    rep.certified_window = window
+    rep.norm_x = norm
+    return rep
 
 
 def verify_main_theorem(
@@ -322,43 +311,24 @@ def verify_main_theorem(
     certified internally; a supplied table must cover the window at a
     tolerance at most the branch tolerance, otherwise the run is refused.
     """
-    window = min(family.n_max, 200) if window is None else window
-    if not 1 <= window <= family.n_max:
-        raise DomainError(f"window must be in [1, {family.n_max}], got {window}")
-    norm = lp_norm(system, f)
-    if norm == 0.0:
-        return _zero_report(eps, "at-distance", window)
-    branch = Branch.of(convexity_modulus, norm, eps, eta)
-    eps_beta = branch.tolerance
 
-    if modulus_table is None:
-        modulus_table = build_modulus_table(
-            family, range(1, window + 1), [eps_beta], m_max=min(window, family.n_max)
-        )
-        used_eps = eps_beta
-    else:
-        usable = [
-            e for e in modulus_table.epsilons() if e <= eps_beta and modulus_table.covers(window, e)
-        ]
-        if not usable:
-            raise UncertifiedModulusError(
-                f"modulus table does not certify the window [1, {window}] at any tolerance <= {eps_beta} "
-                f"(have {modulus_table.epsilons()}, certified_up_to={modulus_table.certified_up_to})"
-            )
-        used_eps = max(usable)
-    row = modulus_table.entries_at(used_eps)
-    envelope = itertools.accumulate((row[n].value for n in range(1, window + 1)), max)
-    beta_vals = [max(v, n + 1) for n, v in enumerate(envelope, start=1)]
+    def beta_map(eps_beta: Fraction, window: int) -> List[int]:
+        table, used_eps = modulus_table, eps_beta
+        if table is None:
+            table = build_modulus_table(family, range(1, window + 1), [eps_beta], m_max=window)
+        else:
+            usable = [e for e in table.epsilons() if e <= eps_beta and table.covers(window, e)]
+            if not usable:
+                raise UncertifiedModulusError(
+                    f"modulus table does not certify the window [1, {window}] at any tolerance <= {eps_beta} "
+                    f"(have {table.epsilons()}, certified_up_to={table.certified_up_to})"
+                )
+            used_eps = max(usable)
+        row = table.entries_at(used_eps)
+        envelope = itertools.accumulate((row[n].value for n in range(1, window + 1)), max)
+        return [max(v, n + 1) for n, v in enumerate(envelope, start=1)]
 
-    avgs = average_sequence(system, family, f, window)
-    rep = max_chain(_pairwise_norms(system, avgs), eps, beta=beta_vals)
-    rep.eta = branch.eta
-    rep.branch = branch.name
-    rep.bound = theorem_bound(convexity_modulus, norm, eps, branch.eta, lower=lower)
-    rep.verdict = rep.count <= rep.bound
-    rep.certified_window = window
-    rep.norm_x = norm
-    return rep
+    return _verify(system, family, convexity_modulus, f, eps, eta, window, lower, beta_map)
 
 
 def verify_corollary(
@@ -377,29 +347,13 @@ def verify_corollary(
     Refuses to run unless the family passes check_fast at the branch tolerance
     over the window.
     """
-    window = min(fast_family.n_max, 200) if window is None else window
-    if not 1 <= window <= fast_family.n_max:
-        raise DomainError(f"window must be in [1, {fast_family.n_max}], got {window}")
-    norm = lp_norm(system, f)
-    if norm == 0.0:
-        return _zero_report(eps, "plain", window)
-    branch = Branch.of(convexity_modulus, norm, eps, eta)
-    eps_fast = branch.tolerance
 
-    fast_rep = check_fast(fast_family, lam, eps_fast, window)
-    if not fast_rep.ok:
-        raise NotFastError(
-            f"family is not ({lam}, {eps_fast})-fast over [1, {window}]: "
-            f"violation {fast_rep.violation}"
-        )
+    def require_fast(eps_fast: Fraction, window: int) -> None:
+        fast_rep = check_fast(fast_family, lam, eps_fast, window)
+        if not fast_rep.ok:
+            raise NotFastError(
+                f"family is not ({lam}, {eps_fast})-fast over [1, {window}]: "
+                f"violation {fast_rep.violation}"
+            )
 
-    avgs = average_sequence(system, fast_family, f, window)
-    rep = max_chain(_pairwise_norms(system, avgs), eps)
-    rep.eta = branch.eta
-    rep.branch = branch.name
-    rep.lam = lam
-    rep.bound = corollary_bound(convexity_modulus, norm, eps, branch.eta, lam, lower=lower)
-    rep.verdict = rep.count <= rep.bound
-    rep.certified_window = window
-    rep.norm_x = norm
-    return rep
+    return _verify(system, fast_family, convexity_modulus, f, eps, eta, window, lower, require_fast, lam)

@@ -59,6 +59,14 @@ def as_fraction(x) -> Fraction:
     raise DomainError(f"cannot interpret {x!r} as a rational number")
 
 
+def _tolerance(eps, what: str) -> Fraction:
+    """eps as an exact rational, refused unless positive; `what` names it in the error."""
+    eps = as_fraction(eps)
+    if eps <= 0:
+        raise DomainError(f"{what} tolerance must be positive, got {eps}")
+    return eps
+
+
 def _pack_sorted(elems) -> Optional[np.ndarray]:
     """Sorted int64 array of integer canonical forms, or None if not packable."""
     if not elems:
@@ -157,7 +165,7 @@ class ExplicitFamily(FolnerFamily):
                 group.check_element(g)
         self.provenance = provenance
         self._sets = sets
-        self._packed: List = [False] * len(sets)  # False = not attempted yet
+        self._packed = [_pack_sorted(s) for s in sets]
 
     def card(self, n: int) -> int:
         self._check_index(n)
@@ -167,18 +175,11 @@ class ExplicitFamily(FolnerFamily):
         self._check_index(n)
         return self._sets[n - 1]
 
-    def _packed_at(self, n: int) -> Optional[np.ndarray]:
-        cached = self._packed[n - 1]
-        if cached is False:
-            cached = _pack_sorted(self._sets[n - 1])
-            self._packed[n - 1] = cached
-        return cached
-
     def ratio(self, n: int, g) -> Fraction:
         self._check_index(n)
         self.group.check_element(g)
         s = self._sets[n - 1]
-        return Fraction(2 * (len(s) - _overlap(self.group, s, self._packed_at(n), g)), len(s))
+        return Fraction(2 * (len(s) - _overlap(self.group, s, self._packed[n - 1], g)), len(s))
 
     def to_jsonable(self) -> dict:
         return {
@@ -306,17 +307,14 @@ def family_from_jsonable(data: dict) -> FolnerFamily:
 def folner_ratio(family: FolnerFamily, n: int, g) -> Fraction:
     """|F_n delta g F_n| / |F_n| by exact set arithmetic.
 
-    For families stored as boxes this materializes the set and takes the
-    literal translate/symmetric-difference route, independent of the
-    closed-form counts used by `family.ratio`.
+    Materializes F_n and takes the literal translate/symmetric-difference
+    route for every family, independent of the closed-form and packed
+    counts used by `family.ratio`.
     """
     family._check_index(n)
     family.group.check_element(g)
-    if family.box_radius(n) is not None:
-        s = family.elements(n)
-        gs = family.group.translate_set(s, g)
-        return Fraction(len(s ^ gs), len(s))
-    return family.ratio(n, g)
+    s = family.elements(n)
+    return Fraction(len(s ^ family.group.translate_set(s, g)), len(s))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +451,7 @@ def least_index(pred: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
 
 def _worst_first(group: Group, elems) -> list:
     # largest norm first (violations of a ratio bound usually sit there), then by value
-    return sorted(elems, key=lambda g: (-group.norm1(g), g if isinstance(g, tuple) else (g,)))
+    return sorted(elems, key=lambda g: (-group.norm1(g), g))
 
 
 def worst_ratio(family: FolnerFamily, n: int, m: int, stop_at=None, over=None) -> Tuple[Fraction, object]:
@@ -490,9 +488,7 @@ def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] 
     Other families get the least N such that the defining condition holds for
     all m in [N, m_max], stamped certified_up_to = m_max.
     """
-    eps = as_fraction(eps)
-    if eps <= 0:
-        raise DomainError(f"modulus tolerance must be positive, got {eps}")
+    eps = _tolerance(eps, "modulus")
     family._check_index(n)
 
     group = family.group
@@ -561,7 +557,7 @@ def envelope(table: ModulusTable) -> ModulusTable:
 
 def check_modulus(family: FolnerFamily, n: int, eps, claimed: int, window: int) -> bool:
     """Re-verify a claimed modulus value over [claimed, window] (vacuous if empty)."""
-    eps = as_fraction(eps)
+    eps = _tolerance(eps, "modulus")
     family._check_index(n)
     if window > family.n_max:
         raise DomainError(f"window {window} exceeds family length {family.n_max}")
@@ -673,9 +669,7 @@ def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> R
     With count given, raises RefinementWindowError if the source ends first;
     with count None, refines until the source is exhausted.
     """
-    eps = as_fraction(eps)
-    if eps <= 0:
-        raise DomainError(f"refinement tolerance must be positive, got {eps}")
+    eps = _tolerance(eps, "refinement")
     if count is not None and count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
 
@@ -725,9 +719,9 @@ def check_fast(family: FolnerFamily, lam: int, eps, window: int) -> FastCheckRep
     both sets are standard Z/Z^d boxes, else the first violator in F_n
     taken largest norm first (not necessarily the least g in key order).
     """
-    eps = as_fraction(eps)
-    if lam < 1:
-        raise DomainError(f"lambda must be >= 1, got {lam}")
+    eps = _tolerance(eps, "fastness")
+    if not (isinstance(lam, int) and lam >= 1):
+        raise DomainError(f"lambda must be an integer >= 1, got {lam!r}")
     if not 1 <= window <= family.n_max:
         raise DomainError(f"window must be in [1, {family.n_max}], got {window}")
 

@@ -30,8 +30,8 @@ from ergolab import (
     verify_corollary,
     verify_main_theorem,
 )
-from ergolab.dynamics import FiniteMeasureSystem, Observable, average_sequence
-from ergolab.fluctuation import Branch, _pairwise_norms
+from ergolab.dynamics import FiniteMeasureSystem, Observable, average_sequence, lp_distances
+from ergolab.fluctuation import Branch
 
 mp.mp.dps = 60
 Z = group_by_name("Z")
@@ -201,7 +201,7 @@ def test_pairwise_norms_bitwise_equal_per_pair_lp_norm():
             f = system.observable(rng.normal(size=system.n_points) * 3.0, p)
             avgs = average_sequence(system, family, f, window)
             avgs += [system.observable(rng.normal(size=system.n_points) * 10.0**k, p) for k in (-6, 0, 5)]
-            mat = _pairwise_norms(system, avgs)
+            mat = lp_distances(system, avgs)
             L = len(avgs)
             expect = np.zeros((L, L))
             for i in range(L):
@@ -287,6 +287,13 @@ def test_branch_tolerance_errs_below_the_exact_tolerance(eta, norm):
         assert eta < 1e-300  # only a subnormal quotient is refused
     else:
         assert 0 < tolerance < exact
+
+
+def test_branch_refuses_a_negative_norm():
+    hm = ConvexityModulus.hanner(2)
+    with pytest.raises(DomainError, match="norm must be nonnegative"):
+        Branch.of(hm, -1.0, 0.5)
+    assert Branch.of(hm, 0.0, 0.5).bound() == 0
 
 
 def test_default_eta_is_quarter_u():
@@ -437,3 +444,24 @@ def test_report_serialization_keys():
     for key in ("epsilon", "eta", "branch", "bound", "count", "chain", "beta_used", "certified_window", "verdict"):
         assert key in doc
     assert doc["chain_length"] == doc["count"] + 1
+
+
+def test_each_verifier_call_evaluates_the_modulus_once():
+    from ergolab.convexity import hanner_delta
+
+    calls = []
+    counting = ConvexityModulus.from_delta(lambda e: calls.append(e) or hanner_delta(2.0, e))
+    hm = ConvexityModulus.hanner(2)
+    system = rotation_system(12)
+    f = system.observable([1.0] + [0.0] * 11, 2)
+    norm = lp_norm(system, f)
+
+    rep = verify_main_theorem(system, standard_family(Z, 30), None, counting, f, 0.3, window=30)
+    assert len(calls) == 1
+    assert rep.bound == theorem_bound(hm, norm, 0.3, rep.eta)
+
+    refined = fast_refinement(standard_family(Z, 10**30), Branch.of(hm, norm, 0.3).tolerance, count=6)
+    calls.clear()
+    rep = verify_corollary(system, refined, 2, counting, f, 0.3, window=6)
+    assert len(calls) == 1
+    assert rep.bound == corollary_bound(hm, norm, 0.3, rep.eta, 2)

@@ -13,6 +13,7 @@ import pytest
 
 from ergolab import (
     ConstructionBudgetError,
+    DomainError,
     ExplicitFamily,
     ModulusNotFoundError,
     RefinementWindowError,
@@ -333,6 +334,28 @@ def test_check_fast_box_failure():
 
 def test_check_fast_trivial_eps():
     assert check_fast(standard_family(Z, 20), 1, Fraction(5, 2), 20).ok
+
+
+@pytest.mark.parametrize("eps", [0, -1, "0/5", Fraction(-1, 3)])
+def test_checks_refuse_a_nonpositive_tolerance(eps):
+    fam = standard_family(Z, 10)
+    with pytest.raises(DomainError, match="tolerance must be positive"):
+        check_fast(fam, 1, eps, 5)
+    with pytest.raises(DomainError, match="tolerance must be positive"):
+        check_modulus(fam, 1, eps, 2, 5)
+
+
+def test_folner_ratio_never_uses_the_family_ratio(monkeypatch):
+    sets = [{0}, {-1, 0, 1, 2}, {-3, -1, 0, 2, 5}, set(range(-4, 5))]
+    fam = ExplicitFamily(Z, sets)
+
+    def refuse(self, n, g):
+        raise AssertionError("folner_ratio took the family's own ratio route")
+
+    monkeypatch.setattr(ExplicitFamily, "ratio", refuse)
+    for n, s in enumerate(sets, start=1):
+        for g in range(-10, 11):
+            assert folner_ratio(fam, n, g) == brute_ratio(Z, s, g)
 
 
 def test_check_fast_matches_explicit_route():

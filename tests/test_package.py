@@ -13,3 +13,12 @@ def test_no_module_imports_another_modules_private_names():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 found += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert found == []
+
+
+def test_no_module_imports_private_names_by_absolute_path():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").startswith("ergolab"):
+                found += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []
