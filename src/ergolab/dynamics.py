@@ -271,7 +271,6 @@ def ergodic_average(system: FiniteMeasureSystem, family: FolnerFamily, n: int, f
     """
     if len(f) != system.n_points:
         raise StructureError(f"observable length {len(f)} does not match {system.n_points} points")
-    family._check_index(n)
     radii = _interval_radii(system, family, [n])
     if radii is not None:
         return Observable(_z_interval_averages(system, radii, f.values)[0], f.p)
@@ -301,7 +300,6 @@ def average_sequence(
 
 def average_operator(system: FiniteMeasureSystem, family: FolnerFamily, n: int) -> np.ndarray:
     """The matrix of A_n acting on observables: (A_n f) = M @ f."""
-    family._check_index(n)
     m = system.n_points
     radii = _interval_radii(system, family, [n])
     if radii is not None:
@@ -342,31 +340,24 @@ def weighted_mean(system: FiniteMeasureSystem, f: Observable) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _uniform_weights(m: int) -> List[Fraction]:
-    return [Fraction(1, m)] * m
-
-
-def rotation_system(modulus: int, weights: Optional[Sequence] = None) -> FiniteMeasureSystem:
+def rotation_system(modulus: int) -> FiniteMeasureSystem:
     """Z acting on Z/modulus by s -> s + 1."""
     perm = [(s + 1) % modulus for s in range(modulus)]
-    w = list(weights) if weights is not None else _uniform_weights(modulus)
-    return FiniteMeasureSystem(IntegerGroup(), w, {"t": perm})
+    return FiniteMeasureSystem(IntegerGroup(), [Fraction(1, modulus)] * modulus, {"t": perm})
 
 
-def torus_translation_system(width: int, height: int, weights: Optional[Sequence] = None) -> FiniteMeasureSystem:
+def torus_translation_system(width: int, height: int) -> FiniteMeasureSystem:
     """Z^2 acting on (Z/width) x (Z/height) by coordinate shifts; points row-major."""
     m = width * height
     t1 = [((i // height + 1) % width) * height + (i % height) for i in range(m)]
     t2 = [(i // height) * height + ((i % height) + 1) % height for i in range(m)]
-    w = list(weights) if weights is not None else _uniform_weights(m)
-    return FiniteMeasureSystem(LatticeGroup(2), w, {"t1": t1, "t2": t2})
+    return FiniteMeasureSystem(LatticeGroup(2), [Fraction(1, m)] * m, {"t1": t1, "t2": t2})
 
 
-def heisenberg_torus_system(width: int, height: int, weights: Optional[Sequence] = None) -> FiniteMeasureSystem:
+def heisenberg_torus_system(width: int, height: int) -> FiniteMeasureSystem:
     """H3(Z) acting through its abelianization on a 2-torus; the center acts trivially."""
     m = width * height
     x = [((i // height + 1) % width) * height + (i % height) for i in range(m)]
     y = [(i // height) * height + ((i % height) + 1) % height for i in range(m)]
     z = list(range(m))
-    w = list(weights) if weights is not None else _uniform_weights(m)
-    return FiniteMeasureSystem(HeisenbergGroup(), w, {"x": x, "y": y, "z": z})
+    return FiniteMeasureSystem(HeisenbergGroup(), [Fraction(1, m)] * m, {"x": x, "y": y, "z": z})

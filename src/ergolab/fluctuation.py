@@ -260,7 +260,7 @@ def default_eta(modulus: ConvexityModulus, norm_x: float, eps: float) -> float:
     return Branch.of(modulus, norm_x, eps).eta
 
 
-def _verify(system, family, convexity_modulus, f, eps, eta, window, lower, certify, lam=None) -> FluctuationReport:
+def _verify(system, family, convexity_modulus, f, eps, eta, window, certify, lam=None) -> FluctuationReport:
     """The steps both verifiers share, around their one certification step.
 
     certify(tolerance, window) checks the mode's hypothesis on the family at
@@ -281,7 +281,7 @@ def _verify(system, family, convexity_modulus, f, eps, eta, window, lower, certi
 
     avgs = average_sequence(system, family, f, window)
     rep = max_chain(lp_distances(system, avgs), eps, beta=beta_vals)
-    bound = branch.bound(lower)
+    bound = branch.bound()
     rep.eta = branch.eta
     rep.branch = branch.name
     rep.lam = lam
@@ -301,7 +301,6 @@ def verify_main_theorem(
     eps: float,
     eta: Optional[float] = None,
     window: Optional[int] = None,
-    lower: Optional[float] = None,
 ) -> FluctuationReport:
     """Count at-distance eps-fluctuations of (A_n f) and compare to the uniform bound.
 
@@ -328,7 +327,7 @@ def verify_main_theorem(
         envelope = itertools.accumulate((row[n].value for n in range(1, window + 1)), max)
         return [max(v, n + 1) for n, v in enumerate(envelope, start=1)]
 
-    return _verify(system, family, convexity_modulus, f, eps, eta, window, lower, beta_map)
+    return _verify(system, family, convexity_modulus, f, eps, eta, window, beta_map)
 
 
 def verify_corollary(
@@ -340,7 +339,6 @@ def verify_corollary(
     eps: float,
     eta: Optional[float] = None,
     window: Optional[int] = None,
-    lower: Optional[float] = None,
 ) -> FluctuationReport:
     """Count plain eps-fluctuations on a (lam, .)-fast family against lam*floor(...) + lam.
 
@@ -356,4 +354,4 @@ def verify_corollary(
                 f"violation {fast_rep.violation}"
             )
 
-    return _verify(system, fast_family, convexity_modulus, f, eps, eta, window, lower, require_fast, lam)
+    return _verify(system, fast_family, convexity_modulus, f, eps, eta, window, require_fast, lam)

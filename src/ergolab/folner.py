@@ -9,9 +9,9 @@ which the tests replay against the closed forms.
 
 The universally quantified "for all m >= N" in the modulus definition is
 undecidable for arbitrary families; empirical entries are therefore stamped
-`certified_up_to = m_max`, while entries for Z/Z^d boxes are analytic (the
-box ratio is monotone in m, so a single corner computation certifies every
-larger index).
+`certified_up_to = m_max`, while entries for standard boxes of a group with
+a known box corner are analytic (the box ratio is monotone in m, so a single
+corner computation certifies every larger index).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     RefinementWindowError,
     StructureError,
 )
-from .groups import Group, IntegerGroup, LatticeGroup, group_by_name
+from .groups import Group, group_by_name
 
 MATERIALIZE_CAP = 2_000_000
 _PACK_LIMIT = 2**62
@@ -311,9 +311,8 @@ def folner_ratio(family: FolnerFamily, n: int, g) -> Fraction:
     route for every family, independent of the closed-form and packed
     counts used by `family.ratio`.
     """
-    family._check_index(n)
-    family.group.check_element(g)
     s = family.elements(n)
+    family.group.check_element(g)
     return Fraction(len(s ^ family.group.translate_set(s, g)), len(s))
 
 
@@ -423,20 +422,22 @@ class ModulusTable:
         return cls(data["group"], data.get("provenance", "explicit"), entries)
 
 
-def least_index(pred: Callable[[int], bool], lo: int, hi: int) -> Optional[int]:
+def least_index(pred: Callable[[int], bool], lo: int, hi: Optional[int] = None) -> Optional[int]:
     """Least i in [lo, hi] with pred(i) for pred monotone in i (false, then true), else None.
 
     Probes lo, then doubles (0 steps to 1) until pred holds or hi is reached,
     then bisects between the last false and the first true probe: for a
-    monotone pred, the index an index-by-index scan finds.
+    monotone pred, the index an index-by-index scan finds.  With hi None the
+    range has no upper end, and the search ends only when pred holds.
     """
-    if lo > hi:
+    if hi is not None and lo > hi:
         return None
     if pred(lo):
         return lo
     bad = lo
-    while bad < hi:
-        good = min(max(2 * bad, bad + 1), hi)
+    while hi is None or bad < hi:
+        good = max(2 * bad, bad + 1)
+        good = good if hi is None else min(good, hi)
         if pred(good):
             while good - bad > 1:
                 mid = (bad + good) // 2
@@ -454,21 +455,26 @@ def _worst_first(group: Group, elems) -> list:
     return sorted(elems, key=lambda g: (-group.norm1(g), g))
 
 
+def _corner(family: FolnerFamily, n: int):
+    """The group's box corner at F_n's box radius; None unless F_n is a box with a known corner."""
+    r = family.box_radius(n)
+    return None if r is None else family.group.box_corner(r)
+
+
 def worst_ratio(family: FolnerFamily, n: int, m: int, stop_at=None, over=None) -> Tuple[Fraction, object]:
     """(ratio, g): the max over g in F_n of |F_m delta gF_m|/|F_m|, and a g attaining it.
 
-    Corner route: on Z or Z^d with F_n and F_m standard boxes, the box ratio is
-    per axis nondecreasing in the translation, so the corner of F_n attains it.
+    Corner route: with F_n and F_m standard boxes and the corner of F_n known
+    (`Group.box_corner`), that corner attains the max.
     Set route otherwise: the max of family.ratio(m, g), over `over` in place of
-    F_n when given (a shell, a union), in the order given.  With stop_at, the
+    F_n when given (a union of sets), in the order given.  With stop_at, the
     first g whose ratio is >= stop_at is returned as a witness; F_n is then
     visited largest norm first.  No elements give (0, None).
     """
     group = family.group
     if over is None:
-        rn, rm = family.box_radius(n), family.box_radius(m)
-        if isinstance(group, (IntegerGroup, LatticeGroup)) and rn is not None and rm is not None:
-            corner = group.box_corner(rn)
+        corner, rm = _corner(family, n), family.box_radius(m)
+        if corner is not None and rm is not None:
             return box_ratio(group, rm, corner), corner
         over = family.elements(n) if stop_at is None else _worst_first(group, family.elements(n))
     worst, arg = Fraction(0), None
@@ -484,22 +490,20 @@ def worst_ratio(family: FolnerFamily, n: int, m: int, stop_at=None, over=None) -
 def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] = None) -> ModulusEntry:
     """A certified entry N = beta(n, eps) for the family.
 
-    Standard Z/Z^d box families get an analytic entry valid for every m >= N.
-    Other families get the least N such that the defining condition holds for
-    all m in [N, m_max], stamped certified_up_to = m_max.
+    Standard box families whose group knows the box corner get an analytic
+    entry valid for every m >= N; the corner ratio tends to 0 in m, so one
+    exists for every positive eps.  Other families get the least N such that
+    the defining condition holds for all m in [N, m_max], stamped
+    certified_up_to = m_max.
     """
     eps = _tolerance(eps, "modulus")
     family._check_index(n)
 
-    group = family.group
-    if isinstance(family, StandardBoxFamily) and isinstance(group, (IntegerGroup, LatticeGroup)):
-        # The box ratio is nonincreasing in m and the corner of B_n dominates
-        # all g in B_n, so one threshold search certifies every larger m, also
-        # past the family's length.
-        corner = group.box_corner(n)
-        value = least_index(lambda m: box_ratio(group, m, corner) < eps, 1, 10**18)
-        if value is None:
-            raise DomainError(f"no analytic modulus up to 10^18 for (n={n}, eps={eps})")
+    corner = _corner(family, n) if isinstance(family, StandardBoxFamily) else None
+    if corner is not None:
+        # the corner of B_n dominates every g in B_n and its ratio falls in m, so one
+        # threshold search certifies every larger m, also past the family's length
+        value = least_index(lambda m: box_ratio(family.group, m, corner) < eps, 1)
         return ModulusEntry(n=n, epsilon=eps, value=value, kind="analytic", certified_up_to=None)
 
     if m_max is None:
@@ -567,27 +571,10 @@ def check_modulus(family: FolnerFamily, n: int, eps, claimed: int, window: int) 
 
 
 def worst_ratio_table(family: FolnerFamily, n_hi: int, m_hi: int) -> Dict[Tuple[int, int], Fraction]:
-    """worst[(n, m)] = max over g in F_n of |F_m delta g F_m|/|F_m|.
-
-    For nested families the max over F_n is the running max over the shells
-    F_k minus F_(k-1), k <= n, so every (g, m) ratio is computed once;
-    non-nested families take the max over each F_n.
-    """
+    """worst[(n, m)] = max over g in F_n of |F_m delta g F_m|/|F_m|, from `worst_ratio`."""
     family._check_index(n_hi)
     family._check_index(m_hi)
-    sets = [frozenset()] + [family.elements(n) for n in range(1, n_hi + 1)]
-    nested = all(a <= b for a, b in zip(sets[1:], sets[2:]))
-    shells = [b - a for a, b in zip(sets, sets[1:])]
-    table: Dict[Tuple[int, int], Fraction] = {}
-    for m in range(1, m_hi + 1):
-        running = Fraction(0)
-        for n in range(1, n_hi + 1):
-            if nested:
-                running = max(running, worst_ratio(family, n, m, over=shells[n - 1])[0])
-            else:
-                running = worst_ratio(family, n, m)[0]
-            table[(n, m)] = running
-    return table
+    return {(n, m): worst_ratio(family, n, m)[0] for m in range(1, m_hi + 1) for n in range(1, n_hi + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +630,8 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
             # |C delta gC| < |C|/stage as integers: stage * 2 * (card - overlap) < card
             return all(stage * 2 * (card - overlap_of(g)) < card for g in prev_sorted)
 
-        # the budget runs out long before the doubling reaches 2**search_budget
-        radius = least_index(candidate_valid, 0, 2**search_budget)
+        # unbounded search: the budget ends it
+        radius = least_index(candidate_valid, 0)
         if radius and group.box_card(radius) > MATERIALIZE_CAP:
             raise FamilyTooLargeError(
                 f"greedy stage {stage} needs a box with {group.box_card(radius)} elements; "
@@ -667,15 +654,14 @@ def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> R
     n_1 = 1; n_{j+1} is the least later index m such that
     |F_m delta g F_m|/|F_m| < eps for every g in the union of the chosen sets.
     With count given, raises RefinementWindowError if the source ends first;
-    with count None, refines until the source is exhausted.
+    with count None, refines until the source is exhausted.  Families of boxes
+    with a known corner (F_1 has one) refine without materializing a set.
     """
     eps = _tolerance(eps, "refinement")
     if count is not None and count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
 
-    box_mode = isinstance(family, StandardBoxFamily) and isinstance(
-        family.group, (IntegerGroup, LatticeGroup)
-    )
+    box_mode = _corner(family, 1) is not None
     if count is None and family.n_max > 10**6:
         raise DomainError("count is required when refining a source longer than 10^6")
 
@@ -716,8 +702,8 @@ def check_fast(family: FolnerFamily, lam: int, eps, window: int) -> FastCheckRep
 
     The first violating (n, m) pair in (n, m) order is reported with a
     witness g from `worst_ratio(..., stop_at=eps)`: the corner of F_n when
-    both sets are standard Z/Z^d boxes, else the first violator in F_n
-    taken largest norm first (not necessarily the least g in key order).
+    both sets are standard boxes with a known corner, else the first violator
+    in F_n taken largest norm first (not necessarily the least g in key order).
     """
     eps = _tolerance(eps, "fastness")
     if not (isinstance(lam, int) and lam >= 1):

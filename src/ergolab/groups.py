@@ -100,7 +100,10 @@ class Group:
         raise NotImplementedError
 
     def box_corner(self, r: int):
-        """A translation maximizing |B_m delta g*B_m| over g in B_r, if known."""
+        """A translation c in B_r maximizing |B_m delta g*B_m| over g in B_r for every m, or None.
+
+        folner relies on this and on |B_m delta c*B_m| / |B_m| being nonincreasing in m with limit 0.
+        """
         return None
 
     def __repr__(self):

@@ -342,6 +342,19 @@ def test_wrong_typed_config_key_never_escapes(base_path, value):
         assert err.getvalue().startswith("error:")
 
 
+def test_verify_main_at_a_tiny_tolerance(tmp_path, capsys):
+    # the branch tolerance at eps 1e-05 needs analytic moduli near 10^18 and past it
+    config = demo_config()
+    config["observable"] = {"type": "random", "distribution": "normal", "scale": 1.0}
+    config["epsilons"] = [1e-05, 0.05]
+    config["window"] = 50
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(config))
+    code, out, _ = run_cli(capsys, "verify", "main", "--config", str(cfg))
+    assert code == 0
+    assert out.count("verdict=True") == 2
+
+
 def test_verify_corollary_cli(tmp_path, capsys):
     config = demo_config()
     config["family"] = {"type": "refined", "count": 6}

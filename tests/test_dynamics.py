@@ -30,6 +30,7 @@ from ergolab import (
     weighted_mean,
 )
 from ergolab.dynamics import FiniteMeasureSystem, _perm_power, _z_interval_averages
+from ergolab.folner import RefinedFamily
 from ergolab.groups import Group, HeisenbergGroup
 
 Z = group_by_name("Z")
@@ -394,6 +395,24 @@ def test_average_sequence_on_intervals_equals_per_index_averages():
             assert np.array_equal(avg.values, ergodic_average(system, family, n, f).values)
     with pytest.raises(StructureError):
         average_sequence(system, standard_family(Z, 5), Observable(np.ones(3), 2), 5)
+
+
+@pytest.mark.parametrize(
+    "system, group_name",
+    [(rotation_system(7), "Z"), (torus_translation_system(3, 4), "Z^2"), (heisenberg_torus_system(3, 3), "H3")],
+    ids=["Z", "Z^2", "H3"],
+)
+def test_averages_refuse_an_index_outside_the_family(system, group_name):
+    group = group_by_name(group_name)
+    boxes = standard_family(group, 3)
+    families = [boxes, ExplicitFamily(group, [boxes.elements(n) for n in (1, 2)]), RefinedFamily(boxes, [1, 3])]
+    f = system.observable(np.arange(system.n_points, dtype=float), 2)
+    for family in families:
+        for n in (0, family.n_max + 1):
+            with pytest.raises(StructureError):
+                ergodic_average(system, family, n, f)
+            with pytest.raises(StructureError):
+                average_operator(system, family, n)
 
 
 def test_average_operator_matches_direct():

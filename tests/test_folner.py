@@ -6,6 +6,7 @@ arithmetic.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from ergolab import (
     worst_ratio_table,
 )
 from ergolab.folner import ModulusEntry, ModulusTable, RefinedFamily
+from ergolab.groups import LatticeGroup
 
 Z = group_by_name("Z")
 Z2 = group_by_name("Z^2")
@@ -143,6 +145,16 @@ def test_modulus_small_examples():
     # ratios are at most 2, so any tolerance above 2 certifies from the start
     assert convergence_modulus(fam, 1, Fraction(5, 2)).value == 1
     assert convergence_modulus(fam, 7, Fraction(5, 2)).value == 1
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10**25), Fraction(5, 10**324), Fraction(3, 7)])
+def test_analytic_modulus_exists_for_every_positive_tolerance(eps):
+    # the least m with 2*min(n, 2m+1)/(2m+1) < eps, for eps <= 2; far past any fixed search cap
+    fam = standard_family(Z, 400)
+    for n in (1, 9, 400):
+        entry = convergence_modulus(fam, n, eps)
+        assert entry.value == max(1, math.floor((2 * n - eps) / (2 * eps)) + 1)
+        assert entry.kind == "analytic" and entry.certified_up_to is None
 
 
 def test_modulus_empirical_matches_analytic_on_boxes():
@@ -396,6 +408,11 @@ def test_least_index_matches_a_scan():
         assert least_index(lambda i: False, lo, hi) is None
         assert least_index(lambda i: True, lo, hi) == lo
     assert least_index(lambda i: True, 5, 4) is None
+    # no upper end: the same probes, for as long as pred stays false
+    probed = []
+    assert least_index(lambda i: probed.append(i) or i >= 5, 0) == 5
+    assert probed == [0, 1, 2, 4, 8, 6, 5]
+    assert least_index(lambda i: i >= 10**40, 3) == 10**40
     # lo, then doubling, then bisection between the last false and first true probe
     probed = []
     assert least_index(lambda i: probed.append(i) or i >= 5, 0, 100) == 5
@@ -456,6 +473,35 @@ def test_worst_ratio_table_keeps_the_worst_of_earlier_shells():
         for m in range(1, 5):
             assert table[(n, m)] == max(brute_ratio(Z, fam.elements(m), g) for g in fam.elements(n))
     assert table[(3, 4)] == Fraction(40, 51)
+
+
+def test_groups_without_a_box_corner_take_the_set_route(monkeypatch):
+    # the box corner is the one decision: without it, Z^2 boxes are plain sets
+    monkeypatch.setattr(LatticeGroup, "box_corner", lambda self, r: None)
+    fam = standard_family(Z2, 5)
+    for n, m in ((1, 1), (2, 4), (3, 2)):
+        ratio, g = worst_ratio(fam, n, m)
+        assert ratio == max(brute_ratio(Z2, fam.elements(m), h) for h in fam.elements(n))
+        assert brute_ratio(Z2, fam.elements(m), g) == ratio
+    entry = convergence_modulus(fam, 1, Fraction(1, 2), m_max=5)
+    assert entry.kind == "empirical" and entry.certified_up_to == 5 and entry.value == 4
+    assert fast_refinement(fam, Fraction(1, 2), count=2).indices == [1, 4]
+
+
+@pytest.mark.parametrize(
+    "group, indices", [(Z, [1, 2, 4, 7, 11, 16, 22, 29, 37, 46]), (Z2, [1, 2, 3, 5, 7, 10, 13])], ids=["Z", "Z^2"]
+)
+def test_refinement_of_refined_boxes_matches_the_set_scan(group, indices):
+    refined = RefinedFamily(standard_family(group, indices[-1]), indices)
+    explicit = ExplicitFamily(group, [refined.elements(n) for n in range(1, refined.n_max + 1)])
+    for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 1)):
+        a = fast_refinement(refined, eps)
+        assert a.indices == fast_refinement(explicit, eps).indices
+
+
+def test_refinement_of_huge_refined_boxes_materializes_nothing():
+    refined = RefinedFamily(standard_family(Z, 10**30), [1, 10**6, 10**12, 10**20])
+    assert fast_refinement(refined, Fraction(1, 3), count=3).indices == [1, 2, 3]
 
 
 def test_family_serialization_roundtrips():
