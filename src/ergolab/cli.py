@@ -143,6 +143,8 @@ def _observable(spec: dict, system: FiniteMeasureSystem, p: float, rng) -> Obser
     f = system.observable(values, p)
     target = get_float(spec, "norm", None)
     if target is not None:
+        if target < 0:
+            raise ConfigError(f"observable norm must be >= 0, got {target!r}")
         cur = lp_norm(system, f)
         if cur == 0:
             raise ConfigError("cannot rescale the zero observable to a target norm")
@@ -211,16 +213,17 @@ def _averages_csv(system, family: FolnerFamily, f: Observable, window: int, defe
         header.insert(1, "source_index")
     rows = [",".join(header)]
     avgs = average_sequence(system, family, f, window)
-    defect_refs = {N: ergodic_average(system, family, N, f) for N in defect_against}
+    # A_n A_N f for every n in the window, one sequence per N
+    defect_refs = [average_sequence(system, family, ergodic_average(system, family, N, f), window)
+                   for N in defect_against]
     for n in range(1, window + 1):
         cells = [str(n)]
         if refined:
             cells.append(str(family.indices[n - 1]))
         cells.append(str(family.card(n)))
         cells.append(_fmt(lp_norm(system, avgs[n - 1])))
-        for N in defect_against:
-            a_n_ref = ergodic_average(system, family, n, defect_refs[N])
-            cells.append(_fmt(lp_norm(system, Observable(avgs[n - 1].values - a_n_ref.values, f.p))))
+        for refs in defect_refs:
+            cells.append(_fmt(lp_norm(system, Observable(avgs[n - 1].values - refs[n - 1].values, f.p))))
         rows.append(",".join(cells))
     return "\n".join(rows) + "\n"
 

@@ -12,17 +12,18 @@ repeated squaring for any integer exponent:
     H3:   (a, b, c) -> X^a Y^b Z^{c - a*b}     (since x^a y^b z^m = (a, b, ab+m))
 
 Weights are exact rationals so measure preservation is checked exactly;
-observables and norms are double precision.  The ergodic average over an
-integer interval is also available through a residue-counting route that
-never iterates the interval, which keeps averages over astronomically large
-boxes exact in structure and cheap.
+observables and norms are double precision.  Every average goes through
+_averages, which applies A_n to a block of observables and picks the route
+once: residue counting, which never iterates an interval and so keeps averages
+over astronomically large boxes cheap, when every F_n is an integer interval
+acting on Z, else the element sum.  Every L^p norm goes through _lp_norms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -175,41 +176,51 @@ class FiniteMeasureSystem:
         return Observable(v, p)
 
 
+def _check_length(system: FiniteMeasureSystem, length: int) -> None:
+    if length != system.n_points:
+        raise StructureError(f"observable length {length} does not match {system.n_points} points")
+
+
 def koopman_apply(system: FiniteMeasureSystem, g, f: Observable) -> Observable:
     """pi(g) f = f o g^{-1}, i.e. (pi(g) f)(s) = f(g^{-1} . s)."""
-    if len(f) != system.n_points:
-        raise StructureError(f"observable length {len(f)} does not match {system.n_points} points")
+    _check_length(system, len(f))
     out = np.empty_like(f.values)
     out[system.act(g)] = f.values  # out[g.s] = f(s)
     return Observable(out, f.p)
 
 
+def _lp_norms(system: FiniteMeasureSystem, rows: np.ndarray, p: float) -> List[float]:
+    """(sum_s mu_s |row(s)|^p)^(1/p) for each row of a 2-d array: the one L^p formula.
+
+    Each row is one contiguous numpy sum, and the 1/p root is the scalar pow
+    (Python float ** float), not an array power, whose fast paths can round
+    differently in the last place; so a row's norm does not depend on its stack.
+    """
+    _check_length(system, rows.shape[1])
+    root = 1.0 / p
+    return [s ** root for s in np.sum(system._weights_float * np.abs(rows) ** p, axis=1).tolist()]
+
+
 def lp_norm(system: FiniteMeasureSystem, f: Observable) -> float:
     """(sum_s mu_s |f(s)|^p)^(1/p)."""
-    if len(f) != system.n_points:
-        raise StructureError(f"observable length {len(f)} does not match {system.n_points} points")
-    return float(np.sum(system._weights_float * np.abs(f.values) ** f.p) ** (1.0 / f.p))
+    return _lp_norms(system, f.values[None], f.p)[0]
 
 
 def lp_distances(system: FiniteMeasureSystem, avgs: Sequence[Observable]) -> np.ndarray:
-    """The symmetric table of ||avgs[i] - avgs[j]||_p.
+    """The symmetric table of ||avgs[i] - avgs[j]||_p; the averages share one length and one p.
 
     Rows of the upper triangle are filled one at a time from the stacked
     averages, so memory stays O(len(avgs) * points).  Each entry is bitwise
-    lp_norm(system, Observable(avgs[i] - avgs[j])): the weighted row sum is
-    the same contiguous numpy sum, and the 1/p root is taken with the same
-    scalar pow (Python float ** float), not with an array power, whose fast
-    paths can round differently in the last place.
+    lp_norm(system, Observable(avgs[i] - avgs[j])).
     """
+    shapes = {(len(a), a.p) for a in avgs}
+    if len(shapes) != 1:
+        raise StructureError(f"lp_distances needs averages of one length and one p, got {sorted(shapes)}")
     stacked = np.stack([a.values for a in avgs])
-    p = avgs[0].p
-    root = 1.0 / p
-    w = system._weights_float
     L = len(avgs)
     mat = np.zeros((L, L))
     for i in range(L - 1):
-        sums = np.sum(w * np.abs(stacked[i] - stacked[i + 1 :]) ** p, axis=1)
-        mat[i, i + 1 :] = mat[i + 1 :, i] = [s ** root for s in sums.tolist()]
+        mat[i, i + 1 :] = mat[i + 1 :, i] = _lp_norms(system, stacked[i] - stacked[i + 1 :], avgs[0].p)
     return mat
 
 
@@ -224,14 +235,13 @@ def _z_interval_averages(system: FiniteMeasureSystem, radii: Sequence[int], valu
 
     Each entry is bitwise the sum count_t * f_t accumulated left to right over
     the cycle positions t, then divided by float(2r+1): the same operations in
-    the same order for every radius, so a batch of radii gives exactly the rows
-    that one call per radius gives.
+    the same order for every radius and for every trailing column of values,
+    so a batch gives exactly the entries that one call per radius and column gives.
     """
-    if len(values) != system.n_points:
-        raise StructureError(f"observable length {len(values)} does not match {system.n_points} points")
-    out = np.zeros((len(radii), system.n_points))
+    out = np.zeros((len(radii),) + values.shape)
     widths = [2 * r + 1 for r in radii]
-    fl = np.array([float(w) for w in widths])[:, None]
+    trail = (1,) * (values.ndim - 1)  # counts and widths broadcast over the columns
+    fl = np.array([float(w) for w in widths]).reshape((-1, 1) + trail)
     for cycle in _cycles(system.generators["t"].tolist()):
         ln = len(cycle)
         fvals = values[cycle]
@@ -242,77 +252,59 @@ def _z_interval_averages(system: FiniteMeasureSystem, radii: Sequence[int], valu
         shift = np.array([r % ln for r in radii])[:, None]
         pos = np.arange(ln)
         # counts[r, j]: number of k in [-r, r] with k = j (mod ln)
-        counts = np.where((pos + shift) % ln < rem, hi, lo)
-        acc = np.zeros((len(radii), ln))
+        counts = np.where((pos + shift) % ln < rem, hi, lo).reshape((len(radii), ln) + trail)
+        acc = np.zeros((len(radii),) + fvals.shape)
         for t in range(ln):
             acc += counts[:, (t - pos) % ln] * fvals[t]
         out[:, cycle] = acc / fl
     return out
 
 
-def _interval_radii(system: FiniteMeasureSystem, family: FolnerFamily, indices) -> Optional[List[int]]:
-    """The radii of F_n for n in indices when all are integer intervals acting on Z, else None.
+def _averages(
+    system: FiniteMeasureSystem, family: FolnerFamily, indices: Sequence[int], values: np.ndarray
+) -> np.ndarray:
+    """A_n applied to values (one entry per point, then one column per observable), one row per n.
 
-    Not None exactly when the residue-counting route (_z_interval_averages)
-    computes A_n f instead of the element sum.
+    The one place that decides the route: residue counting when every F_n is an
+    integer interval acting on Z, otherwise the sum of s -> f(g . s) over F_n in
+    ascending canonical form.  Either way each column is averaged as it would be alone.
     """
-    if not isinstance(system.group, IntegerGroup):
-        return None
-    radii = [family.box_radius(n) for n in indices]
-    return None if None in radii else radii
+    _check_length(system, len(values))
+    if isinstance(system.group, IntegerGroup):
+        radii = [family.box_radius(n) for n in indices]
+        if None not in radii:
+            return _z_interval_averages(system, radii, values)
+    out = np.empty((len(indices),) + values.shape)
+    for row, n in zip(out, indices):
+        elems = sorted(family.elements(n))
+        acc = np.zeros(values.shape)
+        for g in elems:
+            acc += values[system.act(g)]
+        row[...] = acc / len(elems)
+    return out
 
 
 def ergodic_average(system: FiniteMeasureSystem, family: FolnerFamily, n: int, f: Observable) -> Observable:
     """A_n f = (1/|F_n|) sum_{g in F_n} pi(g^{-1}) f; a contraction in every L^p.
 
     Since (pi(g^{-1}) f)(s) = f(g . s), the sum pulls values forward along the
-    action.  Summation order is ascending in canonical form, so results are
-    reproducible across runs.
+    action.
     """
-    if len(f) != system.n_points:
-        raise StructureError(f"observable length {len(f)} does not match {system.n_points} points")
-    radii = _interval_radii(system, family, [n])
-    if radii is not None:
-        return Observable(_z_interval_averages(system, radii, f.values)[0], f.p)
-    elems = sorted(family.elements(n))
-    acc = np.zeros(system.n_points)
-    for g in elems:
-        acc += f.values[system.act(g)]
-    return Observable(acc / len(elems), f.p)
+    return Observable(_averages(system, family, [n], f.values)[0], f.p)
 
 
 def average_sequence(
     system: FiniteMeasureSystem, family: FolnerFamily, f: Observable, window: int
 ) -> List[Observable]:
-    """[A_1 f, ..., A_window f].
-
-    When every F_n is an integer interval, the whole window comes from one
-    residue-counting pass over all radii, bitwise equal to ergodic_average
-    index by index.
-    """
-    if not 1 <= window <= family.n_max:
+    """[A_1 f, ..., A_window f], each bitwise equal to ergodic_average at its index."""
+    if not (type(window) is int and 1 <= window <= family.n_max):
         raise StructureError(f"window must be in [1, {family.n_max}], got {window}")
-    radii = _interval_radii(system, family, range(1, window + 1))
-    if radii is not None:
-        return [Observable(row, f.p) for row in _z_interval_averages(system, radii, f.values)]
-    return [ergodic_average(system, family, n, f) for n in range(1, window + 1)]
+    return [Observable(row, f.p) for row in _averages(system, family, range(1, window + 1), f.values)]
 
 
 def average_operator(system: FiniteMeasureSystem, family: FolnerFamily, n: int) -> np.ndarray:
-    """The matrix of A_n acting on observables: (A_n f) = M @ f."""
-    m = system.n_points
-    radii = _interval_radii(system, family, [n])
-    if radii is not None:
-        cols = np.empty((m, m))
-        eye = np.eye(m)
-        for j in range(m):
-            cols[:, j] = _z_interval_averages(system, radii, eye[:, j])[0]
-        return cols
-    mat = np.zeros((m, m))
-    rows = np.arange(m)
-    for g in family.elements(n):
-        np.add.at(mat, (rows, system.act(g)), 1.0)
-    return mat / family.card(n)
+    """The matrix of A_n acting on observables: (A_n f) = M @ f; column j is A_n e_j."""
+    return _averages(system, family, [n], np.eye(system.n_points))[0]
 
 
 def average_defect(
@@ -323,10 +315,9 @@ def average_defect(
     Whenever K >= beta(N, eta) from a certified modulus table, this is below
     eta * ||f||_p (discrete sharpening of the averaging lemma).
     """
-    a_n_f = ergodic_average(system, family, N, f)
-    a_k_f = ergodic_average(system, family, K, f)
-    a_k_a_n_f = ergodic_average(system, family, K, a_n_f)
-    return lp_norm(system, Observable(a_k_f.values - a_k_a_n_f.values, f.p))
+    a_n_f = _averages(system, family, [N], f.values)[0]
+    a_k = _averages(system, family, [K], np.column_stack([f.values, a_n_f]))[0]
+    return lp_norm(system, Observable(a_k[:, 0] - a_k[:, 1], f.p))
 
 
 def weighted_mean(system: FiniteMeasureSystem, f: Observable) -> float:

@@ -268,7 +268,7 @@ def _verify(system, family, convexity_modulus, f, eps, eta, window, certify, lam
     count).  With lam the bound is the corollary's lam * bound + lam.
     """
     window = min(family.n_max, 200) if window is None else window
-    if not 1 <= window <= family.n_max:
+    if not (type(window) is int and 1 <= window <= family.n_max):
         raise DomainError(f"window must be in [1, {family.n_max}], got {window}")
     norm = lp_norm(system, f)
     if norm == 0.0:

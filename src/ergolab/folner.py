@@ -124,7 +124,7 @@ class FolnerFamily:
         self.n_max = n_max
 
     def _check_index(self, n: int) -> None:
-        if not (isinstance(n, int) and 1 <= n <= self.n_max):
+        if not (type(n) is int and 1 <= n <= self.n_max):  # an int, not a bool
             raise StructureError(f"family index must be in [1, {self.n_max}], got {n!r}")
 
     def card(self, n: int) -> int:

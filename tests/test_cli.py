@@ -219,6 +219,16 @@ def test_bad_eta_config_exits_one(tmp_path, capsys):
     assert "eta" in err
 
 
+def test_negative_observable_norm_is_a_config_error(tmp_path, capsys):
+    config = demo_config()
+    config["observable"] = {"type": "indicator", "point": 0, "norm": -1}
+    cfg = tmp_path / "negative.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error:") and "norm" in err
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

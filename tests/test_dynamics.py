@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from ergolab import (
+    ConvexityModulus,
+    DomainError,
     ExplicitFamily,
     Observable,
     StructureError,
@@ -23,10 +25,12 @@ from ergolab import (
     group_by_name,
     heisenberg_torus_system,
     koopman_apply,
+    lp_distances,
     lp_norm,
     rotation_system,
     standard_family,
     torus_translation_system,
+    verify_main_theorem,
     weighted_mean,
 )
 from ergolab.dynamics import FiniteMeasureSystem, _perm_power, _z_interval_averages
@@ -236,6 +240,17 @@ def test_perm_power_huge_exponents_reduce_mod_order(name):
 # ---------------------------------------------------------------------------
 
 
+def test_lp_distances_refuses_no_averages_and_mixed_shapes():
+    system = rotation_system(4)
+    f = system.observable([1, 0, 0, 0], 2)
+    with pytest.raises(StructureError):
+        lp_distances(system, [])
+    with pytest.raises(StructureError):
+        lp_distances(system, [f, system.observable([0, 1, 0, 0], 3)])
+    with pytest.raises(StructureError):
+        lp_distances(system, [f, Observable(np.ones(3), 2)])
+
+
 def test_lp_norm_examples():
     sys4 = rotation_system(4)
     assert lp_norm(sys4, sys4.observable([0, 0, 0, 0], 2)) == 0.0
@@ -397,22 +412,96 @@ def test_average_sequence_on_intervals_equals_per_index_averages():
         average_sequence(system, standard_family(Z, 5), Observable(np.ones(3), 2), 5)
 
 
+def box_families(group):
+    """Boxes of radius up to 3 as a standard, an explicit and a refined family."""
+    boxes = standard_family(group, 3)
+    return [boxes, ExplicitFamily(group, [boxes.elements(n) for n in (1, 2)]), RefinedFamily(boxes, [1, 3])]
+
+
 @pytest.mark.parametrize(
     "system, group_name",
     [(rotation_system(7), "Z"), (torus_translation_system(3, 4), "Z^2"), (heisenberg_torus_system(3, 3), "H3")],
     ids=["Z", "Z^2", "H3"],
 )
 def test_averages_refuse_an_index_outside_the_family(system, group_name):
-    group = group_by_name(group_name)
-    boxes = standard_family(group, 3)
-    families = [boxes, ExplicitFamily(group, [boxes.elements(n) for n in (1, 2)]), RefinedFamily(boxes, [1, 3])]
     f = system.observable(np.arange(system.n_points, dtype=float), 2)
-    for family in families:
+    for family in box_families(group_by_name(group_name)):
         for n in (0, family.n_max + 1):
             with pytest.raises(StructureError):
                 ergodic_average(system, family, n, f)
             with pytest.raises(StructureError):
                 average_operator(system, family, n)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 2.0], ids=["bool", "fraction", "integral-float"])
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda system, family, f, bad: ergodic_average(system, family, bad, f), StructureError),
+        (lambda system, family, f, bad: average_operator(system, family, bad), StructureError),
+        (lambda system, family, f, bad: average_sequence(system, family, f, bad), StructureError),
+        (
+            lambda system, family, f, bad: verify_main_theorem(
+                system, family, None, ConvexityModulus.hanner(2), f, 0.3, window=bad
+            ),
+            DomainError,
+        ),
+    ],
+    ids=["index", "operator-index", "window", "verify-window"],
+)
+@pytest.mark.parametrize("kind", ["standard", "explicit"])
+def test_indices_and_windows_must_be_ints_not_bools(call, error, bad, kind):
+    system = rotation_system(12)
+    boxes = standard_family(Z, 5)
+    family = boxes if kind == "standard" else ExplicitFamily(Z, [boxes.elements(n) for n in range(1, 6)])
+    f = system.observable([1.0] + [0.0] * 11, 2)
+    with pytest.raises(error):
+        call(system, family, f, bad)
+
+
+AVERAGE_CASES = [
+    (multi_cycle_system(), "Z"),
+    (torus_translation_system(3, 4), "Z^2"),
+    (heisenberg_torus_system(3, 3), "H3"),
+    (heisenberg_mod3_system()[0], "H3"),
+]
+AVERAGE_IDS = ["Z-multi-cycle", "Z^2", "H3", "H3-faithful"]
+
+
+@pytest.mark.parametrize("system, group_name", AVERAGE_CASES, ids=AVERAGE_IDS)
+def test_average_operator_columns_are_averages_of_unit_vectors(system, group_name):
+    eye = np.eye(system.n_points)
+    for family in box_families(group_by_name(group_name)):
+        for n in range(1, family.n_max + 1):
+            op = average_operator(system, family, n)
+            for j in range(system.n_points):
+                column = ergodic_average(system, family, n, system.observable(eye[j], 2)).values
+                assert np.array_equal(op[:, j], column), (family, n, j)
+
+
+@pytest.mark.parametrize("system, group_name", AVERAGE_CASES, ids=AVERAGE_IDS)
+def test_average_defect_is_the_norm_of_separate_averages(system, group_name):
+    rng = np.random.default_rng(31)
+    for family in box_families(group_by_name(group_name)):
+        f = system.observable(rng.normal(size=system.n_points), 2.5)
+        for N in range(1, family.n_max + 1):
+            a_n_f = ergodic_average(system, family, N, f)
+            for K in range(1, family.n_max + 1):
+                a_k_f = ergodic_average(system, family, K, f)
+                a_k_a_n_f = ergodic_average(system, family, K, a_n_f)
+                expect = lp_norm(system, Observable(a_k_f.values - a_k_a_n_f.values, f.p))
+                assert average_defect(system, family, N, K, f) == expect, (family, N, K)
+
+
+def test_interval_averages_of_columns_equal_one_call_per_column():
+    system = multi_cycle_system()
+    rng = np.random.default_rng(41)
+    block = rng.normal(size=(system.n_points, 3)) * 10.0 ** rng.integers(-3, 4, size=(system.n_points, 3))
+    radii = [0, 1, 6, 10**20, 3 * 2**52 + 2]
+    rows = _z_interval_averages(system, radii, block)
+    assert rows.shape == (len(radii), system.n_points, 3)
+    for j in range(3):
+        assert np.array_equal(rows[:, :, j], _z_interval_averages(system, radii, block[:, j]))
 
 
 def test_average_operator_matches_direct():
