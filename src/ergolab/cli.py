@@ -206,13 +206,14 @@ class _Inputs:
         return cls(group, seed, system, f, window, defect_against, get_section(config, "family", {}))
 
 
-def _averages_csv(system, family: FolnerFamily, f: Observable, window: int, defect_against: List[int]):
+def _averages_csv(system, family: FolnerFamily, f: Observable, avgs: List[Observable], defect_against: List[int]):
+    """The averages.csv text for avgs = [A_1 f, ..., A_window f] on family."""
     refined = isinstance(family, RefinedFamily)
     header = ["n", "card", "norm_Anf"] + [f"defect_{N}" for N in defect_against]
     if refined:
         header.insert(1, "source_index")
     rows = [",".join(header)]
-    avgs = average_sequence(system, family, f, window)
+    window = len(avgs)
     # A_n A_N f for every n in the window, one sequence per N
     defect_refs = [average_sequence(system, family, ergodic_average(system, family, N, f), window)
                    for N in defect_against]
@@ -259,17 +260,15 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
         if norm > 0.0:
             tolerances = [Branch.of(conv, norm, eps, eta).tolerance for eps in epsilons]
             table = build_modulus_table(family, range(1, window + 1), tolerances, m_max=window)
-        reports = [
-            verify_main_theorem(system, family, table, conv, f, eps, eta=eta, window=window) for eps in epsilons
-        ]
-        csv_family, csv_window = family, window
+        reports = verify_main_theorem(system, family, table, conv, f, epsilons, window, eta=eta)
+        csv_family = family
     else:
         reports, families, entries = [], [], []
         for eps in epsilons:
             tolerance = Branch.of(conv, norm, eps, eta).tolerance if norm > 0.0 else None
             family = _family(inp.family, inp.group, window, corollary=True, tolerance=tolerance)
             families.append(family)
-            reports.append(verify_corollary(system, family, lam, conv, f, eps, eta=eta, window=family.n_max))
+            reports += verify_corollary(system, family, lam, conv, f, [eps], family.n_max, eta=eta)
             if tolerance is not None:
                 # the last refined index has no within-window modulus (beta(n) > n)
                 entries.extend(
@@ -277,13 +276,13 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
                 )
         if entries:
             table = ModulusTable(inp.group.name, "refined", entries)
-        csv_family, csv_window = families[0], families[0].n_max
+        csv_family = families[0]
 
     result = ExperimentResult(exit_code=exit_code_for(reports), reports=reports, seed=inp.seed)
     if write:
         out = Path(out_dir if out_dir is not None else get_str(config, "output_dir", "."))
         out.mkdir(parents=True, exist_ok=True)
-        csv = _averages_csv(system, csv_family, f, csv_window, inp.defect_against)
+        csv = _averages_csv(system, csv_family, f, reports[0].averages, inp.defect_against)
         (out / "averages.csv").write_text(csv, encoding="utf-8")
         report_doc = {
             "seed": inp.seed,
@@ -363,7 +362,8 @@ def _cmd_modulus_compute(args) -> int:
 def _cmd_avg_run(args) -> int:
     inp = _Inputs.read(load_config(args.config))
     family = _family(inp.family, inp.group, inp.window)
-    csv = _averages_csv(inp.system, family, inp.f, inp.window, inp.defect_against)
+    avgs = average_sequence(inp.system, family, inp.f, inp.window)
+    csv = _averages_csv(inp.system, family, inp.f, avgs, inp.defect_against)
     if args.out:
         Path(args.out).write_text(csv, encoding="utf-8")
         print(args.out)

@@ -171,8 +171,7 @@ class FiniteMeasureSystem:
 
     def observable(self, values, p: float) -> Observable:
         v = np.asarray(values, dtype=float)
-        if v.size != self.n_points:
-            raise StructureError(f"observable has {v.size} values for {self.n_points} points")
+        _check_length(self, v.size)
         return Observable(v, p)
 
 

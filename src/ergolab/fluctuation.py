@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +58,8 @@ class FluctuationReport:
     certified_window: Optional[int] = None
     norm_x: Optional[float] = None
     lam: Optional[int] = None
+    # [A_1 f, ..., A_window f], one list shared by the reports of one verifier call
+    averages: Optional[List[Observable]] = field(default=None, repr=False, compare=False)
 
     @property
     def chain_length(self) -> int:
@@ -81,20 +83,10 @@ class FluctuationReport:
         }
 
 
-def _distance_matrix(distances, length: Optional[int]) -> np.ndarray:
-    if callable(distances):
-        if length is None:
-            raise StructureError("length is required when distances is a callable")
-        mat = np.zeros((length, length))
-        for i in range(1, length + 1):
-            for j in range(i + 1, length + 1):
-                mat[i - 1, j - 1] = mat[j - 1, i - 1] = float(distances(i, j))
-    else:
-        mat = np.asarray(distances, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise StructureError(f"distance table must be square, got shape {mat.shape}")
-        if length is not None and length != mat.shape[0]:
-            raise StructureError(f"length {length} does not match table of size {mat.shape[0]}")
+def _distance_matrix(distances) -> np.ndarray:
+    mat = np.asarray(distances, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise StructureError(f"distance table must be square, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise StructureError("distances must be finite")
     return mat
@@ -103,29 +95,21 @@ def _distance_matrix(distances, length: Optional[int]) -> np.ndarray:
 def _beta_values(beta, length: int) -> Optional[List[int]]:
     if beta is None:
         return None
-    if callable(beta):
-        vals = [int(beta(n)) for n in range(1, length + 1)]
-    else:
-        vals = [int(v) for v in beta]
-        if len(vals) != length:
-            raise StructureError(f"beta needs one value per index, got {len(vals)} for length {length}")
+    vals = [int(v) for v in beta]
+    if len(vals) != length:
+        raise StructureError(f"beta needs one value per index, got {len(vals)} for length {length}")
     for n, v in enumerate(vals, start=1):
         if v <= n:
             raise DomainError(f"beta(n) > n is required, got beta({n}) = {v}")
     return vals
 
 
-def max_chain(
-    distances,
-    eps: float,
-    beta=None,
-    length: Optional[int] = None,
-) -> FluctuationReport:
+def max_chain(distances, eps: float, beta: Optional[Sequence[int]] = None) -> FluctuationReport:
     """Maximum admissible chain over indices 1..L via longest-path DP.
 
-    distances: square table or callable d(i, j) on 1-based indices.
-    beta: optional at-distance map (callable or per-index sequence) with
-    beta(n) > n; edges then additionally require m >= beta(n).
+    distances: square L x L table of d(i, j) on 1-based indices.
+    beta: optional at-distance map, one value beta(n) > n per index; edges
+    then additionally require m >= beta(n).
 
     Each index takes one masked numpy step over its predecessors: the
     predecessor is the first j < i of greatest chain length among the
@@ -135,7 +119,7 @@ def max_chain(
     eps = float(eps)
     if not eps > 0:  # NaN too: no d >= NaN holds, so every count would read 0
         raise DomainError(f"eps must be positive, got {eps}")
-    mat = _distance_matrix(distances, length)
+    mat = _distance_matrix(distances)
     L = mat.shape[0]
     if L < 1:
         raise StructureError("need at least one index")
@@ -260,36 +244,46 @@ def default_eta(modulus: ConvexityModulus, norm_x: float, eps: float) -> float:
     return Branch.of(modulus, norm_x, eps).eta
 
 
-def _verify(system, family, convexity_modulus, f, eps, eta, window, certify, lam=None) -> FluctuationReport:
+def _verify(system, family, convexity_modulus, f, epsilons, window, eta, certify, lam=None) -> List[FluctuationReport]:
     """The steps both verifiers share, around their one certification step.
 
     certify(tolerance, window) checks the mode's hypothesis on the family at
     the branch tolerance and returns the at-distance map (None for a plain
-    count).  With lam the bound is the corollary's lam * bound + lam.
+    count).  With lam the bound is the corollary's lam * bound + lam.  Every
+    eps is certified in turn before the window is averaged, once, and one
+    distance table then serves the chain of every eps.
     """
-    window = min(family.n_max, 200) if window is None else window
     if not (type(window) is int and 1 <= window <= family.n_max):
         raise DomainError(f"window must be in [1, {family.n_max}], got {window}")
     norm = lp_norm(system, f)
-    if norm == 0.0:
-        mode = "at-distance" if lam is None else "plain"
-        return FluctuationReport(
-            float(eps), mode, [1], 0, bound=0, verdict=True, branch="zero", certified_window=window, norm_x=0.0
-        )
-    branch = Branch.of(convexity_modulus, norm, eps, eta)
-    beta_vals = certify(branch.tolerance, window)
+    certified = []  # (eps, branch, at-distance map); no branch for the zero observable
+    for eps in epsilons:
+        if norm == 0.0:
+            certified.append((eps, None, None))
+        else:
+            branch = Branch.of(convexity_modulus, norm, eps, eta)
+            certified.append((eps, branch, certify(branch.tolerance, window)))
 
     avgs = average_sequence(system, family, f, window)
-    rep = max_chain(lp_distances(system, avgs), eps, beta=beta_vals)
-    bound = branch.bound()
-    rep.eta = branch.eta
-    rep.branch = branch.name
-    rep.lam = lam
-    rep.bound = bound if lam is None else lam * bound + lam
-    rep.verdict = rep.count <= rep.bound
-    rep.certified_window = window
-    rep.norm_x = norm
-    return rep
+    table = lp_distances(system, avgs) if norm > 0.0 else None
+    reports = []
+    for eps, branch, beta_vals in certified:
+        if branch is None:
+            mode = "at-distance" if lam is None else "plain"
+            rep = FluctuationReport(float(eps), mode, [1], 0, bound=0, verdict=True, branch="zero", norm_x=0.0)
+        else:
+            rep = max_chain(table, eps, beta=beta_vals)
+            bound = branch.bound()
+            rep.eta = branch.eta
+            rep.branch = branch.name
+            rep.lam = lam
+            rep.bound = bound if lam is None else lam * bound + lam
+            rep.verdict = rep.count <= rep.bound
+            rep.norm_x = norm
+        rep.certified_window = window
+        rep.averages = avgs
+        reports.append(rep)
+    return reports
 
 
 def verify_main_theorem(
@@ -298,11 +292,11 @@ def verify_main_theorem(
     modulus_table: Optional[ModulusTable],
     convexity_modulus: ConvexityModulus,
     f: Observable,
-    eps: float,
+    epsilons: Sequence[float],
+    window: int,
     eta: Optional[float] = None,
-    window: Optional[int] = None,
-) -> FluctuationReport:
-    """Count at-distance eps-fluctuations of (A_n f) and compare to the uniform bound.
+) -> List[FluctuationReport]:
+    """Count at-distance eps-fluctuations of (A_n f) against the uniform bound, one report per eps.
 
     The at-distance map is the nondecreasing envelope of the convergence
     modulus at the branch tolerance (eta / 3||f|| for ||f|| <= 1, else eta/3),
@@ -327,7 +321,7 @@ def verify_main_theorem(
         envelope = itertools.accumulate((row[n].value for n in range(1, window + 1)), max)
         return [max(v, n + 1) for n, v in enumerate(envelope, start=1)]
 
-    return _verify(system, family, convexity_modulus, f, eps, eta, window, beta_map)
+    return _verify(system, family, convexity_modulus, f, epsilons, window, eta, beta_map)
 
 
 def verify_corollary(
@@ -336,14 +330,14 @@ def verify_corollary(
     lam: int,
     convexity_modulus: ConvexityModulus,
     f: Observable,
-    eps: float,
+    epsilons: Sequence[float],
+    window: int,
     eta: Optional[float] = None,
-    window: Optional[int] = None,
-) -> FluctuationReport:
-    """Count plain eps-fluctuations on a (lam, .)-fast family against lam*floor(...) + lam.
+) -> List[FluctuationReport]:
+    """Count plain eps-fluctuations on a (lam, .)-fast family against lam*floor(...) + lam, one report per eps.
 
-    Refuses to run unless the family passes check_fast at the branch tolerance
-    over the window.
+    Refuses to run unless the family passes check_fast at each branch
+    tolerance over the window.
     """
 
     def require_fast(eps_fast: Fraction, window: int) -> None:
@@ -354,4 +348,4 @@ def verify_corollary(
                 f"violation {fast_rep.violation}"
             )
 
-    return _verify(system, fast_family, convexity_modulus, f, eps, eta, window, require_fast, lam)
+    return _verify(system, fast_family, convexity_modulus, f, epsilons, window, eta, require_fast, lam)

@@ -148,7 +148,7 @@ def test_criterion_3_main_theorem_campaign(trials):
     violations = 0
     for system, f in trials:
         for eps in TRIAL_EPSILONS:
-            rep = verify_main_theorem(system, family, None, HANNER2, f, eps, window=WINDOW)
+            [rep] = verify_main_theorem(system, family, None, HANNER2, f, [eps], window=WINDOW)
             if not rep.verdict:
                 violations += 1
     elapsed = time.monotonic() - start
@@ -170,7 +170,7 @@ def test_criterion_4_corollary_on_fast_refinements(trials):
         for eps in TRIAL_EPSILONS:
             eps_fast = Branch.of(HANNER2, norm, eps, None).tolerance
             refined = fast_refinement(source, eps_fast, count=count)
-            rep = verify_corollary(system, refined, lam, HANNER2, f, eps, window=count)
+            [rep] = verify_corollary(system, refined, lam, HANNER2, f, [eps], window=count)
             assert rep.verdict, (eps, rep.count, rep.bound)
     elapsed = time.monotonic() - start
     print(

@@ -1,9 +1,12 @@
 """CLI subcommands as thin wrappers: printed numbers equal library results."""
 
 import contextlib
+import importlib
 import io
 import json
+import re
 import shlex
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from ergolab import (
     rotation_system,
     standard_family,
     theorem_bound,
+    torus_translation_system,
 )
 from ergolab.cli import exit_code_for, main, run_experiment
 from ergolab.fluctuation import FluctuationReport
@@ -219,6 +223,32 @@ def test_bad_eta_config_exits_one(tmp_path, capsys):
     assert "eta" in err
 
 
+def test_fixed_eta_refused_at_the_second_eps_exits_one(tmp_path, capsys):
+    config = demo_config()
+    hm = ConvexityModulus.hanner(2)
+    config["epsilons"] = [0.3, 0.05]
+    config["eta"] = {"type": "fixed", "value": 0.3 * hm(0.3)}  # inside u(0.3)/2, outside u(0.05)/2
+    cfg = tmp_path / "eta.json"
+    cfg.write_text(json.dumps(config))
+    for argv in (("run",), ("verify", "main")):
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: eta violates its precondition 0 < eta < u(eps)/2: eta={0.3 * hm(0.3)}, "
+            f"u(eps)/2={0.5 * hm(0.05)}\n"
+        )
+
+
+def test_wrong_observable_length_is_reported_once(tmp_path, capsys):
+    config = demo_config()
+    config["observable"] = {"type": "explicit", "values": [1.0] * 11}
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err == "error: observable length 11 does not match 12 points\n"
+
+
 def test_negative_observable_norm_is_a_config_error(tmp_path, capsys):
     config = demo_config()
     config["observable"] = {"type": "indicator", "point": 0, "norm": -1}
@@ -386,6 +416,63 @@ def test_exit_code_for_reports():
 def test_missing_config_exits_one(capsys):
     code, _, err = run_cli(capsys, "run", "--config", "/nonexistent/x.json")
     assert code == 1 and "error:" in err
+
+
+def count_calls(monkeypatch, module: str, name: str) -> list:
+    """One entry per call of ergolab's public `module.name`, under every name an ergolab module binds it to."""
+    original = getattr(importlib.import_module(module), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "ergolab" or mod_name.startswith("ergolab."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_run_averages_the_window_once_and_builds_one_distance_table(tmp_path, monkeypatch):
+    config = demo_config()
+    config["epsilons"] = [0.05, 0.1, 0.2]
+    distances = count_calls(monkeypatch, "ergolab.dynamics", "lp_distances")
+    sequences = count_calls(monkeypatch, "ergolab.dynamics", "average_sequence")
+    result = run_experiment(config, out_dir=tmp_path)
+    assert [rep.epsilon for rep in result.reports] == [0.05, 0.1, 0.2]
+    assert (len(distances), len(sequences)) == (1, 1)
+
+
+def test_run_acts_once_per_element_of_the_window(tmp_path, monkeypatch):
+    # the z2-torus benchmark input at seed 1: a 10x10 torus, window 30
+    system = torus_translation_system(10, 10)
+    config = {
+        "group": "Z^2",
+        "system": {"points": 100, "weights": "uniform",
+                   "generators": {k: v.tolist() for k, v in system.generators.items()}},
+        "observable": {"type": "random", "distribution": "normal", "scale": 1.0},
+        "p": 2,
+        "modulus": {"type": "hanner"},
+        "epsilons": [0.05],
+        "window": 30,
+        "seed": 1,
+    }
+    calls = []
+    act = type(system).act
+    monkeypatch.setattr(type(system), "act", lambda self, g: calls.append(g) or act(self, g))
+    system.validate_action()
+    validation = len(calls)
+    calls.clear()
+    run_experiment(config, out_dir=tmp_path)
+    boxes = standard_family(group_by_name("Z^2"), 30)
+    assert len(calls) == validation + sum(boxes.card(n) for n in range(1, 31)) == 151 + 39_710
+
+
+def test_readme_library_sketch_runs():
+    [block] = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    exec(compile(block, str(README), "exec"), {})
 
 
 def test_readme_cli_examples_print_what_they_claim(capsys):

@@ -442,7 +442,7 @@ def test_averages_refuse_an_index_outside_the_family(system, group_name):
         (lambda system, family, f, bad: average_sequence(system, family, f, bad), StructureError),
         (
             lambda system, family, f, bad: verify_main_theorem(
-                system, family, None, ConvexityModulus.hanner(2), f, 0.3, window=bad
+                system, family, None, ConvexityModulus.hanner(2), f, [0.3], window=bad
             ),
             DomainError,
         ),

@@ -4,6 +4,7 @@ The chain oracle enumerates every index subset by bitmask, entirely
 independent of the DP route.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import mpmath as mp
@@ -88,12 +89,6 @@ def test_alternating_example_at_distance():
 def test_beta_must_exceed_index():
     with pytest.raises(DomainError):
         max_chain(scalar_distances([0, 1, 0]), 1.0, beta=[2, 2, 4])
-
-
-def test_callable_distance_and_beta():
-    data = [0.0, 1.0, 0.0, 1.0]
-    rep = max_chain(lambda i, j: abs(data[i - 1] - data[j - 1]), 1.0, beta=lambda n: n + 2, length=4)
-    assert rep.count == 1
 
 
 def test_dp_matches_exhaustive_enumeration():
@@ -311,7 +306,7 @@ def test_verify_main_invariant_observable():
     system = rotation_system(12)
     fam = standard_family(Z, 30)
     f = system.observable(np.full(12, 0.8), 2)
-    rep = verify_main_theorem(system, fam, None, ConvexityModulus.hanner(2), f, 0.3, window=30)
+    [rep] = verify_main_theorem(system, fam, None, ConvexityModulus.hanner(2), f, [0.3], window=30)
     assert rep.verdict and rep.count == 0
 
 
@@ -319,7 +314,7 @@ def test_verify_main_rotation_pipeline():
     system = rotation_system(12)
     fam = standard_family(Z, 60)
     f = system.observable([1.0] + [0.0] * 11, 2)
-    rep = verify_main_theorem(system, fam, None, ConvexityModulus.hanner(2), f, 0.3, window=60)
+    [rep] = verify_main_theorem(system, fam, None, ConvexityModulus.hanner(2), f, [0.3], window=60)
     assert rep.verdict is True
     assert rep.mode == "at-distance"
     assert rep.branch == "norm<=1"
@@ -334,7 +329,7 @@ def test_verify_main_norm_gt1_branch():
     f = system.observable(rng.normal(size=10) * 6.0, 2)
     assert lp_norm(system, f) > 1
     fam = standard_family(Z, 40)
-    rep = verify_main_theorem(system, fam, None, ConvexityModulus.hanner(2), f, 0.4, window=40)
+    [rep] = verify_main_theorem(system, fam, None, ConvexityModulus.hanner(2), f, [0.4], window=40)
     assert rep.branch == "norm>1" and rep.verdict
 
 
@@ -342,7 +337,7 @@ def test_verify_main_zero_observable_short_circuits():
     system = rotation_system(6)
     fam = standard_family(Z, 10)
     f = system.observable(np.zeros(6), 2)
-    rep = verify_main_theorem(system, fam, None, ConvexityModulus.hanner(2), f, 0.3, window=10)
+    [rep] = verify_main_theorem(system, fam, None, ConvexityModulus.hanner(2), f, [0.3], window=10)
     assert rep.verdict and rep.branch == "zero" and rep.count == 0 and rep.bound == 0
 
 
@@ -353,7 +348,7 @@ def test_verify_main_refuses_uncertified_table():
     # a table at far too coarse a tolerance cannot certify the branch tolerance
     coarse = build_modulus_table(fam, range(1, 61), [Fraction(1, 2)])
     with pytest.raises(UncertifiedModulusError):
-        verify_main_theorem(system, fam, coarse, ConvexityModulus.hanner(2), f, 0.3, window=60)
+        verify_main_theorem(system, fam, coarse, ConvexityModulus.hanner(2), f, [0.3], window=60)
 
 
 def test_verify_main_accepts_fine_enough_table():
@@ -364,7 +359,7 @@ def test_verify_main_accepts_fine_enough_table():
     hm = ConvexityModulus.hanner(2)
     eps_beta = Branch.of(hm, norm, 0.3, None).tolerance
     fine = build_modulus_table(fam, range(1, 61), [eps_beta / 2])
-    rep = verify_main_theorem(system, fam, fine, hm, f, 0.3, window=60)
+    [rep] = verify_main_theorem(system, fam, fine, hm, f, [0.3], window=60)
     assert rep.verdict
 
 
@@ -385,13 +380,13 @@ def test_verify_main_accepts_empirical_table_from_explicit_family():
         # refusal contract is exercised below instead
         table = None
     if table is not None:
-        rep = verify_main_theorem(system, explicit, table, hm, f, 0.3, window=30)
+        [rep] = verify_main_theorem(system, explicit, table, hm, f, [0.3], window=30)
         assert rep.verdict
     else:
         from ergolab import ModulusNotFoundError
 
         with pytest.raises(ModulusNotFoundError):
-            verify_main_theorem(system, explicit, None, hm, f, 0.3, window=30)
+            verify_main_theorem(system, explicit, None, hm, f, [0.3], window=30)
 
 
 def test_verify_main_eta_domain_error():
@@ -400,7 +395,7 @@ def test_verify_main_eta_domain_error():
     f = system.observable([1.0] + [0.0] * 11, 2)
     hm = ConvexityModulus.hanner(2)
     with pytest.raises(DomainError, match="eta"):
-        verify_main_theorem(system, fam, None, hm, f, 0.3, eta=hm(0.3), window=30)
+        verify_main_theorem(system, fam, None, hm, f, [0.3], eta=hm(0.3), window=30)
 
 
 def test_verify_corollary_refuses_slow_family():
@@ -408,7 +403,7 @@ def test_verify_corollary_refuses_slow_family():
     fam = standard_family(Z, 30)
     f = system.observable([1.0] + [0.0] * 11, 2)
     with pytest.raises(NotFastError):
-        verify_corollary(system, fam, 1, ConvexityModulus.hanner(2), f, 0.3, window=30)
+        verify_corollary(system, fam, 1, ConvexityModulus.hanner(2), f, [0.3], window=30)
 
 
 def test_verify_corollary_refined_pipeline():
@@ -418,7 +413,7 @@ def test_verify_corollary_refined_pipeline():
     norm = lp_norm(system, f)
     eps_fast = Branch.of(hm, norm, 0.3, None).tolerance
     refined = fast_refinement(standard_family(Z, 10**30), eps_fast, count=8)
-    rep = verify_corollary(system, refined, 1, hm, f, 0.3, window=8)
+    [rep] = verify_corollary(system, refined, 1, hm, f, [0.3], window=8)
     assert rep.verdict is True
     assert rep.mode == "plain"
     assert rep.lam == 1
@@ -431,7 +426,7 @@ def test_verify_corollary_invariant_observable():
     hm = ConvexityModulus.hanner(2)
     eps_fast = Branch.of(hm, lp_norm(system, f), 0.3, None).tolerance
     refined = fast_refinement(standard_family(Z, 10**30), eps_fast, count=5)
-    rep = verify_corollary(system, refined, 1, hm, f, 0.3, window=5)
+    [rep] = verify_corollary(system, refined, 1, hm, f, [0.3], window=5)
     assert rep.verdict and rep.count == 0
 
 
@@ -439,7 +434,7 @@ def test_report_serialization_keys():
     system = rotation_system(12)
     fam = standard_family(Z, 20)
     f = system.observable([1.0] + [0.0] * 11, 2)
-    rep = verify_main_theorem(system, fam, None, ConvexityModulus.hanner(2), f, 0.3, window=20)
+    [rep] = verify_main_theorem(system, fam, None, ConvexityModulus.hanner(2), f, [0.3], window=20)
     doc = rep.to_jsonable()
     for key in ("epsilon", "eta", "branch", "bound", "count", "chain", "beta_used", "certified_window", "verdict"):
         assert key in doc
@@ -456,12 +451,78 @@ def test_each_verifier_call_evaluates_the_modulus_once():
     f = system.observable([1.0] + [0.0] * 11, 2)
     norm = lp_norm(system, f)
 
-    rep = verify_main_theorem(system, standard_family(Z, 30), None, counting, f, 0.3, window=30)
+    [rep] = verify_main_theorem(system, standard_family(Z, 30), None, counting, f, [0.3], window=30)
     assert len(calls) == 1
     assert rep.bound == theorem_bound(hm, norm, 0.3, rep.eta)
 
     refined = fast_refinement(standard_family(Z, 10**30), Branch.of(hm, norm, 0.3).tolerance, count=6)
     calls.clear()
-    rep = verify_corollary(system, refined, 2, counting, f, 0.3, window=6)
+    [rep] = verify_corollary(system, refined, 2, counting, f, [0.3], window=6)
     assert len(calls) == 1
     assert rep.bound == corollary_bound(hm, norm, 0.3, rep.eta, 2)
+
+
+# ---------------------------------------------------------------------------
+# one verifier call over several epsilons
+# ---------------------------------------------------------------------------
+
+EPSILONS = [0.05, 0.1, 0.2]
+
+
+def _verifier_calls():
+    """(id, call(epsilons)) for main and corollary mode, the zero observable and a fixed eta."""
+    system = rotation_system(12)
+    hm = ConvexityModulus.hanner(2)
+    f = system.observable([1.0] + [0.0] * 11, 2)
+    zero = system.observable(np.zeros(12), 2)
+    boxes = standard_family(Z, 30)
+    eta = 0.5 * default_eta(hm, lp_norm(system, f), EPSILONS[0])  # inside every eps's precondition
+    # fast at the least tolerance any of these calls asks for, hence at every other
+    tolerance = Branch.of(hm, lp_norm(system, f), EPSILONS[0], eta).tolerance
+    refined = fast_refinement(standard_family(Z, 10**30), tolerance, count=5)
+    return [
+        ("main", lambda eps: verify_main_theorem(system, boxes, None, hm, f, eps, window=30)),
+        ("main-zero", lambda eps: verify_main_theorem(system, boxes, None, hm, zero, eps, window=30)),
+        ("main-fixed-eta", lambda eps: verify_main_theorem(system, boxes, None, hm, f, eps, window=30, eta=eta)),
+        ("corollary", lambda eps: verify_corollary(system, refined, 1, hm, f, eps, window=5)),
+        ("corollary-zero", lambda eps: verify_corollary(system, boxes, 2, hm, zero, eps, window=8)),
+        ("corollary-fixed-eta", lambda eps: verify_corollary(system, refined, 1, hm, f, eps, window=5, eta=eta)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6), ids=[name for name, _ in _verifier_calls()])
+def test_one_call_over_several_epsilons_equals_one_call_per_eps(case):
+    _, call = _verifier_calls()[case]
+    together = call(EPSILONS)
+    apart = [rep for eps in EPSILONS for rep in call([eps])]
+    assert [r.epsilon for r in together] == EPSILONS
+    assert [r.to_jsonable() for r in together] == [r.to_jsonable() for r in apart]
+    assert together == apart
+
+
+def test_reports_of_one_call_share_the_window_averages():
+    system = rotation_system(12)
+    fam = standard_family(Z, 30)
+    f = system.observable([1.0] + [0.0] * 11, 2)
+    reports = verify_main_theorem(system, fam, None, ConvexityModulus.hanner(2), f, EPSILONS, window=30)
+    avgs = reports[0].averages
+    assert all(rep.averages is avgs for rep in reports)
+    expected = average_sequence(system, fam, f, 30)
+    assert len(avgs) == 30 and all(np.array_equal(a.values, b.values) for a, b in zip(avgs, expected))
+    # the averages are carried, not reported: absent from the JSON, the repr and equality
+    assert "averages" not in reports[0].to_jsonable()
+    assert "averages" not in repr(reports[0])
+    other = dataclasses.replace(reports[0], averages=None)
+    assert other == reports[0]
+
+
+def test_fixed_eta_refused_at_the_second_eps():
+    system = rotation_system(12)
+    fam = standard_family(Z, 30)
+    f = system.observable([1.0] + [0.0] * 11, 2)
+    hm = ConvexityModulus.hanner(2)
+    eta = 0.3 * hm(0.3)  # inside u(0.3)/2, outside u(0.05)/2
+    with pytest.raises(DomainError, match=r"^eta violates its precondition 0 < eta < u\(eps\)/2: eta="):
+        verify_main_theorem(system, fam, None, hm, f, [0.3, 0.05], window=30, eta=eta)
+    [rep] = verify_main_theorem(system, fam, None, hm, f, [0.3], window=30, eta=eta)
+    assert rep.verdict
