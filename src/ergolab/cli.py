@@ -206,6 +206,12 @@ class _Inputs:
         return cls(group, seed, system, f, window, defect_against, get_section(config, "family", {}))
 
 
+def _check_defect_against(family: FolnerFamily, defect_against: List[int]) -> None:
+    """Refuse, before verifying, defect indices that averages.csv cannot take on family."""
+    for N in defect_against:
+        family.card(N)  # a StructureError unless 1 <= N <= family.n_max
+
+
 def _averages_csv(system, family: FolnerFamily, f: Observable, avgs: List[Observable], defect_against: List[int]):
     """The averages.csv text for avgs = [A_1 f, ..., A_window f] on family."""
     refined = isinstance(family, RefinedFamily)
@@ -257,6 +263,7 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
     table: Optional[ModulusTable] = None
     if not corollary:
         family = _family(inp.family, inp.group, window)
+        _check_defect_against(family, inp.defect_against)
         if norm > 0.0:
             tolerances = [Branch.of(conv, norm, eps, eta).tolerance for eps in epsilons]
             table = build_modulus_table(family, range(1, window + 1), tolerances, m_max=window)
@@ -267,6 +274,8 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
         for eps in epsilons:
             tolerance = Branch.of(conv, norm, eps, eta).tolerance if norm > 0.0 else None
             family = _family(inp.family, inp.group, window, corollary=True, tolerance=tolerance)
+            if not families:  # averages.csv is written on the first eps's family
+                _check_defect_against(family, inp.defect_against)
             families.append(family)
             reports += verify_corollary(system, family, lam, conv, f, [eps], family.n_max, eta=eta)
             if tolerance is not None:

@@ -108,6 +108,12 @@ def box_ratio(group: Group, r: int, g) -> Fraction:
     return Fraction(2 * (card - group.box_overlap(r, g)), card)
 
 
+def _below(group: Group, r: int, corner, eps: Fraction) -> bool:
+    """box_ratio(group, r, corner) < eps, decided in integers; corner comes from `box_corner`."""
+    card = group.box_card(r)
+    return 2 * (card - group.box_overlap(r, corner)) * eps.denominator < eps.numerator * card
+
+
 class FolnerFamily:
     """Indexed family F_1 ... F_n_max of finite nonempty subsets of a group.
 
@@ -492,9 +498,10 @@ def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] 
 
     Standard box families whose group knows the box corner get an analytic
     entry valid for every m >= N; the corner ratio tends to 0 in m, so one
-    exists for every positive eps.  Other families get the least N such that
-    the defining condition holds for all m in [N, m_max], stamped
-    certified_up_to = m_max.
+    exists for every positive eps.  Its search is in integers and starts at
+    the group's `corner_floor`, below which no m qualifies.  Other families
+    get the least N such that the defining condition holds for all m in
+    [N, m_max], stamped certified_up_to = m_max.
     """
     eps = _tolerance(eps, "modulus")
     family._check_index(n)
@@ -503,7 +510,8 @@ def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] 
     if corner is not None:
         # the corner of B_n dominates every g in B_n and its ratio falls in m, so one
         # threshold search certifies every larger m, also past the family's length
-        value = least_index(lambda m: box_ratio(family.group, m, corner) < eps, 1)
+        group = family.group
+        value = least_index(lambda m: _below(group, m, corner, eps), group.corner_floor(n, eps))
         return ModulusEntry(n=n, epsilon=eps, value=value, kind="analytic", certified_up_to=None)
 
     if m_max is None:
@@ -670,8 +678,11 @@ def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> R
     while count is None or len(indices) < count:
         last = indices[-1]
         if box_mode:
-            # nested boxes: the union is F_last, and its worst ratio is monotone in m
-            nxt = least_index(lambda m: worst_ratio(family, last, m)[0] < eps, last + 1, family.n_max)
+            # nested boxes: the union is F_last, whose corner ratio is its worst and is monotone in m
+            corner = _corner(family, last)
+            nxt = least_index(
+                lambda m: _below(family.group, family.box_radius(m), corner, eps), last + 1, family.n_max
+            )
         else:
             union |= family.elements(last)
             ordered = _worst_first(family.group, union)

@@ -37,6 +37,20 @@ def _progression_sum(lo: int, hi: int, base: int, step: int) -> int:
     return k * base + step * ((lo + hi) * k // 2)
 
 
+def _axis_corner_floor(r: int, eps) -> int:
+    """Least m >= 1 with 2r/(2m+1) < eps, or 1 if eps > 2; eps is an exact rational.
+
+    The `corner_floor` of Z and Z^d.  With x = r/(2m+1), the ratio of B_m and
+    its corner translate (r, ..., r) on Z^d is 2(1 - (1 - x)^d) >= 2x when
+    2m+1 >= r, and 2 otherwise; on Z (d = 1) it is 2x, so there the floor is
+    the least m itself.
+    """
+    num, den = eps.numerator, eps.denominator
+    if num > 2 * den:
+        return 1
+    return max(1, (2 * r * den - num) // (2 * num) + 1)
+
+
 def _zigzag(i: int) -> int:
     """i-th integer along 0, 1, -1, 2, -2, ..."""
     q, r = divmod(i, 2)
@@ -102,9 +116,17 @@ class Group:
     def box_corner(self, r: int):
         """A translation c in B_r maximizing |B_m delta g*B_m| over g in B_r for every m, or None.
 
-        folner relies on this and on |B_m delta c*B_m| / |B_m| being nonincreasing in m with limit 0.
+        folner relies on this, on |B_m delta c*B_m| / |B_m| being nonincreasing in m with
+        limit 0, and on `corner_floor(r, eps)` never exceeding the least m where it is < eps.
         """
         return None
+
+    def corner_floor(self, r: int, eps) -> int:
+        """A proven lower bound on the least m >= 1 with |B_m delta c*B_m| < eps*|B_m|, c = box_corner(r).
+
+        folner starts its analytic modulus search here; 1 is always sound.
+        """
+        return 1
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name!r})"
@@ -165,6 +187,9 @@ class IntegerGroup(Group):
 
     def box_corner(self, r):
         return r
+
+    def corner_floor(self, r, eps):
+        return _axis_corner_floor(r, eps)  # exact on Z
 
 
 class LatticeGroup(Group):
@@ -246,6 +271,9 @@ class LatticeGroup(Group):
 
     def box_corner(self, r):
         return (r,) * self.dimension
+
+    def corner_floor(self, r, eps):
+        return _axis_corner_floor(r, eps)  # the least m on Z: the Z^d corner ratio is at least Z's
 
 
 class HeisenbergGroup(Group):

@@ -470,6 +470,29 @@ def test_run_acts_once_per_element_of_the_window(tmp_path, monkeypatch):
     assert len(calls) == validation + sum(boxes.card(n) for n in range(1, 31)) == 151 + 39_710
 
 
+@pytest.mark.parametrize(
+    "mode, verifier, defect_against, n_max",
+    [
+        ("main", "verify_main_theorem", [1, 5000], 60),  # the window-60 box family
+        ("corollary", "verify_corollary", [1, 5000], 8),  # the refined family, count 8
+        ("corollary", "verify_corollary", [1, 5, 60], 8),  # inside the window, past the refined family
+    ],
+)
+def test_defect_index_past_the_csv_family_is_refused_before_verifying(
+    tmp_path, capsys, monkeypatch, mode, verifier, defect_against, n_max
+):
+    config = demo_config()
+    config["defect_against"] = defect_against
+    cfg = tmp_path / "defect.json"
+    cfg.write_text(json.dumps(config))
+    calls = count_calls(monkeypatch, "ergolab.fluctuation", verifier)
+    for out_dir in ((), ("--out-dir", str(tmp_path / "out"))):
+        code, out, err = run_cli(capsys, "verify", mode, "--config", str(cfg), *out_dir)
+        assert (code, out) == (1, "")
+        assert err == f"error: family index must be in [1, {n_max}], got {defect_against[-1]}\n"
+    assert calls == []
+
+
 def test_readme_library_sketch_runs():
     [block] = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
     exec(compile(block, str(README), "exec"), {})

@@ -11,8 +11,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab import (
+    Branch,
     ConstructionBudgetError,
     DomainError,
     ExplicitFamily,
@@ -35,11 +38,13 @@ from ergolab import (
     worst_ratio,
     worst_ratio_table,
 )
+from ergolab import folner
 from ergolab.folner import ModulusEntry, ModulusTable, RefinedFamily
-from ergolab.groups import LatticeGroup
+from ergolab.groups import IntegerGroup, LatticeGroup
 
 Z = group_by_name("Z")
 Z2 = group_by_name("Z^2")
+Z3 = group_by_name("Z^3")
 H3 = group_by_name("H3")
 
 
@@ -155,6 +160,86 @@ def test_analytic_modulus_exists_for_every_positive_tolerance(eps):
         entry = convergence_modulus(fam, n, eps)
         assert entry.value == max(1, math.floor((2 * n - eps) / (2 * eps)) + 1)
         assert entry.kind == "analytic" and entry.certified_up_to is None
+
+
+def oracle_modulus(group, r, eps):
+    """The least m >= 1 whose box ratio at the corner of B_r is < eps, one Fraction per probe."""
+    corner = group.box_corner(r)
+    return least_index(lambda m: box_ratio(group, m, corner) < eps, 1)
+
+
+def nudged(eta: float) -> Fraction:
+    """A modulus tolerance built from a float as the verifiers build one (norm 1)."""
+    return Branch("norm<=1", 1.0, 1.0, eta).tolerance
+
+
+radii = st.one_of(st.integers(1, 60), st.integers(1, 10**30))
+box_groups = st.sampled_from([Z, Z2, Z3])
+
+
+@st.composite
+def radius_and_tolerance(draw):
+    """(r, eps): nudged floats, exact ties with a corner ratio on Z, 2 and above, plain rationals."""
+    r = draw(radii)
+    kind = draw(st.sampled_from(["float", "tie", "two", "above", "rational"]))
+    if kind == "float":
+        eps = nudged(draw(st.floats(min_value=1e-12, max_value=12.0)))
+    elif kind == "tie":
+        # eps = 2r/(2m+1), the Z corner ratio at m once 2m+1 >= r; past 2 when 2m+1 < r
+        eps = Fraction(2 * r, 2 * draw(st.one_of(st.integers(1, 100), st.integers(1, 10**32))) + 1)
+    elif kind == "two":
+        eps = Fraction(2)
+    elif kind == "above":
+        eps = 2 + Fraction(draw(st.integers(1, 10**20)), draw(st.integers(1, 10**20)))
+    else:
+        eps = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**9)))
+    return r, eps
+
+
+@settings(max_examples=400, deadline=None)
+@given(group=box_groups, case=radius_and_tolerance())
+def test_analytic_modulus_equals_the_box_ratio_search(group, case):
+    r, eps = case
+    entry = convergence_modulus(standard_family(group, 10**30), r, eps)
+    assert entry.kind == "analytic" and entry.value == oracle_modulus(group, r, eps)
+    floor = group.corner_floor(r, eps)
+    assert floor <= entry.value
+    if group is Z:
+        assert floor == entry.value
+
+
+@pytest.mark.parametrize("group", [Z, Z2, Z3], ids=lambda g: g.name)
+def test_analytic_modulus_at_exact_ties_two_and_above(group):
+    for r in (1, 2, 7, 10**30):
+        for eps in [Fraction(2 * r, 2 * m + 1) for m in (1, 2, r, 3 * r, 10**12)] + [
+            Fraction(2), Fraction(5, 2), Fraction(2 * 10**40 + 1, 10**40), nudged(6.0), nudged(0.05),
+        ]:
+            value = convergence_modulus(standard_family(group, 10**30), r, eps).value
+            assert value == oracle_modulus(group, r, eps)
+            assert group.corner_floor(r, eps) <= value
+            if eps > 2:
+                assert value == 1  # every ratio is at most 2
+            if eps == 2:
+                assert value == max(1, (r + 1) // 2)  # the ratio is 2 until B_m meets its translate
+    # the tie is not below its tolerance, so on Z the answer is the next radius
+    assert convergence_modulus(standard_family(Z, 100), 5, Fraction(10, 21)).value == 11
+
+
+def test_an_analytic_z_entry_makes_one_overlap_probe_and_no_fraction(monkeypatch):
+    probes = []
+    overlap = IntegerGroup.box_overlap
+    monkeypatch.setattr(IntegerGroup, "box_overlap", lambda self, r, g: probes.append(r) or overlap(self, r, g))
+
+    def no_fraction_per_probe(*args):
+        raise AssertionError("box_ratio called in the analytic search")
+
+    monkeypatch.setattr(folner, "box_ratio", no_fraction_per_probe)
+    fam = standard_family(Z, 10**30)
+    for n, eps in ((1, Fraction(1, 2)), (400, nudged(0.05)), (5, Fraction(10, 21)), (7, Fraction(5, 2)),
+                   (7, Fraction(2)), (10**30, Fraction(1, 10**25)), (9, Fraction(5, 10**324))):
+        probes.clear()
+        convergence_modulus(fam, n, eps)
+        assert len(probes) == 1, (n, eps, probes)
 
 
 def test_modulus_empirical_matches_analytic_on_boxes():
@@ -497,6 +582,41 @@ def test_refinement_of_refined_boxes_matches_the_set_scan(group, indices):
     for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 1)):
         a = fast_refinement(refined, eps)
         assert a.indices == fast_refinement(explicit, eps).indices
+
+
+def refinement_scan(family, eps, count):
+    """Box-family refinement from the definition: the worst Fraction ratio over the union, index by index."""
+    indices = [1]
+    while len(indices) < count:
+        union = family.elements(indices[-1])  # nested boxes: the union of the chosen sets is the last
+        fast = (
+            m for m in range(indices[-1] + 1, family.n_max + 1)
+            if max(box_ratio(family.group, family.box_radius(m), g) for g in union) < eps
+        )
+        nxt = next(fast, None)
+        if nxt is None:
+            break
+        indices.append(nxt)
+    return indices
+
+
+@pytest.mark.parametrize(
+    "family, ties",
+    [
+        (standard_family(Z, 200), [Fraction(2, 5), Fraction(4, 11)]),  # 2r/(2m+1) at (1, 2) and (2, 5)
+        (standard_family(Z2, 40), [Fraction(18, 25)]),  # 2(1 - (4/5)^2) at (1, 2)
+        (RefinedFamily(standard_family(Z2, 60), [1, 2, 3, 5, 8, 13, 21, 34, 55]), [Fraction(18, 25)]),
+    ],
+    ids=["Z", "Z^2", "refined Z^2"],
+)
+def test_box_refinement_equals_a_fraction_scan(family, ties):
+    for eps in ties + [Fraction(1, 2), Fraction(1, 3), nudged(0.9), Fraction(2), Fraction(5, 2)]:
+        count = 6 if family.group is Z else 4
+        expected = refinement_scan(family, eps, count)
+        got = fast_refinement(family, eps, count=count) if len(expected) == count else fast_refinement(family, eps)
+        assert got.indices[:count] == expected, eps
+    # the tie itself is not fast: the step passes the tied index
+    assert fast_refinement(standard_family(Z, 20), Fraction(2, 5), count=2).indices == [1, 3]
 
 
 def test_refinement_of_huge_refined_boxes_materializes_nothing():
