@@ -17,6 +17,7 @@ from .convexity import (
 from .dynamics import (
     FiniteMeasureSystem,
     Observable,
+    average_block,
     average_defect,
     average_operator,
     average_sequence,

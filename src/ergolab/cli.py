@@ -23,8 +23,8 @@ from .convexity import ConvexityModulus
 from .dynamics import (
     FiniteMeasureSystem,
     Observable,
+    average_block,
     average_sequence,
-    ergodic_average,
     lp_norm,
 )
 from .errors import ConfigError, ErgolabError
@@ -220,17 +220,19 @@ def _averages_csv(system, family: FolnerFamily, f: Observable, avgs: List[Observ
         header.insert(1, "source_index")
     rows = [",".join(header)]
     window = len(avgs)
-    # A_n A_N f for every n in the window, one sequence per N
-    defect_refs = [average_sequence(system, family, ergodic_average(system, family, N, f), window)
-                   for N in defect_against]
+    # refs[n - 1, :, j] = A_n A_N f for N = defect_against[j]: one pass for the A_N f, one for the window
+    refs = np.empty((window, system.n_points, 0))
+    if defect_against:
+        a_n_f = average_block(system, family, defect_against, f.values)  # row j is A_N f
+        refs = average_block(system, family, range(1, window + 1), a_n_f.T)
     for n in range(1, window + 1):
         cells = [str(n)]
         if refined:
             cells.append(str(family.indices[n - 1]))
         cells.append(str(family.card(n)))
         cells.append(_fmt(lp_norm(system, avgs[n - 1])))
-        for refs in defect_refs:
-            cells.append(_fmt(lp_norm(system, Observable(avgs[n - 1].values - refs[n - 1].values, f.p))))
+        for j in range(len(defect_against)):
+            cells.append(_fmt(lp_norm(system, Observable(avgs[n - 1].values - refs[n - 1, :, j], f.p))))
         rows.append(",".join(cells))
     return "\n".join(rows) + "\n"
 

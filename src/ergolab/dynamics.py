@@ -3,9 +3,10 @@
 A system is a finite weighted point set together with a group action given by
 generator images (permutations).  Every permutation here is a read-only numpy
 index array: each generator is validated into one when the system is built,
-and act(g) returns a cached one.  The action of a general element is recovered
-by factoring its canonical form into generator powers (_word), each raised by
-repeated squaring for any integer exponent:
+and act(g) builds a new one.  The action of a general element is recovered by
+factoring its canonical form into generator powers (_word), each raised by
+repeated squaring for any integer exponent and memoized, at most _POWER_MEMO
+powers per system:
 
     Z:    k         -> T^k
     Z^d:  (k_1...)  -> T_1^{k_1} ... T_d^{k_d}
@@ -13,14 +14,16 @@ repeated squaring for any integer exponent:
 
 Weights are exact rationals so measure preservation is checked exactly;
 observables and norms are double precision.  Every average goes through
-_averages, which applies A_n to a block of observables and picks the route
+average_block, which applies A_n to a block of observables and picks the route
 once: residue counting, which never iterates an interval and so keeps averages
 over astronomically large boxes cheap, when every F_n is an integer interval
-acting on Z, else the element sum.  Every L^p norm goes through _lp_norms.
+acting on Z, else the element sum, acting once per distinct element.  Every
+L^p norm goes through _lp_norms.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -30,6 +33,8 @@ import numpy as np
 from .errors import StructureError
 from .folner import FolnerFamily, as_fraction
 from .groups import Group, HeisenbergGroup, IntegerGroup, LatticeGroup
+
+_POWER_MEMO = 1024  # generator powers a system keeps, least recently used dropped first
 
 
 def _perm_array(perm: Sequence[int], n_points: int) -> np.ndarray:
@@ -64,7 +69,7 @@ def _cycles(perm: Sequence[int]) -> List[List[int]]:
 
 
 def _perm_power(perm: np.ndarray, k: int) -> np.ndarray:
-    """perm^k by repeated squaring, as a new array; k may be any integer, however large."""
+    """perm^k by repeated squaring, as a new read-only array; k may be any integer, however large."""
     if k < 0:
         perm, k = np.argsort(perm), -k
     out = np.arange(perm.size)
@@ -73,6 +78,7 @@ def _perm_power(perm: np.ndarray, k: int) -> np.ndarray:
             out = perm[out]
         perm = perm[perm]
         k >>= 1
+    out.flags.writeable = False
     return out
 
 
@@ -131,7 +137,8 @@ class FiniteMeasureSystem:
             )
         self.generators = {k: _perm_array(v, self.n_points) for k, v in generators.items()}
         self._check_measure_preserving()
-        self._act_cache: Dict = {}
+        gens = self.generators
+        self._power = functools.lru_cache(_POWER_MEMO)(lambda name, k: _perm_power(gens[name], k))
         self._weights_float = np.array([float(w) for w in self.weights])
 
     def _check_measure_preserving(self) -> None:
@@ -145,15 +152,12 @@ class FiniteMeasureSystem:
                     )
 
     def act(self, g) -> np.ndarray:
-        """The permutation s -> g . s, as a cached read-only index array."""
+        """The permutation s -> g . s, as a new read-only index array."""
         self.group.check_element(g)
-        perm = self._act_cache.get(g)
-        if perm is None:
-            perm = np.arange(self.n_points)
-            for name, k in _word(self.group, g):
-                perm = _perm_power(self.generators[name], k)[perm]
-            perm.flags.writeable = False
-            self._act_cache[g] = perm
+        perm = np.arange(self.n_points)
+        for name, k in _word(self.group, g):
+            perm = self._power(name, k)[perm]
+        perm.flags.writeable = False
         return perm
 
     def validate_action(self, pairs: int = 50, prefix: int = 24, seed: int = 0) -> None:
@@ -259,28 +263,34 @@ def _z_interval_averages(system: FiniteMeasureSystem, radii: Sequence[int], valu
     return out
 
 
-def _averages(
+def average_block(
     system: FiniteMeasureSystem, family: FolnerFamily, indices: Sequence[int], values: np.ndarray
 ) -> np.ndarray:
     """A_n applied to values (one entry per point, then one column per observable), one row per n.
 
     The one place that decides the route: residue counting when every F_n is an
     integer interval acting on Z, otherwise the sum of s -> f(g . s) over F_n in
-    ascending canonical form.  Either way each column is averaged as it would be alone.
+    ascending canonical form: one pass over the distinct g of all the F_n that
+    acts once with each and adds to the row of every F_n holding it.  Either way
+    each row and column is averaged as it would be alone.
     """
     _check_length(system, len(values))
     if isinstance(system.group, IntegerGroup):
         radii = [family.box_radius(n) for n in indices]
         if None not in radii:
             return _z_interval_averages(system, radii, values)
-    out = np.empty((len(indices),) + values.shape)
-    for row, n in zip(out, indices):
-        elems = sorted(family.elements(n))
-        acc = np.zeros(values.shape)
-        for g in elems:
-            acc += values[system.act(g)]
-        row[...] = acc / len(elems)
-    return out
+    rows_of: Dict = {}
+    for row, n in enumerate(indices):
+        for g in family.elements(n):
+            rows_of.setdefault(g, []).append(row)
+    out = np.zeros((len(indices),) + values.shape)
+    for g in sorted(rows_of):
+        rows = rows_of[g]  # increasing; consecutive ones (nested sets) are added through a view
+        if rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        out[rows] += values[system.act(g)]
+    cards = np.array([family.card(n) for n in indices], dtype=float)
+    return out / cards.reshape((-1,) + (1,) * values.ndim)
 
 
 def ergodic_average(system: FiniteMeasureSystem, family: FolnerFamily, n: int, f: Observable) -> Observable:
@@ -289,7 +299,7 @@ def ergodic_average(system: FiniteMeasureSystem, family: FolnerFamily, n: int, f
     Since (pi(g^{-1}) f)(s) = f(g . s), the sum pulls values forward along the
     action.
     """
-    return Observable(_averages(system, family, [n], f.values)[0], f.p)
+    return Observable(average_block(system, family, [n], f.values)[0], f.p)
 
 
 def average_sequence(
@@ -298,12 +308,12 @@ def average_sequence(
     """[A_1 f, ..., A_window f], each bitwise equal to ergodic_average at its index."""
     if not (type(window) is int and 1 <= window <= family.n_max):
         raise StructureError(f"window must be in [1, {family.n_max}], got {window}")
-    return [Observable(row, f.p) for row in _averages(system, family, range(1, window + 1), f.values)]
+    return [Observable(row, f.p) for row in average_block(system, family, range(1, window + 1), f.values)]
 
 
 def average_operator(system: FiniteMeasureSystem, family: FolnerFamily, n: int) -> np.ndarray:
     """The matrix of A_n acting on observables: (A_n f) = M @ f; column j is A_n e_j."""
-    return _averages(system, family, [n], np.eye(system.n_points))[0]
+    return average_block(system, family, [n], np.eye(system.n_points))[0]
 
 
 def average_defect(
@@ -314,8 +324,8 @@ def average_defect(
     Whenever K >= beta(N, eta) from a certified modulus table, this is below
     eta * ||f||_p (discrete sharpening of the averaging lemma).
     """
-    a_n_f = _averages(system, family, [N], f.values)[0]
-    a_k = _averages(system, family, [K], np.column_stack([f.values, a_n_f]))[0]
+    a_n_f = average_block(system, family, [N], f.values)[0]
+    a_k = average_block(system, family, [K], np.column_stack([f.values, a_n_f]))[0]
     return lp_norm(system, Observable(a_k[:, 0] - a_k[:, 1], f.p))
 
 

@@ -663,13 +663,16 @@ def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> R
     |F_m delta g F_m|/|F_m| < eps for every g in the union of the chosen sets.
     With count given, raises RefinementWindowError if the source ends first;
     with count None, refines until the source is exhausted.  Families of boxes
-    with a known corner (F_1 has one) refine without materializing a set.
+    with a known corner (F_1 has one) refine without materializing a set; on
+    standard boxes, where index m is radius m, each step's search starts at the
+    group's `corner_floor`, below which no m qualifies.
     """
     eps = _tolerance(eps, "refinement")
     if count is not None and count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
 
     box_mode = _corner(family, 1) is not None
+    group, standard = family.group, isinstance(family, StandardBoxFamily)
     if count is None and family.n_max > 10**6:
         raise DomainError("count is required when refining a source longer than 10^6")
 
@@ -680,9 +683,8 @@ def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> R
         if box_mode:
             # nested boxes: the union is F_last, whose corner ratio is its worst and is monotone in m
             corner = _corner(family, last)
-            nxt = least_index(
-                lambda m: _below(family.group, family.box_radius(m), corner, eps), last + 1, family.n_max
-            )
+            lo = max(last + 1, group.corner_floor(last, eps)) if standard else last + 1
+            nxt = least_index(lambda m: _below(group, family.box_radius(m), corner, eps), lo, family.n_max)
         else:
             union |= family.elements(last)
             ordered = _worst_first(family.group, union)

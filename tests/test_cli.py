@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ergolab import (
     ConvexityModulus,
+    average_defect,
     convergence_modulus,
     group_by_name,
     lp_norm,
@@ -467,7 +468,35 @@ def test_run_acts_once_per_element_of_the_window(tmp_path, monkeypatch):
     calls.clear()
     run_experiment(config, out_dir=tmp_path)
     boxes = standard_family(group_by_name("Z^2"), 30)
-    assert len(calls) == validation + sum(boxes.card(n) for n in range(1, 31)) == 151 + 39_710
+    assert len(calls) == validation + boxes.card(30) == 151 + 3_721
+    averaged = calls[validation:]
+    assert len(set(averaged)) == len(averaged)
+
+
+def test_avg_run_with_defects_makes_three_averaging_passes(tmp_path, monkeypatch):
+    # one pass for the window, one for every A_N f, one for A_n over the block of A_N f
+    system = torus_translation_system(5, 4)
+    config = {
+        "group": "Z^2",
+        "system": {"points": 20, "weights": "uniform",
+                   "generators": {k: v.tolist() for k, v in system.generators.items()}},
+        "observable": {"type": "explicit", "values": [(7 * i % 11) / 3 - 1 for i in range(20)]},
+        "p": 2,
+        "window": 6,
+        "defect_against": [1, 2, 6],
+    }
+    cfg = tmp_path / "torus.json"
+    cfg.write_text(json.dumps(config))
+    passes = count_calls(monkeypatch, "ergolab.dynamics", "average_block")
+    assert main(["avg", "run", "--config", str(cfg), "--out", str(tmp_path / "avg.csv")]) == 0
+    assert len(passes) == 3
+    header, *rows = (tmp_path / "avg.csv").read_text().splitlines()
+    assert header == "n,card,norm_Anf,defect_1,defect_2,defect_6"
+    # each defect cell is bitwise ||A_n f - A_n A_N f||, as average_defect computes it alone
+    f = system.observable(config["observable"]["values"], 2)
+    boxes = standard_family(group_by_name("Z^2"), 6)
+    for n, row in enumerate(rows, start=1):
+        assert row.split(",")[3:] == [repr(average_defect(system, boxes, N, n, f)) for N in (1, 2, 6)]
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab import (
     ConvexityModulus,
@@ -16,6 +18,7 @@ from ergolab import (
     ExplicitFamily,
     Observable,
     StructureError,
+    average_block,
     average_defect,
     average_operator,
     average_sequence,
@@ -33,7 +36,7 @@ from ergolab import (
     verify_main_theorem,
     weighted_mean,
 )
-from ergolab.dynamics import FiniteMeasureSystem, _perm_power, _z_interval_averages
+from ergolab.dynamics import _POWER_MEMO, FiniteMeasureSystem, _perm_power, _z_interval_averages
 from ergolab.folner import RefinedFamily
 from ergolab.groups import Group, HeisenbergGroup
 
@@ -157,15 +160,34 @@ def test_heisenberg_act_is_left_multiplication():
     system.validate_action(pairs=200, prefix=200)
 
 
-def test_act_returns_one_cached_read_only_array():
+def test_act_returns_equal_read_only_arrays():
     for system, g in [(rotation_system(9), -4), (heisenberg_mod3_system()[0], (2, -1, 5))]:
         first = system.act(g)
-        assert system.act(g) is first
+        assert np.array_equal(system.act(g), first)
         with pytest.raises(ValueError):
             first[0] = first[1]
         for perm in system.generators.values():
             with pytest.raises(ValueError):
                 perm[0] = perm[1]
+
+
+def arrays_held_by(system):
+    """The numpy arrays the system holds in its attributes, one level into containers."""
+    found = []
+    for value in vars(system).values():
+        items = value.values() if isinstance(value, dict) else value if isinstance(value, (list, tuple)) else [value]
+        found += [v for v in items if isinstance(v, np.ndarray)]
+    return found
+
+
+def test_acting_keeps_no_array_per_element_and_a_bounded_memo_of_powers():
+    system = rotation_system(7)
+    held = len(arrays_held_by(system))
+    for g in range(-2500, 2500):  # 5,000 distinct elements, each its own generator power
+        assert system.act(g).tolist() == [(s + g) % 7 for s in range(7)]
+    assert len(arrays_held_by(system)) == held
+    memo = system._power.cache_info()
+    assert memo.maxsize == _POWER_MEMO and memo.currsize <= _POWER_MEMO
 
 
 @pytest.mark.parametrize(
@@ -491,6 +513,67 @@ def test_average_defect_is_the_norm_of_separate_averages(system, group_name):
                 a_k_a_n_f = ergodic_average(system, family, K, a_n_f)
                 expect = lp_norm(system, Observable(a_k_f.values - a_k_a_n_f.values, f.p))
                 assert average_defect(system, family, N, K, f) == expect, (family, N, K)
+
+
+def one_point_system(group_name):
+    names = {"Z^2": ("t1", "t2"), "H3": ("x", "y", "z")}[group_name]
+    return FiniteMeasureSystem(group_by_name(group_name), [Fraction(1)], {k: [0] for k in names})
+
+
+ORACLE_SYSTEMS = {
+    "Z^2": torus_translation_system(3, 4),
+    "H3": heisenberg_torus_system(3, 3),
+    "H3-faithful": heisenberg_mod3_system()[0],
+    "Z^2-one-point": one_point_system("Z^2"),
+    "H3-one-point": one_point_system("H3"),
+}
+
+
+@st.composite
+def oracle_families(draw, group):
+    """A standard, refined or explicit family of at most three sets; explicit sets need not nest."""
+    kind = draw(st.sampled_from(["standard", "refined", "explicit"]))
+    boxes = standard_family(group, 2 if group.name == "H3" else 3)
+    if kind == "standard":
+        return boxes
+    if kind == "refined":
+        return RefinedFamily(boxes, sorted(draw(st.sets(st.integers(1, boxes.n_max), min_size=1))))
+    pool = group.enumerate_prefix(60)
+    subsets = st.sets(st.sampled_from(pool), min_size=1, max_size=25)
+    return ExplicitFamily(group, draw(st.lists(subsets, min_size=1, max_size=3)))
+
+
+def element_sum_oracle(system, family, indices, values):
+    """For each n, sum values[act(g)] over sorted(F_n) left to right, divided by |F_n|."""
+    rows = []
+    for n in indices:
+        elems = sorted(family.elements(n))
+        acc = np.zeros(values.shape)
+        for g in elems:
+            acc += values[system.act(g)]
+        rows.append(acc / len(elems))
+    return np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(ORACLE_SYSTEMS)), shape=st.sampled_from(["1-d", "2-col", "eye"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_element_sum_averages_are_bitwise_the_per_set_loop(data, name, shape, seed):
+    system = ORACLE_SYSTEMS[name]
+    family = data.draw(oracle_families(system.group))
+    indices = data.draw(st.lists(st.integers(1, family.n_max), min_size=1, max_size=4))
+    if shape == "eye":
+        values = np.eye(system.n_points)
+        for n in indices:
+            expect = element_sum_oracle(system, family, [n], values)[0]
+            assert np.array_equal(average_operator(system, family, n), expect)
+    else:  # magnitudes spread over 16 decades, so the summation order shows in the last bits
+        rng = np.random.default_rng(seed)
+        size = (system.n_points,) if shape == "1-d" else (system.n_points, 2)
+        values = rng.normal(size=size) * 10.0 ** rng.integers(-8, 9, size=size)
+    got = average_block(system, family, indices, values)
+    assert got.shape == (len(indices),) + values.shape
+    assert np.array_equal(got, element_sum_oracle(system, family, indices, values))
 
 
 def test_interval_averages_of_columns_equal_one_call_per_column():

@@ -413,6 +413,32 @@ def test_refinement_window_exhausted():
     assert err.value.found[0] == 1
 
 
+def test_box_refinement_of_z_starts_at_the_corner_floor(monkeypatch):
+    probes = []
+    overlap = IntegerGroup.box_overlap
+    monkeypatch.setattr(IntegerGroup, "box_overlap", lambda self, r, g: probes.append(r) or overlap(self, r, g))
+    refined = fast_refinement(standard_family(Z, 10**30), Fraction(1, 1000), count=8)
+    assert refined.indices == [10 ** (3 * j) for j in range(8)]
+    assert len(probes) == 7  # the floor is the least index on Z: one probe per step
+
+
+@pytest.mark.parametrize(
+    "group_name, eps, indices",
+    [
+        ("Z", "1/10", [1, 10, 100, 1000, 10000, 100000, 1000000, 10000000]),
+        ("Z", "7/100", [1, 14, 200, 2857, 40814, 583057, 8329386, 118991229]),
+        ("Z", "3/2", [1, 2, 3, 4, 5, 6, 7, 8]),
+        ("Z^2", "1/3", [1, 6, 34, 195, 1119, 6422, 36853, 211485]),
+        ("Z^2", "7/100", [1, 28, 793, 22457, 635964, 18009993, 510028629, 14443603736]),
+        ("Z^2", "3/2", [1, 2, 3, 4, 5, 6, 7, 8]),
+    ],
+)
+def test_box_refinement_indices_on_z_and_z2(group_name, eps, indices):
+    # the indices a search from last + 1 finds: starting at the corner floor skips no answer
+    refined = fast_refinement(standard_family(group_by_name(group_name), 10**30), Fraction(eps), count=8)
+    assert refined.indices == indices
+
+
 def test_refined_passes_check_fast():
     for eps in (Fraction(1, 2), Fraction(1, 5)):
         refined = fast_refinement(standard_family(Z, 10**6), eps, count=7)
