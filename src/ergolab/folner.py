@@ -7,6 +7,12 @@ their radii, so ratios on them come from closed-form overlap counts; the
 module-level `folner_ratio` always takes the literal set-arithmetic route,
 which the tests replay against the closed forms.
 
+A worst ratio over F_n is decided in integers: `FolnerFamily.overlaps` counts
+|F_m intersect gF_m| for every g of F_n at once, as one array (`to_block`),
+the least overlap is the largest ratio, a tolerance test compares overlaps
+with one integer threshold, and a single `Fraction` is built per (n, m).
+F_n's array is built once per n and reused across m.
+
 The universally quantified "for all m >= N" in the modulus definition is
 undecidable for arbitrary families; empirical entries are therefore stamped
 `certified_up_to = m_max`, while entries for standard boxes of a group with
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -33,10 +40,12 @@ from .errors import (
     RefinementWindowError,
     StructureError,
 )
-from .groups import Group, group_by_name
+from .groups import Group, from_block, group_by_name, to_block
 
 MATERIALIZE_CAP = 2_000_000
 _PACK_LIMIT = 2**62
+# translations searched at once in a packed set: (rows x |F|) int64 entries per chunk
+_SEARCH_CHUNK = 2**16
 
 
 def as_fraction(x) -> Fraction:
@@ -95,6 +104,25 @@ def _packed_overlap(arr: np.ndarray, g: int) -> Optional[int]:
     return int(np.count_nonzero(inside & (arr[pos] == shifted)))
 
 
+def _packed_overlaps(arr: np.ndarray, block: np.ndarray) -> Optional[np.ndarray]:
+    """`_packed_overlap` for every g of a 1-d block at once; None unless every g + F fits the packing limit."""
+    if block.dtype != np.int64:
+        return None
+    shift = max(-int(block.min()), int(block.max())) if block.size else 0
+    if shift + max(abs(int(arr[0])), abs(int(arr[-1]))) >= _PACK_LIMIT:
+        return None
+    if int(arr[-1]) - int(arr[0]) + 1 == arr.size:
+        return np.maximum(0, arr.size - np.abs(block))
+    out = np.empty(block.size, dtype=np.int64)
+    rows = max(1, _SEARCH_CHUNK // arr.size)
+    for start in range(0, block.size, rows):
+        shifted = block[start : start + rows, None] + arr
+        # a position past the end holds no match, so clamping it to the last entry is safe
+        pos = np.minimum(np.searchsorted(arr, shifted), arr.size - 1)
+        out[start : start + rows] = np.count_nonzero(arr[pos] == shifted, axis=1)
+    return out
+
+
 def _overlap(group: Group, s: frozenset, arr: Optional[np.ndarray], g) -> int:
     """|s intersect gs|: searched in `arr`, the packed form of s, when g fits, else by set arithmetic."""
     overlap = None if arr is None else _packed_overlap(arr, g)
@@ -147,6 +175,13 @@ class FolnerFamily:
         """|F_n delta g F_n| / |F_n| by the fastest exact route available."""
         raise NotImplementedError
 
+    def overlaps(self, n: int, block: np.ndarray) -> np.ndarray:
+        """|F_n intersect g F_n| for each translation g of a `to_block` array, in order.
+
+        int64, or an object array of Python ints where int64 could overflow.
+        """
+        raise NotImplementedError
+
     def to_jsonable(self) -> dict:
         raise NotImplementedError
 
@@ -167,8 +202,7 @@ class ExplicitFamily(FolnerFamily):
         for i, s in enumerate(sets):
             if not s:
                 raise StructureError(f"F_{i + 1} is empty; Folner sets must be nonempty")
-            for g in s:
-                group.check_element(g)
+            group.check_elements(s)
         self.provenance = provenance
         self._sets = sets
         self._packed = [_pack_sorted(s) for s in sets]
@@ -187,6 +221,16 @@ class ExplicitFamily(FolnerFamily):
         s = self._sets[n - 1]
         return Fraction(2 * (len(s) - _overlap(self.group, s, self._packed[n - 1], g)), len(s))
 
+    def overlaps(self, n: int, block: np.ndarray) -> np.ndarray:
+        self._check_index(n)
+        s, arr = self._sets[n - 1], self._packed[n - 1]
+        counts = None if arr is None else _packed_overlaps(arr, block)
+        if counts is None:
+            # tuples, or a shift past the packing limit: one element at a time
+            group = self.group
+            counts = np.fromiter((_overlap(group, s, arr, g) for g in from_block(block)), np.int64, len(block))
+        return counts
+
     def to_jsonable(self) -> dict:
         return {
             "kind": "explicit",
@@ -204,15 +248,17 @@ class StandardBoxFamily(FolnerFamily):
     """F_n = standard box of radius n; nothing is stored per index.
 
     Z^d uses F_n = [-n, n]^d; H3 uses |a|, |b| <= n with |c| <= n^2.
-    Element sets are materialized on demand (and cached) up to
-    MATERIALIZE_CAP elements.
+    Element sets are materialized on demand up to MATERIALIZE_CAP elements,
+    and the most recently used ones are kept while they hold MATERIALIZE_CAP
+    elements in all.
     """
 
     provenance = "standard-box"
 
     def __init__(self, group: Group, n_max: int):
         super().__init__(group, n_max)
-        self._cache: Dict[int, frozenset] = {}
+        self._cache: "OrderedDict[int, frozenset]" = OrderedDict()
+        self._cached = 0  # elements held by _cache
 
     def card(self, n: int) -> int:
         self._check_index(n)
@@ -220,14 +266,20 @@ class StandardBoxFamily(FolnerFamily):
 
     def elements(self, n: int) -> frozenset:
         self._check_index(n)
-        if n not in self._cache:
-            if self.group.box_card(n) > MATERIALIZE_CAP:
-                raise FamilyTooLargeError(
-                    f"box F_{n} of {self.group.name} has {self.group.box_card(n)} elements; "
-                    f"cannot materialize beyond {MATERIALIZE_CAP}"
-                )
-            self._cache[n] = frozenset(self.group.box_elements(n))
-        return self._cache[n]
+        cache = self._cache
+        if n in cache:
+            cache.move_to_end(n)
+            return cache[n]
+        card = self.group.box_card(n)
+        if card > MATERIALIZE_CAP:
+            raise FamilyTooLargeError(
+                f"box F_{n} of {self.group.name} has {card} elements; cannot materialize beyond {MATERIALIZE_CAP}"
+            )
+        box = cache[n] = frozenset(self.group.box_elements(n))
+        self._cached += card
+        while self._cached > MATERIALIZE_CAP:
+            self._cached -= len(cache.popitem(last=False)[1])
+        return box
 
     def box_radius(self, n: int) -> Optional[int]:
         self._check_index(n)
@@ -236,6 +288,10 @@ class StandardBoxFamily(FolnerFamily):
     def ratio(self, n: int, g) -> Fraction:
         self._check_index(n)
         return box_ratio(self.group, n, g)
+
+    def overlaps(self, n: int, block: np.ndarray) -> np.ndarray:
+        self._check_index(n)
+        return self.group.box_overlaps(n, block)
 
     def to_jsonable(self) -> dict:
         return {
@@ -278,6 +334,9 @@ class RefinedFamily(FolnerFamily):
 
     def ratio(self, n: int, g) -> Fraction:
         return self.source.ratio(self._src(n), g)
+
+    def overlaps(self, n: int, block: np.ndarray) -> np.ndarray:
+        return self.source.overlaps(self._src(n), block)
 
     def to_jsonable(self) -> dict:
         return {
@@ -472,25 +531,54 @@ def worst_ratio(family: FolnerFamily, n: int, m: int, stop_at=None, over=None) -
 
     Corner route: with F_n and F_m standard boxes and the corner of F_n known
     (`Group.box_corner`), that corner attains the max.
-    Set route otherwise: the max of family.ratio(m, g), over `over` in place of
-    F_n when given (a union of sets), in the order given.  With stop_at, the
-    first g whose ratio is >= stop_at is returned as a witness; F_n is then
-    visited largest norm first.  No elements give (0, None).
+    Set route otherwise, in integers: `family.overlaps(m, ...)` counts
+    |F_m intersect gF_m| for every g of F_n at once (of `over` in place of
+    F_n when given, a union of sets, each element validated), the least
+    count is the largest ratio, and one `Fraction` is built from it.  The
+    witness is the first maximum in F_n's iteration order (in `over`'s
+    order).  With stop_at, F_n is visited largest norm first, and the
+    witness is the first g whose ratio is >= stop_at, tested as an integer
+    bound on its overlap, with that g's ratio; if none reaches it, the first
+    maximum in that order.  No elements give (0, None).
     """
-    group = family.group
-    if over is None:
-        corner, rm = _corner(family, n), family.box_radius(m)
-        if corner is not None and rm is not None:
-            return box_ratio(group, rm, corner), corner
-        over = family.elements(n) if stop_at is None else _worst_first(group, family.elements(n))
-    worst, arg = Fraction(0), None
-    for g in over:
-        r = family.ratio(m, g)
-        if arg is None or r > worst:
-            worst, arg = r, g
-            if stop_at is not None and r >= stop_at:
-                break
-    return worst, arg
+    return next(_worst_ratios(family, n, (m,), stop_at, over))
+
+
+def _worst_ratios(family: FolnerFamily, n: int, ms: Iterable[int], stop_at=None, over=None) -> Iterator[tuple]:
+    """`worst_ratio(family, n, m, stop_at, over)` for each m of ms in turn, F_n's array built once."""
+    corner = _corner(family, n) if over is None else None
+    stop_at = None if stop_at is None else as_fraction(stop_at)
+    elems = block = None
+    for m in ms:
+        rm = None if corner is None else family.box_radius(m)
+        if rm is not None:
+            yield box_ratio(family.group, rm, corner), corner
+            continue
+        if elems is None:
+            if over is not None:
+                elems = list(over)
+                family.group.check_elements(elems)
+            elif stop_at is None:
+                elems = list(family.elements(n))
+            else:
+                elems = _worst_first(family.group, family.elements(n))
+            block = to_block(elems)
+        yield _worst_in_block(family, m, elems, block, stop_at)
+
+
+def _worst_in_block(family: FolnerFamily, m: int, elems: list, block: np.ndarray, stop_at: Optional[Fraction]):
+    """`worst_ratio`'s set route at one m, over elems, whose array is block."""
+    if not elems:
+        return Fraction(0), None
+    card = family.card(m)
+    overlaps = family.overlaps(m, block)
+    i = int(np.argmin(overlaps))
+    if stop_at is not None:
+        # 2(card - ov)/card >= p/q exactly when ov <= card(2q - p)/(2q), ov an integer
+        q2 = 2 * stop_at.denominator
+        reached = np.flatnonzero(overlaps <= min(card, max(-1, card * (q2 - stop_at.numerator) // q2)))
+        i = int(reached[0]) if reached.size else i
+    return Fraction(2 * (card - int(overlaps[i])), card), elems[i]
 
 
 def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] = None) -> ModulusEntry:
@@ -519,7 +607,8 @@ def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] 
     if not 1 <= m_max <= family.n_max:
         raise DomainError(f"m_max must be in [1, {family.n_max}], got {m_max}")
 
-    worst_by_m = {m: worst_ratio(family, n, m)[0] for m in range(1, m_max + 1)}
+    ms = range(1, m_max + 1)
+    worst_by_m = {m: r for m, (r, _) in zip(ms, _worst_ratios(family, n, ms))}
     if worst_by_m[m_max] >= eps:
         raise ModulusNotFoundError(n, eps, m_max, worst_by_m)
     value = m_max
@@ -573,16 +662,16 @@ def check_modulus(family: FolnerFamily, n: int, eps, claimed: int, window: int) 
     family._check_index(n)
     if window > family.n_max:
         raise DomainError(f"window {window} exceeds family length {family.n_max}")
-    return all(
-        worst_ratio(family, n, m, stop_at=eps)[0] < eps for m in range(max(claimed, 1), window + 1)
-    )
+    return all(r < eps for r, _ in _worst_ratios(family, n, range(max(claimed, 1), window + 1), stop_at=eps))
 
 
 def worst_ratio_table(family: FolnerFamily, n_hi: int, m_hi: int) -> Dict[Tuple[int, int], Fraction]:
     """worst[(n, m)] = max over g in F_n of |F_m delta g F_m|/|F_m|, from `worst_ratio`."""
     family._check_index(n_hi)
     family._check_index(m_hi)
-    return {(n, m): worst_ratio(family, n, m)[0] for m in range(1, m_hi + 1) for n in range(1, n_hi + 1)}
+    ms = range(1, m_hi + 1)
+    rows = {n: [r for r, _ in _worst_ratios(family, n, ms)] for n in range(1, n_hi + 1)}
+    return {(n, m): rows[n][m - 1] for m in ms for n in rows}
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +776,9 @@ def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> R
             nxt = least_index(lambda m: _below(group, family.box_radius(m), corner, eps), lo, family.n_max)
         else:
             union |= family.elements(last)
-            ordered = _worst_first(family.group, union)
-            fast = (
-                m for m in range(last + 1, family.n_max + 1)
-                if worst_ratio(family, last, m, stop_at=eps, over=ordered)[0] < eps
-            )
-            nxt = next(fast, None)
+            ms = range(last + 1, family.n_max + 1)
+            ratios = _worst_ratios(family, last, ms, stop_at=eps, over=_worst_first(group, union))
+            nxt = next((m for m, (r, _) in zip(ms, ratios) if r < eps), None)
         if nxt is None:
             if count is not None:
                 raise RefinementWindowError(indices, count)
@@ -725,8 +811,8 @@ def check_fast(family: FolnerFamily, lam: int, eps, window: int) -> FastCheckRep
         raise DomainError(f"window must be in [1, {family.n_max}], got {window}")
 
     for n in range(1, window + 1):
-        for m in range(n + lam, window + 1):
-            r, g = worst_ratio(family, n, m, stop_at=eps)
+        ms = range(n + lam, window + 1)
+        for m, (r, g) in zip(ms, _worst_ratios(family, n, ms, stop_at=eps)):
             if r >= eps:
                 return FastCheckReport(False, lam, eps, window, (n, m, g, r))
     return FastCheckReport(True, lam, eps, window)

@@ -13,20 +13,67 @@ deterministic across runs.
 
 Each group also knows the geometry of its standard Folner boxes (cardinality,
 membership, exact translation overlap counts), which the folner module uses
-for closed-form invariance ratios.
+for closed-form invariance ratios.  A block of translations is one array
+(`to_block`): overlaps for the whole block come from `Group.box_overlaps` in
+int64 wherever no intermediate can reach 2^62, and from the exact scalar
+`box_overlap` past that.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Sequence
+
+import numpy as np
 
 from .errors import DomainError, GroupElementError, UnsupportedGroupError
 
 
+# every int64 intermediate of an array overlap route stays strictly below this
+_INT64_SAFE = 2**62
+# H3's array route: r, |a|, |b| <= _H3_ARRAY_REACH and |c| <= _H3_ARRAY_REACH^2
+_H3_ARRAY_REACH = 2**12
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def to_block(elems: Sequence) -> np.ndarray:
+    """Canonical forms as one array, in order: shape (N,) for ints, (N, k) for k-tuples.
+
+    int64 when every coordinate fits, else an object array of the Python ints.
+    """
+    try:
+        return np.array(elems, dtype=np.int64)
+    except OverflowError:
+        return np.array(elems, dtype=object)
+
+
+def from_block(block: np.ndarray) -> list:
+    """The canonical forms of a `to_block` array, in order."""
+    rows = block.tolist()
+    return [tuple(row) for row in rows] if block.ndim == 2 else rows
+
+
+def _within(values: np.ndarray, limit: int) -> bool:
+    """True if values is int64 and every entry lies in [-limit, limit] (so abs cannot overflow)."""
+    if values.dtype != np.int64:
+        return False
+    return values.size == 0 or (int(values.min()) >= -limit and int(values.max()) <= limit)
+
+
+def _axis_factors(r: int, block: np.ndarray, dimension: int):
+    """max(0, 2r+1-|k|) for each coordinate k of the block in int64, or None past the bound.
+
+    With every |k| <= 2^62 and (2r+1)^dimension < 2^62: 2r+1-|k| lies in
+    (-2^63, 2^62), each factor is at most 2r+1, and a product of `dimension`
+    factors, partial products included, is at most (2r+1)^dimension.
+    """
+    if (2 * r + 1) ** dimension >= _INT64_SAFE or not _within(block, _INT64_SAFE):
+        return None
+    return np.maximum(0, 2 * r + 1 - np.abs(block))
 
 
 def _progression_sum(lo: int, hi: int, base: int, step: int) -> int:
@@ -34,6 +81,12 @@ def _progression_sum(lo: int, hi: int, base: int, step: int) -> int:
     if lo > hi:
         return 0
     k = hi - lo + 1
+    return k * base + step * ((lo + hi) * k // 2)
+
+
+def _progression_sums(lo, hi, base, step):
+    """`_progression_sum` elementwise on int64 arrays: an empty range has k = 0, so its terms vanish."""
+    k = np.maximum(0, hi - lo + 1)
     return k * base + step * ((lo + hi) * k // 2)
 
 
@@ -75,6 +128,25 @@ class Group:
         """Raise GroupElementError unless a is a canonical form for this group."""
         raise NotImplementedError
 
+    def check_elements(self, elems) -> None:
+        """`check_element` on every element of a collection.
+
+        One pass accepts the common case, exact ints or exact tuples of exact
+        ints shaped like the identity; otherwise each element is checked in
+        order, so the first bad one raises its own error.
+        """
+        shape = self.identity
+        if type(shape) is int:
+            exact = all(type(g) is int for g in elems)
+        else:
+            k = len(shape)
+            exact = all(type(g) is tuple and len(g) == k for g in elems) and all(
+                type(c) is int for g in elems for c in g
+            )
+        if not exact:
+            for g in elems:
+                self.check_element(g)
+
     def multiply(self, a, b):
         raise NotImplementedError
 
@@ -112,6 +184,15 @@ class Group:
     def box_overlap(self, r: int, g) -> int:
         """|B_r intersect g*B_r| as an exact integer."""
         raise NotImplementedError
+
+    def box_overlaps(self, r: int, block: np.ndarray) -> np.ndarray:
+        """`box_overlap(r, g)` for each translation g of a `to_block` array, in order.
+
+        The groups compute this in int64 where every intermediate provably
+        stays below 2^62, and fall back past that to this loop over the
+        scalar `box_overlap`, which returns an object array of Python ints.
+        """
+        return np.array([self.box_overlap(r, g) for g in from_block(block)], dtype=object)
 
     def box_corner(self, r: int):
         """A translation c in B_r maximizing |B_m delta g*B_m| over g in B_r for every m, or None.
@@ -184,6 +265,10 @@ class IntegerGroup(Group):
 
     def box_overlap(self, r, g):
         return max(0, 2 * r + 1 - abs(g))
+
+    def box_overlaps(self, r, block):
+        factors = _axis_factors(r, block, 1)
+        return super().box_overlaps(r, block) if factors is None else factors
 
     def box_corner(self, r):
         return r
@@ -268,6 +353,10 @@ class LatticeGroup(Group):
         for k in g:
             prod *= max(0, 2 * r + 1 - abs(k))
         return prod
+
+    def box_overlaps(self, r, block):
+        factors = _axis_factors(r, block, self.dimension)
+        return super().box_overlaps(r, block) if factors is None else factors.prod(axis=1)
 
     def box_corner(self, r):
         return (r,) * self.dimension
@@ -367,6 +456,34 @@ class HeisenbergGroup(Group):
         rising = _progression_sum(max(lo, -((depth - 1 + t0) // a)), min(hi, split), depth + t0, a)
         falling = _progression_sum(max(lo, split + 1), min(hi, (depth - 1 - t0) // a), depth - t0, -a)
         return cnt_x1 * (rising + falling)
+
+    def box_overlaps(self, r, block):
+        # `box_overlap` on every row at once, its branches taken by np.where.  With R =
+        # _H3_ARRAY_REACH and r, |a|, |b| <= R, |c| <= R^2: |t0| <= 2R^2 and depth <= 2R^2+1,
+        # so every tent end, split and base is at most 4R^2+1 in size, and the a = 0 value
+        # at most (2R+1)(4R+1)(4R^2+1) < 2^54.  lo and hi lie in [-2R, 2R]; a progression
+        # with k > 0 has both ends there and one with k = 0 adds 0, so each sum is at most
+        # (4R+1)(4R^2+1) + R(4R)(4R+1)/2 < 2^41, and each overlap is below 2^55 < 2^62.
+        reach = _H3_ARRAY_REACH
+        if r > reach or not (_within(block[:, :2], reach) and _within(block[:, 2], reach * reach)):
+            return super().box_overlaps(r, block)
+        a, b, c = block[:, 0], block[:, 1], block[:, 2]
+        cnt_x1 = 2 * r + 1 - np.abs(a)
+        positive = b > 0
+        lo, hi = np.where(positive, b - r, -r), np.where(positive, r, b + r)
+        depth = 2 * r * r + 1
+        t0 = c - a * b
+        level = cnt_x1 * (hi - lo + 1) * np.maximum(0, depth - np.abs(t0))
+        # a < 0: x2 -> -x2 turns the slope positive; a = 0 divides by 1 and is discarded
+        negative = a < 0
+        lo, hi = np.where(negative, -hi, lo), np.where(negative, -lo, hi)
+        slope = np.maximum(np.abs(a), 1)
+        split = -t0 // slope
+        rise_lo, fall_hi = -((depth - 1 + t0) // slope), (depth - 1 - t0) // slope
+        rising = _progression_sums(np.maximum(lo, rise_lo), np.minimum(hi, split), depth + t0, slope)
+        falling = _progression_sums(np.maximum(lo, split + 1), np.minimum(hi, fall_hi), depth - t0, -slope)
+        overlap = np.where(a == 0, level, cnt_x1 * (rising + falling))
+        return np.where((cnt_x1 <= 0) | (np.abs(b) > 2 * r), 0, overlap)
 
 
 def group_by_name(name: str) -> Group:

@@ -19,6 +19,7 @@ from ergolab import (
     ConstructionBudgetError,
     DomainError,
     ExplicitFamily,
+    GroupElementError,
     ModulusNotFoundError,
     RefinementWindowError,
     StructureError,
@@ -40,7 +41,7 @@ from ergolab import (
 )
 from ergolab import folner
 from ergolab.folner import ModulusEntry, ModulusTable, RefinedFamily
-from ergolab.groups import IntegerGroup, LatticeGroup
+from ergolab.groups import IntegerGroup, LatticeGroup, to_block
 
 Z = group_by_name("Z")
 Z2 = group_by_name("Z^2")
@@ -108,7 +109,7 @@ def test_h3_overlap_formula_against_brute_force():
             assert fam.ratio(r, g) == brute_ratio(H3, fam.elements(r), g)
 
 
-def test_explicit_family_packed_path_matches_sets():
+def test_explicit_family_packed_path_matches_sets(monkeypatch):
     rng = random.Random(5)
     sets = [frozenset(rng.sample(range(-500, 500), 80)) for _ in range(3)]
     edge = 2**62 - 10  # packable, but a shift past _PACK_LIMIT leaves the searched route
@@ -124,13 +125,52 @@ def test_explicit_family_packed_path_matches_sets():
     for n, s in enumerate(sets, start=1):
         k = len(s)
         shifts = {-7, 3, 250, 0, 1, k - 1, k, k + 5, 2**62, 3 * 2**62}
-        for g in shifts | {-g for g in shifts}:
+        gs = sorted(shifts | {-g for g in shifts})
+        for g in gs:
             assert fam.ratio(n, g) == brute_ratio(Z, s, g)
+        # the whole block at once: searched within the packing limit, in one chunk or in
+        # chunks of a few rows, else one g at a time
+        for chunk in (folner._SEARCH_CHUNK, 7):
+            monkeypatch.setattr(folner, "_SEARCH_CHUNK", chunk)
+            for block in (gs, gs[3:-3]):
+                assert fam.overlaps(n, to_block(block)).tolist() == [len(s & {g + x for x in s}) for g in block]
 
 
 def test_empty_set_rejected():
     with pytest.raises(StructureError):
         ExplicitFamily(Z, [set()])
+
+
+@pytest.mark.parametrize(
+    "group, bad, message",
+    [
+        (Z, True, "Z element must be an int, got True"),
+        (Z, 2.5, "Z element must be an int, got 2.5"),
+        (Z2, (1, 2, 3), "Z^2 element must be a 2-tuple of ints, got (1, 2, 3)"),
+        (Z2, (1, True), "Z^2 element must be a 2-tuple of ints, got (1, True)"),
+        (H3, (1, 2), "H3 element must be a 3-tuple of ints, got (1, 2)"),
+    ],
+)
+def test_explicit_sets_are_checked_in_one_pass_with_the_element_errors(group, bad, message, monkeypatch):
+    good = [group.identity, group.enumerate_prefix(3)[-1]]
+    with pytest.raises(GroupElementError) as info:
+        ExplicitFamily(group, [good, good + [bad]])
+    assert str(info.value) == message
+    # a valid set is accepted without a per-element check
+    calls = []
+    monkeypatch.setattr(type(group), "check_element", lambda self, a: calls.append(a))
+    ExplicitFamily(group, [good, group.enumerate_prefix(50)])
+    assert calls == []
+
+
+def test_box_cache_stays_under_the_materialize_cap(monkeypatch):
+    monkeypatch.setattr(folner, "MATERIALIZE_CAP", 300)
+    for group, top in ((Z, 149), (Z2, 8), (H3, 2)):
+        fam = standard_family(group, top)
+        for n in list(range(1, top + 1)) + list(range(top, 0, -3)) + [1, top, 1]:
+            assert fam.elements(n) == frozenset(group.box_elements(n))
+            assert sum(len(box) for box in fam._cache.values()) <= 300
+        assert fam.elements(1) is fam.elements(1)  # the most recent box stays cached
 
 
 # ---------------------------------------------------------------------------
@@ -530,22 +570,38 @@ def test_least_index_matches_a_scan():
     assert probed == [0, 1, 2, 4, 8, 6, 5]
 
 
+class CornerlessLattice(LatticeGroup):
+    """Z^d with no known box corner, so its boxes take the set route."""
+
+    def box_corner(self, r):
+        return None
+
+
 def _worst_ratio_cases():
     rng = random.Random(3)
     non_nested = ExplicitFamily(Z, [rng.sample(range(-30, 30), k) for k in (3, 9, 5, 12)])
+    tuples = ExplicitFamily(Z2, [rng.sample(sorted(Z2.box_elements(3)), k) for k in (2, 7, 4)])
+    edge = 2**62 - 10  # packed, but translations shift past the packing limit
+    huge = ExplicitFamily(Z, [{edge, -3}, {edge, edge + 2, 0, 5}, {2**70, 1, -(2**64), 9}])
     return [
         (standard_family(Z, 6), 6),
         (standard_family(Z2, 4), 4),
         (standard_family(H3, 2), 2),
         (RefinedFamily(standard_family(Z2, 40), [1, 3, 7]), 3),  # corner route
+        (standard_family(CornerlessLattice(2), 4), 4),  # Z^2 boxes on the set route
         (greedy_folner(Z, 5), 5),
         (non_nested, 4),
+        (tuples, 3),
+        (huge, 3),
     ]
 
 
-@pytest.mark.parametrize(
-    "family, top", _worst_ratio_cases(), ids=["Z", "Z^2", "H3", "refined-Z^2", "greedy-Z", "non-nested"]
-)
+WORST_RATIO_IDS = [
+    "Z", "Z^2", "H3", "refined-Z^2", "Z^2-no-corner", "greedy-Z", "non-nested", "explicit-Z^2", "past-int64"
+]
+
+
+@pytest.mark.parametrize("family, top", _worst_ratio_cases(), ids=WORST_RATIO_IDS)
 def test_worst_ratio_equals_set_arithmetic(family, top):
     group = family.group
     for n in range(1, top + 1):
@@ -565,6 +621,83 @@ def test_worst_ratio_equals_set_arithmetic(family, top):
             some = sorted(family.elements(n), key=str)[::2]
             assert worst_ratio(family, n, m, over=some)[0] == max(ratios[g] for g in some)
     assert worst_ratio(family, 1, 1, over=[]) == (0, None)
+
+
+def per_translation_worst(family, m, over, stop_at=None):
+    """The worst ratio by one `family.ratio` per translation, in the order given, with the early exit."""
+    worst, arg = Fraction(0), None
+    for g in over:
+        r = family.ratio(m, g)
+        if arg is None or r > worst:
+            worst, arg = r, g
+            if stop_at is not None and r >= stop_at:
+                break
+    return worst, arg
+
+
+def worst_first(family, n):
+    return sorted(family.elements(n), key=lambda g: (-family.group.norm1(g), g))
+
+
+def per_translation_violation(family, lam, eps, window):
+    for n in range(1, window + 1):
+        for m in range(n + lam, window + 1):
+            r, g = per_translation_worst(family, m, worst_first(family, n), eps)
+            if r >= eps:
+                return (n, m, g, r)
+    return None
+
+
+@pytest.mark.parametrize(
+    "family, top",
+    _worst_ratio_cases() + [(standard_family(H3, 3), 3)],
+    ids=WORST_RATIO_IDS + ["H3-to-3"],
+)
+def test_worst_ratio_is_the_per_translation_loop(family, top):
+    # value and witness, down to the witness's type: a canonical form, never a numpy scalar
+    set_route = folner._corner(family, 1) is None
+    for n in range(1, top + 1):
+        for m in range(1, top + 1):
+            expected = per_translation_worst(family, m, family.elements(n))
+            got = worst_ratio(family, n, m)
+            assert (repr(got) == repr(expected)) if set_route else got[0] == expected[0]
+            for eps in (Fraction(1, 10), expected[0], expected[0] + Fraction(1, 10**9), Fraction(3), nudged(0.3)):
+                got = worst_ratio(family, n, m, stop_at=eps)
+                want = per_translation_worst(family, m, worst_first(family, n), eps)
+                assert (repr(got) == repr(want)) if set_route else (got[0] >= eps) == (want[0] >= eps)
+        for eps in (Fraction(1, 2), Fraction(1, 5), nudged(0.7)):
+            for claimed in range(1, top + 1):
+                want = all(per_translation_worst(family, m, worst_first(family, n), eps)[0] < eps
+                           for m in range(claimed, top + 1))
+                assert check_modulus(family, n, eps, claimed, top) == want
+    for lam in (1, 2):
+        for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(6, 5), Fraction(5, 2)):
+            report = check_fast(family, lam, eps, top)
+            want = per_translation_violation(family, lam, eps, top)
+            assert report.ok == (want is None)
+            if set_route and want is not None:
+                assert repr(report.violation) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "family, bad",
+    [
+        (standard_family(Z, 5), True),
+        (standard_family(H3, 2), (1, 2)),
+        (ExplicitFamily(Z, [{0}, {-1, 0, 3}]), 1.5),
+        (ExplicitFamily(Z2, [{(0, 0)}, {(0, 0), (1, 2)}]), (1, 2, 3)),
+        (RefinedFamily(standard_family(Z2, 9), [1, 4, 9]), [1, 2]),
+        (RefinedFamily(standard_family(Z, 9), [2, 5]), "3"),
+    ],
+    ids=["box-Z", "box-H3", "explicit-Z", "explicit-Z^2", "refined-Z^2", "refined-Z"],
+)
+def test_worst_ratio_validates_every_given_translation(family, bad):
+    good = family.group.identity
+    for over in ([bad], [good, bad], [bad, good]):
+        with pytest.raises(GroupElementError):
+            worst_ratio(family, 1, 2, over=over)
+        with pytest.raises(GroupElementError):
+            per_translation_worst(family, 2, over)  # as the per-translation route does
 
 
 def test_worst_ratio_table_matches_direct_loops():

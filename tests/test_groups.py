@@ -14,9 +14,11 @@ from ergolab import (
     inverse,
     multiply,
 )
+from ergolab.groups import from_block, to_block
 
 Z = group_by_name("Z")
 Z2 = group_by_name("Z^2")
+Z3 = group_by_name("Z^3")
 H3 = group_by_name("H3")
 
 
@@ -169,6 +171,79 @@ def test_h3_box_overlap_is_exact_beyond_machine_integers():
     # a = 0: every x2 fibre has the same depth
     b, c = r // 2, r * r // 3
     assert H3.box_overlap(r, (0, b, c)) == (2 * r + 1) * (2 * r + 1 - b) * (2 * r * r + 1 - c)
+
+
+# ---------------------------------------------------------------------------
+# box overlaps of a whole block against the scalar box_overlap
+# ---------------------------------------------------------------------------
+
+
+def random_translations(group, r, count, rng):
+    """count translations, about half inside B_2r (where overlaps are nonzero) and half up to 3x past it."""
+    out = []
+    for i in range(count):
+        reach = 2 * r if i % 2 else 6 * r + 3
+        if group is Z:
+            out.append(rng.randint(-reach, reach))
+        elif group is H3:
+            out.append((rng.randint(-reach, reach), rng.randint(-reach, reach), rng.randint(-reach * r, reach * r)))
+        else:
+            out.append(tuple(rng.randint(-reach, reach) for _ in range(group.dimension)))
+    return out
+
+
+@pytest.mark.parametrize("group", [Z, Z2, Z3, H3], ids=lambda g: g.name)
+@pytest.mark.parametrize("r", [1, 2, 5, 13, 40])
+def test_box_overlaps_equal_the_scalar_overlap(group, r):
+    rng = random.Random(r)
+    gs = random_translations(group, r, 1500, rng) + [group.identity, group.box_corner(r) or (r, r, -r * r)]
+    got = group.box_overlaps(r, to_block(gs))
+    assert got.dtype == np.int64
+    assert got.tolist() == [group.box_overlap(r, g) for g in gs]
+
+
+def test_box_overlaps_at_the_edge_of_the_int64_route():
+    reach = 2**12
+    r3 = next(r for r in itertools.count(800_000) if (2 * r + 3) ** 3 >= 2**62)  # last r with (2r+1)^3 < 2^62
+    cases = [
+        (Z, 2**61 - 1, [0, 2**62, -(2**62), 2**61, 12345]),  # (2r+1) just under 2^62, |g| at 2^62
+        (Z3, r3, [(0, 0, 0), (5, -7, 2**62), (1, 1, 1)]),
+        (H3, reach, [(reach, -reach, reach * reach), (-reach, reach, -(reach * reach)), (0, reach, 5), (3, -4, 11)]),
+    ]
+    for group, r, gs in cases:
+        block = to_block(gs)
+        assert block.dtype == np.int64
+        got = group.box_overlaps(r, block)
+        assert got.dtype == np.int64, group  # still on the int64 route
+        assert got.tolist() == [group.box_overlap(r, g) for g in gs], group
+    # one step past the guard in r or in a coordinate: the exact scalar loop
+    for group, r, gs in [
+        (Z, 2**61, [0, 1]),
+        (Z, 3, [2**62 + 1]),
+        (Z2, 2**31, [(0, 0), (1, -1)]),
+        (Z3, r3 + 1, [(0, 0, 0), (1, -1, 2)]),
+        (H3, reach + 1, [(0, 0, 0), (1, 2, 3)]),
+        (H3, 3, [(reach + 1, 0, 0), (0, 1, 2)]),
+        (H3, 3, [(0, -reach - 1, 0), (0, 1, 2)]),
+        (H3, 3, [(0, 0, -(reach * reach) - 1), (0, 1, 2)]),
+    ]:
+        got = group.box_overlaps(r, to_block(gs))
+        assert got.dtype == object and got.tolist() == [group.box_overlap(r, g) for g in gs], (group, r)
+
+
+def test_box_overlaps_are_exact_beyond_machine_integers():
+    r = 10**30
+    for group, gs in [
+        (Z, [0, r, -2 * r, 2 * r + 1, 10**40]),
+        (Z2, [(0, 0), (r, -r), (2**70, 1)]),
+        (H3, [(0, 0, 0), (r, -r // 3, r * r // 2), (1, 2 * r, -(r * r)), (7, -5, 3 * r * r)]),
+    ]:
+        block = to_block(gs)
+        assert from_block(block) == gs
+        got = group.box_overlaps(r, block)
+        assert got.dtype == object
+        assert got.tolist() == [group.box_overlap(r, g) for g in gs]
+        assert max(got) > 2**63  # the identity's overlap |B_r| does not fit in int64
 
 
 # ---------------------------------------------------------------------------

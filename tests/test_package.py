@@ -1,6 +1,7 @@
 """Structure of the package itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ergolab"
@@ -53,3 +54,20 @@ def private_attributes_from_elsewhere(path: Path) -> list:
 def test_no_module_uses_another_modules_private_attributes():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in private_attributes_from_elsewhere(path)]
     assert found == []
+
+
+def test_every_name_the_benchmark_wraps_is_defined_where_it_looks():
+    # perfbench/spans.py patches each method through its own class's __dict__; read, not imported
+    spans = ast.parse((SRC.parents[1] / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in spans.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("FUNCTIONS", "METHODS")
+    }
+    assert tables["FUNCTIONS"] and tables["METHODS"]
+    missing = [f"{module}.{name}" for module, name, _ in tables["FUNCTIONS"]
+               if not hasattr(importlib.import_module(module), name)]
+    missing += [f"{module}.{cls}.{name}" for module, cls, name, _ in tables["METHODS"]
+                if name not in vars(getattr(importlib.import_module(module), cls))]
+    assert missing == []
