@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -44,8 +43,6 @@ from .groups import Group, from_block, group_by_name, to_block
 
 MATERIALIZE_CAP = 2_000_000
 _PACK_LIMIT = 2**62
-# translations searched at once in a packed set: (rows x |F|) int64 entries per chunk
-_SEARCH_CHUNK = 2**16
 
 
 def as_fraction(x) -> Fraction:
@@ -104,23 +101,12 @@ def _packed_overlap(arr: np.ndarray, g: int) -> Optional[int]:
     return int(np.count_nonzero(inside & (arr[pos] == shifted)))
 
 
-def _packed_overlaps(arr: np.ndarray, block: np.ndarray) -> Optional[np.ndarray]:
-    """`_packed_overlap` for every g of a 1-d block at once; None unless every g + F fits the packing limit."""
-    if block.dtype != np.int64:
+def _interval_overlaps(arr: np.ndarray, block: np.ndarray) -> Optional[np.ndarray]:
+    """`_packed_overlap` for every g of a 1-d block at once when arr is one integer interval, else None."""
+    if block.dtype != np.int64 or int(arr[-1]) - int(arr[0]) + 1 != arr.size:
         return None
-    shift = max(-int(block.min()), int(block.max())) if block.size else 0
-    if shift + max(abs(int(arr[0])), abs(int(arr[-1]))) >= _PACK_LIMIT:
-        return None
-    if int(arr[-1]) - int(arr[0]) + 1 == arr.size:
-        return np.maximum(0, arr.size - np.abs(block))
-    out = np.empty(block.size, dtype=np.int64)
-    rows = max(1, _SEARCH_CHUNK // arr.size)
-    for start in range(0, block.size, rows):
-        shifted = block[start : start + rows, None] + arr
-        # a position past the end holds no match, so clamping it to the last entry is safe
-        pos = np.minimum(np.searchsorted(arr, shifted), arr.size - 1)
-        out[start : start + rows] = np.count_nonzero(arr[pos] == shifted, axis=1)
-    return out
+    # exact on all of int64: np.abs(-2^63) wraps to -2^63, and |F| + 2^63 wraps negative, so 0
+    return np.maximum(0, arr.size - np.abs(block))
 
 
 def _overlap(group: Group, s: frozenset, arr: Optional[np.ndarray], g) -> int:
@@ -191,9 +177,9 @@ class ExplicitFamily(FolnerFamily):
 
     A set of integers is also kept as a sorted int64 array.  When that array
     is one integer interval, |F intersect gF| = max(0, |F| - |g|) in closed
-    form for any g; otherwise g + F is searched in the array, and sets that
-    do not pack (tuples, or a shift past the packing limit) take set
-    arithmetic.
+    form for any g, for a whole block at once; otherwise g + F is searched in
+    the array one g at a time, and sets that do not pack (tuples, or a shift
+    past the packing limit) take set arithmetic.
     """
 
     def __init__(self, group: Group, sets: Sequence[Iterable], provenance: str = "explicit"):
@@ -224,9 +210,9 @@ class ExplicitFamily(FolnerFamily):
     def overlaps(self, n: int, block: np.ndarray) -> np.ndarray:
         self._check_index(n)
         s, arr = self._sets[n - 1], self._packed[n - 1]
-        counts = None if arr is None else _packed_overlaps(arr, block)
+        counts = None if arr is None else _interval_overlaps(arr, block)
         if counts is None:
-            # tuples, or a shift past the packing limit: one element at a time
+            # not one interval, or a translation past int64: one element at a time
             group = self.group
             counts = np.fromiter((_overlap(group, s, arr, g) for g in from_block(block)), np.int64, len(block))
         return counts
@@ -248,17 +234,15 @@ class StandardBoxFamily(FolnerFamily):
     """F_n = standard box of radius n; nothing is stored per index.
 
     Z^d uses F_n = [-n, n]^d; H3 uses |a|, |b| <= n with |c| <= n^2.
-    Element sets are materialized on demand up to MATERIALIZE_CAP elements,
-    and the most recently used ones are kept while they hold MATERIALIZE_CAP
-    elements in all.
+    Element sets are materialized on demand up to MATERIALIZE_CAP elements;
+    only the latest one is kept, for loops that ask for the same F_n again.
     """
 
     provenance = "standard-box"
 
     def __init__(self, group: Group, n_max: int):
         super().__init__(group, n_max)
-        self._cache: "OrderedDict[int, frozenset]" = OrderedDict()
-        self._cached = 0  # elements held by _cache
+        self._last: Tuple[int, frozenset] = (0, frozenset())  # (n, F_n) of the latest `elements` call
 
     def card(self, n: int) -> int:
         self._check_index(n)
@@ -266,20 +250,14 @@ class StandardBoxFamily(FolnerFamily):
 
     def elements(self, n: int) -> frozenset:
         self._check_index(n)
-        cache = self._cache
-        if n in cache:
-            cache.move_to_end(n)
-            return cache[n]
-        card = self.group.box_card(n)
-        if card > MATERIALIZE_CAP:
-            raise FamilyTooLargeError(
-                f"box F_{n} of {self.group.name} has {card} elements; cannot materialize beyond {MATERIALIZE_CAP}"
-            )
-        box = cache[n] = frozenset(self.group.box_elements(n))
-        self._cached += card
-        while self._cached > MATERIALIZE_CAP:
-            self._cached -= len(cache.popitem(last=False)[1])
-        return box
+        if self._last[0] != n:
+            card = self.group.box_card(n)
+            if card > MATERIALIZE_CAP:
+                raise FamilyTooLargeError(
+                    f"box F_{n} of {self.group.name} has {card} elements; cannot materialize beyond {MATERIALIZE_CAP}"
+                )
+            self._last = (n, frozenset(self.group.box_elements(n)))
+        return self._last[1]
 
     def box_radius(self, n: int) -> Optional[int]:
         self._check_index(n)

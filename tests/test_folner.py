@@ -19,6 +19,7 @@ from ergolab import (
     ConstructionBudgetError,
     DomainError,
     ExplicitFamily,
+    FamilyTooLargeError,
     GroupElementError,
     ModulusNotFoundError,
     RefinementWindowError,
@@ -109,7 +110,7 @@ def test_h3_overlap_formula_against_brute_force():
             assert fam.ratio(r, g) == brute_ratio(H3, fam.elements(r), g)
 
 
-def test_explicit_family_packed_path_matches_sets(monkeypatch):
+def test_explicit_family_packed_path_matches_sets():
     rng = random.Random(5)
     sets = [frozenset(rng.sample(range(-500, 500), 80)) for _ in range(3)]
     edge = 2**62 - 10  # packable, but a shift past _PACK_LIMIT leaves the searched route
@@ -128,12 +129,9 @@ def test_explicit_family_packed_path_matches_sets(monkeypatch):
         gs = sorted(shifts | {-g for g in shifts})
         for g in gs:
             assert fam.ratio(n, g) == brute_ratio(Z, s, g)
-        # the whole block at once: searched within the packing limit, in one chunk or in
-        # chunks of a few rows, else one g at a time
-        for chunk in (folner._SEARCH_CHUNK, 7):
-            monkeypatch.setattr(folner, "_SEARCH_CHUNK", chunk)
-            for block in (gs, gs[3:-3]):
-                assert fam.overlaps(n, to_block(block)).tolist() == [len(s & {g + x for x in s}) for g in block]
+        # the whole block at once: in closed form on an interval within int64, else one g at a time
+        for block in (gs, gs[3:-3], [-(2**63), 0, 2**63 - 1]):
+            assert fam.overlaps(n, to_block(block)).tolist() == [len(s & {g + x for x in s}) for g in block]
 
 
 def test_empty_set_rejected():
@@ -163,14 +161,16 @@ def test_explicit_sets_are_checked_in_one_pass_with_the_element_errors(group, ba
     assert calls == []
 
 
-def test_box_cache_stays_under_the_materialize_cap(monkeypatch):
+def test_box_elements_are_the_group_box(monkeypatch):
     monkeypatch.setattr(folner, "MATERIALIZE_CAP", 300)
     for group, top in ((Z, 149), (Z2, 8), (H3, 2)):
-        fam = standard_family(group, top)
-        for n in list(range(1, top + 1)) + list(range(top, 0, -3)) + [1, top, 1]:
+        fam = standard_family(group, top + 1)
+        for n in list(range(1, top + 1)) + [1, top, 1]:
             assert fam.elements(n) == frozenset(group.box_elements(n))
-            assert sum(len(box) for box in fam._cache.values()) <= 300
-        assert fam.elements(1) is fam.elements(1)  # the most recent box stays cached
+            assert fam.elements(n) is fam.elements(n)  # the latest box is kept
+        with pytest.raises(FamilyTooLargeError):
+            fam.elements(top + 1)
+        assert fam.elements(1) == frozenset(group.box_elements(1))
 
 
 # ---------------------------------------------------------------------------
