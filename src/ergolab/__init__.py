@@ -64,7 +64,6 @@ from .folner import (
     RefinedFamily,
     StandardBoxFamily,
     as_fraction,
-    box_ratio,
     build_modulus_table,
     check_fast,
     check_modulus,

@@ -95,7 +95,11 @@ def _distance_matrix(distances) -> np.ndarray:
 def _beta_values(beta, length: int) -> Optional[List[int]]:
     if beta is None:
         return None
-    vals = [int(v) for v in beta]
+    vals = list(beta)
+    for v in vals:
+        if not (type(v) is int or isinstance(v, np.integer)):  # int(v) would truncate a float, take a bool as 0 or 1
+            raise DomainError(f"beta values must be integers, got {v!r}")
+    vals = [int(v) for v in vals]
     if len(vals) != length:
         raise StructureError(f"beta needs one value per index, got {len(vals)} for length {length}")
     for n, v in enumerate(vals, start=1):
@@ -230,12 +234,16 @@ def theorem_bound(
     return Branch.of(modulus, norm_x, eps, eta).bound(lower)
 
 
+def _check_lambda(lam) -> None:
+    if not (type(lam) is int and lam >= 1):  # an int, not a bool
+        raise DomainError(f"lambda must be an integer >= 1, got {lam!r}")
+
+
 def corollary_bound(
     modulus: ConvexityModulus, norm_x: float, eps: float, eta: float, lam: int, lower: Optional[float] = None
 ) -> int:
     """lam * theorem_bound + lam: the plain-count bound on (lam, .)-fast families."""
-    if not (isinstance(lam, int) and lam >= 1):
-        raise DomainError(f"lambda must be an integer >= 1, got {lam!r}")
+    _check_lambda(lam)
     return lam * theorem_bound(modulus, norm_x, eps, eta, lower=lower) + lam
 
 
@@ -339,6 +347,7 @@ def verify_corollary(
     Refuses to run unless the family passes check_fast at each branch
     tolerance over the window.
     """
+    _check_lambda(lam)
 
     def require_fast(eps_fast: Fraction, window: int) -> None:
         fast_rep = check_fast(fast_family, lam, eps_fast, window)

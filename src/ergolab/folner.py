@@ -9,9 +9,8 @@ which the tests replay against the closed forms.
 
 A worst ratio over F_n is decided in integers: `FolnerFamily.overlaps` counts
 |F_m intersect gF_m| for every g of F_n at once, as one array (`to_block`),
-the least overlap is the largest ratio, a tolerance test compares overlaps
-with one integer threshold, and a single `Fraction` is built per (n, m).
-F_n's array is built once per n and reused across m.
+the least overlap is the largest ratio, and a single `Fraction` is built per
+(n, m).  F_n's array is built once per n and reused across m.
 
 The universally quantified "for all m >= N" in the modulus definition is
 undecidable for arbitrary families; empirical entries are therefore stamped
@@ -65,6 +64,13 @@ def as_fraction(x) -> Fraction:
     raise DomainError(f"cannot interpret {x!r} as a rational number")
 
 
+def _check_int(x, what: str, lo: Optional[int] = None, hi: Optional[int] = None) -> None:
+    """Refuse x unless it is an int, not a bool, with lo <= x <= hi for whichever bounds are given."""
+    if not (type(x) is int and (lo is None or lo <= x) and (hi is None or x <= hi)):
+        bounds = " and".join(f" {op} {v}" for op, v in ((">=", lo), ("<=", hi)) if v is not None)
+        raise DomainError(f"{what} must be an integer{bounds}, got {x!r}")
+
+
 def _tolerance(eps, what: str) -> Fraction:
     """eps as an exact rational, refused unless positive; `what` names it in the error."""
     eps = as_fraction(eps)
@@ -115,15 +121,8 @@ def _overlap(group: Group, s: frozenset, arr: Optional[np.ndarray], g) -> int:
     return len(s & group.translate_set(s, g)) if overlap is None else overlap
 
 
-def box_ratio(group: Group, r: int, g) -> Fraction:
-    """|B_r delta g B_r| / |B_r| from the closed-form overlap count."""
-    group.check_element(g)
-    card = group.box_card(r)
-    return Fraction(2 * (card - group.box_overlap(r, g)), card)
-
-
 def _below(group: Group, r: int, corner, eps: Fraction) -> bool:
-    """box_ratio(group, r, corner) < eps, decided in integers; corner comes from `box_corner`."""
+    """|B_r delta corner B_r| / |B_r| < eps, decided in integers; corner comes from `box_corner`."""
     card = group.box_card(r)
     return 2 * (card - group.box_overlap(r, corner)) * eps.denominator < eps.numerator * card
 
@@ -138,8 +137,7 @@ class FolnerFamily:
     provenance = "explicit"
 
     def __init__(self, group: Group, n_max: int):
-        if n_max < 1:
-            raise DomainError(f"family length must be >= 1, got {n_max}")
+        _check_int(n_max, "family length", 1)
         self.group = group
         self.n_max = n_max
 
@@ -265,7 +263,9 @@ class StandardBoxFamily(FolnerFamily):
 
     def ratio(self, n: int, g) -> Fraction:
         self._check_index(n)
-        return box_ratio(self.group, n, g)
+        self.group.check_element(g)
+        card = self.group.box_card(n)
+        return Fraction(2 * (card - self.group.box_overlap(n, g)), card)
 
     def overlaps(self, n: int, block: np.ndarray) -> np.ndarray:
         self._check_index(n)
@@ -493,70 +493,47 @@ def least_index(pred: Callable[[int], bool], lo: int, hi: Optional[int] = None) 
     return None
 
 
-def _worst_first(group: Group, elems) -> list:
-    # largest norm first (violations of a ratio bound usually sit there), then by value
-    return sorted(elems, key=lambda g: (-group.norm1(g), g))
-
-
 def _corner(family: FolnerFamily, n: int):
     """The group's box corner at F_n's box radius; None unless F_n is a box with a known corner."""
     r = family.box_radius(n)
     return None if r is None else family.group.box_corner(r)
 
 
-def worst_ratio(family: FolnerFamily, n: int, m: int, stop_at=None, over=None) -> Tuple[Fraction, object]:
+def worst_ratio(family: FolnerFamily, n: int, m: int, over=None) -> Tuple[Fraction, object]:
     """(ratio, g): the max over g in F_n of |F_m delta gF_m|/|F_m|, and a g attaining it.
 
     Corner route: with F_n and F_m standard boxes and the corner of F_n known
-    (`Group.box_corner`), that corner attains the max.
+    (`Group.box_corner`), that corner attains the max, taken from `family.ratio`.
     Set route otherwise, in integers: `family.overlaps(m, ...)` counts
     |F_m intersect gF_m| for every g of F_n at once (of `over` in place of
     F_n when given, a union of sets, each element validated), the least
     count is the largest ratio, and one `Fraction` is built from it.  The
     witness is the first maximum in F_n's iteration order (in `over`'s
-    order).  With stop_at, F_n is visited largest norm first, and the
-    witness is the first g whose ratio is >= stop_at, tested as an integer
-    bound on its overlap, with that g's ratio; if none reaches it, the first
-    maximum in that order.  No elements give (0, None).
+    order).  No elements give (0, None).
     """
-    return next(_worst_ratios(family, n, (m,), stop_at, over))
+    return next(_worst_ratios(family, n, (m,), over))
 
 
-def _worst_ratios(family: FolnerFamily, n: int, ms: Iterable[int], stop_at=None, over=None) -> Iterator[tuple]:
-    """`worst_ratio(family, n, m, stop_at, over)` for each m of ms in turn, F_n's array built once."""
+def _worst_ratios(family: FolnerFamily, n: int, ms: Iterable[int], over=None) -> Iterator[tuple]:
+    """`worst_ratio(family, n, m, over)` for each m of ms in turn, F_n's array built once."""
     corner = _corner(family, n) if over is None else None
-    stop_at = None if stop_at is None else as_fraction(stop_at)
     elems = block = None
     for m in ms:
-        rm = None if corner is None else family.box_radius(m)
-        if rm is not None:
-            yield box_ratio(family.group, rm, corner), corner
+        if corner is not None and family.box_radius(m) is not None:
+            yield family.ratio(m, corner), corner
             continue
         if elems is None:
+            elems = list(family.elements(n) if over is None else over)
             if over is not None:
-                elems = list(over)
                 family.group.check_elements(elems)
-            elif stop_at is None:
-                elems = list(family.elements(n))
-            else:
-                elems = _worst_first(family.group, family.elements(n))
             block = to_block(elems)
-        yield _worst_in_block(family, m, elems, block, stop_at)
-
-
-def _worst_in_block(family: FolnerFamily, m: int, elems: list, block: np.ndarray, stop_at: Optional[Fraction]):
-    """`worst_ratio`'s set route at one m, over elems, whose array is block."""
-    if not elems:
-        return Fraction(0), None
-    card = family.card(m)
-    overlaps = family.overlaps(m, block)
-    i = int(np.argmin(overlaps))
-    if stop_at is not None:
-        # 2(card - ov)/card >= p/q exactly when ov <= card(2q - p)/(2q), ov an integer
-        q2 = 2 * stop_at.denominator
-        reached = np.flatnonzero(overlaps <= min(card, max(-1, card * (q2 - stop_at.numerator) // q2)))
-        i = int(reached[0]) if reached.size else i
-    return Fraction(2 * (card - int(overlaps[i])), card), elems[i]
+        if not elems:
+            yield Fraction(0), None
+            continue
+        card = family.card(m)
+        overlaps = family.overlaps(m, block)
+        i = int(np.argmin(overlaps))
+        yield Fraction(2 * (card - int(overlaps[i])), card), elems[i]
 
 
 def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] = None) -> ModulusEntry:
@@ -571,6 +548,8 @@ def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] 
     """
     eps = _tolerance(eps, "modulus")
     family._check_index(n)
+    if m_max is not None:
+        _check_int(m_max, "m_max")  # its range matters only to an empirical entry
 
     corner = _corner(family, n) if isinstance(family, StandardBoxFamily) else None
     if corner is not None:
@@ -582,8 +561,7 @@ def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] 
 
     if m_max is None:
         raise DomainError("m_max is required for empirical modulus certification")
-    if not 1 <= m_max <= family.n_max:
-        raise DomainError(f"m_max must be in [1, {family.n_max}], got {m_max}")
+    _check_int(m_max, "m_max", 1, family.n_max)
 
     ms = range(1, m_max + 1)
     worst_by_m = {m: r for m, (r, _) in zip(ms, _worst_ratios(family, n, ms))}
@@ -638,9 +616,9 @@ def check_modulus(family: FolnerFamily, n: int, eps, claimed: int, window: int) 
     """Re-verify a claimed modulus value over [claimed, window] (vacuous if empty)."""
     eps = _tolerance(eps, "modulus")
     family._check_index(n)
-    if window > family.n_max:
-        raise DomainError(f"window {window} exceeds family length {family.n_max}")
-    return all(r < eps for r, _ in _worst_ratios(family, n, range(max(claimed, 1), window + 1), stop_at=eps))
+    _check_int(claimed, "claimed")
+    _check_int(window, "window", hi=family.n_max)
+    return all(r < eps for r, _ in _worst_ratios(family, n, range(max(claimed, 1), window + 1)))
 
 
 def worst_ratio_table(family: FolnerFamily, n_hi: int, m_hi: int) -> Dict[Tuple[int, int], Fraction]:
@@ -675,16 +653,15 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
     Every built stage then satisfies |F_n delta g F_n|/|F_n| < 3/n for all
     g in F_{n-1}.
     """
-    if n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    if search_budget < 1:
-        raise DomainError(f"search_budget must be >= 1, got {search_budget}")
+    _check_int(n_max, "n_max", 1)
+    _check_int(search_budget, "search_budget", 1)
     enum = group.enumerate_prefix(n_max)
     sets: List[frozenset] = [frozenset([enum[0]])]
 
     for stage in range(2, n_max + 1):
         prev = sets[-1]
-        prev_sorted = _worst_first(group, prev)
+        # largest norm first (violations of a ratio bound usually sit there), then by value
+        prev_sorted = sorted(prev, key=lambda g: (-group.norm1(g), g))
         # the least radius whose box contains prev; a box of radius norm1(g) contains g
         reach = least_index(
             lambda r: all(group.box_contains(r, g) for g in prev), 0, max(map(group.norm1, prev))
@@ -735,8 +712,8 @@ def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> R
     group's `corner_floor`, below which no m qualifies.
     """
     eps = _tolerance(eps, "refinement")
-    if count is not None and count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    if count is not None:
+        _check_int(count, "count", 1)
 
     box_mode = _corner(family, 1) is not None
     group, standard = family.group, isinstance(family, StandardBoxFamily)
@@ -755,8 +732,7 @@ def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> R
         else:
             union |= family.elements(last)
             ms = range(last + 1, family.n_max + 1)
-            ratios = _worst_ratios(family, last, ms, stop_at=eps, over=_worst_first(group, union))
-            nxt = next((m for m, (r, _) in zip(ms, ratios) if r < eps), None)
+            nxt = next((m for m, (r, _) in zip(ms, _worst_ratios(family, last, ms, over=union)) if r < eps), None)
         if nxt is None:
             if count is not None:
                 raise RefinementWindowError(indices, count)
@@ -777,20 +753,16 @@ class FastCheckReport:
 def check_fast(family: FolnerFamily, lam: int, eps, window: int) -> FastCheckReport:
     """Verify the (lam, eps)-fast property over [1, window]; report first violation.
 
-    The first violating (n, m) pair in (n, m) order is reported with a
-    witness g from `worst_ratio(..., stop_at=eps)`: the corner of F_n when
-    both sets are standard boxes with a known corner, else the first violator
-    in F_n taken largest norm first (not necessarily the least g in key order).
+    The first violating (n, m) pair in (n, m) order is reported with its
+    worst ratio and the witness g that `worst_ratio` gives.
     """
     eps = _tolerance(eps, "fastness")
-    if not (isinstance(lam, int) and lam >= 1):
-        raise DomainError(f"lambda must be an integer >= 1, got {lam!r}")
-    if not 1 <= window <= family.n_max:
-        raise DomainError(f"window must be in [1, {family.n_max}], got {window}")
+    _check_int(lam, "lambda", 1)
+    _check_int(window, "window", 1, family.n_max)
 
     for n in range(1, window + 1):
         ms = range(n + lam, window + 1)
-        for m, (r, g) in zip(ms, _worst_ratios(family, n, ms, stop_at=eps)):
+        for m, (r, g) in zip(ms, _worst_ratios(family, n, ms)):
             if r >= eps:
                 return FastCheckReport(False, lam, eps, window, (n, m, g, r))
     return FastCheckReport(True, lam, eps, window)

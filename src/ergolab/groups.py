@@ -155,8 +155,8 @@ class Group:
 
     def enumerate_prefix(self, count: int) -> list:
         """First count elements of the fixed enumeration, identity first."""
-        if count < 1:
-            raise DomainError(f"enumeration prefix length must be >= 1, got {count}")
+        if not (type(count) is int and count >= 1):  # an int, not a bool
+            raise DomainError(f"enumeration prefix length must be an integer >= 1, got {count!r}")
         return list(itertools.islice(self._enumerate(), count))
 
     def _enumerate(self) -> Iterator:

@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from ergolab import (
     Branch,
     ConstructionBudgetError,
+    ConvexityModulus,
     DomainError,
     ExplicitFamily,
     FamilyTooLargeError,
@@ -24,11 +26,12 @@ from ergolab import (
     ModulusNotFoundError,
     RefinementWindowError,
     StructureError,
-    box_ratio,
     build_modulus_table,
     check_fast,
     check_modulus,
     convergence_modulus,
+    corollary_bound,
+    enumerate_prefix,
     envelope,
     family_from_jsonable,
     fast_refinement,
@@ -36,12 +39,16 @@ from ergolab import (
     greedy_folner,
     group_by_name,
     least_index,
+    lp_norm,
+    max_chain,
+    rotation_system,
     standard_family,
+    verify_corollary,
     worst_ratio,
     worst_ratio_table,
 )
 from ergolab import folner
-from ergolab.folner import ModulusEntry, ModulusTable, RefinedFamily
+from ergolab.folner import ModulusEntry, ModulusTable, RefinedFamily, StandardBoxFamily
 from ergolab.groups import IntegerGroup, LatticeGroup, to_block
 
 Z = group_by_name("Z")
@@ -55,6 +62,12 @@ def brute_ratio(group, elems, g):
     s = frozenset(elems)
     gs = frozenset(group.multiply(g, x) for x in s)
     return Fraction(len(s ^ gs), len(s))
+
+
+def closed_box_ratio(group, r, g):
+    """|B_r delta gB_r| / |B_r| from the group's closed-form overlap count."""
+    card = group.box_card(r)
+    return Fraction(2 * (card - group.box_overlap(r, g)), card)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +218,7 @@ def test_analytic_modulus_exists_for_every_positive_tolerance(eps):
 def oracle_modulus(group, r, eps):
     """The least m >= 1 whose box ratio at the corner of B_r is < eps, one Fraction per probe."""
     corner = group.box_corner(r)
-    return least_index(lambda m: box_ratio(group, m, corner) < eps, 1)
+    return least_index(lambda m: closed_box_ratio(group, m, corner) < eps, 1)
 
 
 def nudged(eta: float) -> Fraction:
@@ -271,9 +284,9 @@ def test_an_analytic_z_entry_makes_one_overlap_probe_and_no_fraction(monkeypatch
     monkeypatch.setattr(IntegerGroup, "box_overlap", lambda self, r, g: probes.append(r) or overlap(self, r, g))
 
     def no_fraction_per_probe(*args):
-        raise AssertionError("box_ratio called in the analytic search")
+        raise AssertionError("a Fraction ratio taken in the analytic search")
 
-    monkeypatch.setattr(folner, "box_ratio", no_fraction_per_probe)
+    monkeypatch.setattr(StandardBoxFamily, "ratio", no_fraction_per_probe)
     fam = standard_family(Z, 10**30)
     for n, eps in ((1, Fraction(1, 2)), (400, nudged(0.05)), (5, Fraction(10, 21)), (7, Fraction(5, 2)),
                    (7, Fraction(2)), (10**30, Fraction(1, 10**25)), (9, Fraction(5, 10**324))):
@@ -611,38 +624,26 @@ def test_worst_ratio_equals_set_arithmetic(family, top):
             worst = max(ratios.values())
             r, g = worst_ratio(family, n, m)
             assert r == worst and brute_ratio(group, target, g) == r
-            for eps in (Fraction(1, 10), worst, worst + Fraction(1, 10**9)):
-                r, g = worst_ratio(family, n, m, stop_at=eps)
-                if worst >= eps:
-                    # early exit: the witness is a real violation of the bound
-                    assert r >= eps and g in family.elements(n) and brute_ratio(group, target, g) == r
-                else:
-                    assert r == worst
             some = sorted(family.elements(n), key=str)[::2]
             assert worst_ratio(family, n, m, over=some)[0] == max(ratios[g] for g in some)
     assert worst_ratio(family, 1, 1, over=[]) == (0, None)
 
 
-def per_translation_worst(family, m, over, stop_at=None):
-    """The worst ratio by one `family.ratio` per translation, in the order given, with the early exit."""
+def per_translation_worst(family, m, over):
+    """The worst ratio by one `family.ratio` per translation, and its first maximiser in the order given."""
     worst, arg = Fraction(0), None
     for g in over:
         r = family.ratio(m, g)
         if arg is None or r > worst:
             worst, arg = r, g
-            if stop_at is not None and r >= stop_at:
-                break
     return worst, arg
 
 
-def worst_first(family, n):
-    return sorted(family.elements(n), key=lambda g: (-family.group.norm1(g), g))
-
-
 def per_translation_violation(family, lam, eps, window):
+    """The first (n, m) whose worst ratio reaches eps, with that ratio's first maximiser in F_n's order."""
     for n in range(1, window + 1):
         for m in range(n + lam, window + 1):
-            r, g = per_translation_worst(family, m, worst_first(family, n), eps)
+            r, g = per_translation_worst(family, m, family.elements(n))
             if r >= eps:
                 return (n, m, g, r)
     return None
@@ -661,13 +662,9 @@ def test_worst_ratio_is_the_per_translation_loop(family, top):
             expected = per_translation_worst(family, m, family.elements(n))
             got = worst_ratio(family, n, m)
             assert (repr(got) == repr(expected)) if set_route else got[0] == expected[0]
-            for eps in (Fraction(1, 10), expected[0], expected[0] + Fraction(1, 10**9), Fraction(3), nudged(0.3)):
-                got = worst_ratio(family, n, m, stop_at=eps)
-                want = per_translation_worst(family, m, worst_first(family, n), eps)
-                assert (repr(got) == repr(want)) if set_route else (got[0] >= eps) == (want[0] >= eps)
         for eps in (Fraction(1, 2), Fraction(1, 5), nudged(0.7)):
             for claimed in range(1, top + 1):
-                want = all(per_translation_worst(family, m, worst_first(family, n), eps)[0] < eps
+                want = all(per_translation_worst(family, m, family.elements(n))[0] < eps
                            for m in range(claimed, top + 1))
                 assert check_modulus(family, n, eps, claimed, top) == want
     for lam in (1, 2):
@@ -675,8 +672,25 @@ def test_worst_ratio_is_the_per_translation_loop(family, top):
             report = check_fast(family, lam, eps, top)
             want = per_translation_violation(family, lam, eps, top)
             assert report.ok == (want is None)
-            if set_route and want is not None:
-                assert repr(report.violation) == repr(want)
+            if want is not None:
+                got = report.violation
+                if not set_route:  # the witness is the corner, which need not be F_n's first maximiser
+                    got, want = got[:2] + got[3:], want[:2] + want[3:]
+                assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("family, top", _worst_ratio_cases(), ids=WORST_RATIO_IDS)
+def test_check_fast_reports_the_worst_ratio_at_its_first_violation(family, top):
+    violations = 0
+    for lam in (1, 2):
+        for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(6, 5)):
+            report = check_fast(family, lam, eps, top)
+            if not report.ok:
+                n, m, g, r = report.violation
+                assert r == worst_ratio(family, n, m)[0] >= eps
+                assert brute_ratio(family.group, family.elements(m), g) == r
+                violations += 1
+    assert violations
 
 
 @pytest.mark.parametrize(
@@ -750,7 +764,7 @@ def refinement_scan(family, eps, count):
         union = family.elements(indices[-1])  # nested boxes: the union of the chosen sets is the last
         fast = (
             m for m in range(indices[-1] + 1, family.n_max + 1)
-            if max(box_ratio(family.group, family.box_radius(m), g) for g in union) < eps
+            if max(closed_box_ratio(family.group, family.box_radius(m), g) for g in union) < eps
         )
         nxt = next(fast, None)
         if nxt is None:
@@ -801,5 +815,44 @@ def test_family_serialization_roundtrips():
 
 def test_box_ratio_clamps_to_two():
     # disjoint translate: the ratio saturates at 2
-    assert box_ratio(Z, 1, 10) == 2
-    assert box_ratio(Z2, 1, (10, 0)) == 2
+    assert closed_box_ratio(Z, 1, 10) == standard_family(Z, 1).ratio(1, 10) == 2
+    assert closed_box_ratio(Z2, 1, (10, 0)) == standard_family(Z2, 1).ratio(1, (10, 0)) == 2
+
+
+def _verify_corollary_with_lambda(lam):
+    system, hanner = rotation_system(12), ConvexityModulus.hanner(2)
+    f = system.observable([1.0] + [0.0] * 11, 2)
+    fast = fast_refinement(standard_family(Z, 10**30), Branch.of(hanner, lp_norm(system, f), 0.3).tolerance, count=4)
+    return verify_corollary(system, fast, lam, hanner, f, [0.3], window=4)
+
+
+EXACT_INT_ARGUMENTS = {  # name: (call, an int it accepts)
+    "FolnerFamily n_max": (lambda x: standard_family(Z, x), 2),
+    "greedy_folner n_max": (lambda x: greedy_folner(Z, x), 2),
+    "greedy_folner search_budget": (lambda x: greedy_folner(Z, 3, search_budget=x), 100),
+    "convergence_modulus m_max": (lambda x: convergence_modulus(
+        ExplicitFamily(Z, [range(-k, k + 1) for k in range(1, 6)]), 1, Fraction(5, 2), m_max=x
+    ), 5),
+    "check_modulus claimed": (lambda x: check_modulus(standard_family(Z, 10), 1, Fraction(1, 2), x, 5), 2),
+    "check_modulus window": (lambda x: check_modulus(standard_family(Z, 10), 1, Fraction(1, 2), 2, x), 5),
+    "check_fast lam": (lambda x: check_fast(standard_family(Z, 10), x, Fraction(5, 2), 5), 2),
+    "check_fast window": (lambda x: check_fast(standard_family(Z, 10), 1, Fraction(5, 2), x), 5),
+    "fast_refinement count": (lambda x: fast_refinement(standard_family(Z, 10), Fraction(1, 2), count=x), 2),
+    "corollary_bound lam": (lambda x: corollary_bound(ConvexityModulus.hanner(2), 1.0, 0.5, 0.001, x), 2),
+    "verify_corollary lam": (_verify_corollary_with_lambda, 1),
+    "max_chain beta": (lambda x: max_chain([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 0.5, beta=[x, 3, 4]), 2),
+    "enumerate_prefix count": (lambda x: enumerate_prefix(Z, x), 2),
+}
+
+
+@pytest.mark.parametrize("bad", [lambda good: True, lambda good: good + 0.5, float], ids=["bool", "float", "integral-float"])
+@pytest.mark.parametrize("call, good", EXACT_INT_ARGUMENTS.values(), ids=EXACT_INT_ARGUMENTS.keys())
+def test_integer_arguments_refuse_bools_and_floats(call, good, bad):
+    call(good)
+    with pytest.raises(DomainError):  # an ErgolabError naming the argument, not an error of the run it would start
+        call(bad(good))
+
+
+def test_max_chain_keeps_numpy_integer_beta():
+    beta = np.array([2, 3, 4], dtype=np.int64)
+    assert max_chain([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 0.5, beta=beta).beta_used == [2, 3, 4]
