@@ -52,6 +52,9 @@ from .folner import (
 )
 from .groups import Group, group_by_name
 
+# the most indices one `--ns` span (lo-hi) may name; each is a modulus computation
+NS_SPAN_CAP = 10_000
+
 
 def _fmt(x: float) -> str:
     return repr(float(x))
@@ -348,6 +351,8 @@ def _cmd_folner_refine(args) -> int:
 def _parse_ns(spec: str) -> List[int]:
     if "-" in spec and "," not in spec:
         lo, hi = (_parsed(tok, int, "--ns") for tok in spec.split("-", 1))
+        if hi - lo >= NS_SPAN_CAP:
+            raise ConfigError(f"--ns span {spec!r} names {hi - lo + 1} indices; the cap is {NS_SPAN_CAP}")
         ns = list(range(lo, hi + 1))
     else:
         ns = _parsed_list(spec, int, "--ns")
@@ -461,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     mc = mod_sub.add_parser("compute")
     mc.add_argument("--group", required=True)
     mc.add_argument("--family", default="standard", choices=["standard", "greedy"])
-    mc.add_argument("--ns", required=True, help="indices, e.g. 1-10 or 1,3,5")
+    mc.add_argument("--ns", required=True, help=f"indices, e.g. 1-10 or 1,3,5; a span names at most {NS_SPAN_CAP}")
     mc.add_argument("--eps", required=True)
     mc.add_argument("--window", action=_Number, convert=int, required=True)
     mc.add_argument("--budget", action=_Number, convert=int, default=10_000)

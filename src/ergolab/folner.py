@@ -21,7 +21,6 @@ corner computation certifies every larger index).
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,6 +120,15 @@ def _overlap(group: Group, s: frozenset, arr: Optional[np.ndarray], g) -> int:
     return len(s & group.translate_set(s, g)) if overlap is None else overlap
 
 
+def _set_overlaps(group: Group, s: frozenset, arr: Optional[np.ndarray], block: np.ndarray) -> np.ndarray:
+    """`_overlap` for every g of a `to_block` array: the interval closed form at once when it applies."""
+    counts = None if arr is None else _interval_overlaps(arr, block)
+    if counts is None:
+        # not one interval, or a translation past int64: one element at a time
+        counts = np.fromiter((_overlap(group, s, arr, g) for g in from_block(block)), np.int64, len(block))
+    return counts
+
+
 def _below(group: Group, r: int, corner, eps: Fraction) -> bool:
     """|B_r delta corner B_r| / |B_r| < eps, decided in integers; corner comes from `box_corner`."""
     card = group.box_card(r)
@@ -207,13 +215,7 @@ class ExplicitFamily(FolnerFamily):
 
     def overlaps(self, n: int, block: np.ndarray) -> np.ndarray:
         self._check_index(n)
-        s, arr = self._sets[n - 1], self._packed[n - 1]
-        counts = None if arr is None else _interval_overlaps(arr, block)
-        if counts is None:
-            # not one interval, or a translation past int64: one element at a time
-            group = self.group
-            counts = np.fromiter((_overlap(group, s, arr, g) for g in from_block(block)), np.int64, len(block))
-        return counts
+        return _set_overlaps(self.group, self._sets[n - 1], self._packed[n - 1], block)
 
     def to_jsonable(self) -> dict:
         return {
@@ -645,10 +647,11 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
     located by `least_index`, which matches a radius-by-radius scan
     whenever validity is monotone in the radius (true for the supported box
     geometries at these scales).  Each candidate evaluation counts against
-    search_budget per stage.  Once per stage, outside that budget, the least
-    radius whose box contains F_{n-1} is found (containment is monotone in
-    the radius); a candidate at or past it is the box itself, whose
-    overlaps are closed-form.
+    search_budget per stage.  F_{n-1} is one `to_block` array per stage; a
+    candidate at or past its closed-form reach (`Group.box_reach`) is the box
+    itself, counted by `Group.box_overlaps`, a smaller one a set, counted as
+    `ExplicitFamily.overlaps` counts, and the least overlap decides it, in
+    integers (the condition is monotone in the overlap).
 
     Every built stage then satisfies |F_n delta g F_n|/|F_n| < 3/n for all
     g in F_{n-1}.
@@ -660,12 +663,8 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
 
     for stage in range(2, n_max + 1):
         prev = sets[-1]
-        # largest norm first (violations of a ratio bound usually sit there), then by value
-        prev_sorted = sorted(prev, key=lambda g: (-group.norm1(g), g))
-        # the least radius whose box contains prev; a box of radius norm1(g) contains g
-        reach = least_index(
-            lambda r: all(group.box_contains(r, g) for g in prev), 0, max(map(group.norm1, prev))
-        )
+        block = to_block(list(prev))
+        reach = group.box_reach(block)
         evals = itertools.count(1)
 
         def candidate_valid(r: int) -> bool:
@@ -674,13 +673,13 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
             if r and r >= reach:
                 # prev lies inside the box, so the candidate is the box itself
                 card = group.box_card(r)
-                overlap_of = functools.partial(group.box_overlap, r)
+                overlaps = group.box_overlaps(r, block)
             else:
                 s = prev if r == 0 else frozenset(prev | set(group.box_elements(r)))
                 card = len(s)
-                overlap_of = functools.partial(_overlap, group, s, _pack_sorted(s))
-            # |C delta gC| < |C|/stage as integers: stage * 2 * (card - overlap) < card
-            return all(stage * 2 * (card - overlap_of(g)) < card for g in prev_sorted)
+                overlaps = _set_overlaps(group, s, _pack_sorted(s), block)
+            # |C delta gC| < |C|/stage for every g in prev, as integers: stage * 2 * (card - overlap) < card
+            return stage * 2 * (card - int(np.min(overlaps))) < card
 
         # unbounded search: the budget ends it
         radius = least_index(candidate_valid, 0)

@@ -12,16 +12,17 @@ starting at the identity; constructions that consume the enumeration are
 deterministic across runs.
 
 Each group also knows the geometry of its standard Folner boxes (cardinality,
-membership, exact translation overlap counts), which the folner module uses
-for closed-form invariance ratios.  A block of translations is one array
-(`to_block`): overlaps for the whole block come from `Group.box_overlaps` in
-int64 wherever no intermediate can reach 2^62, and from the exact scalar
-`box_overlap` past that.
+the least radius holding given elements, exact translation overlap counts),
+which the folner module uses for closed-form invariance ratios.  A block of
+translations is one array (`to_block`): overlaps for the whole block come from
+`Group.box_overlaps` in int64 wherever no intermediate can reach 2^62, and
+from the exact scalar `box_overlap` past that.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from typing import Iterable, Iterator, List, Sequence
 
@@ -32,6 +33,8 @@ from .errors import DomainError, GroupElementError, UnsupportedGroupError
 
 # every int64 intermediate of an array overlap route stays strictly below this
 _INT64_SAFE = 2**62
+# the largest d of a lattice Z^d: past d = 13, B_1 (3^d points) is past folner's MATERIALIZE_CAP
+MAX_DIMENSION = 64
 # H3's array route: r, |a|, |b| <= _H3_ARRAY_REACH and |c| <= _H3_ARRAY_REACH^2
 _H3_ARRAY_REACH = 2**12
 
@@ -62,6 +65,11 @@ def _within(values: np.ndarray, limit: int) -> bool:
     if values.dtype != np.int64:
         return False
     return values.size == 0 or (int(values.min()) >= -limit and int(values.max()) <= limit)
+
+
+def _max_abs(values: np.ndarray) -> int:
+    """max |x| over a nonempty array, as a Python int (abs in int64 would wrap at -2^63)."""
+    return max(int(values.max()), -int(values.min()))
 
 
 def _axis_factors(r: int, block: np.ndarray, dimension: int):
@@ -166,16 +174,13 @@ class Group:
         """{g*x : x in elems} with the group law inlined for speed."""
         raise NotImplementedError
 
-    def norm1(self, a) -> int:
-        """1-norm of the canonical form; used only to order search heuristics."""
-        raise NotImplementedError
-
     # -- standard Folner box geometry -------------------------------------
 
     def box_card(self, r: int) -> int:
         raise NotImplementedError
 
-    def box_contains(self, r: int, g) -> bool:
+    def box_reach(self, block: np.ndarray) -> int:
+        """The least r >= 0 whose box B_r holds every row of a nonempty `to_block` array, exactly."""
         raise NotImplementedError
 
     def box_elements(self, r: int) -> Iterator:
@@ -251,14 +256,11 @@ class IntegerGroup(Group):
         self.check_element(g)
         return {g + x for x in elems}
 
-    def norm1(self, a):
-        return abs(a)
-
     def box_card(self, r):
         return 2 * r + 1
 
-    def box_contains(self, r, g):
-        return -r <= g <= r
+    def box_reach(self, block):
+        return _max_abs(block)
 
     def box_elements(self, r):
         return iter(range(-r, r + 1))
@@ -281,8 +283,8 @@ class LatticeGroup(Group):
     """Z^d under coordinatewise addition; canonical form is a d-tuple of ints."""
 
     def __init__(self, dimension: int):
-        if not _is_int(dimension) or dimension < 1:
-            raise UnsupportedGroupError(f"lattice dimension must be a positive int, got {dimension}")
+        if not _is_int(dimension) or not 1 <= dimension <= MAX_DIMENSION:
+            raise UnsupportedGroupError(f"lattice dimension must be an int in [1, {MAX_DIMENSION}], got {dimension}")
         self.dimension = dimension
         self.name = f"Z^{dimension}"
 
@@ -311,17 +313,10 @@ class LatticeGroup(Group):
 
     def _shell(self, s: int) -> List[tuple]:
         """Elements of 1-norm exactly s, in the decided deterministic order."""
-
-        def build(rem: int, coords_left: int):
-            if coords_left == 1:
-                for v in ((rem, -rem) if rem else (0,)):
-                    yield (v,)
-                return
-            for k in range(-rem, rem + 1):
-                for tail in build(rem - abs(k), coords_left - 1):
-                    yield (k,) + tail
-
-        shell = list(build(s, self.dimension))
+        partial = [((), s)]  # (leading coordinates, 1-norm left for the rest)
+        for _ in range(self.dimension - 1):
+            partial = [(head + (k,), rem - abs(k)) for head, rem in partial for k in range(-rem, rem + 1)]
+        shell = [head + (v,) for head, rem in partial for v in ((rem, -rem) if rem else (0,))]
         # spiral tie-break: later coordinates vary slowest, zig-zag within each
         shell.sort(key=lambda t: tuple(_zigzag_rank(c) for c in reversed(t)))
         return shell
@@ -336,14 +331,11 @@ class LatticeGroup(Group):
         self.check_element(g)
         return {tuple(gi + xi for gi, xi in zip(g, x)) for x in elems}
 
-    def norm1(self, a):
-        return sum(abs(c) for c in a)
-
     def box_card(self, r):
         return (2 * r + 1) ** self.dimension
 
-    def box_contains(self, r, g):
-        return all(-r <= c <= r for c in g)
+    def box_reach(self, block):
+        return _max_abs(block)
 
     def box_elements(self, r):
         return itertools.product(range(-r, r + 1), repeat=self.dimension)
@@ -418,15 +410,14 @@ class HeisenbergGroup(Group):
         a, b, c = g
         return {(a + x1, b + x2, c + x3 + a * x2) for x1, x2, x3 in elems}
 
-    def norm1(self, x):
-        return abs(x[0]) + abs(x[1]) + abs(x[2])
-
     def box_card(self, r):
         return (2 * r + 1) ** 2 * (2 * r * r + 1)
 
-    def box_contains(self, r, g):
-        a, b, c = g
-        return abs(a) <= r and abs(b) <= r and abs(c) <= r * r
+    def box_reach(self, block):
+        # |c| <= r^2 first holds at r = ceil(sqrt(max |c|))
+        central = _max_abs(block[:, 2])
+        root = math.isqrt(central)
+        return max(_max_abs(block[:, :2]), root + (root * root < central))
 
     def box_elements(self, r):
         rng = range(-r, r + 1)
@@ -494,7 +485,10 @@ def group_by_name(name: str) -> Group:
         return HeisenbergGroup()
     m = re.fullmatch(r"Z\^(\d+)", name) if isinstance(name, str) else None
     if m:
-        return LatticeGroup(int(m.group(1)))
+        digits = m.group(1)
+        if len(digits) > len(str(MAX_DIMENSION)):  # past the cap; int() refuses over 4,300 digits
+            raise UnsupportedGroupError(f"lattice dimension of {name[:20]!r} is past the cap {MAX_DIMENSION}")
+        return LatticeGroup(int(digits))
     raise UnsupportedGroupError(f"unknown group name {name!r}; expected Z, Z^d or H3")
 
 

@@ -1,6 +1,7 @@
 """CLI subcommands as thin wrappers: printed numbers equal library results."""
 
 import contextlib
+import gzip
 import importlib
 import io
 import json
@@ -26,8 +27,9 @@ from ergolab import (
     theorem_bound,
     torus_translation_system,
 )
-from ergolab.cli import exit_code_for, main, run_experiment
+from ergolab.cli import NS_SPAN_CAP, exit_code_for, main, run_experiment
 from ergolab.fluctuation import FluctuationReport
+from ergolab.groups import MAX_DIMENSION
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO = REPO / "configs" / "demo.json"
@@ -112,6 +114,36 @@ def test_modulus_compute(capsys, tmp_path):
     assert lines == ["1 4", "2 8", "3 12"]
     doc = json.loads(out_file.read_text())
     assert doc["kind"] == "analytic" and doc["certified_up_to"] is None
+
+
+def test_greedy_modulus_matches_the_stored_benchmark_reference(capsys, tmp_path):
+    # the greedy-z workload's argv; its reference is read, never written, here
+    ref = json.loads(gzip.decompress((REPO / "perfbench" / "refs" / "greedy-z.json.gz").read_bytes()))
+    out_file = tmp_path / "modulus.json"
+    code, out, _ = run_cli(
+        capsys, "modulus", "compute", "--group", "Z", "--family", "greedy", "--ns", "1-6",
+        "--eps", "1/2", "--window", "8", "--out", str(out_file),
+    )
+    assert code == 0
+    assert out.splitlines() == ref["stdout"]
+    assert json.loads(out_file.read_text()) == ref["files"]["modulus.json"]
+
+
+def test_ns_span_past_the_cap_is_refused_before_any_work(capsys):
+    ok = ["--group", "Z", "--eps", "1/2", "--window", "3"]
+    for spec in (f"1-{NS_SPAN_CAP + 1}", "1-100000000000000000000", "0-100000000000000000000"):
+        code, out, err = run_cli(capsys, "modulus", "compute", "--ns", spec, *ok)
+        assert code == 1 and out == "", spec
+        assert err.startswith("error: --ns") and str(NS_SPAN_CAP) in err and "Traceback" not in err, spec
+    code, out, _ = run_cli(capsys, "modulus", "compute", "--ns", f"1-{NS_SPAN_CAP}", *ok)
+    assert code == 0 and out.splitlines()[-1] == f"{NS_SPAN_CAP} {2 * NS_SPAN_CAP}"  # 2n/(2m+1) < 1/2 from m = 2n
+
+
+def test_lattice_dimension_past_the_cap_exits_one(capsys):
+    for group in ("Z^3000", "Z^100000000000000000000"):
+        code, out, err = run_cli(capsys, "folner", "build", "--group", group, "--kind", "greedy", "--n-max", "2")
+        assert code == 1 and out == "" and "Traceback" not in err, group
+        assert err.startswith("error:") and str(MAX_DIMENSION) in err, group
 
 
 def test_avg_run_matches_library(capsys, tmp_path):

@@ -5,6 +5,7 @@ closed-form and packed-array routes are checked against literal set
 arithmetic.
 """
 
+import itertools
 import json
 import math
 import random
@@ -419,6 +420,58 @@ def test_greedy_stage_cardinalities_are_pinned(group, n_max, cards):
     # a different least radius would still give a valid family, with other cardinalities
     fam = greedy_folner(group, n_max)
     assert [fam.card(n) for n in range(1, n_max + 1)] == cards
+
+
+def scalar_greedy(group, n_max, search_budget=10_000):
+    """The greedy construction with every candidate tested one g at a time: the reference
+    for `greedy_folner`'s blocks.  The reach is a `least_index` search over coordinate
+    containment, and each g of F_{n-1} is decided alone by the scalar `box_overlap` or
+    `folner._overlap`; the probes, and so the budget count, are `greedy_folner`'s.
+    """
+
+    def contains(r, g):
+        if group is H3:
+            return abs(g[0]) <= r and abs(g[1]) <= r and abs(g[2]) <= r * r
+        return all(abs(c) <= r for c in (g if isinstance(g, tuple) else (g,)))
+
+    enum = group.enumerate_prefix(n_max)
+    sets = [frozenset([enum[0]])]
+    for stage in range(2, n_max + 1):
+        prev = sets[-1]
+        reach = least_index(lambda r: all(contains(r, g) for g in prev), 0)
+        evals = itertools.count(1)
+
+        def valid(r):
+            if next(evals) > search_budget:
+                raise ConstructionBudgetError(stage, search_budget)
+            if r and r >= reach:
+                card, overlap_of = group.box_card(r), lambda g: group.box_overlap(r, g)
+            else:
+                s = prev | frozenset(group.box_elements(r)) if r else prev
+                arr = folner._pack_sorted(s)
+                card, overlap_of = len(s), lambda g: folner._overlap(group, s, arr, g)
+            return all(stage * 2 * (card - overlap_of(g)) < card for g in prev)
+
+        radius = least_index(valid, 0)
+        chosen = prev | frozenset(group.box_elements(radius)) if radius else prev
+        sets.append(chosen | {enum[stage - 1]})
+    return sets
+
+
+@pytest.mark.parametrize(
+    "group, n_max, least_budget", [(Z, 8, 31), (Z2, 4, 11), (H3, 3, 3)], ids=lambda v: getattr(v, "name", None)
+)
+def test_greedy_blocks_match_the_per_g_construction(group, n_max, least_budget):
+    fam = greedy_folner(group, n_max)
+    assert [fam.elements(n) for n in range(1, n_max + 1)] == scalar_greedy(group, n_max)
+    # the same probes: every smaller budget runs out at the same stage, and the least one that suffices is pinned
+    for budget in range(1, least_budget):
+        with pytest.raises(ConstructionBudgetError) as got:
+            greedy_folner(group, n_max, search_budget=budget)
+        with pytest.raises(ConstructionBudgetError) as want:
+            scalar_greedy(group, n_max, search_budget=budget)
+        assert got.value.stage == want.value.stage, budget
+    assert greedy_folner(group, n_max, search_budget=least_budget).to_jsonable() == fam.to_jsonable()
 
 
 def test_greedy_z2_small():

@@ -14,7 +14,7 @@ from ergolab import (
     inverse,
     multiply,
 )
-from ergolab.groups import from_block, to_block
+from ergolab.groups import MAX_DIMENSION, LatticeGroup, from_block, to_block
 
 Z = group_by_name("Z")
 Z2 = group_by_name("Z^2")
@@ -99,6 +99,39 @@ def test_group_by_name():
         group_by_name("F_2")
 
 
+def test_lattice_dimension_is_capped():
+    assert group_by_name(f"Z^{MAX_DIMENSION}").dimension == MAX_DIMENSION
+    # one past the cap, far past it, and a digit string int() itself would refuse
+    for name in (f"Z^{MAX_DIMENSION + 1}", "Z^3000", "Z^" + "1" * 20, "Z^" + "9" * 5000):
+        with pytest.raises(UnsupportedGroupError, match=str(MAX_DIMENSION)):
+            group_by_name(name)
+    for d in (0, MAX_DIMENSION + 1, True):
+        with pytest.raises(UnsupportedGroupError):
+            LatticeGroup(d)
+
+
+def test_lattice_enumeration_prefix_is_pinned():
+    assert enumerate_prefix(Z2, 25) == [
+        (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (-2, 0), (1, 1), (-1, 1), (1, -1), (-1, -1),
+        (0, 2), (0, -2), (3, 0), (-3, 0), (2, 1), (-2, 1), (2, -1), (-2, -1), (1, 2), (-1, 2), (1, -2),
+        (-1, -2), (0, 3), (0, -3),
+    ]
+    assert enumerate_prefix(Z3, 25) == [
+        (0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (2, 0, 0),
+        (-2, 0, 0), (1, 1, 0), (-1, 1, 0), (1, -1, 0), (-1, -1, 0), (0, 2, 0), (0, -2, 0), (1, 0, 1),
+        (-1, 0, 1), (0, 1, 1), (0, -1, 1), (1, 0, -1), (-1, 0, -1), (0, 1, -1), (0, -1, -1), (0, 0, 2),
+        (0, 0, -2),
+    ]
+
+
+def test_lattice_enumeration_at_the_dimension_cap():
+    group = LatticeGroup(MAX_DIMENSION)
+    prefix = enumerate_prefix(group, 2 * MAX_DIMENSION + 1)
+    # the identity, then the shell of 1-norm 1: +e_1, -e_1, +e_2, -e_2, ...
+    unit = [tuple(int(i == k) for i in range(MAX_DIMENSION)) for k in range(MAX_DIMENSION)]
+    assert prefix == [group.identity] + [v for e in unit for v in (e, tuple(-c for c in e))]
+
+
 def test_translate_set_matches_multiply():
     rng = random.Random(99)
     for group in (Z, Z2, H3):
@@ -114,7 +147,7 @@ def test_h3_box_geometry_against_enumeration():
     assert H3.box_card(2) == 25 * 9
     elems = set(H3.box_elements(1))
     assert len(elems) == 27
-    assert all(H3.box_contains(1, g) for g in elems)
+    assert H3.box_reach(to_block(sorted(elems))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +277,41 @@ def test_box_overlaps_are_exact_beyond_machine_integers():
         assert got.dtype == object
         assert got.tolist() == [group.box_overlap(r, g) for g in gs]
         assert max(got) > 2**63  # the identity's overlap |B_r| does not fit in int64
+
+
+def brute_reach(group, gs):
+    """The least r whose materialized box B_r holds every g."""
+    return next(r for r in itertools.count() if set(gs) <= set(group.box_elements(r)))
+
+
+@pytest.mark.parametrize("group", [Z, Z2, H3], ids=lambda g: g.name)
+def test_box_reach_equals_least_containing_box(group):
+    rng = random.Random(len(group.name))
+    pool = list(group.box_elements(3))
+    blocks = [[group.identity], [group.box_corner(2) or (2, -2, -4)]] + [rng.sample(pool, min(k, len(pool))) for k in (1, 2, 5, 30)]
+    if group is H3:
+        # central coordinates between squares, negative ones included: (0, 0, 5) needs r = 3
+        blocks += [[(0, 0, 5)], [(0, 0, -5)], [(0, 0, 4)], [(0, 0, -9), (1, -1, 0)], [(0, 0, 10)], [(-3, 0, 1)]]
+    else:
+        blocks += [[-3 if group is Z else (0, -3)], [2, -3] if group is Z else [(2, 1), (-1, -3)]]
+    for gs in blocks:
+        block = to_block(gs)
+        want = brute_reach(group, gs)
+        assert group.box_reach(block) == want, gs
+        assert group.box_reach(np.array(gs, dtype=object)) == want, gs  # the object route agrees
+
+
+def test_box_reach_is_exact_beyond_machine_integers():
+    big = 2**70
+    for group, gs, want in [
+        (Z, [3, -big], big),
+        (Z, [-(2**63)], 2**63),  # int64, where abs would wrap
+        (Z2, [(0, 0), (big + 1, -5)], big + 1),
+        (H3, [(0, 0, big + 1)], 2**35 + 1),  # big = (2^35)^2, so one more needs the next radius
+        (H3, [(0, 0, -big), (1, 2, 3)], 2**35),
+        (H3, [(-big, 0, 0)], big),
+    ]:
+        assert group.box_reach(to_block(gs)) == want, gs
 
 
 # ---------------------------------------------------------------------------
