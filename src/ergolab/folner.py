@@ -106,27 +106,24 @@ def _packed_overlap(arr: np.ndarray, g: int) -> Optional[int]:
     return int(np.count_nonzero(inside & (arr[pos] == shifted)))
 
 
-def _interval_overlaps(arr: np.ndarray, block: np.ndarray) -> Optional[np.ndarray]:
-    """`_packed_overlap` for every g of a 1-d block at once when arr is one integer interval, else None."""
-    if block.dtype != np.int64 or int(arr[-1]) - int(arr[0]) + 1 != arr.size:
-        return None
-    # exact on all of int64: np.abs(-2^63) wraps to -2^63, and |F| + 2^63 wraps negative, so 0
-    return np.maximum(0, arr.size - np.abs(block))
-
-
 def _overlap(group: Group, s: frozenset, arr: Optional[np.ndarray], g) -> int:
     """|s intersect gs|: searched in `arr`, the packed form of s, when g fits, else by set arithmetic."""
     overlap = None if arr is None else _packed_overlap(arr, g)
     return len(s & group.translate_set(s, g)) if overlap is None else overlap
 
 
-def _set_overlaps(group: Group, s: frozenset, arr: Optional[np.ndarray], block: np.ndarray) -> np.ndarray:
-    """`_overlap` for every g of a `to_block` array: the interval closed form at once when it applies."""
-    counts = None if arr is None else _interval_overlaps(arr, block)
-    if counts is None:
-        # not one interval, or a translation past int64: one element at a time
-        counts = np.fromiter((_overlap(group, s, arr, g) for g in from_block(block)), np.int64, len(block))
-    return counts
+def _set_overlaps(group: Group, s: frozenset, arr, block: np.ndarray, floor: int = -1) -> np.ndarray:
+    """`_overlap` for every g of a `to_block` array: at once in closed form when `arr` is one
+    integer interval, else one g at a time, and then the array ends at the first overlap <= floor."""
+    if arr is not None and block.dtype == np.int64 and int(arr[-1]) - int(arr[0]) + 1 == arr.size:
+        # exact on all of int64: np.abs(-2^63) wraps to -2^63, and |F| + 2^63 wraps negative, so 0
+        return np.maximum(0, arr.size - np.abs(block))
+    counts = []
+    for g in from_block(block):
+        counts.append(_overlap(group, s, arr, g))
+        if counts[-1] <= floor:
+            break
+    return np.array(counts, dtype=np.int64)
 
 
 def _below(group: Group, r: int, corner, eps: Fraction) -> bool:
@@ -650,8 +647,8 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
     search_budget per stage.  F_{n-1} is one `to_block` array per stage; a
     candidate at or past its closed-form reach (`Group.box_reach`) is the box
     itself, counted by `Group.box_overlaps`, a smaller one a set, counted as
-    `ExplicitFamily.overlaps` counts, and the least overlap decides it, in
-    integers (the condition is monotone in the overlap).
+    `ExplicitFamily.overlaps` counts but up to the first g that refutes it.
+    The least overlap decides, in integers (the test is monotone in it).
 
     Every built stage then satisfies |F_n delta g F_n|/|F_n| < 3/n for all
     g in F_{n-1}.
@@ -677,7 +674,8 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
             else:
                 s = prev if r == 0 else frozenset(prev | set(group.box_elements(r)))
                 card = len(s)
-                overlaps = _set_overlaps(group, s, _pack_sorted(s), block)
+                # a g with overlap <= card - ceil(card / (2 * stage)) already refutes the candidate
+                overlaps = _set_overlaps(group, s, _pack_sorted(s), block, card + -card // (2 * stage))
             # |C delta gC| < |C|/stage for every g in prev, as integers: stage * 2 * (card - overlap) < card
             return stage * 2 * (card - int(np.min(overlaps))) < card
 

@@ -474,6 +474,18 @@ def test_greedy_blocks_match_the_per_g_construction(group, n_max, least_budget):
     assert greedy_folner(group, n_max, search_budget=least_budget).to_jsonable() == fam.to_jsonable()
 
 
+@pytest.mark.parametrize("group, n_max", [(Z2, 4), (H3, 3)], ids=lambda v: getattr(v, "name", None))
+def test_greedy_refutes_a_set_candidate_at_its_first_failing_g(group, n_max, monkeypatch):
+    # tuple sets are counted one g at a time; the count stops where the reference's all() stops
+    seen = []
+    real = folner._overlap
+    monkeypatch.setattr(folner, "_overlap", lambda group, s, arr, g: seen.append(g) or real(group, s, arr, g))
+    greedy_folner(group, n_max)
+    blocks, seen[:] = list(seen), []
+    scalar_greedy(group, n_max)
+    assert blocks == seen and 0 < len(seen) <= 5
+
+
 def test_greedy_z2_small():
     fam = greedy_folner(Z2, 4)
     for n in range(2, 5):
