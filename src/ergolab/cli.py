@@ -54,6 +54,8 @@ from .groups import Group, group_by_name
 
 # the most indices one `--ns` span (lo-hi) may name; each is a modulus computation
 NS_SPAN_CAP = 10_000
+# a config's `window` stays below this, so its window x window float64 distance table stays below 2**27 bytes
+WINDOW_LIMIT = 2**12
 
 
 def _fmt(x: float) -> str:
@@ -108,6 +110,11 @@ def _seed(cfg: dict) -> int:
 
 def _system(spec: dict, group: Group) -> FiniteMeasureSystem:
     points = get_int(spec, "points", lo=1)
+    perms = get_section(spec, "generators")
+    generators = {name: get_ints(perms, name) for name in perms}
+    lengths = {name: len(perm) for name, perm in generators.items()}
+    if set(lengths.values()) != {points}:  # before the weights, a list of `points` of them, are built
+        raise ConfigError(f"{points} points need generators of {points} entries each, got lengths {lengths}")
     weights = get(spec, "weights", "uniform")
     if weights == "uniform":
         weights = [Fraction(1, points)] * points
@@ -117,8 +124,6 @@ def _system(spec: dict, group: Group) -> FiniteMeasureSystem:
         weights = [as_fraction(w) for w in weights]
     else:
         raise ConfigError('weights must be "uniform" or a list of rational strings')
-    perms = get_section(spec, "generators")
-    generators = {name: get_ints(perms, name) for name in perms}
     try:
         system = FiniteMeasureSystem(group, weights, generators)
         system.validate_action()
@@ -204,7 +209,7 @@ class _Inputs:
         system = _system(get_section(config, "system"), group)
         rng = np.random.default_rng(seed)
         f = _observable(get_section(config, "observable"), system, get_float(config, "p"), rng)
-        window = get_int(config, "window", lo=1)
+        window = get_int(config, "window", lo=1, hi=WINDOW_LIMIT)
         defect_against = get_ints(config, "defect_against", [], lo=1)
         return cls(group, seed, system, f, window, defect_against, get_section(config, "family", {}))
 
@@ -263,34 +268,27 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
     epsilons = get_floats(config, "epsilons")
     corollary = get_choice(config, "verify", ("main", "corollary"), "main") == "corollary"
     lam = get_int(config, "lambda", 1, lo=1)
-    norm = lp_norm(system, f)
 
-    table: Optional[ModulusTable] = None
     if not corollary:
-        family = _family(inp.family, inp.group, window)
-        _check_defect_against(family, inp.defect_against)
-        if norm > 0.0:
-            tolerances = [Branch.of(conv, norm, eps, eta).tolerance for eps in epsilons]
-            table = build_modulus_table(family, range(1, window + 1), tolerances, m_max=window)
-        reports = verify_main_theorem(system, family, table, conv, f, epsilons, window, eta=eta)
-        csv_family = family
+        csv_family = _family(inp.family, inp.group, window)
+        _check_defect_against(csv_family, inp.defect_against)
+        reports = verify_main_theorem(system, csv_family, None, conv, f, epsilons, window, eta=eta)
+        table = reports[0].modulus_table
     else:
-        reports, families, entries = [], [], []
+        # each refined family is built at its eps's branch tolerance, before the verifier can run
+        norm = lp_norm(system, f)
+        reports, entries, csv_family = [], [], None
         for eps in epsilons:
             tolerance = Branch.of(conv, norm, eps, eta).tolerance if norm > 0.0 else None
             family = _family(inp.family, inp.group, window, corollary=True, tolerance=tolerance)
-            if not families:  # averages.csv is written on the first eps's family
+            if csv_family is None:  # averages.csv is written on the first eps's family
                 _check_defect_against(family, inp.defect_against)
-            families.append(family)
+                csv_family = family
             reports += verify_corollary(system, family, lam, conv, f, [eps], family.n_max, eta=eta)
-            if tolerance is not None:
-                # the last refined index has no within-window modulus (beta(n) > n)
-                entries.extend(
-                    convergence_modulus(family, n, tolerance, m_max=family.n_max) for n in range(1, family.n_max)
-                )
-        if entries:
-            table = ModulusTable(inp.group.name, "refined", entries)
-        csv_family = families[0]
+            if tolerance is not None:  # the last refined index has no within-window modulus (beta(n) > n)
+                ns = range(1, family.n_max)
+                entries += [convergence_modulus(family, n, tolerance, m_max=family.n_max) for n in ns]
+        table = ModulusTable(inp.group.name, "refined", entries) if entries else None
 
     result = ExperimentResult(exit_code=exit_code_for(reports), reports=reports, seed=inp.seed)
     if write:

@@ -26,12 +26,7 @@ import numpy as np
 from .convexity import ConvexityModulus
 from .dynamics import FiniteMeasureSystem, Observable, average_sequence, lp_distances, lp_norm
 from .errors import DomainError, NotFastError, StructureError, UncertifiedModulusError
-from .folner import (
-    FolnerFamily,
-    ModulusTable,
-    build_modulus_table,
-    check_fast,
-)
+from .folner import FolnerFamily, ModulusTable, build_modulus_table, check_fast
 
 FLOOR_GUARD = 1e-12
 _EPS_DOWN = 1 - Fraction(1, 10**12)  # nudges float tolerances down before exact-rational use
@@ -60,6 +55,8 @@ class FluctuationReport:
     lam: Optional[int] = None
     # [A_1 f, ..., A_window f], one list shared by the reports of one verifier call
     averages: Optional[List[Observable]] = field(default=None, repr=False, compare=False)
+    # the modulus table the main theorem was certified against, shared the same way
+    modulus_table: Optional[ModulusTable] = field(default=None, repr=False, compare=False)
 
     @property
     def chain_length(self) -> int:
@@ -255,27 +252,23 @@ def default_eta(modulus: ConvexityModulus, norm_x: float, eps: float) -> float:
 def _verify(system, family, convexity_modulus, f, epsilons, window, eta, certify, lam=None) -> List[FluctuationReport]:
     """The steps both verifiers share, around their one certification step.
 
-    certify(tolerance, window) checks the mode's hypothesis on the family at
-    the branch tolerance and returns the at-distance map (None for a plain
-    count).  With lam the bound is the corollary's lam * bound + lam.  Every
-    eps is certified in turn before the window is averaged, once, and one
-    distance table then serves the chain of every eps.
+    Every eps's `Branch` is built first; certify(tolerances, window) checks
+    the mode's hypothesis at all their tolerances and returns one at-distance
+    map each (None for a plain count) and the modulus table it certified
+    against, or None.  With lam the bound is lam * bound + lam.  The window is
+    averaged once; one distance table serves the chain of every eps.
     """
     if not (type(window) is int and 1 <= window <= family.n_max):
         raise DomainError(f"window must be in [1, {family.n_max}], got {window}")
     norm = lp_norm(system, f)
-    certified = []  # (eps, branch, at-distance map); no branch for the zero observable
-    for eps in epsilons:
-        if norm == 0.0:
-            certified.append((eps, None, None))
-        else:
-            branch = Branch.of(convexity_modulus, norm, eps, eta)
-            certified.append((eps, branch, certify(branch.tolerance, window)))
+    # the zero observable has no branch and needs no certification: zip_longest pads with None
+    branches = [Branch.of(convexity_modulus, norm, eps, eta) for eps in epsilons] if norm > 0.0 else []
+    betas, modulus_table = certify([b.tolerance for b in branches], window) if branches else ([], None)
 
     avgs = average_sequence(system, family, f, window)
     table = lp_distances(system, avgs) if norm > 0.0 else None
     reports = []
-    for eps, branch, beta_vals in certified:
+    for eps, branch, beta_vals in itertools.zip_longest(epsilons, branches, betas):
         if branch is None:
             mode = "at-distance" if lam is None else "plain"
             rep = FluctuationReport(float(eps), mode, [1], 0, bound=0, verdict=True, branch="zero", norm_x=0.0)
@@ -290,6 +283,7 @@ def _verify(system, family, convexity_modulus, f, epsilons, window, eta, certify
             rep.norm_x = norm
         rep.certified_window = window
         rep.averages = avgs
+        rep.modulus_table = modulus_table
         reports.append(rep)
     return reports
 
@@ -308,28 +302,30 @@ def verify_main_theorem(
 
     The at-distance map is the nondecreasing envelope of the convergence
     modulus at the branch tolerance (eta / 3||f|| for ||f|| <= 1, else eta/3),
-    clamped to at least n + 1.  With modulus_table None, a table is built and
-    certified internally; a supplied table must cover the window at a
-    tolerance at most the branch tolerance, otherwise the run is refused.
+    clamped to at least n + 1.  With modulus_table None, one table over the
+    window at every branch tolerance is built; a supplied table must cover the
+    window at a tolerance at most each branch tolerance, otherwise the run is
+    refused.  Each report carries the table.
     """
 
-    def beta_map(eps_beta: Fraction, window: int) -> List[int]:
-        table, used_eps = modulus_table, eps_beta
+    def beta_maps(tolerances: List[Fraction], window: int):
+        table = modulus_table
         if table is None:
-            table = build_modulus_table(family, range(1, window + 1), [eps_beta], m_max=window)
-        else:
+            table = build_modulus_table(family, range(1, window + 1), tolerances, m_max=window)
+        betas = []
+        for eps_beta in tolerances:
             usable = [e for e in table.epsilons() if e <= eps_beta and table.covers(window, e)]
             if not usable:
                 raise UncertifiedModulusError(
                     f"modulus table does not certify the window [1, {window}] at any tolerance <= {eps_beta} "
                     f"(have {table.epsilons()}, certified_up_to={table.certified_up_to})"
                 )
-            used_eps = max(usable)
-        row = table.entries_at(used_eps)
-        envelope = itertools.accumulate((row[n].value for n in range(1, window + 1)), max)
-        return [max(v, n + 1) for n, v in enumerate(envelope, start=1)]
+            row = table.entries_at(max(usable))
+            envelope = itertools.accumulate((row[n].value for n in range(1, window + 1)), max)
+            betas.append([max(v, n + 1) for n, v in enumerate(envelope, start=1)])
+        return betas, table
 
-    return _verify(system, family, convexity_modulus, f, epsilons, window, eta, beta_map)
+    return _verify(system, family, convexity_modulus, f, epsilons, window, eta, beta_maps)
 
 
 def verify_corollary(
@@ -349,12 +345,14 @@ def verify_corollary(
     """
     _check_lambda(lam)
 
-    def require_fast(eps_fast: Fraction, window: int) -> None:
-        fast_rep = check_fast(fast_family, lam, eps_fast, window)
-        if not fast_rep.ok:
-            raise NotFastError(
-                f"family is not ({lam}, {eps_fast})-fast over [1, {window}]: "
-                f"violation {fast_rep.violation}"
-            )
+    def require_fast(tolerances: List[Fraction], window: int):
+        for eps_fast in tolerances:
+            fast_rep = check_fast(fast_family, lam, eps_fast, window)
+            if not fast_rep.ok:
+                raise NotFastError(
+                    f"family is not ({lam}, {eps_fast})-fast over [1, {window}]: "
+                    f"violation {fast_rep.violation}"
+                )
+        return [None] * len(tolerances), None
 
     return _verify(system, fast_family, convexity_modulus, f, epsilons, window, eta, require_fast, lam)

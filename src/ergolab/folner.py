@@ -655,8 +655,8 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
     """
     _check_int(n_max, "n_max", 1)
     _check_int(search_budget, "search_budget", 1)
-    enum = group.enumerate_prefix(n_max)
-    sets: List[frozenset] = [frozenset([enum[0]])]
+    enum = group.enumeration()  # g_n is drawn when stage n is built
+    sets: List[frozenset] = [frozenset([next(enum)])]
 
     for stage in range(2, n_max + 1):
         prev = sets[-1]
@@ -687,7 +687,7 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
                 f"materialization cap is {MATERIALIZE_CAP}"
             )
         chosen = frozenset(prev | set(group.box_elements(radius))) if radius else prev
-        sets.append(frozenset(chosen | {enum[stage - 1]}))
+        sets.append(frozenset(chosen | {next(enum)}))
 
     return ExplicitFamily(group, sets, provenance="greedy-constructed")
 

@@ -165,9 +165,10 @@ class Group:
         """First count elements of the fixed enumeration, identity first."""
         if not (type(count) is int and count >= 1):  # an int, not a bool
             raise DomainError(f"enumeration prefix length must be an integer >= 1, got {count!r}")
-        return list(itertools.islice(self._enumerate(), count))
+        return list(itertools.islice(self.enumeration(), count))
 
-    def _enumerate(self) -> Iterator:
+    def enumeration(self) -> Iterator:
+        """The fixed enumeration g_1, g_2, ..., identity first, drawn lazily."""
         raise NotImplementedError
 
     def translate_set(self, elems: Iterable, g) -> set:
@@ -246,7 +247,7 @@ class IntegerGroup(Group):
         self.check_element(a)
         return -a
 
-    def _enumerate(self):
+    def enumeration(self):
         i = 0
         while True:
             yield _zigzag(i)
@@ -321,7 +322,7 @@ class LatticeGroup(Group):
         shell.sort(key=lambda t: tuple(_zigzag_rank(c) for c in reversed(t)))
         return shell
 
-    def _enumerate(self):
+    def enumeration(self):
         s = 0
         while True:
             yield from self._shell(s)
@@ -389,7 +390,7 @@ class HeisenbergGroup(Group):
         a, b, c = x
         return (-a, -b, -c + a * b)
 
-    def _enumerate(self):
+    def enumeration(self):
         # box-radius sweep: new elements of B_r \ B_{r-1} per shell, zig-zag keyed
         r = 0
         while True:

@@ -3,6 +3,7 @@
 import contextlib
 import gzip
 import importlib
+import importlib.util
 import io
 import json
 import re
@@ -27,7 +28,7 @@ from ergolab import (
     theorem_bound,
     torus_translation_system,
 )
-from ergolab.cli import NS_SPAN_CAP, exit_code_for, main, run_experiment
+from ergolab.cli import NS_SPAN_CAP, WINDOW_LIMIT, exit_code_for, main, run_experiment
 from ergolab.fluctuation import FluctuationReport
 from ergolab.groups import MAX_DIMENSION
 
@@ -144,6 +145,69 @@ def test_lattice_dimension_past_the_cap_exits_one(capsys):
         code, out, err = run_cli(capsys, "folner", "build", "--group", group, "--kind", "greedy", "--n-max", "2")
         assert code == 1 and out == "" and "Traceback" not in err, group
         assert err.startswith("error:") and str(MAX_DIMENSION) in err, group
+
+
+def test_huge_point_count_is_refused_before_the_weights_are_built(tmp_path, capsys):
+    for points in (10**30, 10**9):
+        config = demo_config()
+        config["system"]["points"] = points  # the generator still has 12 entries
+        cfg = tmp_path / "points.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (1, "") and "Traceback" not in err, points
+        assert err == f"error: {points} points need generators of {points} entries each, got lengths {{'t': 12}}\n"
+
+
+def test_window_at_or_past_the_limit_exits_one_naming_it(tmp_path, capsys):
+    assert WINDOW_LIMIT >= 400 and 8 * WINDOW_LIMIT**2 <= 2**27  # every committed and benchmark window fits
+    for window in (10**30, 1e308, WINDOW_LIMIT, WINDOW_LIMIT + 1):
+        config = demo_config()
+        config["window"] = window
+        cfg = tmp_path / "window.json"
+        cfg.write_text(json.dumps(config))
+        for argv in (("run",), ("verify", "corollary")):  # corollary mode only echoes it, but reads it the same way
+            code, out, err = run_cli(capsys, *argv, "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+            assert (code, out) == (1, "") and "Traceback" not in err, window
+            assert err.startswith("error: window") and str(WINDOW_LIMIT) in err, window
+
+
+def test_run_evaluates_the_convexity_modulus_once_per_eps(tmp_path, monkeypatch):
+    config = demo_config()
+    config["epsilons"] = [0.05, 0.1, 0.2]
+    calls = []
+    evaluate = ConvexityModulus.__call__
+    monkeypatch.setattr(ConvexityModulus, "__call__", lambda self, eps: calls.append(eps) or evaluate(self, eps))
+    result = run_experiment(config, out_dir=tmp_path)
+    assert len(calls) == 3 and result.exit_code == 0
+    # modulus.json is the table the verifier certified against
+    doc = json.loads((tmp_path / "modulus.json").read_text())
+    assert doc == result.reports[0].modulus_table.to_jsonable()
+    assert len({e["eps"] for e in doc["entries"]}) == 3
+
+
+def _workloads():
+    """perfbench/workloads.py, read as a module and never written."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["z-wide", "z2-torus"])
+def test_run_matches_the_stored_benchmark_reference(capsys, tmp_path, workload):
+    # the seeded workloads' configs at seed 0; their references are read, never written, here
+    ref = json.loads(gzip.decompress((REPO / "perfbench" / "refs" / f"{workload}-seed0.json.gz").read_bytes()))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_workloads().config_for(workload, 0)))
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir))
+    assert code == 0
+    assert out.replace(str(out_dir), "<out>").splitlines() == ref["stdout"]
+    for name in ("report.json", "modulus.json"):
+        assert json.loads((out_dir / name).read_text()) == ref["files"][name], name
+    # the reference holds the parsed cells; str gives back each cell's text (floats by repr)
+    csv = "".join(",".join(map(str, row)) + "\n" for row in ref["files"]["averages.csv"])
+    assert (out_dir / "averages.csv").read_text() == csv
 
 
 def test_avg_run_matches_library(capsys, tmp_path):

@@ -31,6 +31,7 @@ from ergolab import (
     verify_corollary,
     verify_main_theorem,
 )
+from ergolab import fluctuation
 from ergolab.dynamics import FiniteMeasureSystem, Observable, average_sequence, lp_distances
 from ergolab.fluctuation import Branch
 
@@ -516,13 +517,59 @@ def test_reports_of_one_call_share_the_window_averages():
     assert other == reports[0]
 
 
-def test_fixed_eta_refused_at_the_second_eps():
+def counted_tables(monkeypatch) -> list:
+    """One entry per `build_modulus_table` call the verifiers make."""
+    calls = []
+    monkeypatch.setattr(fluctuation, "build_modulus_table", lambda *a, **k: calls.append(a) or build_modulus_table(*a, **k))
+    return calls
+
+
+def test_one_call_over_several_epsilons_builds_one_modulus_table(monkeypatch):
+    system = rotation_system(12)
+    fam = standard_family(Z, 30)
+    f = system.observable([1.0] + [0.0] * 11, 2)
+    hm = ConvexityModulus.hanner(2)
+    tables = counted_tables(monkeypatch)
+    reports = verify_main_theorem(system, fam, None, hm, f, EPSILONS, window=30)
+    assert len(tables) == 1
+    # the one table holds every branch tolerance over the window, as `run` writes it
+    tolerances = [Branch.of(hm, lp_norm(system, f), eps).tolerance for eps in EPSILONS]
+    expected = build_modulus_table(fam, range(1, 31), tolerances, m_max=30)
+    assert reports[0].modulus_table.to_jsonable() == expected.to_jsonable()
+
+
+def test_reports_of_one_call_share_the_modulus_table():
+    system = rotation_system(12)
+    fam = standard_family(Z, 30)
+    f = system.observable([1.0] + [0.0] * 11, 2)
+    hm = ConvexityModulus.hanner(2)
+    reports = verify_main_theorem(system, fam, None, hm, f, EPSILONS, window=30)
+    table = reports[0].modulus_table
+    assert table is not None and all(rep.modulus_table is table for rep in reports)
+    # carried, not reported: absent from the JSON, the repr and equality
+    assert "modulus_table" not in reports[0].to_jsonable()
+    assert "modulus_table" not in repr(reports[0])
+    assert dataclasses.replace(reports[0], modulus_table=None) == reports[0]
+    # a supplied table is carried as given
+    supplied = build_modulus_table(fam, range(1, 31), [Fraction(1, 10**6)], m_max=30)
+    assert all(rep.modulus_table is supplied for rep in verify_main_theorem(system, fam, supplied, hm, f, EPSILONS, 30))
+    # no table for the zero observable, nor for the corollary
+    zero = system.observable(np.zeros(12), 2)
+    assert verify_main_theorem(system, fam, None, hm, zero, EPSILONS, window=30)[0].modulus_table is None
+    assert verify_corollary(system, fam, 2, hm, zero, EPSILONS, window=8)[0].modulus_table is None
+    refined = fast_refinement(standard_family(Z, 10**30), Branch.of(hm, lp_norm(system, f), 0.3).tolerance, count=6)
+    assert verify_corollary(system, refined, 2, hm, f, [0.3], window=6)[0].modulus_table is None
+
+
+def test_fixed_eta_refused_at_the_second_eps(monkeypatch):
     system = rotation_system(12)
     fam = standard_family(Z, 30)
     f = system.observable([1.0] + [0.0] * 11, 2)
     hm = ConvexityModulus.hanner(2)
     eta = 0.3 * hm(0.3)  # inside u(0.3)/2, outside u(0.05)/2
+    tables = counted_tables(monkeypatch)
     with pytest.raises(DomainError, match=r"^eta violates its precondition 0 < eta < u\(eps\)/2: eta="):
         verify_main_theorem(system, fam, None, hm, f, [0.3, 0.05], window=30, eta=eta)
+    assert tables == []  # every Branch is built before any certification
     [rep] = verify_main_theorem(system, fam, None, hm, f, [0.3], window=30, eta=eta)
     assert rep.verdict

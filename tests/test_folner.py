@@ -400,6 +400,18 @@ def test_greedy_is_nested_and_contains_enumeration():
         assert enum[n - 1] in fam.elements(n)
 
 
+def test_greedy_draws_each_enumerated_element_when_its_stage_is_built(monkeypatch):
+    drawn, first_six = [], Z.enumerate_prefix(6)
+    enumerate_all = Z.enumeration
+    monkeypatch.setattr(Z, "enumeration", lambda: (drawn.append(g) or g for g in enumerate_all()))
+    assert greedy_folner(Z, 6).n_max == 6 and drawn == first_six
+    drawn.clear()
+    # stage 3 exhausts a budget of 1, so no g past g_2 is drawn: 10**6 is not enumerated up front
+    with pytest.raises(ConstructionBudgetError):
+        greedy_folner(Z, 10**6, search_budget=1)
+    assert drawn == [0, 1]
+
+
 def test_greedy_budget_exhaustion():
     with pytest.raises(ConstructionBudgetError) as err:
         greedy_folner(Z, 6, search_budget=2)
