@@ -54,7 +54,8 @@ from .groups import Group, group_by_name
 
 # the most indices one `--ns` span (lo-hi) may name; each is a modulus computation
 NS_SPAN_CAP = 10_000
-# a config's `window` stays below this, so its window x window float64 distance table stays below 2**27 bytes
+# a config's `window`, and the `--window` of `folner check` and `modulus compute`, stay below this,
+# so a window x window float64 distance table stays below 2**27 bytes
 WINDOW_LIMIT = 2**12
 
 
@@ -146,6 +147,8 @@ def _observable(spec: dict, system: FiniteMeasureSystem, p: float, rng) -> Obser
             raise ConfigError(f"observable scale must be >= 0, got {scale!r}")
         if dist == "normal":
             values = rng.normal(0.0, scale, size=system.n_points)
+        elif 2 * scale > sys.float_info.max:  # numpy needs the width of [-scale, scale] finite
+            raise ConfigError(f"uniform observable scale must be at most {sys.float_info.max / 2!r}, got {scale!r}")
         else:
             values = rng.uniform(-scale, scale, size=system.n_points)
     f = system.observable(values, p)
@@ -328,11 +331,17 @@ def _cmd_folner_build(args) -> int:
     return 0
 
 
+def _cli_window(args) -> int:
+    """The `--window` flag, refused like a config's `window` unless 1 <= window < WINDOW_LIMIT."""
+    return get_int({"--window": args.window}, "--window", lo=1, hi=WINDOW_LIMIT)
+
+
 def _cmd_folner_check(args) -> int:
-    n_max = max(args.window, args.n)
+    window = _cli_window(args)
+    n_max = max(window, args.n)
     spec = {"type": args.family, "n_max": n_max, "budget": args.budget}
     family = _family(spec, group_by_name(args.group), n_max)
-    print(convergence_modulus(family, args.n, as_fraction(args.eps), m_max=args.window).value)
+    print(convergence_modulus(family, args.n, as_fraction(args.eps), m_max=window).value)
     return 0
 
 
@@ -361,11 +370,12 @@ def _parse_ns(spec: str) -> List[int]:
 
 def _cmd_modulus_compute(args) -> int:
     ns = _parse_ns(args.ns)
-    n_max = max(max(ns), args.window)
+    window = _cli_window(args)
+    n_max = max(max(ns), window)
     spec = {"type": args.family, "n_max": n_max, "budget": args.budget}
     family = _family(spec, group_by_name(args.group), n_max)
     eps = as_fraction(args.eps)
-    table = build_modulus_table(family, ns, [eps], m_max=args.window)
+    table = build_modulus_table(family, ns, [eps], m_max=window)
     for n in ns:
         print(f"{n} {table.value(n, eps)}")
     if args.out:
@@ -524,6 +534,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ErgolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except SystemExit as exc:  # argparse has printed its usage error (2) or its help (0)
+        return exc.code
     return code
 
 

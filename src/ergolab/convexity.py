@@ -56,7 +56,10 @@ def p_uniform_u(K: float, p: float, eps: float) -> float:
     if K <= 0:
         raise DomainError(f"p-uniform constant K must be positive, got {K}")
     eps = _check_eps(eps)
-    return K * eps ** (p + 1.0)
+    try:
+        return K * eps ** (p + 1.0)
+    except OverflowError as exc:
+        raise DomainError(f"p-uniform modulus K * eps^(p+1) overflows at K={K}, p={p}, eps={eps}") from exc
 
 
 def lp_small_p_u(p: float, eps: float) -> float:

@@ -2,11 +2,14 @@
 
 A system is a finite weighted point set together with a group action given by
 generator images (permutations).  Every permutation here is a read-only numpy
-index array: each generator is validated into one when the system is built,
-and act(g) builds a new one.  The action of a general element is recovered by
-factoring its canonical form into generator powers (_word), each raised by
-repeated squaring for any integer exponent and memoized, at most _POWER_MEMO
-powers per system:
+index array: each generator is validated into one when the system is built.
+The action has one primitive, act_block, which takes a block of elements (a
+`groups.to_block` array) and returns one permutation row per element; act(g)
+is its one-row case.  Each element is factored into generator powers (_word),
+one exponent column per generator; the distinct exponents of a column are
+raised by repeated squaring, for any integer exponent, and memoized, at most
+_POWER_MEMO powers per system; the stacked powers are then gathered once per
+generator:
 
     Z:    k         -> T^k
     Z^d:  (k_1...)  -> T_1^{k_1} ... T_d^{k_d}
@@ -17,8 +20,11 @@ observables and norms are double precision.  Every average goes through
 average_block, which applies A_n to a block of observables and picks the route
 once: residue counting, which never iterates an interval and so keeps averages
 over astronomically large boxes cheap, when every F_n is an integer interval
-acting on Z, else the element sum, acting once per distinct element.  Every
-L^p norm goes through _lp_norms.
+acting on Z, else the element sum, acting once per distinct element, in chunks
+whose gathered values stay within _GATHER_BYTES.  On boxes of Z^d and H3 the
+element sum reads the largest box once, and an element is added to the rows
+whose radius reaches it (Group.box_reaches); other families look each element
+up in their sets.  Every L^p norm goes through _lp_norms.
 """
 
 from __future__ import annotations
@@ -31,10 +37,11 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import StructureError
-from .folner import FolnerFamily, as_fraction
-from .groups import Group, HeisenbergGroup, IntegerGroup, LatticeGroup
+from .folner import FolnerFamily, as_fraction, check_box_size
+from .groups import Group, HeisenbergGroup, IntegerGroup, LatticeGroup, to_block
 
 _POWER_MEMO = 1024  # generator powers a system keeps, least recently used dropped first
+_GATHER_BYTES = 2**18  # bytes of gathered values, and of action rows, one element-sum chunk may hold
 
 
 def _perm_array(perm: Sequence[int], n_points: int) -> np.ndarray:
@@ -82,16 +89,20 @@ def _perm_power(perm: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _word(group: Group, g) -> List[Tuple[str, int]]:
-    """g as generator powers (name, exponent), in the order they act on a point.
+def _word(group: Group, block: np.ndarray) -> List[Tuple[str, np.ndarray]]:
+    """The rows of a nonempty `to_block` array as generator powers (name, exponent column),
+    in the order they act on a point.
 
     Only for the groups FiniteMeasureSystem accepts: Z, Z^d and H3.
     """
     if isinstance(group, IntegerGroup):
-        return [("t", g)]
+        return [("t", block)]
     if isinstance(group, LatticeGroup):
-        return [(f"t{i + 1}", k) for i, k in enumerate(g)]
-    a, b, c = g  # H3
+        return [(f"t{i + 1}", block[:, i]) for i in range(group.dimension)]
+    # H3; with every |coordinate| < 2^31, |c - a*b| < 2^31 + 2^62 fits int64
+    if block.dtype != np.int64 or max(int(block.max()), -int(block.min())) >= 2**31:
+        block = block.astype(object)
+    a, b, c = block.T
     return [("z", c - a * b), ("y", b), ("x", a)]
 
 
@@ -130,7 +141,7 @@ class FiniteMeasureSystem:
         self.n_points = len(self.weights)
         if not isinstance(group, (IntegerGroup, LatticeGroup, HeisenbergGroup)):
             raise StructureError(f"unsupported group for dynamics: {group!r}")
-        names = [name for name, _ in _word(group, group.identity)]
+        names = [name for name, _ in _word(group, to_block([group.identity]))]
         if set(generators) != set(names):
             raise StructureError(
                 f"group {group.name} needs generators named {sorted(names)}, got {sorted(generators)}"
@@ -151,27 +162,48 @@ class FiniteMeasureSystem:
                         f"weight({img}) != weight({s})"
                     )
 
+    def act_block(self, block: np.ndarray) -> np.ndarray:
+        """Row i is the permutation s -> g_i . s for row g_i of a `to_block` array.
+
+        A new read-only (N, points) index array.  Each generator's exponent
+        column is raised through its distinct values (np.unique), and the
+        stacked powers are gathered once per generator, in word order.
+        """
+        self.group.check_elements(block)
+        if not len(block):
+            perms = np.empty((0, self.n_points), dtype=np.intp)
+        else:
+            perms = None
+            for name, column in _word(self.group, block):
+                exponents, which = np.unique(column, return_inverse=True)
+                powers = np.stack([self._power(name, k) for k in exponents.tolist()])
+                perms = powers[which] if perms is None else powers[which[:, None], perms]
+        perms.flags.writeable = False
+        return perms
+
     def act(self, g) -> np.ndarray:
-        """The permutation s -> g . s, as a new read-only index array."""
+        """The permutation s -> g . s, as a new read-only index array: `act_block` of one row."""
         self.group.check_element(g)
-        perm = np.arange(self.n_points)
-        for name, k in _word(self.group, g):
-            perm = self._power(name, k)[perm]
-        perm.flags.writeable = False
-        return perm
+        return self.act_block(to_block([g]))[0]
 
     def validate_action(self, pairs: int = 50, prefix: int = 24, seed: int = 0) -> None:
-        """Check the homomorphism property act(gh) = act(g) o act(h) on sampled pairs."""
+        """Check the homomorphism property act(gh) = act(g) o act(h) on sampled pairs.
+
+        The pairs act as blocks of rows g, h, gh, pair after pair, at most
+        _GATHER_BYTES of action rows per block; the first failing pair is named.
+        """
         if not np.array_equal(self.act(self.group.identity), np.arange(self.n_points)):
             raise StructureError("identity element does not act as the identity permutation")
         pool = self.group.enumerate_prefix(prefix)
         rng = np.random.default_rng(seed)
-        for _ in range(pairs):
-            g = pool[int(rng.integers(len(pool)))]
-            h = pool[int(rng.integers(len(pool)))]
-            gh = self.group.multiply(g, h)
-            if not np.array_equal(self.act(gh), self.act(g)[self.act(h)]):
-                raise StructureError(f"action is not a homomorphism at g={g!r}, h={h!r}")
+        sampled = [(pool[int(rng.integers(len(pool)))], pool[int(rng.integers(len(pool)))]) for _ in range(pairs)]
+        step = max(1, _GATHER_BYTES // (3 * 8 * self.n_points))
+        for lo in range(0, len(sampled), step):
+            chunk = sampled[lo : lo + step]
+            rows = self.act_block(to_block([x for g, h in chunk for x in (g, h, self.group.multiply(g, h))]))
+            for (g, h), (act_g, act_h, act_gh) in zip(chunk, rows.reshape(len(chunk), 3, -1)):
+                if not np.array_equal(act_gh, act_g[act_h]):
+                    raise StructureError(f"action is not a homomorphism at g={g!r}, h={h!r}")
 
     def observable(self, values, p: float) -> Observable:
         v = np.asarray(values, dtype=float)
@@ -263,6 +295,35 @@ def _z_interval_averages(system: FiniteMeasureSystem, radii: Sequence[int], valu
     return out
 
 
+def _rows(rows: Sequence[int]):
+    """An increasing list of row numbers as an index: a slice (a view) when they are
+    consecutive, as nested sets give, else the list."""
+    return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else list(rows)
+
+
+def _box_rows(group: Group, radii: Sequence[int]) -> Tuple[np.ndarray, list]:
+    """The largest box B_R, R = max(radii), as one `to_block` array in ascending canonical
+    order, and for each of its elements g the rows i with g in B_{radii[i]}: those whose
+    radius is at least g's reach.  Refused at the first radius past MATERIALIZE_CAP."""
+    for r in radii:
+        check_box_size(group, r)
+    block = to_block(list(group.box_elements(max(radii))))  # lexicographic, so ascending
+    radii = np.array(radii)
+    holding = [_rows(np.flatnonzero(radii >= reach).tolist()) for reach in range(int(radii.max()) + 1)]
+    return block, [holding[reach] for reach in group.box_reaches(block).tolist()]
+
+
+def _set_rows(family: FolnerFamily, indices: Sequence[int]) -> Tuple[np.ndarray, list]:
+    """The distinct elements of the requested F_n as one `to_block` array in ascending
+    canonical order, and for each the rows whose F_n holds it."""
+    rows_of: Dict = {}
+    for row, n in enumerate(indices):
+        for g in family.elements(n):
+            rows_of.setdefault(g, []).append(row)
+    elems = sorted(rows_of)
+    return to_block(elems), [_rows(rows_of[g]) for g in elems]
+
+
 def average_block(
     system: FiniteMeasureSystem, family: FolnerFamily, indices: Sequence[int], values: np.ndarray
 ) -> np.ndarray:
@@ -270,25 +331,24 @@ def average_block(
 
     The one place that decides the route: residue counting when every F_n is an
     integer interval acting on Z, otherwise the sum of s -> f(g . s) over F_n in
-    ascending canonical form: one pass over the distinct g of all the F_n that
-    acts once with each and adds to the row of every F_n holding it.  Either way
-    each row and column is averaged as it would be alone.
+    ascending canonical form: one pass over the distinct g of all the F_n, acting
+    on them as blocks of at most _GATHER_BYTES of gathered values, that adds each
+    to the row of every F_n holding it.  Either way each row and column is
+    averaged as it would be alone.
     """
     _check_length(system, len(values))
-    if isinstance(system.group, IntegerGroup):
-        radii = [family.box_radius(n) for n in indices]
-        if None not in radii:
-            return _z_interval_averages(system, radii, values)
-    rows_of: Dict = {}
-    for row, n in enumerate(indices):
-        for g in family.elements(n):
-            rows_of.setdefault(g, []).append(row)
+    radii = [family.box_radius(n) for n in indices]
+    boxes = bool(radii) and None not in radii
+    if boxes and isinstance(system.group, IntegerGroup):
+        return _z_interval_averages(system, radii, values)
+    elems, targets = _box_rows(system.group, radii) if boxes else _set_rows(family, indices)
     out = np.zeros((len(indices),) + values.shape)
-    for g in sorted(rows_of):
-        rows = rows_of[g]  # increasing; consecutive ones (nested sets) are added through a view
-        if rows[-1] - rows[0] == len(rows) - 1:
-            rows = slice(rows[0], rows[-1] + 1)
-        out[rows] += values[system.act(g)]
+    # one element gathers values.nbytes, and its action row 8 bytes per point
+    step = max(1, _GATHER_BYTES // max(values.nbytes, 8 * system.n_points))
+    for lo in range(0, len(elems), step):
+        gathered = values[system.act_block(elems[lo : lo + step])]
+        for rows, row_values in zip(targets[lo : lo + step], gathered):
+            out[rows] += row_values
     cards = np.array([family.card(n) for n in indices], dtype=float)
     return out / cards.reshape((-1,) + (1,) * values.ndim)
 

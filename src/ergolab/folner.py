@@ -126,6 +126,15 @@ def _set_overlaps(group: Group, s: frozenset, arr, block: np.ndarray, floor: int
     return np.array(counts, dtype=np.int64)
 
 
+def check_box_size(group: Group, r: int) -> None:
+    """Refuse to materialize B_r, with FamilyTooLargeError, when it has more than MATERIALIZE_CAP elements."""
+    card = group.box_card(r)
+    if card > MATERIALIZE_CAP:
+        raise FamilyTooLargeError(
+            f"box F_{r} of {group.name} has {card} elements; cannot materialize beyond {MATERIALIZE_CAP}"
+        )
+
+
 def _below(group: Group, r: int, corner, eps: Fraction) -> bool:
     """|B_r delta corner B_r| / |B_r| < eps, decided in integers; corner comes from `box_corner`."""
     card = group.box_card(r)
@@ -248,11 +257,7 @@ class StandardBoxFamily(FolnerFamily):
     def elements(self, n: int) -> frozenset:
         self._check_index(n)
         if self._last[0] != n:
-            card = self.group.box_card(n)
-            if card > MATERIALIZE_CAP:
-                raise FamilyTooLargeError(
-                    f"box F_{n} of {self.group.name} has {card} elements; cannot materialize beyond {MATERIALIZE_CAP}"
-                )
+            check_box_size(self.group, n)
             self._last = (n, frozenset(self.group.box_elements(n)))
         return self._last[1]
 

@@ -67,9 +67,11 @@ def _within(values: np.ndarray, limit: int) -> bool:
     return values.size == 0 or (int(values.min()) >= -limit and int(values.max()) <= limit)
 
 
-def _max_abs(values: np.ndarray) -> int:
-    """max |x| over a nonempty array, as a Python int (abs in int64 would wrap at -2^63)."""
-    return max(int(values.max()), -int(values.min()))
+def _abs(values: np.ndarray) -> np.ndarray:
+    """|x| for every entry, exactly: int64, or object where an entry is -2^63, whose abs int64 would wrap."""
+    if values.dtype == np.int64 and values.size and int(values.min()) == -(2**63):
+        values = values.astype(object)
+    return np.abs(values)
 
 
 def _axis_factors(r: int, block: np.ndarray, dimension: int):
@@ -137,13 +139,18 @@ class Group:
         raise NotImplementedError
 
     def check_elements(self, elems) -> None:
-        """`check_element` on every element of a collection.
+        """`check_element` on every element of a collection or `to_block` array.
 
         One pass accepts the common case, exact ints or exact tuples of exact
-        ints shaped like the identity; otherwise each element is checked in
-        order, so the first bad one raises its own error.
+        ints shaped like the identity, and an int64 block of rows shaped like
+        it is accepted at once; otherwise each element is checked in order, so
+        the first bad one raises its own error.
         """
         shape = self.identity
+        if isinstance(elems, np.ndarray):
+            if elems.ndim and elems.dtype == np.int64 and elems.shape[1:] == np.shape(shape):
+                return
+            elems = from_block(elems) if elems.ndim else [elems.item()]
         if type(shape) is int:
             exact = all(type(g) is int for g in elems)
         else:
@@ -180,9 +187,16 @@ class Group:
     def box_card(self, r: int) -> int:
         raise NotImplementedError
 
+    def box_reaches(self, block: np.ndarray) -> np.ndarray:
+        """For each row g of a `to_block` array, the least r >= 0 with g in B_r, exactly.
+
+        int64 where it fits, else an object array of Python ints.
+        """
+        raise NotImplementedError
+
     def box_reach(self, block: np.ndarray) -> int:
         """The least r >= 0 whose box B_r holds every row of a nonempty `to_block` array, exactly."""
-        raise NotImplementedError
+        return int(self.box_reaches(block).max())
 
     def box_elements(self, r: int) -> Iterator:
         raise NotImplementedError
@@ -260,8 +274,8 @@ class IntegerGroup(Group):
     def box_card(self, r):
         return 2 * r + 1
 
-    def box_reach(self, block):
-        return _max_abs(block)
+    def box_reaches(self, block):
+        return _abs(block)
 
     def box_elements(self, r):
         return iter(range(-r, r + 1))
@@ -335,8 +349,8 @@ class LatticeGroup(Group):
     def box_card(self, r):
         return (2 * r + 1) ** self.dimension
 
-    def box_reach(self, block):
-        return _max_abs(block)
+    def box_reaches(self, block):
+        return _abs(block).max(axis=1)
 
     def box_elements(self, r):
         return itertools.product(range(-r, r + 1), repeat=self.dimension)
@@ -414,11 +428,18 @@ class HeisenbergGroup(Group):
     def box_card(self, r):
         return (2 * r + 1) ** 2 * (2 * r * r + 1)
 
-    def box_reach(self, block):
-        # |c| <= r^2 first holds at r = ceil(sqrt(max |c|))
-        central = _max_abs(block[:, 2])
-        root = math.isqrt(central)
-        return max(_max_abs(block[:, :2]), root + (root * root < central))
+    def box_reaches(self, block):
+        # |c| <= r^2 first holds at r = ceil(sqrt|c|)
+        central = _abs(block[:, 2])
+        if _within(block[:, 2], _INT64_SAFE):
+            # float sqrt is within 1 of the root for |c| <= 2^62, and (root + 1)^2 < 2^63
+            root = np.sqrt(central.astype(float)).astype(np.int64)
+            root -= root * root > central
+            root += (root + 1) * (root + 1) <= central
+            ceil = root + (root * root < central)
+        else:
+            ceil = np.array([math.isqrt(c - 1) + 1 if c else 0 for c in central.tolist()], dtype=object)
+        return np.maximum(_abs(block[:, :2]).max(axis=1), ceil)
 
     def box_elements(self, r):
         rng = range(-r, r + 1)

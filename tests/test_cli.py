@@ -30,7 +30,7 @@ from ergolab import (
 )
 from ergolab.cli import NS_SPAN_CAP, WINDOW_LIMIT, exit_code_for, main, run_experiment
 from ergolab.fluctuation import FluctuationReport
-from ergolab.groups import MAX_DIMENSION
+from ergolab.groups import MAX_DIMENSION, from_block
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO = REPO / "configs" / "demo.json"
@@ -169,6 +169,23 @@ def test_window_at_or_past_the_limit_exits_one_naming_it(tmp_path, capsys):
             code, out, err = run_cli(capsys, *argv, "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
             assert (code, out) == (1, "") and "Traceback" not in err, window
             assert err.startswith("error: window") and str(WINDOW_LIMIT) in err, window
+
+
+@pytest.mark.parametrize("group", ["Z^2", "H3"])
+@pytest.mark.parametrize(
+    "command", [["folner", "check", "--n", "1"], ["modulus", "compute", "--ns", "1"]], ids=["folner-check", "modulus"]
+)
+def test_flag_window_outside_its_range_is_refused_before_any_family(capsys, monkeypatch, group, command):
+    built = count_calls(monkeypatch, "ergolab.folner", "standard_family")
+    for window in (0, -4, WINDOW_LIMIT, 10**9):
+        argv = [*command, "--group", group, "--eps", "1/2", "--window", str(window)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: --window must be an integer >= 1 and below {WINDOW_LIMIT}, got {window}\n"
+    assert built == []
+    if group == "Z^2":  # analytic moduli: the last window below the limit is taken
+        code, out, _ = run_cli(capsys, *command, "--group", group, "--eps", "1/2", "--window", str(WINDOW_LIMIT - 1))
+        assert (code, out.split()[-1]) == (0, "4")
 
 
 def test_run_evaluates_the_convexity_modulus_once_per_eps(tmp_path, monkeypatch):
@@ -386,6 +403,9 @@ def test_negative_observable_norm_is_a_config_error(tmp_path, capsys):
         ("output_dir", 5),
         ("family", {"type": "explicit", "sets": 5}),
         ("family", {"type": "explicit", "sets": [5]}),
+        # past float range: numpy's uniform width and K * eps^(p+1) overflow
+        ("observable", {"type": "random", "distribution": "uniform", "scale": 1e308}),
+        ("modulus", {"type": "p-uniform", "K": 0.0625, "p": -1e308}),
     ],
 )
 def test_malformed_config_is_a_config_error(tmp_path, capsys, key, value):
@@ -479,6 +499,52 @@ def test_wrong_typed_config_key_never_escapes(base_path, value):
         assert err.getvalue().startswith("error:")
 
 
+# one bad value per kind: none, bool, negative, zero, fraction, past int64 and float range,
+# strings, empty and nested containers
+MUTANT_VALUES = (None, True, -1, 0, 0.5, 10**30, 2**63, 1e308, -1e308, "x", "", [], {}, [0], [[]])
+# working commands; any value token (after the subcommand) may be replaced
+MUTANT_ARGV = (
+    ["folner", "check", "--group", "Z^2", "--n", "2", "--eps", "1/2", "--window", "6"],
+    ["folner", "refine", "--group", "Z", "--eps", "1/2", "--count", "3"],
+    ["folner", "build", "--group", "Z", "--kind", "greedy", "--n-max", "4"],
+    ["modulus", "compute", "--group", "H3", "--ns", "1-2", "--eps", "1/2", "--window", "4"],
+    ["modulus", "compute", "--group", "Z", "--family", "greedy", "--ns", "1-3", "--eps", "1/2", "--window", "6"],
+    ["fluct", "count", "--eps", "0.5", "--data", "0,1,0,1", "--lam", "1"],
+    ["bound", "eval", "--p", "2", "--eps", "0.5", "--norm", "1"],
+)
+MUTANT_TOKENS = ("0", "-1", "1.5", "abc", "", "1/0", "nan", "inf", "1e999", "Z^0", "Z^65", "H4", "--", "1-", "3-1", ",")
+
+
+@st.composite
+def mutated_invocations(draw, tmp):
+    """The argv of one invocation: a config of BASES with one key set to a bad value under
+    run, verify corollary or verify main, or a working command with one value token replaced."""
+    if draw(st.booleans()):
+        base, path = draw(st.sampled_from(BASE_PATHS))
+        config = json.loads(BASES[base].read_text())
+        section = config
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = draw(st.sampled_from(MUTANT_VALUES))
+        cfg = Path(tmp) / "mutant.json"
+        cfg.write_text(json.dumps(config))
+        command = draw(st.sampled_from([["run"], ["verify", "corollary"], ["verify", "main"]]))
+        return [*command, "--config", str(cfg), "--out-dir", str(Path(tmp) / "out")]
+    argv = list(draw(st.sampled_from(MUTANT_ARGV)))
+    argv[draw(st.sampled_from(range(3, len(argv), 2)))] = draw(st.sampled_from(MUTANT_TOKENS))
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_config_or_argv_never_escapes(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(mutated_invocations(tmp))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2), argv
+
+
 def test_verify_main_at_a_tiny_tolerance(tmp_path, capsys):
     # the branch tolerance at eps 1e-05 needs analytic moduli near 10^18 and past it
     config = demo_config()
@@ -556,9 +622,11 @@ def test_run_acts_once_per_element_of_the_window(tmp_path, monkeypatch):
         "window": 30,
         "seed": 1,
     }
-    calls = []
-    act = type(system).act
-    monkeypatch.setattr(type(system), "act", lambda self, g: calls.append(g) or act(self, g))
+    calls = []  # every element handed to the block action, in order
+    act_block = type(system).act_block
+    monkeypatch.setattr(
+        type(system), "act_block", lambda self, block: calls.extend(from_block(block)) or act_block(self, block)
+    )
     system.validate_action()
     validation = len(calls)
     calls.clear()

@@ -5,6 +5,7 @@ Fraction arithmetic and raw permutation powers, independent of the library's
 float pipeline.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -36,9 +37,10 @@ from ergolab import (
     verify_main_theorem,
     weighted_mean,
 )
-from ergolab.dynamics import _POWER_MEMO, FiniteMeasureSystem, _perm_power, _z_interval_averages
-from ergolab.folner import RefinedFamily
-from ergolab.groups import Group, HeisenbergGroup
+from ergolab.dynamics import _GATHER_BYTES, _POWER_MEMO, FiniteMeasureSystem, _perm_power, _z_interval_averages
+from ergolab.errors import FamilyTooLargeError, GroupElementError
+from ergolab.folner import MATERIALIZE_CAP, RefinedFamily
+from ergolab.groups import Group, HeisenbergGroup, to_block
 
 Z = group_by_name("Z")
 
@@ -169,6 +171,28 @@ def test_act_returns_equal_read_only_arrays():
         for perm in system.generators.values():
             with pytest.raises(ValueError):
                 perm[0] = perm[1]
+
+
+def test_act_block_rows_are_the_left_action():
+    big = 2**70 + 5
+    h3, left = heisenberg_mod3_system()
+    cases = [
+        (rotation_system(7), lambda g: [(s + g) % 7 for s in range(7)], [[3], [0, -1, 5, 5, 2**63, -big]]),
+        (
+            torus_translation_system(4, 3),
+            lambda g: [((s // 3 + g[0]) % 4) * 3 + (s % 3 + g[1]) % 3 for s in range(12)],
+            [[(1, 2)], [(0, 0), (-1, 4), (2**63, -3), (big, -big), (-1, 4)]],
+        ),
+        # (2^40, -2^40, 3) fits int64 but its z exponent c - ab does not
+        (h3, left, [[(2, -1, 5)], [(0, 0, 0), (1, 2, 3), (2**40, -(2**40), 3), (2**64, 3, -(2**65)), (-big, big, 7)]]),
+    ]
+    for system, action, blocks in cases:
+        for elems in blocks:
+            rows = system.act_block(to_block(elems))
+            assert rows.shape == (len(elems), system.n_points) and not rows.flags.writeable
+            assert rows.tolist() == [action(g) for g in elems], elems
+        with pytest.raises(GroupElementError):
+            system.act_block(np.array([0.5]))
 
 
 def arrays_held_by(system):
@@ -543,14 +567,53 @@ def oracle_families(draw, group):
     return ExplicitFamily(group, draw(st.lists(subsets, min_size=1, max_size=3)))
 
 
+UNIT_GENERATORS = {
+    "Z": {"t": 1},
+    "Z^2": {"t1": (1, 0), "t2": (0, 1)},
+    "H3": {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)},
+}
+_PLAIN_ACTIONS = {}  # (system, g) -> plain_action(system, g)
+
+
+def plain_action(system, g):
+    """s -> g . s as a list, composed from the generator lists in plain Python.
+
+    g is written as a word in the generators, x^a y^b z^(c - ab) on H3, and the
+    word is checked against g by the group law; a point then takes the word's
+    letters right to left, each a generator power stepped out by power_by_steps.
+    """
+    key = (system, g)
+    if key not in _PLAIN_ACTIONS:
+        group = system.group
+        units = UNIT_GENERATORS[group.name]
+        if group.name == "H3":
+            a, b, c = g
+            word = [("x", a), ("y", b), ("z", c - a * b)]
+        else:
+            word = list(zip(units, [g] if group.name == "Z" else g))
+        product = group.identity
+        for name, k in word:
+            unit = units[name] if k >= 0 else group.inverse(units[name])
+            for _ in range(abs(k)):
+                product = group.multiply(product, unit)
+        assert product == g, (g, word)
+        perm = list(range(system.n_points))
+        for name, k in reversed(word):
+            power = power_by_steps(system.generators[name].tolist(), k)
+            perm = [power[v] for v in perm]
+        _PLAIN_ACTIONS[key] = perm
+    return _PLAIN_ACTIONS[key]
+
+
 def element_sum_oracle(system, family, indices, values):
-    """For each n, sum values[act(g)] over sorted(F_n) left to right, divided by |F_n|."""
+    """For each n, sum values[g . s] over sorted(F_n) left to right, divided by |F_n|;
+    g . s comes from plain_action, not from the system's own action."""
     rows = []
     for n in indices:
         elems = sorted(family.elements(n))
         acc = np.zeros(values.shape)
         for g in elems:
-            acc += values[system.act(g)]
+            acc += values[plain_action(system, g)]
         rows.append(acc / len(elems))
     return np.array(rows)
 
@@ -574,6 +637,71 @@ def test_element_sum_averages_are_bitwise_the_per_set_loop(data, name, shape, se
     got = average_block(system, family, indices, values)
     assert got.shape == (len(indices),) + values.shape
     assert np.array_equal(got, element_sum_oracle(system, family, indices, values))
+
+
+def test_validate_action_names_the_first_sampled_pair_that_fails():
+    # commuting x and y with a z that moves points: not an action of H3, whose [x, y] = z
+    torus = heisenberg_torus_system(3, 3)
+    gens = {name: perm.tolist() for name, perm in torus.generators.items()}
+    gens["z"] = gens["x"]
+    system = FiniteMeasureSystem(torus.group, torus.weights, gens)
+    pool = system.group.enumerate_prefix(24)
+    rng = np.random.default_rng(0)
+    for _ in range(50):  # the pairs validate_action samples, in its order
+        g, h = pool[int(rng.integers(len(pool)))], pool[int(rng.integers(len(pool)))]
+        act_g, act_h = plain_action(system, g), plain_action(system, h)
+        if plain_action(system, system.group.multiply(g, h)) != [act_g[v] for v in act_h]:
+            break
+    else:
+        pytest.fail("no sampled pair fails")
+    with pytest.raises(StructureError, match=re.escape(f"action is not a homomorphism at g={g!r}, h={h!r}")):
+        system.validate_action()
+
+
+BOX_FAMILIES = {
+    "Z^2": (torus_translation_system(3, 4), standard_family(group_by_name("Z^2"), 5)),
+    "H3": (heisenberg_mod3_system()[0], standard_family(group_by_name("H3"), 5)),
+    "Z^2-refined": (
+        torus_translation_system(3, 4),
+        RefinedFamily(standard_family(group_by_name("Z^2"), 9), [1, 2, 4, 6, 9]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOX_FAMILIES))
+def test_box_averages_of_repeated_and_unordered_indices_equal_one_call_per_index(name):
+    system, family = BOX_FAMILIES[name]
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(system.n_points, 2)) * 10.0 ** rng.integers(-8, 9, size=(system.n_points, 2))
+    got = average_block(system, family, [5, 2, 5], values)
+    for row, n in zip(got, [5, 2, 5]):
+        assert np.array_equal(row, average_block(system, family, [n], values)[0])
+    assert np.array_equal(got[1], element_sum_oracle(system, family, [2], values)[0])
+
+
+def test_box_average_past_the_materialization_cap_is_refused():
+    for system, family, n in [
+        (torus_translation_system(3, 4), standard_family(group_by_name("Z^2"), 1001), 1001),  # 2003^2 elements
+        (heisenberg_torus_system(3, 3), standard_family(group_by_name("H3"), 30), 25),  # 51^2 * 1251 elements
+    ]:
+        assert family.card(n) > MATERIALIZE_CAP
+        with pytest.raises(FamilyTooLargeError, match=re.escape(f"box F_{n} of {system.group.name} ")):
+            average_block(system, family, [1, n], np.ones(system.n_points))
+
+
+def test_element_sum_gathers_in_chunks_of_bounded_bytes(monkeypatch):
+    system = torus_translation_system(10, 10)
+    family = standard_family(group_by_name("Z^2"), 6)
+    chunks = []
+    act_block = FiniteMeasureSystem.act_block
+    monkeypatch.setattr(
+        FiniteMeasureSystem, "act_block", lambda self, block: chunks.append(len(block)) or act_block(self, block)
+    )
+    op = average_operator(system, family, 6)  # one element gathers a 100 x 100 identity: 80,000 bytes
+    assert sum(chunks) == family.card(6) == 169 and len(chunks) > 1
+    assert max(chunks) * np.eye(100).nbytes <= _GATHER_BYTES
+    monkeypatch.undo()
+    assert np.array_equal(op, element_sum_oracle(system, family, [6], np.eye(100))[0])
 
 
 def test_interval_averages_of_columns_equal_one_call_per_column():

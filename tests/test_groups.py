@@ -1,7 +1,9 @@
 """Group law, enumeration and canonical-form tests."""
 
 import itertools
+import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -299,6 +301,10 @@ def test_box_reach_equals_least_containing_box(group):
         want = brute_reach(group, gs)
         assert group.box_reach(block) == want, gs
         assert group.box_reach(np.array(gs, dtype=object)) == want, gs  # the object route agrees
+        # per row: the least r with g in box_elements(r), whose max is box_reach
+        reaches = [brute_reach(group, [g]) for g in gs]
+        assert group.box_reaches(block).tolist() == reaches and max(reaches) == want, gs
+        assert group.box_reaches(np.array(gs, dtype=object)).tolist() == reaches, gs
 
 
 def test_box_reach_is_exact_beyond_machine_integers():
@@ -312,6 +318,29 @@ def test_box_reach_is_exact_beyond_machine_integers():
         (H3, [(-big, 0, 0)], big),
     ]:
         assert group.box_reach(to_block(gs)) == want, gs
+
+
+def brute_reach_formula(group, g):
+    """The least r with g in B_r, from the box's definition in Python integers."""
+    if group is H3:
+        a, b, c = g
+        return max(abs(a), abs(b), next(r for r in itertools.count(math.isqrt(abs(c))) if r * r >= abs(c)))
+    return max(abs(k) for k in (g if isinstance(g, tuple) else (g,)))
+
+
+def test_box_reaches_are_exact_per_row_beyond_machine_integers():
+    big = 2**70
+    # central coordinates at, just below and just above squares near the int64 route's 2^62 edge
+    squares = [(0, 0, sign * (r * r + d)) for r in (2**31 - 1, 2**31) for d in (-1, 0, 1) for sign in (1, -1)]
+    for group, gs in [
+        (Z, [3, -big, -(2**63), 0]),
+        (Z2, [(0, 0), (big + 1, -5), (-(2**63), 2)]),
+        (H3, [(0, 0, big + 1), (0, 0, -big), (1, 2, 3), (-big, 0, 0), (0, -(2**63), 1), (2**40, 2**40, 5)]),
+        (H3, squares),
+    ]:
+        want = [brute_reach_formula(group, g) for g in gs]
+        assert group.box_reaches(to_block(gs)).tolist() == want, gs
+        assert group.box_reach(to_block(gs)) == max(want), gs
 
 
 # ---------------------------------------------------------------------------
@@ -364,3 +393,28 @@ def test_check_element_accepts_exactly_the_general_check(group):
         else:
             with pytest.raises(GroupElementError):
                 group.check_element(a)
+
+
+@pytest.mark.parametrize("group", [Z, Z2, H3], ids=lambda g: g.name)
+def test_check_elements_on_a_block_accepts_exactly_its_rows(group):
+    elems = group.enumerate_prefix(6)
+    flat = np.array(elems, dtype=np.int64).reshape(len(elems), -1)
+    blocks = [
+        to_block(elems),
+        to_block(elems + [2**70 if group is Z else (2**70,) * len(group.identity)]),  # an object block
+        np.array(elems, dtype=np.int32),
+        np.array(elems, dtype=float),
+        np.array(elems, dtype=bool),
+        np.hstack([flat, flat[:, :1]]),  # one coordinate too many
+        flat[:, :-1] if flat.shape[1] > 1 else flat,  # one too few on Z^d and H3; (N, 1) on Z
+        np.array(7, dtype=np.int64),
+    ]
+    for block in blocks:
+        rows = from_block(block) if block.ndim else [block.item()]
+        try:
+            group.check_elements(rows)
+        except GroupElementError as exc:
+            with pytest.raises(GroupElementError, match=re.escape(str(exc))):
+                group.check_elements(block)
+        else:
+            group.check_elements(block)
