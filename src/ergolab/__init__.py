@@ -83,10 +83,7 @@ from .groups import (
     HeisenbergGroup,
     IntegerGroup,
     LatticeGroup,
-    enumerate_prefix,
     group_by_name,
-    inverse,
-    multiply,
 )
 
 __version__ = "0.1.0"

@@ -52,7 +52,8 @@ from .folner import (
 )
 from .groups import Group, group_by_name
 
-# the most indices one `--ns` span (lo-hi) may name; each is a modulus computation
+# the most indices one `--ns` span (lo-hi) may name, each a modulus computation, and the most
+# `folner build --n-max` may ask for, each a printed line
 NS_SPAN_CAP = 10_000
 # a config's `window`, and the `--window` of `folner check` and `modulus compute`, stay below this,
 # so a window x window float64 distance table stays below 2**27 bytes
@@ -102,6 +103,12 @@ def _parsed_list(text: str, convert: Callable, name: str) -> list:
     return [_parsed(tok, convert, name) for tok in text.split(",") if tok != ""]
 
 
+def _within_half_range(x: float, name: str) -> None:
+    """Refuse x with a ConfigError unless |x| <= half the float range, so x - y is finite for any such y."""
+    if not 2 * abs(x) <= sys.float_info.max:  # nan and inf fail too
+        raise ConfigError(f"{name} must be finite and at most {sys.float_info.max / 2!r} in size, got {x!r}")
+
+
 def _seed(cfg: dict) -> int:
     env = os.environ.get("ERGOLAB_SEED")
     if env is None:
@@ -147,9 +154,8 @@ def _observable(spec: dict, system: FiniteMeasureSystem, p: float, rng) -> Obser
             raise ConfigError(f"observable scale must be >= 0, got {scale!r}")
         if dist == "normal":
             values = rng.normal(0.0, scale, size=system.n_points)
-        elif 2 * scale > sys.float_info.max:  # numpy needs the width of [-scale, scale] finite
-            raise ConfigError(f"uniform observable scale must be at most {sys.float_info.max / 2!r}, got {scale!r}")
         else:
+            _within_half_range(scale, "uniform observable scale")  # numpy needs the width of [-scale, scale] finite
             values = rng.uniform(-scale, scale, size=system.n_points)
     f = system.observable(values, p)
     target = get_float(spec, "norm", None)
@@ -322,8 +328,9 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
 
 
 def _cmd_folner_build(args) -> int:
-    spec = {"type": args.kind, "n_max": args.n_max, "budget": args.budget}
-    family = _family(spec, group_by_name(args.group), args.n_max)
+    n_max = get_int({"--n-max": args.n_max}, "--n-max", lo=1, hi=NS_SPAN_CAP + 1)
+    spec = {"type": args.kind, "n_max": n_max, "budget": args.budget}
+    family = _family(spec, group_by_name(args.group), n_max)
     for n in range(1, family.n_max + 1):
         print(f"{n} {family.card(n)}")
     if args.out:
@@ -398,6 +405,8 @@ def _cmd_avg_run(args) -> int:
 
 def _cmd_fluct_count(args) -> int:
     data = _parsed_list(args.data, float, "--data")
+    for x in data:
+        _within_half_range(x, "--data value")
     beta = None
     if args.beta:
         beta = _parsed_list(args.beta, int, "--beta")

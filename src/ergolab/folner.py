@@ -93,34 +93,28 @@ def _pack_sorted(elems) -> Optional[np.ndarray]:
     return arr
 
 
-def _packed_overlap(arr: np.ndarray, g: int) -> Optional[int]:
-    if int(arr[-1]) - int(arr[0]) + 1 == arr.size:
-        # one integer interval: F and g + F share |F| - |g| points, exact for any g
-        return max(0, arr.size - abs(g))
-    if abs(g) + max(abs(int(arr[0])), abs(int(arr[-1]))) >= _PACK_LIMIT:
-        return None
-    shifted = arr + g
-    pos = np.searchsorted(arr, shifted)
-    inside = pos < arr.size
-    pos[~inside] = 0
-    return int(np.count_nonzero(inside & (arr[pos] == shifted)))
-
-
-def _overlap(group: Group, s: frozenset, arr: Optional[np.ndarray], g) -> int:
-    """|s intersect gs|: searched in `arr`, the packed form of s, when g fits, else by set arithmetic."""
-    overlap = None if arr is None else _packed_overlap(arr, g)
-    return len(s & group.translate_set(s, g)) if overlap is None else overlap
-
-
 def _set_overlaps(group: Group, s: frozenset, arr, block: np.ndarray, floor: int = -1) -> np.ndarray:
-    """`_overlap` for every g of a `to_block` array: at once in closed form when `arr` is one
-    integer interval, else one g at a time, and then the array ends at the first overlap <= floor."""
-    if arr is not None and block.dtype == np.int64 and int(arr[-1]) - int(arr[0]) + 1 == arr.size:
-        # exact on all of int64: np.abs(-2^63) wraps to -2^63, and |F| + 2^63 wraps negative, so 0
+    """|s intersect gs| for every g of a `to_block` array; `arr` is the packed form of s, or None.
+
+    At once in closed form when `arr` is one integer interval; else one g at a
+    time, searched in `arr` while |g| + max|s| < _PACK_LIMIT and by set
+    arithmetic past that, and then the array ends at the first overlap <= floor.
+    """
+    if arr is not None and int(arr[-1]) - int(arr[0]) + 1 == arr.size:
+        # F and g + F share max(0, |F| - |g|) points.  Exact on Python ints, and on all of
+        # int64: np.abs(-2^63) wraps to -2^63, and |F| + 2^63 wraps negative, so 0
         return np.maximum(0, arr.size - np.abs(block))
+    span = None if arr is None else max(abs(int(arr[0])), abs(int(arr[-1])))
     counts = []
     for g in from_block(block):
-        counts.append(_overlap(group, s, arr, g))
+        if span is not None and abs(g) + span < _PACK_LIMIT:
+            shifted = arr + g
+            pos = np.searchsorted(arr, shifted)
+            inside = pos < arr.size
+            pos[~inside] = 0
+            counts.append(int(np.count_nonzero(inside & (arr[pos] == shifted))))
+        else:
+            counts.append(len(s & group.translate_set(s, g)))
         if counts[-1] <= floor:
             break
     return np.array(counts, dtype=np.int64)
@@ -187,9 +181,10 @@ class FolnerFamily:
 class ExplicitFamily(FolnerFamily):
     """Family with explicitly stored element sets.
 
-    A set of integers is also kept as a sorted int64 array.  When that array
+    A set of integers is also kept as a sorted int64 array.  `overlaps` is
+    the one overlap route, and `ratio` is its one-row case.  When that array
     is one integer interval, |F intersect gF| = max(0, |F| - |g|) in closed
-    form for any g, for a whole block at once; otherwise g + F is searched in
+    form for a whole block at once, for any g; otherwise g + F is searched in
     the array one g at a time, and sets that do not pack (tuples, or a shift
     past the packing limit) take set arithmetic.
     """
@@ -214,10 +209,9 @@ class ExplicitFamily(FolnerFamily):
         return self._sets[n - 1]
 
     def ratio(self, n: int, g) -> Fraction:
-        self._check_index(n)
+        card = self.card(n)
         self.group.check_element(g)
-        s = self._sets[n - 1]
-        return Fraction(2 * (len(s) - _overlap(self.group, s, self._packed[n - 1], g)), len(s))
+        return Fraction(2 * (card - int(self.overlaps(n, to_block([g]))[0])), card)
 
     def overlaps(self, n: int, block: np.ndarray) -> np.ndarray:
         self._check_index(n)

@@ -14,9 +14,11 @@ deterministic across runs.
 Each group also knows the geometry of its standard Folner boxes (cardinality,
 the least radius holding given elements, exact translation overlap counts),
 which the folner module uses for closed-form invariance ratios.  A block of
-translations is one array (`to_block`): overlaps for the whole block come from
-`Group.box_overlaps` in int64 wherever no intermediate can reach 2^62, and
-from the exact scalar `box_overlap` past that.
+translations is one array (`to_block`): `Group.box_overlaps` counts the
+overlaps of the whole block by one formula, in int64 wherever no intermediate
+can reach 2^62, and by the same numpy steps on Python ints (an object array)
+past that.  The scalar `box_overlap` of H3 is its one-row case; Z and Z^d keep
+a scalar product for the analytic modulus search, which probes one corner.
 """
 
 from __future__ import annotations
@@ -74,28 +76,21 @@ def _abs(values: np.ndarray) -> np.ndarray:
     return np.abs(values)
 
 
-def _axis_factors(r: int, block: np.ndarray, dimension: int):
-    """max(0, 2r+1-|k|) for each coordinate k of the block in int64, or None past the bound.
+def _axis_factors(r: int, block: np.ndarray, dimension: int) -> np.ndarray:
+    """max(0, 2r+1-|k|) for each coordinate k of the block: int64 within the bound, else Python ints.
 
     With every |k| <= 2^62 and (2r+1)^dimension < 2^62: 2r+1-|k| lies in
     (-2^63, 2^62), each factor is at most 2r+1, and a product of `dimension`
     factors, partial products included, is at most (2r+1)^dimension.
     """
     if (2 * r + 1) ** dimension >= _INT64_SAFE or not _within(block, _INT64_SAFE):
-        return None
+        block = block.astype(object)
     return np.maximum(0, 2 * r + 1 - np.abs(block))
 
 
-def _progression_sum(lo: int, hi: int, base: int, step: int) -> int:
-    """Sum of base + step*x over the integers x in [lo, hi]; 0 when lo > hi."""
-    if lo > hi:
-        return 0
-    k = hi - lo + 1
-    return k * base + step * ((lo + hi) * k // 2)
-
-
 def _progression_sums(lo, hi, base, step):
-    """`_progression_sum` elementwise on int64 arrays: an empty range has k = 0, so its terms vanish."""
+    """Sum of base + step*x over the integers x in [lo, hi], elementwise; an empty range has k = 0,
+    so its terms vanish."""
     k = np.maximum(0, hi - lo + 1)
     return k * base + step * ((lo + hi) * k // 2)
 
@@ -206,13 +201,12 @@ class Group:
         raise NotImplementedError
 
     def box_overlaps(self, r: int, block: np.ndarray) -> np.ndarray:
-        """`box_overlap(r, g)` for each translation g of a `to_block` array, in order.
+        """|B_r intersect g*B_r| for each translation g of a `to_block` array, in order.
 
-        The groups compute this in int64 where every intermediate provably
-        stays below 2^62, and fall back past that to this loop over the
-        scalar `box_overlap`, which returns an object array of Python ints.
+        int64 where every intermediate provably stays below 2^62; past that,
+        the same steps on Python ints give an exact object array.
         """
-        return np.array([self.box_overlap(r, g) for g in from_block(block)], dtype=object)
+        raise NotImplementedError
 
     def box_corner(self, r: int):
         """A translation c in B_r maximizing |B_m delta g*B_m| over g in B_r for every m, or None.
@@ -284,8 +278,7 @@ class IntegerGroup(Group):
         return max(0, 2 * r + 1 - abs(g))
 
     def box_overlaps(self, r, block):
-        factors = _axis_factors(r, block, 1)
-        return super().box_overlaps(r, block) if factors is None else factors
+        return _axis_factors(r, block, 1)
 
     def box_corner(self, r):
         return r
@@ -362,8 +355,7 @@ class LatticeGroup(Group):
         return prod
 
     def box_overlaps(self, r, block):
-        factors = _axis_factors(r, block, self.dimension)
-        return super().box_overlaps(r, block) if factors is None else factors.prod(axis=1)
+        return _axis_factors(r, block, self.dimension).prod(axis=1)
 
     def box_corner(self, r):
         return (r,) * self.dimension
@@ -447,41 +439,24 @@ class HeisenbergGroup(Group):
         return itertools.product(rng, rng, crng)
 
     def box_overlap(self, r, g):
-        # x in B_r and g^-1 x in B_r: cnt_x1 choices of x1 and, for each x2 in
-        # [lo, hi], max(0, D - |t0 + a*x2|) choices of x3; the tent over that
-        # progression is summed in closed form, in exact integers
-        a, b, c = g
-        cnt_x1 = 2 * r + 1 - abs(a)
-        if cnt_x1 <= 0 or abs(b) > 2 * r:
-            return 0
-        # x2 in [-r, r] and x2 - b in [-r, r]
-        lo, hi = (b - r, r) if b > 0 else (-r, b + r)
-        depth = 2 * r * r + 1
-        t0 = c - a * b
-        if a == 0:
-            return cnt_x1 * (hi - lo + 1) * max(0, depth - abs(t0))
-        if a < 0:
-            # x2 -> -x2 turns the slope positive
-            a, lo, hi = -a, -hi, -lo
-        # t = t0 + a*x2 rises with x2; the tent is depth + t on -depth < t <= 0
-        # and depth - t on 0 < t < depth
-        split = -t0 // a
-        rising = _progression_sum(max(lo, -((depth - 1 + t0) // a)), min(hi, split), depth + t0, a)
-        falling = _progression_sum(max(lo, split + 1), min(hi, (depth - 1 - t0) // a), depth - t0, -a)
-        return cnt_x1 * (rising + falling)
+        return int(self.box_overlaps(r, to_block([g]))[0])
 
     def box_overlaps(self, r, block):
-        # `box_overlap` on every row at once, its branches taken by np.where.  With R =
-        # _H3_ARRAY_REACH and r, |a|, |b| <= R, |c| <= R^2: |t0| <= 2R^2 and depth <= 2R^2+1,
-        # so every tent end, split and base is at most 4R^2+1 in size, and the a = 0 value
-        # at most (2R+1)(4R+1)(4R^2+1) < 2^54.  lo and hi lie in [-2R, 2R]; a progression
-        # with k > 0 has both ends there and one with k = 0 adds 0, so each sum is at most
+        # x in B_r and g^-1 x in B_r: cnt_x1 choices of x1 and, for each x2 in [lo, hi],
+        # max(0, depth - |t0 + a*x2|) choices of x3; the tent over that progression is summed
+        # in closed form, its branches taken by np.where.  With R = _H3_ARRAY_REACH and
+        # r, |a|, |b| <= R, |c| <= R^2: |t0| <= 2R^2 and depth <= 2R^2+1, so every tent end,
+        # split and base is at most 4R^2+1 in size, and the a = 0 value at most
+        # (2R+1)(4R+1)(4R^2+1) < 2^54.  lo and hi lie in [-2R, 2R]; a progression with k > 0
+        # has both ends there and one with k = 0 adds 0, so each sum is at most
         # (4R+1)(4R^2+1) + R(4R)(4R+1)/2 < 2^41, and each overlap is below 2^55 < 2^62.
+        # Past that bound the same steps run on Python ints.
         reach = _H3_ARRAY_REACH
         if r > reach or not (_within(block[:, :2], reach) and _within(block[:, 2], reach * reach)):
-            return super().box_overlaps(r, block)
+            block = block.astype(object)
         a, b, c = block[:, 0], block[:, 1], block[:, 2]
         cnt_x1 = 2 * r + 1 - np.abs(a)
+        # x2 in [-r, r] and x2 - b in [-r, r]
         positive = b > 0
         lo, hi = np.where(positive, b - r, -r), np.where(positive, r, b + r)
         depth = 2 * r * r + 1
@@ -491,6 +466,8 @@ class HeisenbergGroup(Group):
         negative = a < 0
         lo, hi = np.where(negative, -hi, lo), np.where(negative, -lo, hi)
         slope = np.maximum(np.abs(a), 1)
+        # t = t0 + slope*x2 rises with x2; the tent is depth + t on -depth < t <= 0
+        # and depth - t on 0 < t < depth
         split = -t0 // slope
         rise_lo, fall_hi = -((depth - 1 + t0) // slope), (depth - 1 - t0) // slope
         rising = _progression_sums(np.maximum(lo, rise_lo), np.minimum(hi, split), depth + t0, slope)
@@ -512,18 +489,3 @@ def group_by_name(name: str) -> Group:
             raise UnsupportedGroupError(f"lattice dimension of {name[:20]!r} is past the cap {MAX_DIMENSION}")
         return LatticeGroup(int(digits))
     raise UnsupportedGroupError(f"unknown group name {name!r}; expected Z, Z^d or H3")
-
-
-def multiply(group: Group, a, b):
-    """Canonical form of a*b."""
-    return group.multiply(a, b)
-
-
-def inverse(group: Group, a):
-    """Canonical form of a^-1."""
-    return group.inverse(a)
-
-
-def enumerate_prefix(group: Group, count: int) -> list:
-    """g_1 ... g_count of the group's fixed enumeration."""
-    return group.enumerate_prefix(count)

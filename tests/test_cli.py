@@ -140,6 +140,32 @@ def test_ns_span_past_the_cap_is_refused_before_any_work(capsys):
     assert code == 0 and out.splitlines()[-1] == f"{NS_SPAN_CAP} {2 * NS_SPAN_CAP}"  # 2n/(2m+1) < 1/2 from m = 2n
 
 
+def test_folner_build_past_the_span_cap_is_refused_before_any_line(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr("ergolab.cli.standard_family", lambda *a: built.append(a))
+    monkeypatch.setattr("ergolab.cli.greedy_folner", lambda *a: built.append(a))
+    for kind in ("standard", "greedy"):
+        for n_max in (str(NS_SPAN_CAP + 1), "100000000000000000000", "0", "-3"):
+            code, out, err = run_cli(capsys, "folner", "build", "--group", "Z", "--kind", kind, "--n-max", n_max)
+            assert code == 1 and out == "", (kind, n_max)
+            assert err.startswith("error: --n-max") and str(NS_SPAN_CAP + 1) in err and "Traceback" not in err
+    assert built == []  # refused before any family is built
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "folner", "build", "--group", "Z", "--n-max", str(NS_SPAN_CAP))
+    assert code == 0 and out.splitlines()[-1] == f"{NS_SPAN_CAP} {2 * NS_SPAN_CAP + 1}"
+
+
+def test_fluct_count_refuses_data_past_half_the_float_range(capsys):
+    half = sys.float_info.max / 2
+    for data in ("0,inf,1", "0,1e308,-1e308", "nan,0", "1,-inf", f"0,{half * (1 + 2**-52)!r}"):
+        code, out, err = run_cli(capsys, "fluct", "count", "--eps", "1", "--data", data)
+        assert code == 1 and out == "", data
+        assert err.startswith("error: --data") and "Traceback" not in err, data
+    # at half the range every difference is finite: the two ends are 2 * half apart, past eps
+    code, out, _ = run_cli(capsys, "fluct", "count", "--eps", "1", "--data", f"0,{half!r},{-half!r}")
+    assert code == 0 and out == "2\n"
+
+
 def test_lattice_dimension_past_the_cap_exits_one(capsys):
     for group in ("Z^3000", "Z^100000000000000000000"):
         code, out, err = run_cli(capsys, "folner", "build", "--group", group, "--kind", "greedy", "--n-max", "2")

@@ -32,7 +32,6 @@ from ergolab import (
     check_modulus,
     convergence_modulus,
     corollary_bound,
-    enumerate_prefix,
     envelope,
     family_from_jsonable,
     fast_refinement,
@@ -437,8 +436,9 @@ def test_greedy_stage_cardinalities_are_pinned(group, n_max, cards):
 def scalar_greedy(group, n_max, search_budget=10_000):
     """The greedy construction with every candidate tested one g at a time: the reference
     for `greedy_folner`'s blocks.  The reach is a `least_index` search over coordinate
-    containment, and each g of F_{n-1} is decided alone by the scalar `box_overlap` or
-    `folner._overlap`; the probes, and so the budget count, are `greedy_folner`'s.
+    containment, and each g of F_{n-1} is decided alone: by the scalar `box_overlap` on a
+    box, and on a set by a one-row `overlaps` block (set arithmetic through `translate_set`
+    on tuples); the probes, and so the budget count, are `greedy_folner`'s.
     """
 
     def contains(r, g):
@@ -460,8 +460,8 @@ def scalar_greedy(group, n_max, search_budget=10_000):
                 card, overlap_of = group.box_card(r), lambda g: group.box_overlap(r, g)
             else:
                 s = prev | frozenset(group.box_elements(r)) if r else prev
-                arr = folner._pack_sorted(s)
-                card, overlap_of = len(s), lambda g: folner._overlap(group, s, arr, g)
+                one = ExplicitFamily(group, [s])
+                card, overlap_of = len(s), lambda g: int(one.overlaps(1, to_block([g]))[0])
             return all(stage * 2 * (card - overlap_of(g)) < card for g in prev)
 
         radius = least_index(valid, 0)
@@ -490,8 +490,9 @@ def test_greedy_blocks_match_the_per_g_construction(group, n_max, least_budget):
 def test_greedy_refutes_a_set_candidate_at_its_first_failing_g(group, n_max, monkeypatch):
     # tuple sets are counted one g at a time; the count stops where the reference's all() stops
     seen = []
-    real = folner._overlap
-    monkeypatch.setattr(folner, "_overlap", lambda group, s, arr, g: seen.append(g) or real(group, s, arr, g))
+    cls = type(group)
+    real = cls.translate_set
+    monkeypatch.setattr(cls, "translate_set", lambda self, elems, g: seen.append(g) or real(self, elems, g))
     greedy_folner(group, n_max)
     blocks, seen[:] = list(seen), []
     scalar_greedy(group, n_max)
@@ -918,7 +919,7 @@ EXACT_INT_ARGUMENTS = {  # name: (call, an int it accepts)
     "corollary_bound lam": (lambda x: corollary_bound(ConvexityModulus.hanner(2), 1.0, 0.5, 0.001, x), 2),
     "verify_corollary lam": (_verify_corollary_with_lambda, 1),
     "max_chain beta": (lambda x: max_chain([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 0.5, beta=[x, 3, 4]), 2),
-    "enumerate_prefix count": (lambda x: enumerate_prefix(Z, x), 2),
+    "enumerate_prefix count": (lambda x: Z.enumerate_prefix(x), 2),
 }
 
 

@@ -8,14 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from ergolab import (
-    GroupElementError,
-    UnsupportedGroupError,
-    enumerate_prefix,
-    group_by_name,
-    inverse,
-    multiply,
-)
+from ergolab import GroupElementError, UnsupportedGroupError, group_by_name
 from ergolab.groups import MAX_DIMENSION, LatticeGroup, from_block, to_block
 
 Z = group_by_name("Z")
@@ -25,72 +18,72 @@ H3 = group_by_name("H3")
 
 
 def test_z_multiply_and_identity():
-    assert multiply(Z, 2, 3) == 5
-    assert multiply(Z, 17, Z.identity) == 17
-    assert multiply(Z, Z.identity, -4) == -4
+    assert Z.multiply(2, 3) == 5
+    assert Z.multiply(17, Z.identity) == 17
+    assert Z.multiply(Z.identity, -4) == -4
 
 
 def test_h3_multiply_example():
     # evaluate the upper-triangular law (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a b')
-    assert multiply(H3, (1, 0, 0), (0, 1, 0)) == (1, 1, 1)
+    assert H3.multiply((1, 0, 0), (0, 1, 0)) == (1, 1, 1)
 
 
 def test_inverse_examples():
-    assert inverse(Z, 7) == -7
-    assert inverse(Z2, (0, 0)) == (0, 0)
+    assert Z.inverse(7) == -7
+    assert Z2.inverse((0, 0)) == (0, 0)
     # solve (1,1,1)(x,y,z) = (0,0,0) under the chosen law
-    assert inverse(H3, (1, 1, 1)) == (-1, -1, 0)
-    assert multiply(H3, (1, 1, 1), inverse(H3, (1, 1, 1))) == H3.identity
+    assert H3.inverse((1, 1, 1)) == (-1, -1, 0)
+    assert H3.multiply((1, 1, 1), H3.inverse((1, 1, 1))) == H3.identity
 
 
 def test_enumeration_examples():
-    assert enumerate_prefix(Z, 5) == [0, 1, -1, 2, -2]
-    assert enumerate_prefix(Z, 1) == [0]
-    assert enumerate_prefix(Z2, 5) == [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
-    assert enumerate_prefix(H3, 1) == [(0, 0, 0)]
+    assert Z.enumerate_prefix(5) == [0, 1, -1, 2, -2]
+    assert Z.enumerate_prefix(1) == [0]
+    assert Z2.enumerate_prefix(5) == [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+    assert H3.enumerate_prefix(1) == [(0, 0, 0)]
 
 
 @pytest.mark.parametrize("group", [Z, Z2, H3], ids=lambda g: g.name)
 def test_enumeration_prefix_property(group):
-    long = enumerate_prefix(group, 120)
+    long = group.enumerate_prefix(120)
     assert len(set(long)) == 120  # injective
     for n in (1, 7, 30, 119):
-        assert enumerate_prefix(group, n) == long[:n]
+        assert group.enumerate_prefix(n) == long[:n]
 
 
 def test_group_axioms_exhaustive_z():
-    elems = enumerate_prefix(Z, 30)
+    elems = Z.enumerate_prefix(30)
     for a, b, c in itertools.product(elems, repeat=3):
-        assert multiply(Z, multiply(Z, a, b), c) == multiply(Z, a, multiply(Z, b, c))
+        assert Z.multiply(Z.multiply(a, b), c) == Z.multiply(a, Z.multiply(b, c))
     for a in elems:
-        assert multiply(Z, a, Z.identity) == a
-        assert multiply(Z, Z.identity, a) == a
-        assert multiply(Z, a, inverse(Z, a)) == Z.identity
-        assert multiply(Z, inverse(Z, a), a) == Z.identity
+        assert Z.multiply(a, Z.identity) == a
+        assert Z.multiply(Z.identity, a) == a
+        assert Z.multiply(a, Z.inverse(a)) == Z.identity
+        assert Z.multiply(Z.inverse(a), a) == Z.identity
 
 
 @pytest.mark.parametrize("group", [Z2, H3], ids=lambda g: g.name)
 def test_group_axioms_randomized(group):
     rng = random.Random(20240803)
-    pool = enumerate_prefix(group, 200)
+    pool = group.enumerate_prefix(200)
     for _ in range(1000):
         a, b, c = (rng.choice(pool) for _ in range(3))
-        assert multiply(group, multiply(group, a, b), c) == multiply(group, a, multiply(group, b, c))
-        assert multiply(group, a, group.identity) == a
-        assert multiply(group, group.identity, a) == a
-        assert multiply(group, a, inverse(group, a)) == group.identity
-        assert multiply(group, inverse(group, a), a) == group.identity
+        assert group.multiply(group.multiply(a, b), c) == group.multiply(a, group.multiply(b, c))
+        assert group.multiply(a, group.identity) == a
+        assert group.multiply(group.identity, a) == a
+        assert group.multiply(a, group.inverse(a)) == group.identity
+        assert group.multiply(group.inverse(a), a) == group.identity
 
 
 def test_mismatched_kinds_raise():
     with pytest.raises(GroupElementError):
-        multiply(Z, 1, (1, 0))
+        Z.multiply(1, (1, 0))
     with pytest.raises(GroupElementError):
-        multiply(Z2, (1, 0), (1, 0, 0))
+        Z2.multiply((1, 0), (1, 0, 0))
     with pytest.raises(GroupElementError):
-        inverse(H3, (1, 2))
+        H3.inverse((1, 2))
     with pytest.raises(GroupElementError):
-        multiply(Z, True, 1)  # bools are not canonical forms
+        Z.multiply(True, 1)  # bools are not canonical forms
 
 
 def test_group_by_name():
@@ -113,12 +106,12 @@ def test_lattice_dimension_is_capped():
 
 
 def test_lattice_enumeration_prefix_is_pinned():
-    assert enumerate_prefix(Z2, 25) == [
+    assert Z2.enumerate_prefix(25) == [
         (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (-2, 0), (1, 1), (-1, 1), (1, -1), (-1, -1),
         (0, 2), (0, -2), (3, 0), (-3, 0), (2, 1), (-2, 1), (2, -1), (-2, -1), (1, 2), (-1, 2), (1, -2),
         (-1, -2), (0, 3), (0, -3),
     ]
-    assert enumerate_prefix(Z3, 25) == [
+    assert Z3.enumerate_prefix(25) == [
         (0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (2, 0, 0),
         (-2, 0, 0), (1, 1, 0), (-1, 1, 0), (1, -1, 0), (-1, -1, 0), (0, 2, 0), (0, -2, 0), (1, 0, 1),
         (-1, 0, 1), (0, 1, 1), (0, -1, 1), (1, 0, -1), (-1, 0, -1), (0, 1, -1), (0, -1, -1), (0, 0, 2),
@@ -128,7 +121,7 @@ def test_lattice_enumeration_prefix_is_pinned():
 
 def test_lattice_enumeration_at_the_dimension_cap():
     group = LatticeGroup(MAX_DIMENSION)
-    prefix = enumerate_prefix(group, 2 * MAX_DIMENSION + 1)
+    prefix = group.enumerate_prefix(2 * MAX_DIMENSION + 1)
     # the identity, then the shell of 1-norm 1: +e_1, -e_1, +e_2, -e_2, ...
     unit = [tuple(int(i == k) for i in range(MAX_DIMENSION)) for k in range(MAX_DIMENSION)]
     assert prefix == [group.identity] + [v for e in unit for v in (e, tuple(-c for c in e))]
@@ -137,10 +130,10 @@ def test_lattice_enumeration_at_the_dimension_cap():
 def test_translate_set_matches_multiply():
     rng = random.Random(99)
     for group in (Z, Z2, H3):
-        pool = enumerate_prefix(group, 60)
+        pool = group.enumerate_prefix(60)
         s = frozenset(rng.sample(pool, 25))
         g = rng.choice(pool)
-        assert group.translate_set(s, g) == {multiply(group, g, x) for x in s}
+        assert group.translate_set(s, g) == {group.multiply(g, x) for x in s}
 
 
 def test_h3_box_geometry_against_enumeration():
@@ -159,8 +152,11 @@ def test_h3_box_geometry_against_enumeration():
 
 def loop_overlap(r, a, b, cs):
     """The former O(r) fibre loop of HeisenbergGroup.box_overlap, run for a
-    column of central coordinates cs at once: entry k is |B_r ∩ (a, b, cs[k]) B_r|."""
-    cs = np.asarray(cs, dtype=np.int64)
+    column of central coordinates cs at once: entry k is |B_r ∩ (a, b, cs[k]) B_r|,
+    summed in int64 for small inputs and in Python ints (an object array) past that."""
+    cs = list(cs)
+    small = max(r, abs(a), abs(b)) <= 2**12 and all(abs(c) <= 2**24 for c in cs)
+    cs = np.array(cs, dtype=np.int64 if small else object)
     cnt_x1 = max(0, 2 * r + 1 - abs(a))
     lo = max(-r, b - r)
     hi = min(r, b + r)
@@ -172,6 +168,14 @@ def loop_overlap(r, a, b, cs):
     return cnt_x1 * total
 
 
+def scalar_overlap(group, r, g):
+    """|B_r ∩ gB_r| for one g, apart from `box_overlaps`: the scalar product on Z and Z^d, and
+    the fibre loop on H3, whose scalar `box_overlap` is one row of `box_overlaps`."""
+    if group is H3:
+        return int(loop_overlap(r, g[0], g[1], [g[2]])[0])
+    return group.box_overlap(r, g)
+
+
 @pytest.mark.parametrize("r", range(9))
 def test_h3_box_overlap_matches_fibre_loop_on_full_grid(r):
     # |a|, |b| up to 2r + 2 and |c| up to 3r^2 + 3: a of both signs and zero,
@@ -180,8 +184,8 @@ def test_h3_box_overlap_matches_fibre_loop_on_full_grid(r):
     cs = range(-(3 * r * r + 3), 3 * r * r + 4)
     for a in span:
         for b in span:
-            got = [H3.box_overlap(r, (a, b, c)) for c in cs]
-            assert got == loop_overlap(r, a, b, cs).tolist(), (r, a, b)
+            got = H3.box_overlaps(r, to_block([(a, b, c) for c in cs]))
+            assert got.tolist() == loop_overlap(r, a, b, cs).tolist(), (r, a, b)
 
 
 def test_h3_box_overlap_matches_set_arithmetic():
@@ -199,17 +203,33 @@ def test_h3_box_overlap_matches_set_arithmetic():
 
 
 def test_h3_box_overlap_is_exact_beyond_machine_integers():
+    # past the int64 bounds, against the fibre loop in Python ints: |b| within a few of 2r
+    # leaves at most four x2 fibres to sum
+    for r in (2**12 + 1, 10**12, 10**30):
+        gs = [
+            (a, sign * (2 * r - k), c)
+            for a in (0, 1, -7, r, -2 * r, 2 * r + 1)
+            for sign in (1, -1)
+            for k in (-1, 0, 1, 3)
+            for c in (0, a * sign * (2 * r - k), a * sign * (2 * r - k) - r * r, -3 * r * r, 2**70 + 1)
+        ]
+        got = H3.box_overlaps(r, to_block(gs))
+        want = [int(loop_overlap(r, a, b, [c])[0]) for a, b, c in gs]
+        assert got.dtype == object and got.tolist() == want, r
+        assert [H3.box_overlap(r, g) for g in gs] == want, r  # the scalar is one row of the block
+        if r > 2**32:
+            assert max(want) > 2**63  # counts past int64, not only intermediates
     r = 10**12
     assert H3.box_overlap(r, H3.identity) == H3.box_card(r)
     for g in [(r, -r // 3, r * r // 2), (-2 * r, r, 1), (1, 2 * r, -(r * r)), (7, -5, 3 * r * r), (-r // 7, r // 11, 2**70)]:
-        assert H3.box_overlap(r, g) == H3.box_overlap(r, inverse(H3, g)), g
+        assert H3.box_overlap(r, g) == H3.box_overlap(r, H3.inverse(g)), g
     # a = 0: every x2 fibre has the same depth
     b, c = r // 2, r * r // 3
     assert H3.box_overlap(r, (0, b, c)) == (2 * r + 1) * (2 * r + 1 - b) * (2 * r * r + 1 - c)
 
 
 # ---------------------------------------------------------------------------
-# box overlaps of a whole block against the scalar box_overlap
+# box overlaps of a whole block against a count one g at a time
 # ---------------------------------------------------------------------------
 
 
@@ -234,7 +254,7 @@ def test_box_overlaps_equal_the_scalar_overlap(group, r):
     gs = random_translations(group, r, 1500, rng) + [group.identity, group.box_corner(r) or (r, r, -r * r)]
     got = group.box_overlaps(r, to_block(gs))
     assert got.dtype == np.int64
-    assert got.tolist() == [group.box_overlap(r, g) for g in gs]
+    assert got.tolist() == [scalar_overlap(group, r, g) for g in gs]
 
 
 def test_box_overlaps_at_the_edge_of_the_int64_route():
@@ -250,8 +270,8 @@ def test_box_overlaps_at_the_edge_of_the_int64_route():
         assert block.dtype == np.int64
         got = group.box_overlaps(r, block)
         assert got.dtype == np.int64, group  # still on the int64 route
-        assert got.tolist() == [group.box_overlap(r, g) for g in gs], group
-    # one step past the guard in r or in a coordinate: the exact scalar loop
+        assert got.tolist() == [scalar_overlap(group, r, g) for g in gs], group
+    # one step past the guard in r or in a coordinate: the same steps in Python ints
     for group, r, gs in [
         (Z, 2**61, [0, 1]),
         (Z, 3, [2**62 + 1]),
@@ -263,7 +283,7 @@ def test_box_overlaps_at_the_edge_of_the_int64_route():
         (H3, 3, [(0, 0, -(reach * reach) - 1), (0, 1, 2)]),
     ]:
         got = group.box_overlaps(r, to_block(gs))
-        assert got.dtype == object and got.tolist() == [group.box_overlap(r, g) for g in gs], (group, r)
+        assert got.dtype == object and got.tolist() == [scalar_overlap(group, r, g) for g in gs], (group, r)
 
 
 def test_box_overlaps_are_exact_beyond_machine_integers():
@@ -271,7 +291,6 @@ def test_box_overlaps_are_exact_beyond_machine_integers():
     for group, gs in [
         (Z, [0, r, -2 * r, 2 * r + 1, 10**40]),
         (Z2, [(0, 0), (r, -r), (2**70, 1)]),
-        (H3, [(0, 0, 0), (r, -r // 3, r * r // 2), (1, 2 * r, -(r * r)), (7, -5, 3 * r * r)]),
     ]:
         block = to_block(gs)
         assert from_block(block) == gs
@@ -279,6 +298,11 @@ def test_box_overlaps_are_exact_beyond_machine_integers():
         assert got.dtype == object
         assert got.tolist() == [group.box_overlap(r, g) for g in gs]
         assert max(got) > 2**63  # the identity's overlap |B_r| does not fit in int64
+    # H3 at this radius: the identity's overlap is |B_r|, and the rows past it are the fibre loop's
+    gs = [(0, 0, 0), (1, 2 * r, -(r * r)), (r, -(2 * r - 1), r * r // 2), (7, 2 * r - 2, 3 * r * r)]
+    got = H3.box_overlaps(r, to_block(gs))
+    assert got.dtype == object
+    assert got.tolist() == [H3.box_card(r)] + [scalar_overlap(H3, r, g) for g in gs[1:]]
 
 
 def brute_reach(group, gs):
