@@ -53,7 +53,7 @@ from .folner import (
 from .groups import Group, group_by_name
 
 # the most indices one `--ns` span (lo-hi) may name, each a modulus computation, and the most
-# `folner build --n-max` may ask for, each a printed line
+# `folner build --n-max` and `folner refine --count` may ask for, each a printed line or index
 NS_SPAN_CAP = 10_000
 # a config's `window`, and the `--window` of `folner check` and `modulus compute`, stay below this,
 # so a window x window float64 distance table stays below 2**27 bytes
@@ -179,7 +179,7 @@ def _family(spec: dict, group: Group, window: int, corollary=False, tolerance=No
     kinds = ("refined",) if corollary else ("standard", "greedy", "explicit")
     kind = get_choice(spec, "type", kinds, kinds[0])
     if kind == "refined":
-        count = get_int(spec, "count", 8, lo=1)
+        count = get_int(spec, "count", 8, lo=1, hi=WINDOW_LIMIT)  # the window of a corollary run
         source = standard_family(group, get_int(spec, "source_n_max", 10**30, lo=1))
         if tolerance is None:
             return standard_family(group, count)
@@ -355,7 +355,8 @@ def _cmd_folner_check(args) -> int:
 def _cmd_folner_refine(args) -> int:
     group = group_by_name(args.group)
     source = standard_family(group, args.source_n_max)
-    refined = fast_refinement(source, as_fraction(args.eps), count=args.count)
+    count = get_int({"--count": args.count}, "--count", lo=1, hi=NS_SPAN_CAP + 1)
+    refined = fast_refinement(source, as_fraction(args.eps), count=count)
     print(" ".join(str(i) for i in refined.indices))
     if args.out:
         Path(args.out).write_text(_json_text(refined.to_jsonable()), encoding="utf-8")

@@ -4,8 +4,8 @@ All cardinality comparisons are exact: set sizes are integers, tolerances are
 `fractions.Fraction`, and the strict inequalities of the modulus definitions
 are decided without floating point.  Standard box families are represented by
 their radii, so ratios on them come from closed-form overlap counts; the
-module-level `folner_ratio` always takes the literal set-arithmetic route,
-which the tests replay against the closed forms.
+module-level `folner_ratio` always counts literally (every element translated,
+the shared rows counted), which the tests replay against the closed forms.
 
 A worst ratio over F_n is decided in integers: `FolnerFamily.overlaps` counts
 |F_m intersect gF_m| for every g of F_n at once, as one array (`to_block`),
@@ -40,7 +40,6 @@ from .errors import (
 from .groups import Group, from_block, group_by_name, to_block
 
 MATERIALIZE_CAP = 2_000_000
-_PACK_LIMIT = 2**62
 
 
 def as_fraction(x) -> Fraction:
@@ -78,43 +77,38 @@ def _tolerance(eps, what: str) -> Fraction:
     return eps
 
 
-def _pack_sorted(elems) -> Optional[np.ndarray]:
-    """Sorted int64 array of integer canonical forms, or None if not packable."""
-    if not elems:
-        return None
-    first = next(iter(elems))
-    if not isinstance(first, int):
-        return None
+def _rows_of(elems) -> np.ndarray:
+    """A set's elements as one `to_block` array; a set of integers within int64 is read without a list."""
     try:
-        arr = np.fromiter(elems, dtype=np.int64, count=len(elems))
-    except OverflowError:
-        return None
-    arr.sort()
-    return arr
+        return np.fromiter(elems, np.int64, len(elems))
+    except (OverflowError, TypeError):  # tuples, or integers past int64
+        return to_block(list(elems))
 
 
-def _set_overlaps(group: Group, s: frozenset, arr, block: np.ndarray, floor: int = -1) -> np.ndarray:
-    """|s intersect gs| for every g of a `to_block` array; `arr` is the packed form of s, or None.
+def _common_rows(a: np.ndarray, b: np.ndarray) -> int:
+    """How many rows two `to_block` arrays of distinct rows share, exactly: each row is coded as one
+    integer over the bounding box of both, in int64 when it has under 2^62 points, else in Python ints."""
+    a, b = a.reshape(len(a), -1).T, b.reshape(len(b), -1).T  # one column per coordinate
+    lo = [min(int(x.min()), int(y.min())) for x, y in zip(a, b)]
+    weights = [1]
+    for low, x, y in zip(lo, a, b):
+        weights.append(weights[-1] * (max(int(x.max()), int(y.max())) - low + 1))
+    if weights[-1] >= 2**62 or a.dtype != np.int64 or b.dtype != np.int64:
+        a, b = a.astype(object), b.astype(object)
+    codes = [sum((col - low) * w for col, low, w in zip(x, lo, weights)) for x in (a, b)]
+    return np.intersect1d(*codes, assume_unique=True).size
 
-    At once in closed form when `arr` is one integer interval; else one g at a
-    time, searched in `arr` while |g| + max|s| < _PACK_LIMIT and by set
-    arithmetic past that, and then the array ends at the first overlap <= floor.
-    """
-    if arr is not None and int(arr[-1]) - int(arr[0]) + 1 == arr.size:
+
+def _set_overlaps(group: Group, rows: np.ndarray, block: np.ndarray, floor: int = -1) -> np.ndarray:
+    """|F intersect gF| for every g of a `to_block` array, F given by its `_rows_of` array: in closed
+    form when F is one integer interval, else one g at a time up to the first overlap <= floor."""
+    if rows.ndim == 1 and int(rows.max()) - int(rows.min()) + 1 == rows.size:
         # F and g + F share max(0, |F| - |g|) points.  Exact on Python ints, and on all of
         # int64: np.abs(-2^63) wraps to -2^63, and |F| + 2^63 wraps negative, so 0
-        return np.maximum(0, arr.size - np.abs(block))
-    span = None if arr is None else max(abs(int(arr[0])), abs(int(arr[-1])))
+        return np.maximum(0, rows.size - np.abs(block))
     counts = []
     for g in from_block(block):
-        if span is not None and abs(g) + span < _PACK_LIMIT:
-            shifted = arr + g
-            pos = np.searchsorted(arr, shifted)
-            inside = pos < arr.size
-            pos[~inside] = 0
-            counts.append(int(np.count_nonzero(inside & (arr[pos] == shifted))))
-        else:
-            counts.append(len(s & group.translate_set(s, g)))
+        counts.append(_common_rows(rows, group.translate_block(rows, g)))
         if counts[-1] <= floor:
             break
     return np.array(counts, dtype=np.int64)
@@ -181,12 +175,9 @@ class FolnerFamily:
 class ExplicitFamily(FolnerFamily):
     """Family with explicitly stored element sets.
 
-    A set of integers is also kept as a sorted int64 array.  `overlaps` is
-    the one overlap route, and `ratio` is its one-row case.  When that array
-    is one integer interval, |F intersect gF| = max(0, |F| - |g|) in closed
-    form for a whole block at once, for any g; otherwise g + F is searched in
-    the array one g at a time, and sets that do not pack (tuples, or a shift
-    past the packing limit) take set arithmetic.
+    `overlaps` is the one overlap route and `ratio` its one-row case: max(0, |F| - |g|) for a
+    whole block when F is one integer interval, else the rows F shares with gF, one g at a time,
+    exact at any size.  A set's `to_block` rows are built when it is first counted.
     """
 
     def __init__(self, group: Group, sets: Sequence[Iterable], provenance: str = "explicit"):
@@ -198,7 +189,7 @@ class ExplicitFamily(FolnerFamily):
             group.check_elements(s)
         self.provenance = provenance
         self._sets = sets
-        self._packed = [_pack_sorted(s) for s in sets]
+        self._rows: List[Optional[np.ndarray]] = [None] * len(sets)
 
     def card(self, n: int) -> int:
         self._check_index(n)
@@ -215,7 +206,9 @@ class ExplicitFamily(FolnerFamily):
 
     def overlaps(self, n: int, block: np.ndarray) -> np.ndarray:
         self._check_index(n)
-        return _set_overlaps(self.group, self._sets[n - 1], self._packed[n - 1], block)
+        if self._rows[n - 1] is None:
+            self._rows[n - 1] = _rows_of(self._sets[n - 1])
+        return _set_overlaps(self.group, self._rows[n - 1], block)
 
     def to_jsonable(self) -> dict:
         return {
@@ -337,10 +330,7 @@ def family_from_jsonable(data: dict) -> FolnerFamily:
     if kind == "refined":
         return RefinedFamily(family_from_jsonable(data["source"]), data["indices"])
     if kind == "explicit":
-        sets = [
-            frozenset(tuple(g) if isinstance(g, list) else g for g in s)
-            for s in data["sets"]
-        ]
+        sets = [[tuple(g) if isinstance(g, list) else g for g in s] for s in data["sets"]]
         return ExplicitFamily(group, sets, provenance=data.get("provenance", "explicit"))
     raise StructureError(f"unknown family kind {kind!r}")
 
@@ -348,13 +338,14 @@ def family_from_jsonable(data: dict) -> FolnerFamily:
 def folner_ratio(family: FolnerFamily, n: int, g) -> Fraction:
     """|F_n delta g F_n| / |F_n| by exact set arithmetic.
 
-    Materializes F_n and takes the literal translate/symmetric-difference
-    route for every family, independent of the closed-form and packed
+    Materializes F_n for every family, translates each element by the group
+    law (`Group.translate_block`) and counts the elements shared with F_n:
+    |F delta gF| = 2(|F| - |F intersect gF|).  Independent of the closed-form
     counts used by `family.ratio`.
     """
-    s = family.elements(n)
-    family.group.check_element(g)
-    return Fraction(len(s ^ family.group.translate_set(s, g)), len(s))
+    rows = to_block(list(family.elements(n)))
+    shared = _common_rows(rows, family.group.translate_block(rows, g))
+    return Fraction(2 * (len(rows) - shared), len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +665,7 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
                 s = prev if r == 0 else frozenset(prev | set(group.box_elements(r)))
                 card = len(s)
                 # a g with overlap <= card - ceil(card / (2 * stage)) already refutes the candidate
-                overlaps = _set_overlaps(group, s, _pack_sorted(s), block, card + -card // (2 * stage))
+                overlaps = _set_overlaps(group, _rows_of(s), block, card + -card // (2 * stage))
             # |C delta gC| < |C|/stage for every g in prev, as integers: stage * 2 * (card - overlap) < card
             return stage * 2 * (card - int(np.min(overlaps))) < card
 

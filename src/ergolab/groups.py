@@ -14,11 +14,11 @@ deterministic across runs.
 Each group also knows the geometry of its standard Folner boxes (cardinality,
 the least radius holding given elements, exact translation overlap counts),
 which the folner module uses for closed-form invariance ratios.  A block of
-translations is one array (`to_block`): `Group.box_overlaps` counts the
-overlaps of the whole block by one formula, in int64 wherever no intermediate
-can reach 2^62, and by the same numpy steps on Python ints (an object array)
-past that.  The scalar `box_overlap` of H3 is its one-row case; Z and Z^d keep
-a scalar product for the analytic modulus search, which probes one corner.
+elements is one array (`to_block`); `Group.translate_block` applies the law to
+each row and `Group.box_overlaps` counts a block of translations by one
+formula, both in int64 wherever no value can reach 2^62 and by the same numpy
+steps on Python ints (an object array) past that.  H3's scalar `box_overlap`
+is one row of the block; Z and Z^d keep a scalar product for one-corner probes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -173,8 +173,9 @@ class Group:
         """The fixed enumeration g_1, g_2, ..., identity first, drawn lazily."""
         raise NotImplementedError
 
-    def translate_set(self, elems: Iterable, g) -> set:
-        """{g*x : x in elems} with the group law inlined for speed."""
+    def translate_block(self, block: np.ndarray, g) -> np.ndarray:
+        """g*x for each row x of a `to_block` array, in order: int64 where every coordinate provably
+        stays below 2^62 in size, and past that the same steps on Python ints (an object array)."""
         raise NotImplementedError
 
     # -- standard Folner box geometry -------------------------------------
@@ -261,9 +262,13 @@ class IntegerGroup(Group):
             yield _zigzag(i)
             i += 1
 
-    def translate_set(self, elems, g):
+    def translate_block(self, block, g):
+        # g + x coordinatewise, the law of Z^d too: int64 while every entry of both is below 2^62 in size
         self.check_element(g)
-        return {g + x for x in elems}
+        shift = to_block(g)
+        if not (_within(block, _INT64_SAFE - 1) and _within(shift, _INT64_SAFE - 1)):
+            block, shift = block.astype(object), shift.astype(object)
+        return block + shift
 
     def box_card(self, r):
         return 2 * r + 1
@@ -335,9 +340,7 @@ class LatticeGroup(Group):
             yield from self._shell(s)
             s += 1
 
-    def translate_set(self, elems, g):
-        self.check_element(g)
-        return {tuple(gi + xi for gi, xi in zip(g, x)) for x in elems}
+    translate_block = IntegerGroup.translate_block  # coordinatewise addition, checking g as a d-tuple
 
     def box_card(self, r):
         return (2 * r + 1) ** self.dimension
@@ -412,10 +415,15 @@ class HeisenbergGroup(Group):
                 yield from shell
             r += 1
 
-    def translate_set(self, elems, g):
+    def translate_block(self, block, g):
         self.check_element(g)
         a, b, c = g
-        return {(a + x1, b + x2, c + x3 + a * x2) for x1, x2, x3 in elems}
+        # |a|, |b|, |x1|, |x2| <= 2^30 and |c|, |x3| <= 2^60 keep every coordinate, c + x3 + a*x2 too, below 2^62
+        small = max(abs(a), abs(b)) <= 2**30 and abs(c) <= 2**60
+        if not (small and _within(block[:, :2], 2**30) and _within(block[:, 2], 2**60)):
+            block = block.astype(object)
+        x1, x2, x3 = block.T
+        return np.column_stack([a + x1, b + x2, c + x3 + a * x2])
 
     def box_card(self, r):
         return (2 * r + 1) ** 2 * (2 * r * r + 1)

@@ -155,6 +155,20 @@ def test_folner_build_past_the_span_cap_is_refused_before_any_line(capsys, monke
     assert code == 0 and out.splitlines()[-1] == f"{NS_SPAN_CAP} {2 * NS_SPAN_CAP + 1}"
 
 
+def test_folner_refine_past_the_span_cap_is_refused_before_any_refinement(capsys, monkeypatch):
+    refined = []
+    monkeypatch.setattr("ergolab.cli.fast_refinement", lambda *a, **k: refined.append(a))
+    # past eps 2 every next index qualifies, so a count of 10^8 would refine 10^8 steps
+    for count in (str(NS_SPAN_CAP + 1), "100000000", "0", "-3"):
+        code, out, err = run_cli(capsys, "folner", "refine", "--group", "Z", "--eps", "3", "--count", count)
+        assert code == 1 and out == "", count
+        assert err.startswith("error: --count") and str(NS_SPAN_CAP + 1) in err and "Traceback" not in err
+    assert refined == []  # refused before any refinement
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "folner", "refine", "--group", "Z", "--eps", "3", "--count", str(NS_SPAN_CAP))
+    assert code == 0 and out.split() == [str(i) for i in range(1, NS_SPAN_CAP + 1)]
+
+
 def test_fluct_count_refuses_data_past_half_the_float_range(capsys):
     half = sys.float_info.max / 2
     for data in ("0,inf,1", "0,1e308,-1e308", "nan,0", "1,-inf", f"0,{half * (1 + 2**-52)!r}"):
@@ -195,6 +209,23 @@ def test_window_at_or_past_the_limit_exits_one_naming_it(tmp_path, capsys):
             code, out, err = run_cli(capsys, *argv, "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
             assert (code, out) == (1, "") and "Traceback" not in err, window
             assert err.startswith("error: window") and str(WINDOW_LIMIT) in err, window
+
+
+def test_corollary_count_at_or_past_the_window_limit_exits_one_naming_it(tmp_path, capsys):
+    # the count is the corollary run's window; the zero observable makes no refinement, only averages
+    for count in (10**8, WINDOW_LIMIT, 0):
+        config = json.loads(COROLLARY.read_text())
+        config["observable"] = {"type": "explicit", "values": [0.0] * 12}
+        config["family"]["count"] = count
+        cfg = tmp_path / "count.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (1, "") and "Traceback" not in err, count
+        assert err.startswith("error: count") and str(WINDOW_LIMIT) in err, count
+    config["family"]["count"] = WINDOW_LIMIT - 1
+    cfg.write_text(json.dumps(config))
+    code, _, _ = run_cli(capsys, "verify", "corollary", "--config", str(cfg))
+    assert code == 0
 
 
 @pytest.mark.parametrize("group", ["Z^2", "H3"])

@@ -1,8 +1,8 @@
 """Folner family, ratio, modulus, greedy-construction and refinement tests.
 
 Brute-force oracles here use nothing but frozensets and the group law, so the
-closed-form and packed-array routes are checked against literal set
-arithmetic.
+closed-form routes and the row counts of explicit sets are checked against
+literal set arithmetic.
 """
 
 import itertools
@@ -49,7 +49,7 @@ from ergolab import (
 )
 from ergolab import folner
 from ergolab.folner import ModulusEntry, ModulusTable, RefinedFamily, StandardBoxFamily
-from ergolab.groups import IntegerGroup, LatticeGroup, to_block
+from ergolab.groups import IntegerGroup, LatticeGroup, from_block, to_block
 
 Z = group_by_name("Z")
 Z2 = group_by_name("Z^2")
@@ -123,28 +123,69 @@ def test_h3_overlap_formula_against_brute_force():
             assert fam.ratio(r, g) == brute_ratio(H3, fam.elements(r), g)
 
 
-def test_explicit_family_packed_path_matches_sets():
+def test_explicit_family_overlaps_match_sets():
     rng = random.Random(5)
     sets = [frozenset(rng.sample(range(-500, 500), 80)) for _ in range(3)]
-    edge = 2**62 - 10  # packable, but a shift past _PACK_LIMIT leaves the searched route
+    edge = 2**62 - 10  # near int64's end: shifts leave the int64 route
     sets += [
         frozenset(range(-3, 4)),  # interval, odd length
         frozenset(range(5, 15)),  # interval, even length
         frozenset({-4}),  # single point
-        frozenset(range(-6, 7)) - {2},  # interval with one hole: searched
-        frozenset(range(edge, edge + 9)),  # interval near the packing limit
-        frozenset(range(edge, edge + 9)) - {edge + 4},  # ... with a hole: set arithmetic past the limit
+        frozenset(range(-6, 7)) - {2},  # interval with one hole: counted per g
+        frozenset(range(edge, edge + 9)),  # interval near int64's end
+        frozenset(range(edge, edge + 9)) - {edge + 4},  # ... with a hole
+        frozenset({2**70, -(2**63), 2**63 - 1, 0, 5}),  # past int64
     ]
     fam = ExplicitFamily(Z, sets)
     for n, s in enumerate(sets, start=1):
         k = len(s)
-        shifts = {-7, 3, 250, 0, 1, k - 1, k, k + 5, 2**62, 3 * 2**62}
+        shifts = {-7, 3, 250, 0, 1, k - 1, k, k + 5, 2**62, 3 * 2**62, 2**63 - 5, 2**70}
         gs = sorted(shifts | {-g for g in shifts})
         for g in gs:
             assert fam.ratio(n, g) == brute_ratio(Z, s, g)
-        # the whole block at once: in closed form on an interval within int64, else one g at a time
+        # the whole block at once: in closed form on an interval, else one g at a time
         for block in (gs, gs[3:-3], [-(2**63), 0, 2**63 - 1]):
             assert fam.overlaps(n, to_block(block)).tolist() == [len(s & {g + x for x in s}) for g in block]
+
+
+@pytest.mark.parametrize("group", [Z2, Z3, H3], ids=lambda g: g.name)
+def test_explicit_tuple_sets_match_sets(group):
+    # boxes, random subsets, and sets with coordinates at and past int64's ends
+    rng = random.Random(8)
+    box = sorted(group.box_elements(2))
+    big = [2**70, -(2**63), 2**63 - 1, 2**31, 0, 1]
+    far = {tuple(rng.choice(big) for _ in group.identity) for _ in range(12)}
+    # a bounding box of about 2^65 points, where int64 codes of (0, 0) and (0, 2^32) would meet
+    k = len(group.identity)
+    wide = {(0,) * k, (2**32 - 1,) + (0,) * (k - 1), (0, 2**32) + (0,) * (k - 2)}
+    sets = [box, rng.sample(box, len(box) // 2), far, far | set(box[:9]), wide]
+    fam = ExplicitFamily(group, sets)
+    gs = box[::7] + sorted(far) + [tuple(-c for c in g) for g in far] + sorted(wide)
+    for n, s in enumerate(sets, start=1):
+        assert fam.overlaps(n, to_block(gs)).tolist() == [
+            len(frozenset(s) & {group.multiply(g, x) for x in s}) for g in gs
+        ]
+        for g in gs:
+            assert fam.ratio(n, g) == brute_ratio(group, s, g) == folner_ratio(fam, n, g)
+
+
+def sweep_rows(group):
+    """Distinct canonical forms of `group` whose coordinates reach past int64."""
+    coords = st.one_of(st.integers(-50, 50), st.sampled_from([2**62, 2**63 - 1, -(2**63), 2**70, -(2**70)]))
+    element = coords if group is Z else st.tuples(*[coords for _ in group.identity])
+    return st.lists(element, min_size=1, max_size=20, unique=True)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_translations_and_overlaps_match_the_group_law(data):
+    # 20 derandomised draws per group: every translated row against multiply, every overlap against sets
+    for group in (Z, Z2, Z3, H3):
+        rows, gs = data.draw(sweep_rows(group)), data.draw(sweep_rows(group))
+        fam, s = ExplicitFamily(group, [rows]), frozenset(rows)
+        for g in gs:
+            assert from_block(group.translate_block(to_block(rows), g)) == [group.multiply(g, x) for x in rows]
+        assert fam.overlaps(1, to_block(gs)).tolist() == [len(s & {group.multiply(g, x) for x in s}) for g in gs]
 
 
 def test_empty_set_rejected():
@@ -437,8 +478,8 @@ def scalar_greedy(group, n_max, search_budget=10_000):
     """The greedy construction with every candidate tested one g at a time: the reference
     for `greedy_folner`'s blocks.  The reach is a `least_index` search over coordinate
     containment, and each g of F_{n-1} is decided alone: by the scalar `box_overlap` on a
-    box, and on a set by a one-row `overlaps` block (set arithmetic through `translate_set`
-    on tuples); the probes, and so the budget count, are `greedy_folner`'s.
+    box, and on a set by a one-row `overlaps` block (the rows shared with `translate_block`
+    on every set that is not one interval); the probes, and so the budget count, are `greedy_folner`'s.
     """
 
     def contains(r, g):
@@ -491,8 +532,8 @@ def test_greedy_refutes_a_set_candidate_at_its_first_failing_g(group, n_max, mon
     # tuple sets are counted one g at a time; the count stops where the reference's all() stops
     seen = []
     cls = type(group)
-    real = cls.translate_set
-    monkeypatch.setattr(cls, "translate_set", lambda self, elems, g: seen.append(g) or real(self, elems, g))
+    real = cls.translate_block
+    monkeypatch.setattr(cls, "translate_block", lambda self, block, g: seen.append(g) or real(self, block, g))
     greedy_folner(group, n_max)
     blocks, seen[:] = list(seen), []
     scalar_greedy(group, n_max)
@@ -672,7 +713,7 @@ def _worst_ratio_cases():
     rng = random.Random(3)
     non_nested = ExplicitFamily(Z, [rng.sample(range(-30, 30), k) for k in (3, 9, 5, 12)])
     tuples = ExplicitFamily(Z2, [rng.sample(sorted(Z2.box_elements(3)), k) for k in (2, 7, 4)])
-    edge = 2**62 - 10  # packed, but translations shift past the packing limit
+    edge = 2**62 - 10  # translations shift past int64
     huge = ExplicitFamily(Z, [{edge, -3}, {edge, edge + 2, 0, 5}, {2**70, 1, -(2**64), 9}])
     return [
         (standard_family(Z, 6), 6),

@@ -127,13 +127,34 @@ def test_lattice_enumeration_at_the_dimension_cap():
     assert prefix == [group.identity] + [v for e in unit for v in (e, tuple(-c for c in e))]
 
 
-def test_translate_set_matches_multiply():
+# int64's ends, the edges of the int64 routes of `translate_block`, and values past int64
+EDGES = [0, 1, -1, 2**30, 2**30 + 1, -(2**30), 2**60, 2**60 + 1, 2**62 - 1, 2**62, -(2**63), 2**63 - 1, 2**70, -(2**70)]
+
+
+def test_translate_block_matches_multiply():
     rng = random.Random(99)
     for group in (Z, Z2, H3):
         pool = group.enumerate_prefix(60)
-        s = frozenset(rng.sample(pool, 25))
+        s = rng.sample(pool, 25)
         g = rng.choice(pool)
-        assert group.translate_set(s, g) == {group.multiply(g, x) for x in s}
+        moved = group.translate_block(to_block(s), g)
+        assert moved.dtype == np.int64 and from_block(moved) == [group.multiply(g, x) for x in s]
+    for group in (Z, Z2, Z3, H3):
+        rows = EDGES if group is Z else [tuple(rng.choice(EDGES) for _ in group.identity) for _ in range(100)]
+        # the rows within each size: int64 blocks, and blocks that reach the edges of the int64 routes
+        sizes = (2**70, 2**63, 2**62, 2**60 + 1, 2**30 + 1)
+        blocks = [[x for x in rows if all(abs(c) <= size for c in (x if group is not Z else (x,)))] for size in sizes]
+        if group is H3:
+            # at the H3 bounds in a, b, x1, x2 and c, x3, and past them, where c + x3 + a*x2 can reach 2^63
+            edge = [(2**30, 2**30, 2**60), (-(2**30), -(2**30), -(2**60)), (1, 2**30, 0)]
+            past = [(2**31, 2**31, 2**61), (-(2**31), -(2**31), -(2**61)), (0, 2**33, 0), (2**33, 1, 0)]
+            rows = rows + edge + past
+            blocks += [edge, past[:2], past[2:], rows]
+        for within in blocks:
+            block = to_block(within)
+            for g in rows:
+                assert from_block(group.translate_block(block, g)) == [group.multiply(g, x) for x in within], g
+            assert from_block(block) == within  # the block is left as it was
 
 
 def test_h3_box_geometry_against_enumeration():
@@ -199,7 +220,7 @@ def test_h3_box_overlap_matches_set_arithmetic():
             a, b = rng.randint(-side, side), rng.randint(-side, side)
             gs.append((a, b, rng.randint(-2 * depth, 2 * depth)))
         for g in gs:
-            assert H3.box_overlap(r, g) == len(box & H3.translate_set(box, g)), (r, g)
+            assert H3.box_overlap(r, g) == len(box & {H3.multiply(g, x) for x in box}), (r, g)
 
 
 def test_h3_box_overlap_is_exact_beyond_machine_integers():
