@@ -22,9 +22,9 @@ once: residue counting, which never iterates an interval and so keeps averages
 over astronomically large boxes cheap, when every F_n is an integer interval
 acting on Z, else the element sum, acting once per distinct element, in chunks
 whose gathered values stay within _GATHER_BYTES.  On boxes of Z^d and H3 the
-element sum reads the largest box once, and an element is added to the rows
-whose radius reaches it (Group.box_reaches); other families look each element
-up in their sets.  Every L^p norm goes through _lp_norms.
+element sum reads the largest box's block once, and an element is added to the
+rows whose radius reaches it (Group.box_reaches); other families code their
+sets' rows together (row_codes).  Every L^p norm goes through _lp_norms.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import StructureError
-from .folner import FolnerFamily, as_fraction, check_box_size
-from .groups import Group, HeisenbergGroup, IntegerGroup, LatticeGroup, to_block
+from .folner import FolnerFamily, as_fraction
+from .groups import Group, HeisenbergGroup, IntegerGroup, LatticeGroup, row_codes, to_block
 
 _POWER_MEMO = 1024  # generator powers a system keeps, least recently used dropped first
 _GATHER_BYTES = 2**18  # bytes of gathered values, and of action rows, one element-sum chunk may hold
@@ -301,27 +301,25 @@ def _rows(rows: Sequence[int]):
     return slice(rows[0], rows[-1] + 1) if rows[-1] - rows[0] == len(rows) - 1 else list(rows)
 
 
-def _box_rows(group: Group, radii: Sequence[int]) -> Tuple[np.ndarray, list]:
-    """The largest box B_R, R = max(radii), as one `to_block` array in ascending canonical
-    order, and for each of its elements g the rows i with g in B_{radii[i]}: those whose
-    radius is at least g's reach.  Refused at the first radius past MATERIALIZE_CAP."""
-    for r in radii:
-        check_box_size(group, r)
-    block = to_block(list(group.box_elements(max(radii))))  # lexicographic, so ascending
+def _box_rows(family: FolnerFamily, indices: Sequence[int], radii: Sequence[int]) -> Tuple[np.ndarray, list]:
+    """The largest requested box's `block` (refused past MATERIALIZE_CAP), and for each of its
+    elements g the rows i with g in F_{indices[i]}: those whose radius radii[i] reaches g."""
+    block = family.block(indices[int(np.argmax(radii))])
     radii = np.array(radii)
     holding = [_rows(np.flatnonzero(radii >= reach).tolist()) for reach in range(int(radii.max()) + 1)]
-    return block, [holding[reach] for reach in group.box_reaches(block).tolist()]
+    return block, [holding[reach] for reach in family.group.box_reaches(block).tolist()]
 
 
 def _set_rows(family: FolnerFamily, indices: Sequence[int]) -> Tuple[np.ndarray, list]:
     """The distinct elements of the requested F_n as one `to_block` array in ascending
-    canonical order, and for each the rows whose F_n holds it."""
-    rows_of: Dict = {}
-    for row, n in enumerate(indices):
-        for g in family.elements(n):
-            rows_of.setdefault(g, []).append(row)
-    elems = sorted(rows_of)
-    return to_block(elems), [_rows(rows_of[g]) for g in elems]
+    canonical order, by their `row_codes`, and for each the rows whose F_n holds it."""
+    blocks = [family.block(n) for n in indices]
+    if not blocks:
+        return to_block([]), []
+    _, first, which = np.unique(np.concatenate(row_codes(*blocks)), return_index=True, return_inverse=True)
+    holders = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])[np.argsort(which, kind="stable")]
+    bounds = np.cumsum(np.bincount(which))[:-1].tolist()
+    return np.concatenate(blocks)[first], [_rows(rows.tolist()) for rows in np.split(holders, bounds)]
 
 
 def average_block(
@@ -341,7 +339,7 @@ def average_block(
     boxes = bool(radii) and None not in radii
     if boxes and isinstance(system.group, IntegerGroup):
         return _z_interval_averages(system, radii, values)
-    elems, targets = _box_rows(system.group, radii) if boxes else _set_rows(family, indices)
+    elems, targets = _box_rows(family, indices, radii) if boxes else _set_rows(family, indices)
     out = np.zeros((len(indices),) + values.shape)
     # one element gathers values.nbytes, and its action row 8 bytes per point
     step = max(1, _GATHER_BYTES // max(values.nbytes, 8 * system.n_points))

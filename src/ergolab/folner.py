@@ -7,10 +7,10 @@ their radii, so ratios on them come from closed-form overlap counts; the
 module-level `folner_ratio` always counts literally (every element translated,
 the shared rows counted), which the tests replay against the closed forms.
 
-A worst ratio over F_n is decided in integers: `FolnerFamily.overlaps` counts
-|F_m intersect gF_m| for every g of F_n at once, as one array (`to_block`),
-the least overlap is the largest ratio, and a single `Fraction` is built per
-(n, m).  F_n's array is built once per n and reused across m.
+A set is read only as `FolnerFamily.block(n)`, one read-only `to_block` array
+of distinct rows in ascending canonical order.  A worst ratio over F_n is
+decided in integers: `overlaps` counts |F_m intersect gF_m| for every row g of
+F_n at once, and one `Fraction` is built per (n, m) from the least count.
 
 The universally quantified "for all m >= N" in the modulus definition is
 undecidable for arbitrary families; empirical entries are therefore stamped
@@ -37,7 +37,7 @@ from .errors import (
     RefinementWindowError,
     StructureError,
 )
-from .groups import Group, from_block, group_by_name, to_block
+from .groups import Group, from_block, group_by_name, row_codes, to_block
 
 MATERIALIZE_CAP = 2_000_000
 
@@ -77,38 +77,39 @@ def _tolerance(eps, what: str) -> Fraction:
     return eps
 
 
-def _rows_of(elems) -> np.ndarray:
-    """A set's elements as one `to_block` array; a set of integers within int64 is read without a list."""
-    try:
-        return np.fromiter(elems, np.int64, len(elems))
-    except (OverflowError, TypeError):  # tuples, or integers past int64
-        return to_block(list(elems))
+def _sorted_rows(block: np.ndarray) -> np.ndarray:
+    """The distinct rows of a nonempty `to_block` array in ascending canonical order, as a new
+    read-only array: rows sorted by their `row_codes`, unless already in order, and each kept once."""
+    codes = row_codes(block)[0]
+    order = slice(None) if np.all(codes[1:] > codes[:-1]) else np.argsort(codes, kind="stable")
+    codes, rows = codes[order], block[order]
+    rows = rows[np.concatenate([[True], codes[1:] != codes[:-1]])]  # a copy, as a mask index is
+    rows.flags.writeable = False
+    return rows
 
 
 def _common_rows(a: np.ndarray, b: np.ndarray) -> int:
-    """How many rows two `to_block` arrays of distinct rows share, exactly: each row is coded as one
-    integer over the bounding box of both, in int64 when it has under 2^62 points, else in Python ints."""
-    a, b = a.reshape(len(a), -1).T, b.reshape(len(b), -1).T  # one column per coordinate
-    lo = [min(int(x.min()), int(y.min())) for x, y in zip(a, b)]
-    weights = [1]
-    for low, x, y in zip(lo, a, b):
-        weights.append(weights[-1] * (max(int(x.max()), int(y.max())) - low + 1))
-    if weights[-1] >= 2**62 or a.dtype != np.int64 or b.dtype != np.int64:
-        a, b = a.astype(object), b.astype(object)
-    codes = [sum((col - low) * w for col, low, w in zip(x, lo, weights)) for x in (a, b)]
-    return np.intersect1d(*codes, assume_unique=True).size
+    """How many rows two `to_block` arrays of distinct rows share, exactly, by their `row_codes`:
+    marked in a table when the codes are dense (below 8 per row), else sorted together."""
+    codes_a, codes_b = row_codes(a, b)
+    span = int(max(codes_a.max(), codes_b.max())) + 1
+    if codes_a.dtype != np.int64 or span > 8 * (len(a) + len(b)):
+        return np.intersect1d(codes_a, codes_b, assume_unique=True).size
+    table = np.zeros(span, dtype=bool)
+    table[codes_a] = True
+    return int(np.count_nonzero(table[codes_b]))
 
 
 def _set_overlaps(group: Group, rows: np.ndarray, block: np.ndarray, floor: int = -1) -> np.ndarray:
-    """|F intersect gF| for every g of a `to_block` array, F given by its `_rows_of` array: in closed
+    """|F intersect gF| for every g of a `to_block` array, F given as one of distinct rows: in closed
     form when F is one integer interval, else one g at a time up to the first overlap <= floor."""
     if rows.ndim == 1 and int(rows.max()) - int(rows.min()) + 1 == rows.size:
         # F and g + F share max(0, |F| - |g|) points.  Exact on Python ints, and on all of
         # int64: np.abs(-2^63) wraps to -2^63, and |F| + 2^63 wraps negative, so 0
         return np.maximum(0, rows.size - np.abs(block))
     counts = []
-    for g in from_block(block):
-        counts.append(_common_rows(rows, group.translate_block(rows, g)))
+    for i in range(len(block)):  # g by g, so a refuted candidate never lists the whole block
+        counts.append(_common_rows(rows, group.translate_block(rows, from_block(block[i : i + 1])[0])))
         if counts[-1] <= floor:
             break
     return np.array(counts, dtype=np.int64)
@@ -136,7 +137,7 @@ class FolnerFamily:
     construction and all query operations are pure.
     """
 
-    provenance = "explicit"
+    kind = provenance = "explicit"
 
     def __init__(self, group: Group, n_max: int):
         _check_int(n_max, "family length", 1)
@@ -148,18 +149,25 @@ class FolnerFamily:
             raise StructureError(f"family index must be in [1, {self.n_max}], got {n!r}")
 
     def card(self, n: int) -> int:
+        return len(self.block(n))
+
+    def block(self, n: int) -> np.ndarray:
+        """F_n as one read-only `to_block` array of distinct rows in ascending canonical order."""
         raise NotImplementedError
 
     def elements(self, n: int) -> frozenset:
-        raise NotImplementedError
+        """F_n as a frozenset of canonical forms: a view of `block`, which the library reads instead."""
+        return frozenset(from_block(self.block(n)))
 
     def box_radius(self, n: int) -> Optional[int]:
         """Radius when F_n is a standard box of this group, else None."""
         return None
 
     def ratio(self, n: int, g) -> Fraction:
-        """|F_n delta g F_n| / |F_n| by the fastest exact route available."""
-        raise NotImplementedError
+        """|F_n delta g F_n| / |F_n|: one row of `overlaps`, where a family has no faster exact route."""
+        card = self.card(n)
+        self.group.check_element(g)
+        return Fraction(2 * (card - int(self.overlaps(n, to_block([g]))[0])), card)
 
     def overlaps(self, n: int, block: np.ndarray) -> np.ndarray:
         """|F_n intersect g F_n| for each translation g of a `to_block` array, in order.
@@ -169,84 +177,66 @@ class FolnerFamily:
         raise NotImplementedError
 
     def to_jsonable(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, "group": self.group.name, "provenance": self.provenance, **self._json_fields()}
+
+    def _json_fields(self) -> dict:  # what `to_jsonable` records besides the kind, group and provenance
+        return {"n_max": self.n_max}
 
 
 class ExplicitFamily(FolnerFamily):
-    """Family with explicitly stored element sets.
+    """Family with explicitly stored element sets, each checked as given, then sorted into its `block`.
 
     `overlaps` is the one overlap route and `ratio` its one-row case: max(0, |F| - |g|) for a
-    whole block when F is one integer interval, else the rows F shares with gF, one g at a time,
-    exact at any size.  A set's `to_block` rows are built when it is first counted.
+    whole block when F is one integer interval, else the rows F shares with gF, one g at a time.
     """
 
     def __init__(self, group: Group, sets: Sequence[Iterable], provenance: str = "explicit"):
-        sets = [frozenset(s) for s in sets]
-        super().__init__(group, len(sets))
+        blocks = []
         for i, s in enumerate(sets):
-            if not s:
+            block = group.check_elements(s)
+            if not len(block):
                 raise StructureError(f"F_{i + 1} is empty; Folner sets must be nonempty")
-            group.check_elements(s)
+            blocks.append(_sorted_rows(block))
+        super().__init__(group, len(blocks))
         self.provenance = provenance
-        self._sets = sets
-        self._rows: List[Optional[np.ndarray]] = [None] * len(sets)
+        self._blocks = blocks
 
-    def card(self, n: int) -> int:
+    def block(self, n: int) -> np.ndarray:
         self._check_index(n)
-        return len(self._sets[n - 1])
+        return self._blocks[n - 1]
 
-    def elements(self, n: int) -> frozenset:
-        self._check_index(n)
-        return self._sets[n - 1]
-
-    def ratio(self, n: int, g) -> Fraction:
-        card = self.card(n)
-        self.group.check_element(g)
-        return Fraction(2 * (card - int(self.overlaps(n, to_block([g]))[0])), card)
+    elements, ratio = FolnerFamily.elements, FolnerFamily.ratio  # in this class: the benchmark wraps them here
 
     def overlaps(self, n: int, block: np.ndarray) -> np.ndarray:
-        self._check_index(n)
-        if self._rows[n - 1] is None:
-            self._rows[n - 1] = _rows_of(self._sets[n - 1])
-        return _set_overlaps(self.group, self._rows[n - 1], block)
+        return _set_overlaps(self.group, self.block(n), block)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": "explicit",
-            "group": self.group.name,
-            "provenance": self.provenance,
-            "n_max": self.n_max,
-            "sets": [
-                [list(g) if isinstance(g, tuple) else g for g in sorted(s)]
-                for s in self._sets
-            ],
-        }
+    def _json_fields(self) -> dict:
+        return {"n_max": self.n_max, "sets": [b.tolist() for b in self._blocks]}
 
 
 class StandardBoxFamily(FolnerFamily):
     """F_n = standard box of radius n; nothing is stored per index.
 
     Z^d uses F_n = [-n, n]^d; H3 uses |a|, |b| <= n with |c| <= n^2.
-    Element sets are materialized on demand up to MATERIALIZE_CAP elements;
-    only the latest one is kept, for loops that ask for the same F_n again.
+    A box's `block` is built on demand (`Group.box_block`) up to MATERIALIZE_CAP
+    elements; only the latest one is kept, for loops that ask for the same F_n again.
     """
 
-    provenance = "standard-box"
-
-    def __init__(self, group: Group, n_max: int):
-        super().__init__(group, n_max)
-        self._last: Tuple[int, frozenset] = (0, frozenset())  # (n, F_n) of the latest `elements` call
+    kind = provenance = "standard-box"
+    _last: Tuple[int, Optional[np.ndarray]] = (0, None)  # (n, F_n) of the latest `block` call, set per family
 
     def card(self, n: int) -> int:
         self._check_index(n)
         return self.group.box_card(n)
 
-    def elements(self, n: int) -> frozenset:
+    def block(self, n: int) -> np.ndarray:
         self._check_index(n)
         if self._last[0] != n:
             check_box_size(self.group, n)
-            self._last = (n, frozenset(self.group.box_elements(n)))
+            self._last = (n, self.group.box_block(n))
         return self._last[1]
+
+    elements = FolnerFamily.elements  # bound here too: the benchmark wraps it through this class
 
     def box_radius(self, n: int) -> Optional[int]:
         self._check_index(n)
@@ -262,19 +252,11 @@ class StandardBoxFamily(FolnerFamily):
         self._check_index(n)
         return self.group.box_overlaps(n, block)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": "standard-box",
-            "group": self.group.name,
-            "provenance": self.provenance,
-            "n_max": self.n_max,
-        }
-
 
 class RefinedFamily(FolnerFamily):
     """Subsequence view F'_j = F_{indices[j]} of a source family."""
 
-    provenance = "refined"
+    kind = provenance = "refined"
 
     def __init__(self, source: FolnerFamily, indices: Sequence[int]):
         indices = list(indices)
@@ -295,8 +277,8 @@ class RefinedFamily(FolnerFamily):
     def card(self, n: int) -> int:
         return self.source.card(self._src(n))
 
-    def elements(self, n: int) -> frozenset:
-        return self.source.elements(self._src(n))
+    def block(self, n: int) -> np.ndarray:
+        return self.source.block(self._src(n))
 
     def box_radius(self, n: int) -> Optional[int]:
         return self.source.box_radius(self._src(n))
@@ -307,14 +289,8 @@ class RefinedFamily(FolnerFamily):
     def overlaps(self, n: int, block: np.ndarray) -> np.ndarray:
         return self.source.overlaps(self._src(n), block)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": "refined",
-            "group": self.group.name,
-            "provenance": self.provenance,
-            "indices": list(self.indices),
-            "source": self.source.to_jsonable(),
-        }
+    def _json_fields(self) -> dict:
+        return {"indices": list(self.indices), "source": self.source.to_jsonable()}
 
 
 def standard_family(group: Group, n_max: int) -> StandardBoxFamily:
@@ -338,12 +314,12 @@ def family_from_jsonable(data: dict) -> FolnerFamily:
 def folner_ratio(family: FolnerFamily, n: int, g) -> Fraction:
     """|F_n delta g F_n| / |F_n| by exact set arithmetic.
 
-    Materializes F_n for every family, translates each element by the group
-    law (`Group.translate_block`) and counts the elements shared with F_n:
-    |F delta gF| = 2(|F| - |F intersect gF|).  Independent of the closed-form
-    counts used by `family.ratio`.
+    Translates every element of F_n's `block` by the group law
+    (`Group.translate_block`) and counts the elements shared with F_n:
+    |F delta gF| = 2(|F| - |F intersect gF|).  Independent of the
+    closed-form counts used by `family.ratio`.
     """
-    rows = to_block(list(family.elements(n)))
+    rows = family.block(n)
     shared = _common_rows(rows, family.group.translate_block(rows, g))
     return Fraction(2 * (len(rows) - shared), len(rows))
 
@@ -494,35 +470,32 @@ def worst_ratio(family: FolnerFamily, n: int, m: int, over=None) -> Tuple[Fracti
     Corner route: with F_n and F_m standard boxes and the corner of F_n known
     (`Group.box_corner`), that corner attains the max, taken from `family.ratio`.
     Set route otherwise, in integers: `family.overlaps(m, ...)` counts
-    |F_m intersect gF_m| for every g of F_n at once (of `over` in place of
-    F_n when given, a union of sets, each element validated), the least
-    count is the largest ratio, and one `Fraction` is built from it.  The
-    witness is the first maximum in F_n's iteration order (in `over`'s
-    order).  No elements give (0, None).
+    |F_m intersect gF_m| for every g of F_n's `block` at once (of `over`, any
+    collection of elements, each validated, in place of F_n when given), the
+    least count is the largest ratio, and one `Fraction` is built from it.  The
+    witness is the first maximum in F_n's order, ascending canonical order (in
+    `over`'s order).  No elements give (0, None).
     """
     return next(_worst_ratios(family, n, (m,), over))
 
 
 def _worst_ratios(family: FolnerFamily, n: int, ms: Iterable[int], over=None) -> Iterator[tuple]:
-    """`worst_ratio(family, n, m, over)` for each m of ms in turn, F_n's array built once."""
+    """`worst_ratio(family, n, m, over)` for each m of ms in turn, F_n's array read once."""
     corner = _corner(family, n) if over is None else None
-    elems = block = None
+    block = None
     for m in ms:
         if corner is not None and family.box_radius(m) is not None:
             yield family.ratio(m, corner), corner
             continue
-        if elems is None:
-            elems = list(family.elements(n) if over is None else over)
-            if over is not None:
-                family.group.check_elements(elems)
-            block = to_block(elems)
-        if not elems:
+        if block is None:
+            block = family.block(n) if over is None else family.group.check_elements(over)
+        if not len(block):
             yield Fraction(0), None
             continue
         card = family.card(m)
         overlaps = family.overlaps(m, block)
         i = int(np.argmin(overlaps))
-        yield Fraction(2 * (card - int(overlaps[i])), card), elems[i]
+        yield Fraction(2 * (card - int(overlaps[i])), card), from_block(block[i : i + 1])[0]
 
 
 def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] = None) -> ModulusEntry:
@@ -631,53 +604,56 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
     deterministic stream (F_{n-1} itself, then F_{n-1} united with standard
     boxes of growing radius) satisfying |F~ delta g F~| < |F~|/n for all g in
     F_{n-1}; then F_n = F~_n union {g_n}.  The least valid box radius is
-    located by `least_index`, which matches a radius-by-radius scan
-    whenever validity is monotone in the radius (true for the supported box
-    geometries at these scales).  Each candidate evaluation counts against
-    search_budget per stage.  F_{n-1} is one `to_block` array per stage; a
-    candidate at or past its closed-form reach (`Group.box_reach`) is the box
-    itself, counted by `Group.box_overlaps`, a smaller one a set, counted as
-    `ExplicitFamily.overlaps` counts but up to the first g that refutes it.
-    The least overlap decides, in integers (the test is monotone in it).
+    located by `least_index` up to hi, the largest radius whose box is within
+    MATERIALIZE_CAP; it matches a radius-by-radius scan whenever validity is
+    monotone in the radius (true for the supported box geometries at these
+    scales), so a stage whose radius hi is not valid raises FamilyTooLargeError
+    before its search.  Each search probe counts against search_budget.  A
+    candidate at or past F_{n-1}'s reach (`Group.box_reaches`) is the box,
+    counted by `Group.box_overlaps`; a smaller one is `Group.box_block` and the
+    rows of F_{n-1} outside it, disjoint, so no probe unions or sorts, counted
+    as `ExplicitFamily.overlaps` counts but up to the first g that refutes it.
+    The least overlap decides, in integers.  Only the chosen F_n is sorted.
 
     Every built stage then satisfies |F_n delta g F_n|/|F_n| < 3/n for all
     g in F_{n-1}.
     """
     _check_int(n_max, "n_max", 1)
     _check_int(search_budget, "search_budget", 1)
+    hi = least_index(lambda r: group.box_card(r + 1) > MATERIALIZE_CAP, 0)  # the largest box within the cap
     enum = group.enumeration()  # g_n is drawn when stage n is built
-    sets: List[frozenset] = [frozenset([next(enum)])]
+    sets = [to_block([next(enum)])]
 
     for stage in range(2, n_max + 1):
         prev = sets[-1]
-        block = to_block(list(prev))
-        reach = group.box_reach(block)
+        reaches = group.box_reaches(prev)
+        reach = int(reaches.max())
         evals = itertools.count(1)
 
-        def candidate_valid(r: int) -> bool:
-            if next(evals) > search_budget:
+        def candidate(r: int) -> np.ndarray:
+            return np.concatenate([group.box_block(r), prev[reaches > r]]) if r else prev
+
+        def candidate_valid(r: int, counted: bool = True) -> bool:
+            if counted and next(evals) > search_budget:
                 raise ConstructionBudgetError(stage, search_budget)
             if r and r >= reach:
-                # prev lies inside the box, so the candidate is the box itself
                 card = group.box_card(r)
-                overlaps = group.box_overlaps(r, block)
+                overlaps = group.box_overlaps(r, prev)
             else:
-                s = prev if r == 0 else frozenset(prev | set(group.box_elements(r)))
-                card = len(s)
+                rows = candidate(r)
+                card = len(rows)
                 # a g with overlap <= card - ceil(card / (2 * stage)) already refutes the candidate
-                overlaps = _set_overlaps(group, _rows_of(s), block, card + -card // (2 * stage))
+                overlaps = _set_overlaps(group, rows, prev, card + -card // (2 * stage))
             # |C delta gC| < |C|/stage for every g in prev, as integers: stage * 2 * (card - overlap) < card
             return stage * 2 * (card - int(np.min(overlaps))) < card
 
-        # unbounded search: the budget ends it
-        radius = least_index(candidate_valid, 0)
-        if radius and group.box_card(radius) > MATERIALIZE_CAP:
+        if not candidate_valid(hi, counted=False):  # then, validity being monotone, no radius up to hi is
             raise FamilyTooLargeError(
-                f"greedy stage {stage} needs a box with {group.box_card(radius)} elements; "
-                f"materialization cap is {MATERIALIZE_CAP}"
+                f"greedy stage {stage} needs a box past the materialization cap {MATERIALIZE_CAP}: "
+                f"no radius up to {hi} gives a valid candidate"
             )
-        chosen = frozenset(prev | set(group.box_elements(radius))) if radius else prev
-        sets.append(frozenset(chosen | {next(enum)}))
+        radius = least_index(candidate_valid, 0, hi)
+        sets.append(_sorted_rows(np.concatenate([candidate(radius), to_block([next(enum)])])))
 
     return ExplicitFamily(group, sets, provenance="greedy-constructed")
 
@@ -708,7 +684,7 @@ def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> R
         raise DomainError("count is required when refining a source longer than 10^6")
 
     indices = [1]
-    union: set = set()
+    union = None  # the distinct rows of the chosen sets
     while count is None or len(indices) < count:
         last = indices[-1]
         if box_mode:
@@ -717,7 +693,7 @@ def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> R
             lo = max(last + 1, group.corner_floor(last, eps)) if standard else last + 1
             nxt = least_index(lambda m: _below(group, family.box_radius(m), corner, eps), lo, family.n_max)
         else:
-            union |= family.elements(last)
+            union = family.block(last) if union is None else _sorted_rows(np.concatenate([union, family.block(last)]))
             ms = range(last + 1, family.n_max + 1)
             nxt = next((m for m, (r, _) in zip(ms, _worst_ratios(family, last, ms, over=union)) if r < eps), None)
         if nxt is None:

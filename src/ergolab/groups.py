@@ -14,10 +14,11 @@ deterministic across runs.
 Each group also knows the geometry of its standard Folner boxes (cardinality,
 the least radius holding given elements, exact translation overlap counts),
 which the folner module uses for closed-form invariance ratios.  A block of
-elements is one array (`to_block`); `Group.translate_block` applies the law to
-each row and `Group.box_overlaps` counts a block of translations by one
-formula, both in int64 wherever no value can reach 2^62 and by the same numpy
-steps on Python ints (an object array) past that.  H3's scalar `box_overlap`
+elements is one array (`to_block`, B_r's is `Group.box_block`, each row coded
+as one integer by `row_codes`); `Group.translate_block` applies the law to each
+row and `Group.box_overlaps` counts a block of translations by one formula,
+both in int64 wherever no value can reach 2^62 and by the same numpy steps on
+Python ints (an object array) past that.  H3's scalar `box_overlap`
 is one row of the block; Z and Z^d keep a scalar product for one-corner probes.
 """
 
@@ -41,6 +42,14 @@ MAX_DIMENSION = 64
 _H3_ARRAY_REACH = 2**12
 
 
+def _grid(*radii) -> np.ndarray:
+    """[-r, r] x ..., one range per r, first slowest (itertools.product's order), as a read-only int64 array."""
+    axes = [np.arange(-r, r + 1, dtype=np.int64) for r in radii]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(radii))
+    grid.flags.writeable = False
+    return grid
+
+
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -60,6 +69,23 @@ def from_block(block: np.ndarray) -> list:
     """The canonical forms of a `to_block` array, in order."""
     rows = block.tolist()
     return [tuple(row) for row in rows] if block.ndim == 2 else rows
+
+
+def row_codes(*blocks: np.ndarray) -> List[np.ndarray]:
+    """Each row of each nonempty `to_block` array as one integer over the bounding box of them all,
+    the first coordinate most significant, so codes are equal exactly where rows are, and order rows
+    as their canonical forms order: int64 when the box has under 2^62 points, else Python ints."""
+    cols = [b.reshape(len(b), -1).T for b in blocks]  # one column per coordinate
+    lo = [min(int(c.min()) for c in axis) for axis in zip(*cols)]
+    extents = [max(int(c.max()) for c in axis) - low + 1 for axis, low in zip(zip(*cols), lo)]
+    if math.prod(extents) >= _INT64_SAFE or any(b.dtype != np.int64 for b in blocks):
+        cols = [c.astype(object) for c in cols]
+    codes = [c[0] - lo[0] for c in cols]
+    for i in range(1, len(lo)):  # Horner's rule in place: every partial code is below the final one
+        for code, c in zip(codes, cols):
+            code *= extents[i]
+            code += c[i] - lo[i]
+    return codes
 
 
 def _within(values: np.ndarray, limit: int) -> bool:
@@ -133,18 +159,19 @@ class Group:
         """Raise GroupElementError unless a is a canonical form for this group."""
         raise NotImplementedError
 
-    def check_elements(self, elems) -> None:
-        """`check_element` on every element of a collection or `to_block` array.
+    def check_elements(self, elems) -> np.ndarray:
+        """`check_element` on every element of a collection or `to_block` array, as given; returns them as one.
 
-        One pass accepts the common case, exact ints or exact tuples of exact
-        ints shaped like the identity, and an int64 block of rows shaped like
-        it is accepted at once; otherwise each element is checked in order, so
-        the first bad one raises its own error.
+        An int64 block of rows shaped like the identity is accepted at once; one pass accepts exact
+        ints or exact tuples of exact ints shaped like it; otherwise each element is checked in
+        order, so the first bad one raises its own error.
         """
         shape = self.identity
-        if isinstance(elems, np.ndarray):
-            if elems.ndim and elems.dtype == np.int64 and elems.shape[1:] == np.shape(shape):
-                return
+        if not isinstance(elems, np.ndarray):
+            elems = list(elems)
+        elif elems.ndim and elems.dtype == np.int64 and elems.shape[1:] == np.shape(shape):
+            return elems
+        else:
             elems = from_block(elems) if elems.ndim else [elems.item()]
         if type(shape) is int:
             exact = all(type(g) is int for g in elems)
@@ -156,6 +183,7 @@ class Group:
         if not exact:
             for g in elems:
                 self.check_element(g)
+        return to_block(elems)
 
     def multiply(self, a, b):
         raise NotImplementedError
@@ -195,6 +223,10 @@ class Group:
         return int(self.box_reaches(block).max())
 
     def box_elements(self, r: int) -> Iterator:
+        raise NotImplementedError
+
+    def box_block(self, r: int) -> np.ndarray:
+        """B_r as a read-only int64 `to_block` array in ascending canonical order, `box_elements`' order."""
         raise NotImplementedError
 
     def box_overlap(self, r: int, g) -> int:
@@ -257,10 +289,7 @@ class IntegerGroup(Group):
         return -a
 
     def enumeration(self):
-        i = 0
-        while True:
-            yield _zigzag(i)
-            i += 1
+        return map(_zigzag, itertools.count())
 
     def translate_block(self, block, g):
         # g + x coordinatewise, the law of Z^d too: int64 while every entry of both is below 2^62 in size
@@ -278,6 +307,9 @@ class IntegerGroup(Group):
 
     def box_elements(self, r):
         return iter(range(-r, r + 1))
+
+    def box_block(self, r):
+        return _grid(r).reshape(-1)
 
     def box_overlap(self, r, g):
         return max(0, 2 * r + 1 - abs(g))
@@ -335,10 +367,7 @@ class LatticeGroup(Group):
         return shell
 
     def enumeration(self):
-        s = 0
-        while True:
-            yield from self._shell(s)
-            s += 1
+        return itertools.chain.from_iterable(map(self._shell, itertools.count()))
 
     translate_block = IntegerGroup.translate_block  # coordinatewise addition, checking g as a d-tuple
 
@@ -350,6 +379,9 @@ class LatticeGroup(Group):
 
     def box_elements(self, r):
         return itertools.product(range(-r, r + 1), repeat=self.dimension)
+
+    def box_block(self, r):
+        return _grid(*[r] * self.dimension)
 
     def box_overlap(self, r, g):
         prod = 1
@@ -400,20 +432,10 @@ class HeisenbergGroup(Group):
         return (-a, -b, -c + a * b)
 
     def enumeration(self):
-        # box-radius sweep: new elements of B_r \ B_{r-1} per shell, zig-zag keyed
-        r = 0
-        while True:
-            if r == 0:
-                yield (0, 0, 0)
-            else:
-                shell = [
-                    (a, b, c)
-                    for a, b, c in self.box_elements(r)
-                    if max(abs(a), abs(b)) > r - 1 or abs(c) > (r - 1) ** 2
-                ]
-                shell.sort(key=lambda t: (_zigzag_rank(t[0]), _zigzag_rank(t[1]), _zigzag_rank(t[2])))
-                yield from shell
-            r += 1
+        # box-radius sweep: the elements of B_r outside B_{r-1} (B_0 at r = 0), zig-zag keyed
+        for r in itertools.count():
+            shell = [t for t in self.box_elements(r) if max(abs(t[0]), abs(t[1])) > r - 1 or abs(t[2]) > (r - 1) ** 2]
+            yield from sorted(shell, key=lambda t: tuple(map(_zigzag_rank, t)))
 
     def translate_block(self, block, g):
         self.check_element(g)
@@ -445,6 +467,9 @@ class HeisenbergGroup(Group):
         rng = range(-r, r + 1)
         crng = range(-r * r, r * r + 1)
         return itertools.product(rng, rng, crng)
+
+    def box_block(self, r):
+        return _grid(r, r, r * r)
 
     def box_overlap(self, r, g):
         return int(self.box_overlaps(r, to_block([g]))[0])

@@ -211,6 +211,17 @@ def test_window_at_or_past_the_limit_exits_one_naming_it(tmp_path, capsys):
             assert err.startswith("error: window") and str(WINDOW_LIMIT) in err, window
 
 
+@pytest.mark.parametrize("second", [[1, True, 0], [True, 1, 0]], ids=["int-first", "bool-first"])
+def test_explicit_set_elements_are_checked_before_duplicates_merge(tmp_path, capsys, second):
+    config = demo_config()
+    config["window"] = 2
+    config["family"] = {"type": "explicit", "sets": [[0], second]}
+    cfg = tmp_path / "explicit.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+    assert (code, out, err) == (1, "", "error: Z element must be an int, got True\n")
+
+
 def test_corollary_count_at_or_past_the_window_limit_exits_one_naming_it(tmp_path, capsys):
     # the count is the corollary run's window; the zero observable makes no refinement, only averages
     for count in (10**8, WINDOW_LIMIT, 0):

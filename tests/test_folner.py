@@ -9,6 +9,8 @@ import itertools
 import json
 import math
 import random
+import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +29,7 @@ from ergolab import (
     ModulusNotFoundError,
     RefinementWindowError,
     StructureError,
+    average_block,
     build_modulus_table,
     check_fast,
     check_modulus,
@@ -43,6 +46,7 @@ from ergolab import (
     max_chain,
     rotation_system,
     standard_family,
+    torus_translation_system,
     verify_corollary,
     worst_ratio,
     worst_ratio_table,
@@ -221,10 +225,154 @@ def test_box_elements_are_the_group_box(monkeypatch):
         fam = standard_family(group, top + 1)
         for n in list(range(1, top + 1)) + [1, top, 1]:
             assert fam.elements(n) == frozenset(group.box_elements(n))
-            assert fam.elements(n) is fam.elements(n)  # the latest box is kept
+            assert fam.block(n) is fam.block(n)  # the latest box is kept
         with pytest.raises(FamilyTooLargeError):
             fam.elements(top + 1)
         assert fam.elements(1) == frozenset(group.box_elements(1))
+
+
+@pytest.mark.parametrize(
+    "group, top",
+    [(Z, 6), (group_by_name("Z^1"), 6), (Z2, 5), (Z3, 3), (H3, 3)],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_box_blocks_are_refused_past_the_cap(group, top, monkeypatch):
+    monkeypatch.setattr(folner, "MATERIALIZE_CAP", group.box_card(top))
+    fam = standard_family(group, top + 1)
+    for r in range(1, top + 1):
+        assert np.array_equal(fam.block(r), group.box_block(r))
+    with pytest.raises(FamilyTooLargeError, match=re.escape(f"box F_{top + 1} of {group.name} ")):
+        fam.block(top + 1)
+
+
+def _block_cases():
+    rng = random.Random(5)
+    edge = 2**63 - 2
+    explicit_ints = ExplicitFamily(Z, [[3, -1, 3, 0], [5], rng.sample(range(-40, 40), 25) * 2])
+    box = sorted(Z2.box_elements(3))
+    explicit_tuples = ExplicitFamily(Z2, [[(1, 0), (0, 1), (1, 0), (-1, 5)], rng.sample(box, 20)])
+    past_int64 = ExplicitFamily(Z, [[2**70, -(2**63), 0, edge, 2**70], [edge, edge + 1, edge + 3, -5]])
+    tuples_past_int64 = ExplicitFamily(H3, [[(2**64, 0, 0), (0, 0, 0), (-1, 2**70, 3), (0, 0, 0)], [(1, 2, 3)]])
+    return [
+        (standard_family(Z, 5), 5),
+        (standard_family(Z2, 4), 4),
+        (standard_family(H3, 3), 3),
+        (explicit_ints, 3),
+        (explicit_tuples, 2),
+        (past_int64, 2),
+        (tuples_past_int64, 2),
+        (greedy_folner(Z, 6), 6),
+        (greedy_folner(Z2, 4), 4),
+        (greedy_folner(H3, 3), 3),
+        (RefinedFamily(standard_family(Z2, 9), [1, 4, 9]), 3),
+        (RefinedFamily(explicit_tuples, [2]), 1),
+    ]
+
+
+BLOCK_IDS = [
+    "box-Z", "box-Z^2", "box-H3", "explicit-Z", "explicit-Z^2", "past-int64", "H3-past-int64",
+    "greedy-Z", "greedy-Z^2", "greedy-H3", "refined-box-Z^2", "refined-explicit",
+]
+
+
+@pytest.mark.parametrize("family, top", _block_cases(), ids=BLOCK_IDS)
+def test_family_block_is_its_sorted_distinct_elements(family, top, request):
+    for n in range(1, top + 1):
+        block, expected = family.block(n), to_block(sorted(family.elements(n)))
+        assert block.dtype == expected.dtype and block.shape == expected.shape and np.array_equal(block, expected)
+        assert len(set(from_block(block))) == len(block) == family.card(n)
+        assert not block.flags.writeable and family.block(n) is block
+    assert (family.block(1).dtype == object) == request.node.callspec.id.endswith("past-int64")
+
+
+def test_explicit_sets_from_int64_blocks_are_sorted_copies():
+    given = to_block([(2, 1), (0, 0), (2, 1), (-1, 7)])
+    fam = ExplicitFamily(Z2, [given])
+    assert from_block(fam.block(1)) == [(-1, 7), (0, 0), (2, 1)]
+    given[0] = (5, 5)  # the family keeps its own rows
+    assert from_block(fam.block(1)) == [(-1, 7), (0, 0), (2, 1)]
+
+
+@pytest.mark.parametrize(
+    "group, given, bad",
+    [
+        (Z, [[1, True]], True),
+        (Z, [[True, 1]], True),
+        (Z2, [[(0, 1), (0, True)]], (0, True)),
+        (Z2, [[(0, True), (0, 1)]], (0, True)),
+        (H3, [[(1, 1, 1)], [(1, 1, 1), (1, 1, 1.0)]], (1, 1, 1.0)),
+    ],
+)
+def test_explicit_elements_are_checked_as_given_before_duplicates_merge(group, given, bad):
+    with pytest.raises(GroupElementError) as info:
+        ExplicitFamily(group, given)
+    group_text = {Z: "Z element must be an int", Z2: "Z^2 element must be a 2-tuple of ints"}
+    assert str(info.value) == f"{group_text.get(group, 'H3 element must be a 3-tuple of ints')}, got {bad!r}"
+
+
+def test_library_reads_no_frozenset(monkeypatch):
+    def refuse(self, n):
+        raise AssertionError("elements() read by library code")
+
+    for cls in (folner.FolnerFamily, StandardBoxFamily, ExplicitFamily, RefinedFamily):
+        monkeypatch.setattr(cls, "elements", refuse)
+    greedy = greedy_folner(Z2, 4)
+    assert greedy_folner(Z, 6).card(6) == 721
+    explicit = ExplicitFamily(Z2, [greedy.block(n) for n in range(1, 4)] + [Z2.box_block(r) for r in (10, 40)])
+    for family in (greedy, explicit, standard_family(H3, 4)):
+        build_modulus_table(family, range(1, 3), [Fraction(3, 2)], m_max=4)
+        check_fast(family, 1, Fraction(3, 2), 4)
+        assert folner_ratio(family, 2, family.group.identity) == 0
+        worst_ratio(family, 2, 1)
+    assert fast_refinement(explicit, Fraction(1, 2)).indices == [1, 2, 3, 5]
+    torus = torus_translation_system(4, 4)
+    values = np.arange(16.0)
+    for family in (standard_family(Z2, 3), explicit):
+        rows = average_block(torus, family, [1, 3, 2], values)
+        assert rows.shape == (3, 16)
+
+
+def test_worst_ratio_witness_is_the_first_maximiser_in_ascending_order():
+    # H3 boxes have no known corner, so their worst ratio takes the set route over B_n's block
+    fam = standard_family(H3, 3)
+    for m in (1, 2, 3):
+        r, g = worst_ratio(fam, 1, m)
+        maximisers = [h for h in sorted(fam.elements(1)) if fam.ratio(m, h) == r]
+        assert g == maximisers[0] == (-1, -1, -1)
+        # frozenset order would pick another one: the witness is pinned to the sorted order
+        assert next(h for h in frozenset(H3.box_elements(1)) if fam.ratio(m, h) == r) != g
+    report = check_fast(fam, 1, Fraction(1, 2), 3)
+    assert report.violation == (1, 2, (-1, -1, -1), Fraction(14, 15))
+
+
+def test_greedy_stage_past_the_cap_is_refused_before_a_larger_box_is_built():
+    start = time.process_time()
+    with pytest.raises(FamilyTooLargeError) as info:
+        greedy_folner(H3, 5)  # stage 5 would need 22,096,855,323 elements
+    assert time.process_time() - start < 2.0
+    assert str(info.value) == (
+        "greedy stage 5 needs a box past the materialization cap 2000000: no radius up to 22 gives a valid candidate"
+    )
+
+
+def test_greedy_stage_is_refused_when_the_largest_box_within_the_cap_is_not_valid(monkeypatch):
+    monkeypatch.setattr(folner, "MATERIALIZE_CAP", 100)  # B_49 of Z is the largest box within it
+    assert [greedy_folner(Z, 4).card(n) for n in range(1, 5)] == [1, 2, 7, 25]  # as without the cap
+    searches = []
+    real = folner.least_index
+
+    def spy(pred, lo, hi=None):  # each stage's search is the one given an upper end
+        if hi is not None:
+            searches.append([])
+        return real(pred if hi is None else lambda r: searches[-1].append(r) or pred(r), lo, hi)
+
+    monkeypatch.setattr(folner, "least_index", spy)
+    with pytest.raises(FamilyTooLargeError, match="greedy stage 5 .* cap 100: no radius up to 49 "):
+        greedy_folner(Z, 5)  # stage 5 takes radius 60 without the cap
+    assert len(searches) == 3 and max(searches[-1]) == 16  # stages 2-4 searched; stage 5 is refused before its search
+    # stage 4 takes 9 probes; stage 5 is refused before it spends any, where an unbounded search took 13
+    with pytest.raises(FamilyTooLargeError):
+        greedy_folner(Z, 5, search_budget=9)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +627,8 @@ def scalar_greedy(group, n_max, search_budget=10_000):
     for `greedy_folner`'s blocks.  The reach is a `least_index` search over coordinate
     containment, and each g of F_{n-1} is decided alone: by the scalar `box_overlap` on a
     box, and on a set by a one-row `overlaps` block (the rows shared with `translate_block`
-    on every set that is not one interval); the probes, and so the budget count, are `greedy_folner`'s.
+    on every set that is not one interval), g in ascending canonical order, the order of F_{n-1}'s
+    block; the probes, and so the budget count, are `greedy_folner`'s.
     """
 
     def contains(r, g):
@@ -503,7 +652,7 @@ def scalar_greedy(group, n_max, search_budget=10_000):
                 s = prev | frozenset(group.box_elements(r)) if r else prev
                 one = ExplicitFamily(group, [s])
                 card, overlap_of = len(s), lambda g: int(one.overlaps(1, to_block([g]))[0])
-            return all(stage * 2 * (card - overlap_of(g)) < card for g in prev)
+            return all(stage * 2 * (card - overlap_of(g)) < card for g in sorted(prev))
 
         radius = least_index(valid, 0)
         chosen = prev | frozenset(group.box_elements(radius)) if radius else prev
@@ -529,7 +678,9 @@ def test_greedy_blocks_match_the_per_g_construction(group, n_max, least_budget):
 
 @pytest.mark.parametrize("group, n_max", [(Z2, 4), (H3, 3)], ids=lambda v: getattr(v, "name", None))
 def test_greedy_refutes_a_set_candidate_at_its_first_failing_g(group, n_max, monkeypatch):
-    # tuple sets are counted one g at a time; the count stops where the reference's all() stops
+    # tuple sets are counted one g at a time; the count stops where the reference's all() stops.
+    # F_{n-1} is read in ascending canonical order: on Z^2, stage 3 translates (0, 0), which passes,
+    # before (1, 0), which refutes, and each of stage 4's three set probes stops at its first g, (-3, -3)
     seen = []
     cls = type(group)
     real = cls.translate_block
@@ -537,7 +688,7 @@ def test_greedy_refutes_a_set_candidate_at_its_first_failing_g(group, n_max, mon
     greedy_folner(group, n_max)
     blocks, seen[:] = list(seen), []
     scalar_greedy(group, n_max)
-    assert blocks == seen and 0 < len(seen) <= 5
+    assert blocks == seen and len(seen) == {"Z^2": 6, "H3": 3}[group.name]
 
 
 def test_greedy_z2_small():
@@ -762,7 +913,7 @@ def per_translation_violation(family, lam, eps, window):
     """The first (n, m) whose worst ratio reaches eps, with that ratio's first maximiser in F_n's order."""
     for n in range(1, window + 1):
         for m in range(n + lam, window + 1):
-            r, g = per_translation_worst(family, m, family.elements(n))
+            r, g = per_translation_worst(family, m, sorted(family.elements(n)))
             if r >= eps:
                 return (n, m, g, r)
     return None
@@ -778,7 +929,7 @@ def test_worst_ratio_is_the_per_translation_loop(family, top):
     set_route = folner._corner(family, 1) is None
     for n in range(1, top + 1):
         for m in range(1, top + 1):
-            expected = per_translation_worst(family, m, family.elements(n))
+            expected = per_translation_worst(family, m, sorted(family.elements(n)))
             got = worst_ratio(family, n, m)
             assert (repr(got) == repr(expected)) if set_route else got[0] == expected[0]
         for eps in (Fraction(1, 2), Fraction(1, 5), nudged(0.7)):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ergolab import GroupElementError, UnsupportedGroupError, group_by_name
-from ergolab.groups import MAX_DIMENSION, LatticeGroup, from_block, to_block
+from ergolab.groups import MAX_DIMENSION, LatticeGroup, from_block, row_codes, to_block
 
 Z = group_by_name("Z")
 Z2 = group_by_name("Z^2")
@@ -463,3 +463,37 @@ def test_check_elements_on_a_block_accepts_exactly_its_rows(group):
                 group.check_elements(block)
         else:
             group.check_elements(block)
+
+
+@pytest.mark.parametrize(
+    "group, top",
+    [(Z, 6), (group_by_name("Z^1"), 6), (Z2, 5), (Z3, 3), (H3, 3)],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_box_block_is_box_elements_as_one_read_only_array(group, top):
+    for r in range(top + 1):
+        block = group.box_block(r)
+        expected = to_block(list(group.box_elements(r)))
+        assert block.dtype == expected.dtype == np.int64 and block.shape == expected.shape
+        assert np.array_equal(block, expected) and len(block) == group.box_card(r)
+        assert not block.flags.writeable
+        rows = from_block(block)
+        assert rows == sorted(rows) and len(set(rows)) == len(rows)  # ascending canonical order, distinct
+
+
+@pytest.mark.parametrize("group", [Z, Z2, Z3, H3], ids=lambda g: g.name)
+def test_row_codes_are_equal_and_ordered_as_the_rows_are(group):
+    rng = random.Random(11)
+    k = 1 if group is Z else len(group.identity)
+    for spread in (3, 2**40, 2**63, 2**70):  # int64 codes, then boxes of 2^62 points and more, then object rows
+        def draw(size):
+            rows = [tuple(rng.randint(-spread, spread) for _ in range(k)) for _ in range(size)]
+            rows += [(-spread,) * k, (spread,) * k] + [tuple(rng.choice((-spread, spread, 0)) for _ in range(k))]
+            return [row[0] for row in rows] if group is Z else rows
+        a, b = draw(30), draw(20)
+        codes = row_codes(to_block(a), to_block(b))
+        pairs = list(zip(a + b, np.concatenate(codes).tolist()))
+        for (x, cx), (y, cy) in itertools.product(pairs, repeat=2):
+            assert (cx == cy) == (x == y) and (cx < cy) == (x < y)
+        small = spread < 2**63 and (2 * spread + 1) ** k < 2**62  # int64 rows in a box of under 2^62 points
+        assert all(c.dtype == (np.int64 if small else object) for c in codes), spread
