@@ -89,15 +89,13 @@ def _sorted_rows(block: np.ndarray) -> np.ndarray:
 
 
 def _common_rows(a: np.ndarray, b: np.ndarray) -> int:
-    """How many rows two `to_block` arrays of distinct rows share, exactly, by their `row_codes`:
-    marked in a table when the codes are dense (below 8 per row), else sorted together."""
-    codes_a, codes_b = row_codes(a, b)
-    span = int(max(codes_a.max(), codes_b.max())) + 1
-    if codes_a.dtype != np.int64 or span > 8 * (len(a) + len(b)):
-        return np.intersect1d(codes_a, codes_b, assume_unique=True).size
-    table = np.zeros(span, dtype=bool)
-    table[codes_a] = True
-    return int(np.count_nonzero(table[codes_b]))
+    """How many rows two `to_block` arrays of distinct rows share, exactly: the equal neighbours of
+    their `row_codes` sorted together.  The sort is stable (timsort), which merges ascending runs in
+    one pass, and a sorted block and each translate of it are ascending (the group laws keep rows'
+    canonical order)."""
+    codes = np.concatenate(row_codes(a, b))
+    codes.sort(kind="stable")
+    return int(np.count_nonzero(codes[1:] == codes[:-1]))
 
 
 def _set_overlaps(group: Group, rows: np.ndarray, block: np.ndarray, floor: int = -1) -> np.ndarray:
@@ -137,7 +135,7 @@ class FolnerFamily:
     construction and all query operations are pure.
     """
 
-    kind = provenance = "explicit"
+    provenance = "explicit"
 
     def __init__(self, group: Group, n_max: int):
         _check_int(n_max, "family length", 1)
@@ -189,6 +187,8 @@ class ExplicitFamily(FolnerFamily):
     `overlaps` is the one overlap route and `ratio` its one-row case: max(0, |F| - |g|) for a
     whole block when F is one integer interval, else the rows F shares with gF, one g at a time.
     """
+
+    kind = "explicit"
 
     def __init__(self, group: Group, sets: Sequence[Iterable], provenance: str = "explicit"):
         blocks = []
@@ -607,13 +607,14 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
     located by `least_index` up to hi, the largest radius whose box is within
     MATERIALIZE_CAP; it matches a radius-by-radius scan whenever validity is
     monotone in the radius (true for the supported box geometries at these
-    scales), so a stage whose radius hi is not valid raises FamilyTooLargeError
-    before its search.  Each search probe counts against search_budget.  A
-    candidate at or past F_{n-1}'s reach (`Group.box_reaches`) is the box,
-    counted by `Group.box_overlaps`; a smaller one is `Group.box_block` and the
-    rows of F_{n-1} outside it, disjoint, so no probe unions or sorts, counted
-    as `ExplicitFamily.overlaps` counts but up to the first g that refutes it.
-    The least overlap decides, in integers.  Only the chosen F_n is sorted.
+    scales), and a stage whose search finds none raises FamilyTooLargeError.
+    Each probe counts against search_budget.  A candidate at or past F_{n-1}'s
+    reach (`Group.box_reaches`) is the box, counted by `Group.box_overlaps`; a
+    smaller one is `Group.box_block` and the rows of F_{n-1} outside it,
+    disjoint, so no probe unions or sorts, counted as `ExplicitFamily.overlaps`
+    counts but up to the first g that refutes it, unless F_{n-1} holds B_r,
+    when it is F_{n-1} itself, refuted by the search's first probe.  The least
+    overlap decides, in integers.  Only the chosen F_n is sorted.
 
     Every built stage then satisfies |F_n delta g F_n|/|F_n| < 3/n for all
     g in F_{n-1}.
@@ -633,13 +634,15 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
         def candidate(r: int) -> np.ndarray:
             return np.concatenate([group.box_block(r), prev[reaches > r]]) if r else prev
 
-        def candidate_valid(r: int, counted: bool = True) -> bool:
-            if counted and next(evals) > search_budget:
+        def candidate_valid(r: int) -> bool:
+            if next(evals) > search_budget:
                 raise ConstructionBudgetError(stage, search_budget)
             if r and r >= reach:
                 card = group.box_card(r)
                 overlaps = group.box_overlaps(r, prev)
             else:
+                if r and np.count_nonzero(reaches <= r) == group.box_card(r):
+                    return False  # B_r lies in F_{n-1}, so the candidate is F_{n-1}: refuted at r = 0, probed first
                 rows = candidate(r)
                 card = len(rows)
                 # a g with overlap <= card - ceil(card / (2 * stage)) already refutes the candidate
@@ -647,12 +650,12 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
             # |C delta gC| < |C|/stage for every g in prev, as integers: stage * 2 * (card - overlap) < card
             return stage * 2 * (card - int(np.min(overlaps))) < card
 
-        if not candidate_valid(hi, counted=False):  # then, validity being monotone, no radius up to hi is
+        radius = least_index(candidate_valid, 0, hi)
+        if radius is None:
             raise FamilyTooLargeError(
                 f"greedy stage {stage} needs a box past the materialization cap {MATERIALIZE_CAP}: "
                 f"no radius up to {hi} gives a valid candidate"
             )
-        radius = least_index(candidate_valid, 0, hi)
         sets.append(_sorted_rows(np.concatenate([candidate(radius), to_block([next(enum)])])))
 
     return ExplicitFamily(group, sets, provenance="greedy-constructed")

@@ -289,7 +289,10 @@ class IntegerGroup(Group):
         return -a
 
     def enumeration(self):
-        return map(_zigzag, itertools.count())
+        i = 0
+        while True:
+            yield _zigzag(i)
+            i += 1
 
     def translate_block(self, block, g):
         # g + x coordinatewise, the law of Z^d too: int64 while every entry of both is below 2^62 in size
@@ -367,7 +370,10 @@ class LatticeGroup(Group):
         return shell
 
     def enumeration(self):
-        return itertools.chain.from_iterable(map(self._shell, itertools.count()))
+        s = 0
+        while True:
+            yield from self._shell(s)
+            s += 1
 
     translate_block = IntegerGroup.translate_block  # coordinatewise addition, checking g as a d-tuple
 
@@ -432,10 +438,20 @@ class HeisenbergGroup(Group):
         return (-a, -b, -c + a * b)
 
     def enumeration(self):
-        # box-radius sweep: the elements of B_r outside B_{r-1} (B_0 at r = 0), zig-zag keyed
-        for r in itertools.count():
-            shell = [t for t in self.box_elements(r) if max(abs(t[0]), abs(t[1])) > r - 1 or abs(t[2]) > (r - 1) ** 2]
-            yield from sorted(shell, key=lambda t: tuple(map(_zigzag_rank, t)))
+        # box-radius sweep: new elements of B_r \ B_{r-1} per shell, zig-zag keyed
+        r = 0
+        while True:
+            if r == 0:
+                yield (0, 0, 0)
+            else:
+                shell = [
+                    (a, b, c)
+                    for a, b, c in self.box_elements(r)
+                    if max(abs(a), abs(b)) > r - 1 or abs(c) > (r - 1) ** 2
+                ]
+                shell.sort(key=lambda t: (_zigzag_rank(t[0]), _zigzag_rank(t[1]), _zigzag_rank(t[2])))
+                yield from shell
+            r += 1
 
     def translate_block(self, block, g):
         self.check_element(g)

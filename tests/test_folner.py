@@ -369,8 +369,8 @@ def test_greedy_stage_is_refused_when_the_largest_box_within_the_cap_is_not_vali
     monkeypatch.setattr(folner, "least_index", spy)
     with pytest.raises(FamilyTooLargeError, match="greedy stage 5 .* cap 100: no radius up to 49 "):
         greedy_folner(Z, 5)  # stage 5 takes radius 60 without the cap
-    assert len(searches) == 3 and max(searches[-1]) == 16  # stages 2-4 searched; stage 5 is refused before its search
-    # stage 4 takes 9 probes; stage 5 is refused before it spends any, where an unbounded search took 13
+    assert len(searches) == 4 and searches[-1] == [0, 1, 2, 4, 8, 16, 32, 49]  # stage 5 stops at the cap
+    # stage 4 takes 9 probes and stage 5 eight, where an unbounded search took 13
     with pytest.raises(FamilyTooLargeError):
         greedy_folner(Z, 5, search_budget=9)
 
@@ -650,6 +650,8 @@ def scalar_greedy(group, n_max, search_budget=10_000):
                 card, overlap_of = group.box_card(r), lambda g: group.box_overlap(r, g)
             else:
                 s = prev | frozenset(group.box_elements(r)) if r else prev
+                if r and s == prev:
+                    return False  # the r = 0 candidate, probed first and refuted
                 one = ExplicitFamily(group, [s])
                 card, overlap_of = len(s), lambda g: int(one.overlaps(1, to_block([g]))[0])
             return all(stage * 2 * (card - overlap_of(g)) < card for g in sorted(prev))
@@ -680,7 +682,8 @@ def test_greedy_blocks_match_the_per_g_construction(group, n_max, least_budget):
 def test_greedy_refutes_a_set_candidate_at_its_first_failing_g(group, n_max, monkeypatch):
     # tuple sets are counted one g at a time; the count stops where the reference's all() stops.
     # F_{n-1} is read in ascending canonical order: on Z^2, stage 3 translates (0, 0), which passes,
-    # before (1, 0), which refutes, and each of stage 4's three set probes stops at its first g, (-3, -3)
+    # before (1, 0), which refutes; stage 4's first set probe stops at its first g, (-3, -3), and its
+    # next two add boxes B_1 and B_2 that F_3 holds, so they are F_3 again and translate nothing
     seen = []
     cls = type(group)
     real = cls.translate_block
@@ -688,7 +691,7 @@ def test_greedy_refutes_a_set_candidate_at_its_first_failing_g(group, n_max, mon
     greedy_folner(group, n_max)
     blocks, seen[:] = list(seen), []
     scalar_greedy(group, n_max)
-    assert blocks == seen and len(seen) == {"Z^2": 6, "H3": 3}[group.name]
+    assert blocks == seen and len(seen) == {"Z^2": 4, "H3": 3}[group.name]
 
 
 def test_greedy_z2_small():
