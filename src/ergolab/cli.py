@@ -27,9 +27,8 @@ from .dynamics import (
     average_sequence,
     lp_norm,
 )
-from .errors import ConfigError, ErgolabError
+from .errors import ConfigError, ErgolabError, StructureError
 from .fluctuation import (
-    Branch,
     FluctuationReport,
     max_chain,
     corollary_bound,
@@ -40,7 +39,6 @@ from .fluctuation import (
 )
 from .folner import (
     FolnerFamily,
-    ModulusTable,
     RefinedFamily,
     as_fraction,
     build_modulus_table,
@@ -169,21 +167,9 @@ def _observable(spec: dict, system: FiniteMeasureSystem, p: float, rng) -> Obser
     return f
 
 
-def _family(spec: dict, group: Group, window: int, corollary=False, tolerance=None) -> FolnerFamily:
-    """The family a `family` section names, at least `window` long in main mode.
-
-    Corollary mode takes a `refined` family: the (1, tolerance)-fast refinement
-    of the standard boxes, or the first `count` boxes when tolerance is None
-    (the zero observable, which needs no fastness).
-    """
-    kinds = ("refined",) if corollary else ("standard", "greedy", "explicit")
-    kind = get_choice(spec, "type", kinds, kinds[0])
-    if kind == "refined":
-        count = get_int(spec, "count", 8, lo=1, hi=WINDOW_LIMIT)  # the window of a corollary run
-        source = standard_family(group, get_int(spec, "source_n_max", 10**30, lo=1))
-        if tolerance is None:
-            return standard_family(group, count)
-        return fast_refinement(source, tolerance, count=count)
+def _family(spec: dict, group: Group, window: int) -> FolnerFamily:
+    """The family a `family` section names, at least `window` long."""
+    kind = get_choice(spec, "type", ("standard", "greedy", "explicit"), "standard")
     if kind == "standard":
         family = standard_family(group, max(window, get_int(spec, "n_max", window, lo=1)))
     elif kind == "greedy":
@@ -223,10 +209,11 @@ class _Inputs:
         return cls(group, seed, system, f, window, defect_against, get_section(config, "family", {}))
 
 
-def _check_defect_against(family: FolnerFamily, defect_against: List[int]) -> None:
-    """Refuse, before verifying, defect indices that averages.csv cannot take on family."""
-    for N in defect_against:
-        family.card(N)  # a StructureError unless 1 <= N <= family.n_max
+def _check_defect_against(n_max: int, defect_against: List[int]) -> None:
+    """Refuse, before verifying, defect indices past the run's family length, which averages.csv cannot take."""
+    for N in defect_against:  # each an int >= 1, as `_Inputs.read` reads them
+        if N > n_max:
+            raise StructureError(f"family index must be in [1, {n_max}], got {N!r}")
 
 
 def _averages_csv(system, family: FolnerFamily, f: Observable, avgs: List[Observable], defect_against: List[int]):
@@ -278,26 +265,17 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
     corollary = get_choice(config, "verify", ("main", "corollary"), "main") == "corollary"
     lam = get_int(config, "lambda", 1, lo=1)
 
-    if not corollary:
-        csv_family = _family(inp.family, inp.group, window)
-        _check_defect_against(csv_family, inp.defect_against)
-        reports = verify_main_theorem(system, csv_family, None, conv, f, epsilons, window, eta=eta)
-        table = reports[0].modulus_table
+    if corollary:  # the verifier refines the standard boxes `count` long: the run's real window
+        get_choice(inp.family, "type", ("refined",), "refined")
+        window = get_int(inp.family, "count", 8, lo=1, hi=WINDOW_LIMIT)
+        source = standard_family(inp.group, get_int(inp.family, "source_n_max", 10**30, lo=1))
+        _check_defect_against(window, inp.defect_against)
+        reports = verify_corollary(system, source, lam, conv, f, epsilons, window, eta=eta)
     else:
-        # each refined family is built at its eps's branch tolerance, before the verifier can run
-        norm = lp_norm(system, f)
-        reports, entries, csv_family = [], [], None
-        for eps in epsilons:
-            tolerance = Branch.of(conv, norm, eps, eta).tolerance if norm > 0.0 else None
-            family = _family(inp.family, inp.group, window, corollary=True, tolerance=tolerance)
-            if csv_family is None:  # averages.csv is written on the first eps's family
-                _check_defect_against(family, inp.defect_against)
-                csv_family = family
-            reports += verify_corollary(system, family, lam, conv, f, [eps], family.n_max, eta=eta)
-            if tolerance is not None:  # the last refined index has no within-window modulus (beta(n) > n)
-                ns = range(1, family.n_max)
-                entries += [convergence_modulus(family, n, tolerance, m_max=family.n_max) for n in ns]
-        table = ModulusTable(inp.group.name, "refined", entries) if entries else None
+        family = _family(inp.family, inp.group, window)
+        _check_defect_against(family.n_max, inp.defect_against)
+        reports = verify_main_theorem(system, family, None, conv, f, epsilons, window, eta=eta)
+    csv_family, table = reports[0].family, reports[0].modulus_table  # the first eps's family, the one table
 
     result = ExperimentResult(exit_code=exit_code_for(reports), reports=reports, seed=inp.seed)
     if write:

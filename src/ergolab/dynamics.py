@@ -19,8 +19,9 @@ Weights are exact rationals so measure preservation is checked exactly;
 observables and norms are double precision.  Every average goes through
 average_block, which applies A_n to a block of observables and picks the route
 once: residue counting, which never iterates an interval and so keeps averages
-over astronomically large boxes cheap, when every F_n is an integer interval
-acting on Z, else the element sum, acting once per distinct element, in chunks
+over astronomically large boxes cheap, when the group is Z and every F_n has a
+box_radius (standard or refined boxes; an explicit family's intervals have
+none), else the element sum, acting once per distinct element, in chunks
 whose gathered values stay within _GATHER_BYTES.  On boxes of Z^d and H3 the
 element sum reads the largest box's block once, and an element is added to the
 rows whose radius reaches it (Group.box_reaches); other families code their
@@ -327,8 +328,9 @@ def average_block(
 ) -> np.ndarray:
     """A_n applied to values (one entry per point, then one column per observable), one row per n.
 
-    The one place that decides the route: residue counting when every F_n is an
-    integer interval acting on Z, otherwise the sum of s -> f(g . s) over F_n in
+    The one place that decides the route: residue counting when the group is Z
+    and every F_n has a box_radius (standard or refined boxes, not an explicit
+    family's intervals), otherwise the sum of s -> f(g . s) over F_n in
     ascending canonical form: one pass over the distinct g of all the F_n, acting
     on them as blocks of at most _GATHER_BYTES of gathered values, that adds each
     to the row of every F_n holding it.  Either way each row and column is

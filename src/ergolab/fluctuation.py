@@ -26,7 +26,7 @@ import numpy as np
 from .convexity import ConvexityModulus
 from .dynamics import FiniteMeasureSystem, Observable, average_sequence, lp_distances, lp_norm
 from .errors import DomainError, NotFastError, StructureError, UncertifiedModulusError
-from .folner import FolnerFamily, ModulusTable, build_modulus_table, check_fast
+from .folner import FolnerFamily, ModulusTable, build_modulus_table, check_fast, convergence_modulus, fast_refinement
 
 FLOOR_GUARD = 1e-12
 _EPS_DOWN = 1 - Fraction(1, 10**12)  # nudges float tolerances down before exact-rational use
@@ -55,8 +55,10 @@ class FluctuationReport:
     lam: Optional[int] = None
     # [A_1 f, ..., A_window f], one list shared by the reports of one verifier call
     averages: Optional[List[Observable]] = field(default=None, repr=False, compare=False)
-    # the modulus table the main theorem was certified against, shared the same way
+    # the modulus table the verifier certified against, shared the same way
     modulus_table: Optional[ModulusTable] = field(default=None, repr=False, compare=False)
+    # the family whose averages were counted, carried the same way
+    family: Optional[FolnerFamily] = field(default=None, repr=False, compare=False)
 
     @property
     def chain_length(self) -> int:
@@ -253,22 +255,27 @@ def _verify(system, family, convexity_modulus, f, epsilons, window, eta, certify
     """The steps both verifiers share, around their one certification step.
 
     Every eps's `Branch` is built first; certify(tolerances, window) checks
-    the mode's hypothesis at all their tolerances and returns one at-distance
-    map each (None for a plain count) and the modulus table it certified
-    against, or None.  With lam the bound is lam * bound + lam.  The window is
-    averaged once; one distance table serves the chain of every eps.
+    the mode's hypothesis at all their tolerances and returns, one each, the
+    family to count on and its at-distance map (None for a plain count), and
+    the modulus table it certified against, or None.  The zero observable
+    counts on `family`.  With lam the bound is lam * bound + lam.  Each
+    distinct family's window is averaged once, into one distance table.
     """
     if not (type(window) is int and 1 <= window <= family.n_max):
         raise DomainError(f"window must be in [1, {family.n_max}], got {window}")
     norm = lp_norm(system, f)
     # the zero observable has no branch and needs no certification: zip_longest pads with None
     branches = [Branch.of(convexity_modulus, norm, eps, eta) for eps in epsilons] if norm > 0.0 else []
-    betas, modulus_table = certify([b.tolerance for b in branches], window) if branches else ([], None)
+    zero = [family] * len(epsilons), [], None
+    families, betas, modulus_table = certify([b.tolerance for b in branches], window) if branches else zero
 
-    avgs = average_sequence(system, family, f, window)
-    table = lp_distances(system, avgs) if norm > 0.0 else None
+    averaged = {}  # id(family) -> (its averages, their distance table)
     reports = []
-    for eps, branch, beta_vals in itertools.zip_longest(epsilons, branches, betas):
+    for eps, branch, fam, beta_vals in itertools.zip_longest(epsilons, branches, families, betas):
+        if id(fam) not in averaged:
+            avgs = average_sequence(system, fam, f, window)
+            averaged[id(fam)] = avgs, (lp_distances(system, avgs) if norm > 0.0 else None)
+        avgs, table = averaged[id(fam)]
         if branch is None:
             mode = "at-distance" if lam is None else "plain"
             rep = FluctuationReport(float(eps), mode, [1], 0, bound=0, verdict=True, branch="zero", norm_x=0.0)
@@ -284,6 +291,7 @@ def _verify(system, family, convexity_modulus, f, epsilons, window, eta, certify
         rep.certified_window = window
         rep.averages = avgs
         rep.modulus_table = modulus_table
+        rep.family = fam
         reports.append(rep)
     return reports
 
@@ -305,7 +313,7 @@ def verify_main_theorem(
     clamped to at least n + 1.  With modulus_table None, one table over the
     window at every branch tolerance is built; a supplied table must cover the
     window at a tolerance at most each branch tolerance, otherwise the run is
-    refused.  Each report carries the table.
+    refused.  Each report carries the table, and `family`, averaged once.
     """
 
     def beta_maps(tolerances: List[Fraction], window: int):
@@ -323,14 +331,14 @@ def verify_main_theorem(
             row = table.entries_at(max(usable))
             envelope = itertools.accumulate((row[n].value for n in range(1, window + 1)), max)
             betas.append([max(v, n + 1) for n, v in enumerate(envelope, start=1)])
-        return betas, table
+        return [family] * len(tolerances), betas, table
 
     return _verify(system, family, convexity_modulus, f, epsilons, window, eta, beta_maps)
 
 
 def verify_corollary(
     system: FiniteMeasureSystem,
-    fast_family: FolnerFamily,
+    source: FolnerFamily,
     lam: int,
     convexity_modulus: ConvexityModulus,
     f: Observable,
@@ -338,21 +346,31 @@ def verify_corollary(
     window: int,
     eta: Optional[float] = None,
 ) -> List[FluctuationReport]:
-    """Count plain eps-fluctuations on a (lam, .)-fast family against lam*floor(...) + lam, one report per eps.
+    """Count plain eps-fluctuations on fast refinements of source against lam*floor(...) + lam, one report per eps.
 
-    Refuses to run unless the family passes check_fast at each branch
-    tolerance over the window.
+    Each eps counts on `fast_refinement(source, tolerance, count=window)` at its
+    branch tolerance, which must pass check_fast at lam (a NotFastError if not);
+    a source already (1, tolerance)-fast refines to itself.  Each report carries
+    its family and one table of every family's moduli (n < window, m_max = window);
+    the zero observable counts on source, with no table.  Each eps averages its
+    own family: one shared refinement, at the least tolerance, would change reports.
     """
     _check_lambda(lam)
 
-    def require_fast(tolerances: List[Fraction], window: int):
+    def refine(tolerances: List[Fraction], window: int):
+        families, entries = [], []
         for eps_fast in tolerances:
-            fast_rep = check_fast(fast_family, lam, eps_fast, window)
+            fast = fast_refinement(source, eps_fast, count=window)
+            fast_rep = check_fast(fast, lam, eps_fast, window)
             if not fast_rep.ok:
                 raise NotFastError(
                     f"family is not ({lam}, {eps_fast})-fast over [1, {window}]: "
                     f"violation {fast_rep.violation}"
                 )
-        return [None] * len(tolerances), None
+            families.append(fast)
+            # the last index has no within-window modulus (beta(n) > n)
+            entries += [convergence_modulus(fast, n, eps_fast, m_max=window) for n in range(1, window)]
+        table = ModulusTable(source.group.name, "refined", entries) if entries else None
+        return families, [None] * len(tolerances), table
 
-    return _verify(system, fast_family, convexity_modulus, f, epsilons, window, eta, require_fast, lam)
+    return _verify(system, source, convexity_modulus, f, epsilons, window, eta, refine, lam)

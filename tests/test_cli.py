@@ -295,6 +295,46 @@ def test_run_matches_the_stored_benchmark_reference(capsys, tmp_path, workload):
     assert (out_dir / "averages.csv").read_text() == csv
 
 
+COROLLARY_RUNS = {"corollary": None, "corollary-3eps": [0.3, 0.28, 0.26]}  # 0.2 runs out of source_n_max 10^15
+
+
+def corollary_run_config(tmp_path, name) -> Path:
+    """configs/corollary.json as written to tmp_path, with the epsilons of COROLLARY_RUNS[name] if any."""
+    config = json.loads(COROLLARY.read_text())
+    if COROLLARY_RUNS[name] is not None:
+        config["epsilons"] = COROLLARY_RUNS[name]
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(config))
+    return cfg
+
+
+@pytest.mark.parametrize("name", COROLLARY_RUNS)
+def test_corollary_run_matches_the_stored_artifacts(capsys, tmp_path, name):
+    # tests/data/<name> holds the stdout and the three artifacts, byte for byte, as the run first wrote them
+    expected = REPO / "tests" / "data" / name
+    out_dir = tmp_path / "out"
+    code, out, _ = run_cli(capsys, "run", "--config", str(corollary_run_config(tmp_path, name)), "--out-dir", str(out_dir))
+    assert code == 0
+    assert out.replace(str(out_dir), "<out>") == (expected / "stdout.txt").read_text()
+    for artifact in ("report.json", "averages.csv", "modulus.json"):
+        assert (out_dir / artifact).read_bytes() == (expected / artifact).read_bytes(), artifact
+
+
+def test_corollary_run_makes_one_verifier_call_and_one_branch_per_eps(tmp_path, monkeypatch):
+    from ergolab import fluctuation
+
+    cfg = corollary_run_config(tmp_path, "corollary-3eps")
+    verifier_calls = count_calls(monkeypatch, "ergolab.fluctuation", "verify_corollary")
+    norms = []
+    norm = fluctuation.lp_norm
+    monkeypatch.setattr(fluctuation, "lp_norm", lambda *args: norms.append(args) or norm(*args))
+    evaluations = []
+    modulus = ConvexityModulus.__call__
+    monkeypatch.setattr(ConvexityModulus, "__call__", lambda self, eps: evaluations.append(eps) or modulus(self, eps))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    assert (len(verifier_calls), len(evaluations), len(norms)) == (1, 3, 1)
+
+
 def test_avg_run_matches_library(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     config = demo_config()

@@ -14,10 +14,15 @@ import pytest
 from ergolab import (
     ConvexityModulus,
     DomainError,
+    ModulusTable,
     NotFastError,
+    RefinedFamily,
+    RefinementWindowError,
     StructureError,
     UncertifiedModulusError,
     build_modulus_table,
+    check_fast,
+    convergence_modulus,
     corollary_bound,
     default_eta,
     fast_refinement,
@@ -400,11 +405,46 @@ def test_verify_main_eta_domain_error():
 
 
 def test_verify_corollary_refuses_slow_family():
+    # the verifier refines its source first: no later box of 30 is fast enough to follow F_1
     system = rotation_system(12)
     fam = standard_family(Z, 30)
     f = system.observable([1.0] + [0.0] * 11, 2)
-    with pytest.raises(NotFastError):
+    with pytest.raises(RefinementWindowError, match=r"found 1 terms \[1\], requested 30$"):
         verify_corollary(system, fam, 1, ConvexityModulus.hanner(2), f, [0.3], window=30)
+
+
+def test_verify_corollary_refuses_a_refinement_that_is_not_fast(monkeypatch):
+    # a refinement step that handed back the first 8 boxes, which are not fast, is caught by check_fast
+    system = rotation_system(12)
+    f = system.observable([1.0] + [0.0] * 11, 2)
+    hm = ConvexityModulus.hanner(2)
+    slow = RefinedFamily(standard_family(Z, 30), range(1, 9))
+    monkeypatch.setattr(fluctuation, "fast_refinement", lambda source, eps, count: slow)
+    tolerance = Branch.of(hm, lp_norm(system, f), 0.3).tolerance
+    violation = check_fast(slow, 2, tolerance, 8).violation
+    assert violation[:2] == (1, 3)
+    with pytest.raises(NotFastError) as info:
+        verify_corollary(system, standard_family(Z, 30), 2, hm, f, [0.3], window=8)
+    assert str(info.value) == f"family is not (2, {tolerance})-fast over [1, 8]: violation {violation}"
+
+
+def test_verify_corollary_on_a_fast_source_counts_on_the_source_itself():
+    system = rotation_system(12)
+    f = system.observable([1.0] + [0.0] * 11, 2)
+    hm = ConvexityModulus.hanner(2)
+    norm = lp_norm(system, f)
+    branch = Branch.of(hm, norm, 0.3)
+    fast = fast_refinement(standard_family(Z, 10**30), branch.tolerance, count=8)
+    [rep] = verify_corollary(system, fast, 2, hm, f, [0.3], window=8)
+    assert rep.family.source is fast and rep.family.indices == list(range(1, 9))
+    # the report a plain count of the fast family's own averages gives
+    avgs = average_sequence(system, fast, f, 8)
+    expected = max_chain(lp_distances(system, avgs), 0.3)
+    expected.eta, expected.branch, expected.lam, expected.norm_x = branch.eta, branch.name, 2, norm
+    expected.bound = corollary_bound(hm, norm, 0.3, branch.eta, 2)
+    expected.verdict, expected.certified_window = expected.count <= expected.bound, 8
+    assert rep == expected and rep.to_jsonable() == expected.to_jsonable()
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(rep.averages, avgs))
 
 
 def test_verify_corollary_refined_pipeline():
@@ -553,12 +593,21 @@ def test_reports_of_one_call_share_the_modulus_table():
     # a supplied table is carried as given
     supplied = build_modulus_table(fam, range(1, 31), [Fraction(1, 10**6)], m_max=30)
     assert all(rep.modulus_table is supplied for rep in verify_main_theorem(system, fam, supplied, hm, f, EPSILONS, 30))
-    # no table for the zero observable, nor for the corollary
+    # no table for the zero observable
     zero = system.observable(np.zeros(12), 2)
     assert verify_main_theorem(system, fam, None, hm, zero, EPSILONS, window=30)[0].modulus_table is None
     assert verify_corollary(system, fam, 2, hm, zero, EPSILONS, window=8)[0].modulus_table is None
-    refined = fast_refinement(standard_family(Z, 10**30), Branch.of(hm, lp_norm(system, f), 0.3).tolerance, count=6)
-    assert verify_corollary(system, refined, 2, hm, f, [0.3], window=6)[0].modulus_table is None
+    # the corollary's one table holds each eps's refined family below the window, as `run` writes it
+    epsilons = [0.3, 0.28]
+    reports = verify_corollary(system, standard_family(Z, 10**30), 2, hm, f, epsilons, window=6)
+    table = reports[0].modulus_table
+    assert all(rep.modulus_table is table for rep in reports)
+    entries = []
+    for eps, rep in zip(epsilons, reports):
+        tolerance = Branch.of(hm, lp_norm(system, f), eps).tolerance
+        assert rep.family.indices == fast_refinement(standard_family(Z, 10**30), tolerance, count=6).indices
+        entries += [convergence_modulus(rep.family, n, tolerance, m_max=6) for n in range(1, 6)]
+    assert table.to_jsonable() == ModulusTable("Z", "refined", entries).to_jsonable()
 
 
 def test_fixed_eta_refused_at_the_second_eps(monkeypatch):

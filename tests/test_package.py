@@ -51,6 +51,19 @@ def private_attributes_from_elsewhere(path: Path) -> list:
     ]
 
 
+def test_only_fluctuation_names_branch():
+    # the branch/eta arithmetic has one home; the package root only re-exports it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("fluctuation.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+            if field and getattr(node, field) == "Branch":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_module_uses_another_modules_private_attributes():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in private_attributes_from_elsewhere(path)]
     assert found == []
