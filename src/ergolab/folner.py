@@ -15,8 +15,9 @@ F_n at once, and one `Fraction` is built per (n, m) from the least count.
 The universally quantified "for all m >= N" in the modulus definition is
 undecidable for arbitrary families; empirical entries are therefore stamped
 `certified_up_to = m_max`, while entries for standard boxes of a group with
-a known box corner are analytic (the box ratio is monotone in m, so a single
-corner computation certifies every larger index).
+a known box corner are analytic: one corner count, (|B_r delta cB_r|, |B_r|),
+and one threshold search over it, beta(r, eps), certify every larger index
+(the box ratio is monotone in m), and box refinements step by that threshold.
 """
 
 from __future__ import annotations
@@ -122,10 +123,16 @@ def check_box_size(group: Group, r: int) -> None:
         )
 
 
-def _below(group: Group, r: int, corner, eps: Fraction) -> bool:
-    """|B_r delta corner B_r| / |B_r| < eps, decided in integers; corner comes from `box_corner`."""
+def _corner_count(group: Group, r: int, corner) -> Tuple[int, int]:
+    """(|B_r delta corner B_r|, |B_r|) as exact integers; corner comes from `box_corner`."""
     card = group.box_card(r)
-    return 2 * (card - group.box_overlap(r, corner)) * eps.denominator < eps.numerator * card
+    return 2 * (card - group.box_overlap(r, corner)), card
+
+
+def _below(group: Group, r: int, corner, eps: Fraction) -> bool:
+    """|B_r delta corner B_r| / |B_r| < eps, decided in integers."""
+    diff, card = _corner_count(group, r, corner)
+    return diff * eps.denominator < eps.numerator * card
 
 
 class FolnerFamily:
@@ -162,7 +169,7 @@ class FolnerFamily:
         return None
 
     def ratio(self, n: int, g) -> Fraction:
-        """|F_n delta g F_n| / |F_n|: one row of `overlaps`, where a family has no faster exact route."""
+        """|F_n delta g F_n| / |F_n|: one row of `overlaps`, for every family; no library path calls it."""
         card = self.card(n)
         self.group.check_element(g)
         return Fraction(2 * (card - int(self.overlaps(n, to_block([g]))[0])), card)
@@ -236,17 +243,11 @@ class StandardBoxFamily(FolnerFamily):
             self._last = (n, self.group.box_block(n))
         return self._last[1]
 
-    elements = FolnerFamily.elements  # bound here too: the benchmark wraps it through this class
+    elements, ratio = FolnerFamily.elements, FolnerFamily.ratio  # in this class: the benchmark wraps them here
 
     def box_radius(self, n: int) -> Optional[int]:
         self._check_index(n)
         return n
-
-    def ratio(self, n: int, g) -> Fraction:
-        self._check_index(n)
-        self.group.check_element(g)
-        card = self.group.box_card(n)
-        return Fraction(2 * (card - self.group.box_overlap(n, g)), card)
 
     def overlaps(self, n: int, block: np.ndarray) -> np.ndarray:
         self._check_index(n)
@@ -283,9 +284,6 @@ class RefinedFamily(FolnerFamily):
     def box_radius(self, n: int) -> Optional[int]:
         return self.source.box_radius(self._src(n))
 
-    def ratio(self, n: int, g) -> Fraction:
-        return self.source.ratio(self._src(n), g)
-
     def overlaps(self, n: int, block: np.ndarray) -> np.ndarray:
         return self.source.overlaps(self._src(n), block)
 
@@ -317,7 +315,7 @@ def folner_ratio(family: FolnerFamily, n: int, g) -> Fraction:
     Translates every element of F_n's `block` by the group law
     (`Group.translate_block`) and counts the elements shared with F_n:
     |F delta gF| = 2(|F| - |F intersect gF|).  Independent of the
-    closed-form counts used by `family.ratio`.
+    closed-form counts of `family.overlaps`, whose one row is `family.ratio`.
     """
     rows = family.block(n)
     shared = _common_rows(rows, family.group.translate_block(rows, g))
@@ -464,11 +462,21 @@ def _corner(family: FolnerFamily, n: int):
     return None if r is None else family.group.box_corner(r)
 
 
+def _box_threshold(group: Group, r: int, eps: Fraction) -> Optional[int]:
+    """beta(r, eps) of the standard boxes, or None without a box corner: the least m >= 1 with
+    |B_m delta cB_m| < eps |B_m|, c the corner of B_r, which dominates B_r and whose ratio falls in m
+    to 0, so it exists; searched from the group's `corner_floor`, below which no m qualifies."""
+    corner = group.box_corner(r)
+    if corner is None:
+        return None
+    return least_index(lambda m: _below(group, m, corner, eps), group.corner_floor(r, eps))
+
+
 def worst_ratio(family: FolnerFamily, n: int, m: int, over=None) -> Tuple[Fraction, object]:
     """(ratio, g): the max over g in F_n of |F_m delta gF_m|/|F_m|, and a g attaining it.
 
     Corner route: with F_n and F_m standard boxes and the corner of F_n known
-    (`Group.box_corner`), that corner attains the max, taken from `family.ratio`.
+    (`Group.box_corner`), that corner attains the max, from its integer corner count.
     Set route otherwise, in integers: `family.overlaps(m, ...)` counts
     |F_m intersect gF_m| for every g of F_n's `block` at once (of `over`, any
     collection of elements, each validated, in place of F_n when given), the
@@ -484,8 +492,9 @@ def _worst_ratios(family: FolnerFamily, n: int, ms: Iterable[int], over=None) ->
     corner = _corner(family, n) if over is None else None
     block = None
     for m in ms:
-        if corner is not None and family.box_radius(m) is not None:
-            yield family.ratio(m, corner), corner
+        r = None if corner is None else family.box_radius(m)
+        if r is not None:
+            yield Fraction(*_corner_count(family.group, r, corner)), corner
             continue
         if block is None:
             block = family.block(n) if over is None else family.group.check_elements(over)
@@ -502,23 +511,18 @@ def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] 
     """A certified entry N = beta(n, eps) for the family.
 
     Standard box families whose group knows the box corner get an analytic
-    entry valid for every m >= N; the corner ratio tends to 0 in m, so one
-    exists for every positive eps.  Its search is in integers and starts at
-    the group's `corner_floor`, below which no m qualifies.  Other families
-    get the least N such that the defining condition holds for all m in
-    [N, m_max], stamped certified_up_to = m_max.
+    entry valid for every m >= N: the box threshold beta(n, eps), the one
+    integer search from the group's `corner_floor` that box refinements step
+    by too.  Other families get the least N such that the defining condition
+    holds for all m in [N, m_max], stamped certified_up_to = m_max.
     """
     eps = _tolerance(eps, "modulus")
     family._check_index(n)
     if m_max is not None:
         _check_int(m_max, "m_max")  # its range matters only to an empirical entry
 
-    corner = _corner(family, n) if isinstance(family, StandardBoxFamily) else None
-    if corner is not None:
-        # the corner of B_n dominates every g in B_n and its ratio falls in m, so one
-        # threshold search certifies every larger m, also past the family's length
-        group = family.group
-        value = least_index(lambda m: _below(group, m, corner, eps), group.corner_floor(n, eps))
+    value = _box_threshold(family.group, n, eps) if isinstance(family, StandardBoxFamily) else None
+    if value is not None:  # certifies every larger m, also past the family's length
         return ModulusEntry(n=n, epsilon=eps, value=value, kind="analytic", certified_up_to=None)
 
     if m_max is None:
@@ -672,17 +676,16 @@ def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> R
     n_1 = 1; n_{j+1} is the least later index m such that
     |F_m delta g F_m|/|F_m| < eps for every g in the union of the chosen sets.
     With count given, raises RefinementWindowError if the source ends first;
-    with count None, refines until the source is exhausted.  Families of boxes
-    with a known corner (F_1 has one) refine without materializing a set; on
-    standard boxes, where index m is radius m, each step's search starts at the
-    group's `corner_floor`, below which no m qualifies.
+    with count None, refines until the source is exhausted.  Boxes with a known
+    corner (F_1 has one), standard or refined, refine with no set materialized:
+    n_{j+1} is the least later index whose radius reaches beta(radius(n_j), eps),
+    the box threshold that gives the standard boxes' analytic moduli.
     """
     eps = _tolerance(eps, "refinement")
     if count is not None:
         _check_int(count, "count", 1)
 
     box_mode = _corner(family, 1) is not None
-    group, standard = family.group, isinstance(family, StandardBoxFamily)
     if count is None and family.n_max > 10**6:
         raise DomainError("count is required when refining a source longer than 10^6")
 
@@ -691,10 +694,9 @@ def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> R
     while count is None or len(indices) < count:
         last = indices[-1]
         if box_mode:
-            # nested boxes: the union is F_last, whose corner ratio is its worst and is monotone in m
-            corner = _corner(family, last)
-            lo = max(last + 1, group.corner_floor(last, eps)) if standard else last + 1
-            nxt = least_index(lambda m: _below(group, family.box_radius(m), corner, eps), lo, family.n_max)
+            # nested boxes: the union is F_last, whose corner ratio is its worst and falls in the radius
+            beta = _box_threshold(family.group, family.box_radius(last), eps)
+            nxt = least_index(lambda m: family.box_radius(m) >= beta, last + 1, family.n_max)
         else:
             union = family.block(last) if union is None else _sorted_rows(np.concatenate([union, family.block(last)]))
             ms = range(last + 1, family.n_max + 1)

@@ -803,8 +803,9 @@ def test_readme_cli_examples_print_what_they_claim(capsys):
     examples = [
         line.split("# ->") for line in README.read_text().splitlines() if line.startswith("ergolab ") and "# ->" in line
     ]
-    assert [shlex.split(command)[1:3] for command, _ in examples] == [
-        ["folner", "check"], ["folner", "refine"], ["fluct", "count"], ["bound", "eval"]
+    assert [(shlex.split(command)[1:3], expected.strip()) for command, expected in examples] == [
+        (["folner", "check"], "50"), (["folner", "refine"], "1 2 4 8 16 32"), (["fluct", "count"], "3"),
+        (["bound", "eval"], "503"),
     ]
     for command, expected in examples:
         code, out, _ = run_cli(capsys, *shlex.split(command)[1:])

@@ -748,6 +748,34 @@ def test_box_refinement_of_z_starts_at_the_corner_floor(monkeypatch):
     assert len(probes) == 7  # the floor is the least index on Z: one probe per step
 
 
+STEP_TOLERANCES = [Fraction(1, 10), Fraction(7, 100), Fraction(1, 3), Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(5, 2)]
+
+
+@pytest.mark.parametrize("n_max", [60, 10**30])
+@pytest.mark.parametrize("group", [Z, Z2, Z3], ids=lambda g: g.name)
+def test_box_refinement_steps_by_the_analytic_modulus(group, n_max):
+    # n_{j+1} = max(n_j + 1, beta(n_j, eps)) of the standard boxes, while that index is a source index
+    boxes = standard_family(group, 10**30)
+    for eps in STEP_TOLERANCES:
+        count = None if n_max < 10**6 else 7
+        indices = fast_refinement(standard_family(group, n_max), eps, count=count).indices
+        steps = [max(n + 1, convergence_modulus(boxes, n, eps).value) for n in indices]
+        assert indices[1:] == steps[:-1], eps
+        assert count is not None or steps[-1] > n_max, eps  # refined until the source ended
+
+
+@pytest.mark.parametrize("group", [Z, Z2, Z3], ids=lambda g: g.name)
+def test_refined_box_refinement_steps_to_the_least_radius_reaching_the_modulus(group):
+    boxes = standard_family(group, 10**30)
+    source = RefinedFamily(standard_family(group, 3000), [r * r for r in range(1, 55)])  # radii 1, 4, 9, ...
+    for eps in STEP_TOLERANCES:
+        indices = fast_refinement(source, eps).indices
+        for j, n in enumerate(indices):
+            beta = convergence_modulus(boxes, source.box_radius(n), eps).value
+            later = [m for m in range(n + 1, source.n_max + 1) if source.box_radius(m) >= beta]
+            assert indices[j + 1 : j + 2] == later[:1], (eps, n)
+
+
 @pytest.mark.parametrize(
     "group_name, eps, indices",
     [

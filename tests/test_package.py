@@ -84,3 +84,20 @@ def test_every_name_the_benchmark_wraps_is_defined_where_it_looks():
     missing += [f"{module}.{cls}.{name}" for module, cls, name, _ in tables["METHODS"]
                 if name not in vars(getattr(importlib.import_module(module), cls))]
     assert missing == []
+
+
+def test_ratio_and_box_overlap_have_one_body_each():
+    from ergolab.folner import ExplicitFamily, FolnerFamily, RefinedFamily, StandardBoxFamily
+    from ergolab.groups import Group, HeisenbergGroup
+
+    assert vars(StandardBoxFamily)["ratio"] is vars(ExplicitFamily)["ratio"] is FolnerFamily.ratio
+    assert "ratio" not in vars(RefinedFamily)
+    assert vars(HeisenbergGroup)["box_overlap"] is Group.box_overlap
+    # the analytic box threshold is searched in one place: only its helper reads the corner floor
+    tree = ast.parse((SRC / "folner.py").read_text(encoding="utf-8"))
+    [helper] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_box_threshold"]
+
+    def reads(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "corner_floor"]
+
+    assert reads(helper) and len(reads(tree)) == len(reads(helper))
