@@ -31,6 +31,7 @@ sets' rows together (row_codes).  Every L^p norm goes through _lp_norms.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -140,7 +141,7 @@ class FiniteMeasureSystem:
         if any(w <= 0 for w in self.weights):
             raise StructureError("weights must be positive rationals")
         self.n_points = len(self.weights)
-        if not isinstance(group, (IntegerGroup, LatticeGroup, HeisenbergGroup)):
+        if not isinstance(group, (LatticeGroup, HeisenbergGroup)):
             raise StructureError(f"unsupported group for dynamics: {group!r}")
         names = [name for name, _ in _word(group, to_block([group.identity]))]
         if set(generators) != set(names):
@@ -400,24 +401,29 @@ def weighted_mean(system: FiniteMeasureSystem, f: Observable) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _points(*sides) -> int:
+    """The number of points of a shipped system with these side lengths, each an int >= 1 (not a bool)."""
+    if not all(type(side) is int and side >= 1 for side in sides):
+        raise StructureError(f"system sizes must be integers >= 1, got {', '.join(map(repr, sides))}")
+    return math.prod(sides)
+
+
 def rotation_system(modulus: int) -> FiniteMeasureSystem:
     """Z acting on Z/modulus by s -> s + 1."""
-    perm = [(s + 1) % modulus for s in range(modulus)]
-    return FiniteMeasureSystem(IntegerGroup(), [Fraction(1, modulus)] * modulus, {"t": perm})
+    m = _points(modulus)
+    return FiniteMeasureSystem(IntegerGroup(), [Fraction(1, m)] * m, {"t": [(s + 1) % m for s in range(m)]})
 
 
 def torus_translation_system(width: int, height: int) -> FiniteMeasureSystem:
     """Z^2 acting on (Z/width) x (Z/height) by coordinate shifts; points row-major."""
-    m = width * height
+    m = _points(width, height)
     t1 = [((i // height + 1) % width) * height + (i % height) for i in range(m)]
     t2 = [(i // height) * height + ((i % height) + 1) % height for i in range(m)]
     return FiniteMeasureSystem(LatticeGroup(2), [Fraction(1, m)] * m, {"t1": t1, "t2": t2})
 
 
 def heisenberg_torus_system(width: int, height: int) -> FiniteMeasureSystem:
-    """H3(Z) acting through its abelianization on a 2-torus; the center acts trivially."""
-    m = width * height
-    x = [((i // height + 1) % width) * height + (i % height) for i in range(m)]
-    y = [(i // height) * height + ((i % height) + 1) % height for i in range(m)]
-    z = list(range(m))
-    return FiniteMeasureSystem(HeisenbergGroup(), [Fraction(1, m)] * m, {"x": x, "y": y, "z": z})
+    """H3(Z) acting through its abelianization, the torus's shifts, on a 2-torus; the center acts trivially."""
+    torus = torus_translation_system(width, height)
+    x, y, z = torus.generators["t1"], torus.generators["t2"], range(torus.n_points)
+    return FiniteMeasureSystem(HeisenbergGroup(), torus.weights, {"x": x, "y": y, "z": z})

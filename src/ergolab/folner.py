@@ -3,9 +3,10 @@
 All cardinality comparisons are exact: set sizes are integers, tolerances are
 `fractions.Fraction`, and the strict inequalities of the modulus definitions
 are decided without floating point.  Standard box families are represented by
-their radii, so ratios on them come from closed-form overlap counts; the
-module-level `folner_ratio` always counts literally (every element translated,
-the shared rows counted), which the tests replay against the closed forms.
+their radii, so ratios on them come from closed-form overlap counts, as do
+explicit lattice sets that fill their bounding box (`Group.filled_overlaps`);
+`folner_ratio` always counts literally (every element translated, the shared
+rows counted), which the tests replay against the closed forms.
 
 A set is read only as `FolnerFamily.block(n)`, one read-only `to_block` array
 of distinct rows in ascending canonical order.  A worst ratio over F_n is
@@ -100,12 +101,12 @@ def _common_rows(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def _set_overlaps(group: Group, rows: np.ndarray, block: np.ndarray, floor: int = -1) -> np.ndarray:
-    """|F intersect gF| for every g of a `to_block` array, F given as one of distinct rows: in closed
-    form when F is one integer interval, else one g at a time up to the first overlap <= floor."""
-    if rows.ndim == 1 and int(rows.max()) - int(rows.min()) + 1 == rows.size:
-        # F and g + F share max(0, |F| - |g|) points.  Exact on Python ints, and on all of
-        # int64: np.abs(-2^63) wraps to -2^63, and |F| + 2^63 wraps negative, so 0
-        return np.maximum(0, rows.size - np.abs(block))
+    """|F intersect gF| for every g of a `to_block` array, F given as one of distinct rows: in the group's
+    closed form when it has one for F (`Group.filled_overlaps`: on a lattice, a set that fills its bounding
+    box), else one g at a time up to the first overlap <= floor."""
+    filled = group.filled_overlaps(rows, block)
+    if filled is not None:
+        return filled
     counts = []
     for i in range(len(block)):  # g by g, so a refuted candidate never lists the whole block
         counts.append(_common_rows(rows, group.translate_block(rows, from_block(block[i : i + 1])[0])))
@@ -191,8 +192,9 @@ class FolnerFamily:
 class ExplicitFamily(FolnerFamily):
     """Family with explicitly stored element sets, each checked as given, then sorted into its `block`.
 
-    `overlaps` is the one overlap route and `ratio` its one-row case: max(0, |F| - |g|) for a
-    whole block when F is one integer interval, else the rows F shares with gF, one g at a time.
+    `overlaps` is the one overlap route and `ratio` its one-row case: the group's closed form for a
+    whole block where it has one (a lattice set that fills its bounding box), else the rows F shares
+    with gF, one g at a time.
     """
 
     kind = "explicit"

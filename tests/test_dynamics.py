@@ -247,6 +247,26 @@ def test_unsupported_group_is_a_structure_error(group):
         FiniteMeasureSystem(group, [Fraction(1, 2)] * 2, {"t": [1, 0]})
 
 
+@pytest.mark.parametrize(
+    "make, sizes",
+    [
+        (rotation_system, (0,)),
+        (rotation_system, (2.5,)),
+        (rotation_system, (-3,)),
+        (rotation_system, (True,)),
+        (torus_translation_system, (0, 3)),
+        (torus_translation_system, (3, 2.0)),
+        (heisenberg_torus_system, (2, 0)),
+        (heisenberg_torus_system, ("2", 2)),
+    ],
+)
+def test_shipped_systems_refuse_a_size_that_is_not_an_int_of_at_least_one(make, sizes):
+    message = f"system sizes must be integers >= 1, got {', '.join(map(repr, sizes))}"
+    with pytest.raises(StructureError, match=re.escape(message)):
+        make(*sizes)
+    assert make(*[1] * len(sizes)).n_points == 1
+
+
 POWER_CASES = ["multi-cycle", "t1", "t2"]
 
 

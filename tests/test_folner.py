@@ -627,7 +627,7 @@ def scalar_greedy(group, n_max, search_budget=10_000):
     for `greedy_folner`'s blocks.  The reach is a `least_index` search over coordinate
     containment, and each g of F_{n-1} is decided alone: by the scalar `box_overlap` on a
     box, and on a set by a one-row `overlaps` block (the rows shared with `translate_block`
-    on every set that is not one interval), g in ascending canonical order, the order of F_{n-1}'s
+    on every set with no closed form), g in ascending canonical order, the order of F_{n-1}'s
     block; the probes, and so the budget count, are `greedy_folner`'s.
     """
 
@@ -680,10 +680,9 @@ def test_greedy_blocks_match_the_per_g_construction(group, n_max, least_budget):
 
 @pytest.mark.parametrize("group, n_max", [(Z2, 4), (H3, 3)], ids=lambda v: getattr(v, "name", None))
 def test_greedy_refutes_a_set_candidate_at_its_first_failing_g(group, n_max, monkeypatch):
-    # tuple sets are counted one g at a time; the count stops where the reference's all() stops.
-    # F_{n-1} is read in ascending canonical order: on Z^2, stage 3 translates (0, 0), which passes,
-    # before (1, 0), which refutes; stage 4's first set probe stops at its first g, (-3, -3), and its
-    # next two add boxes B_1 and B_2 that F_3 holds, so they are F_3 again and translate nothing
+    # sets with no closed form are counted one g at a time; the count stops where the reference's
+    # all() stops, reading F_{n-1} in ascending canonical order.  Every Z^2 candidate through stage 4
+    # fills its bounding box, so its overlaps are one product formula and nothing is translated
     seen = []
     cls = type(group)
     real = cls.translate_block
@@ -691,7 +690,35 @@ def test_greedy_refutes_a_set_candidate_at_its_first_failing_g(group, n_max, mon
     greedy_folner(group, n_max)
     blocks, seen[:] = list(seen), []
     scalar_greedy(group, n_max)
-    assert blocks == seen and len(seen) == {"Z^2": 4, "H3": 3}[group.name]
+    assert blocks == seen and len(seen) == {"Z^2": 0, "H3": 3}[group.name]
+
+
+def test_a_lattice_set_with_no_closed_form_stops_at_its_first_refuting_g(monkeypatch):
+    # an L of 7 points does not fill its 4 x 4 bounding box: counted g by g, up to the first
+    # overlap at or under the floor, (1, 0)'s 3, so (5, 5) and (0, 1) are never translated
+    rows = to_block(sorted({(x, 0) for x in range(4)} | {(0, y) for y in range(4)}))
+    gs = [(0, 0), (1, 0), (5, 5), (0, 1)]
+    assert Z2.filled_overlaps(rows, to_block(gs)) is None
+    seen = []
+    real = LatticeGroup.translate_block
+    monkeypatch.setattr(LatticeGroup, "translate_block", lambda self, block, g: seen.append(g) or real(self, block, g))
+    assert folner._set_overlaps(Z2, rows, to_block(gs), 3).tolist() == [7, 3]
+    assert seen == gs[:2]
+    assert folner._set_overlaps(Z2, rows, to_block(gs)).tolist() == [7, 3, 0, 3]  # no floor: every g
+
+
+def test_greedy_z2_last_box_is_counted_by_the_product_formula(monkeypatch):
+    # F_5 of the Z^2 greedy family is exactly B_224: the overlaps against it are one closed form,
+    # with no set translated, where each of F_4's 2,209 rows was once translated and counted alone
+    fam = greedy_folner(Z2, 5)
+    assert np.array_equal(fam.block(5), Z2.box_block(224))
+    seen = []
+    real = LatticeGroup.translate_block
+    monkeypatch.setattr(LatticeGroup, "translate_block", lambda self, block, g: seen.append(g) or real(self, block, g))
+    assert fam.overlaps(5, fam.block(4)).tolist() == Z2.box_overlaps(224, fam.block(4)).tolist()
+    assert seen == []
+    table = build_modulus_table(fam, range(1, 5), [Fraction(1, 2)], m_max=5)
+    assert [table.value(n, Fraction(1, 2)) for n in range(1, 5)] == [1, 3, 4, 5]
 
 
 def test_greedy_z2_small():

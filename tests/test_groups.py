@@ -4,11 +4,13 @@ import itertools
 import math
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ergolab import GroupElementError, UnsupportedGroupError, group_by_name
+from ergolab import ExplicitFamily, GroupElementError, UnsupportedGroupError, folner_ratio, group_by_name
+from ergolab.folner import _common_rows
 from ergolab.groups import MAX_DIMENSION, LatticeGroup, from_block, row_codes, to_block
 
 Z = group_by_name("Z")
@@ -497,3 +499,108 @@ def test_row_codes_are_equal_and_ordered_as_the_rows_are(group):
             assert (cx == cy) == (x == y) and (cx < cy) == (x < y)
         small = spread < 2**63 and (2 * spread + 1) ** k < 2**62  # int64 rows in a box of under 2^62 points
         assert all(c.dtype == (np.int64 if small else object) for c in codes), spread
+
+
+# ---------------------------------------------------------------------------
+# one lattice geometry: Z is the scalar Z^1, and a set filling its bounding box is that box
+# ---------------------------------------------------------------------------
+
+Z1 = group_by_name("Z^1")
+SHIFTS = [0, 1, -1, 3, -4, 7, 2**62, -(2**62), 2**63 - 1, -(2**63)]  # int64's ends included
+
+
+def as_z(group, rows):
+    """Rows of Z^1 as Z's ints on Z, else as they are."""
+    return [g for (g,) in rows] if group is Z else rows
+
+
+def filled_sets(group):
+    """Sets that fill their bounding box, as lists of canonical forms: off-centre boxes, one-row sets
+    (a single point, and a strip one row high), and boxes at and past int64's ends (object rows)."""
+    d = 1 if group is Z else group.dimension
+    axes = [
+        [range(3, 8), range(-2, 1), range(-9, -7)],
+        [range(5, 6)] * 3,
+        [range(-1, 2), range(4, 5), range(0, 2)],
+        [range(4, 5), range(-3, 3), range(7, 8)],
+        [range(2**70, 2**70 + 3), range(-(2**63), -(2**63) + 2), range(2**63 - 2, 2**63)],
+        [range(-(2**63), -(2**63) + 3), range(2**63 - 2, 2**63), range(-1, 1)],
+    ]
+    return [as_z(group, list(itertools.product(*sides[:d]))) for sides in axes]
+
+
+def translations(group, past_int64):
+    """The identity, int64's ends and -2^63 in every coordinate, random small shifts, and with
+    past_int64 coordinates of 2^70 too, so the block is an object array."""
+    rng = random.Random(len(group.name) + past_int64)
+    d = 1 if group is Z else group.dimension
+    pool = SHIFTS + ([2**70, -(2**70)] if past_int64 else [])
+    gs = [(c,) * d for c in pool] + [tuple(rng.choice(pool) for _ in range(d)) for _ in range(30)]
+    gs += [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(30)]
+    return as_z(group, list(dict.fromkeys(gs)))
+
+
+@pytest.mark.parametrize("group", [Z, Z1, Z2, Z3], ids=lambda g: g.name)
+def test_filled_overlaps_equal_the_literal_row_count(group):
+    for rows in filled_sets(group):
+        fam = ExplicitFamily(group, [rows])
+        sorted_block, given = fam.block(1), to_block(rows[::-1])  # the formula reads no row order
+        for past_int64 in (False, True):
+            gs = translations(group, past_int64)
+            block = to_block(gs)
+            assert block.dtype == (object if past_int64 else np.int64)
+            got = group.filled_overlaps(given, block)
+            assert got.tolist() == group.filled_overlaps(sorted_block, block).tolist()
+            assert got.tolist() == [_common_rows(sorted_block, group.translate_block(sorted_block, g)) for g in gs]
+            if not past_int64:
+                assert got.dtype == np.int64  # -2^63 included: |F| bounds every factor and product
+            for g, shared in zip(gs, got.tolist()):
+                assert folner_ratio(fam, 1, g) == Fraction(2 * (len(rows) - shared), len(rows)), g
+
+
+def test_filled_overlaps_is_none_without_a_closed_form():
+    holed = {
+        Z: [[0, 2], [-3, -2, -1, 1, 2, 3], [2**70, 2**70 + 2], [-(2**63), 2**63 - 1]],
+        Z1: [[(0,), (2,)], [(-(2**63),), (2**63 - 1,)]],
+        Z2: [
+            sorted({(x, 0) for x in range(4)} | {(0, y) for y in range(4)}),  # an L
+            [g for g in Z2.box_elements(2) if g != (2, 2)],  # a box less a corner
+            [(0, 0), (5, 5)],
+            [(-(2**63), 0), (2**63 - 1, 1)],
+        ],
+        Z3: [[g for g in Z3.box_elements(1) if g != (0, 0, 0)], [(0, 0, 0), (1, 1, 1)]],
+        H3: [
+            list(H3.box_elements(1)),
+            [H3.identity],
+            list(itertools.product(range(2), range(3), range(-1, 1))),  # fills its coordinate box
+            [(0, 0, 0), (5, 5, 5)],
+        ],
+    }
+    for group, sets in holed.items():
+        block = to_block([group.identity])
+        for rows in sets:
+            assert group.filled_overlaps(to_block(rows), block) is None, (group, rows)
+
+
+def test_z_is_the_scalar_z1():
+    assert isinstance(Z, LatticeGroup) and Z.dimension == 1 and Z != Z1 and Z.name == "Z"
+    assert Z.enumerate_prefix(120) == as_z(Z, Z1.enumerate_prefix(120))
+    gs = SHIFTS + [2**70, -(2**70)]
+    ints, ones = to_block(gs), to_block([(g,) for g in gs])
+    assert Z.box_reaches(ints).tolist() == Z1.box_reaches(ones).tolist()
+    for g in gs:
+        moved, moved1 = Z.translate_block(ints, g), Z1.translate_block(ones, (g,))
+        assert moved.dtype == moved1.dtype and moved.tolist() == moved1.reshape(-1).tolist(), g
+    for r in (0, 1, 4, 2**61 - 1, 2**61, 10**30):
+        assert Z.box_card(r) == Z1.box_card(r)
+        for block, block1 in ((ints, ones), (ints[:6], ones[:6])):  # object and int64 translations
+            got, got1 = Z.box_overlaps(r, block), Z1.box_overlaps(r, block1)
+            assert got.dtype == got1.dtype and got.tolist() == got1.tolist(), r
+        assert [Z.box_overlap(r, g) for g in gs] == [Z1.box_overlap(r, (g,)) for g in gs]
+        assert (Z.box_corner(r),) == Z1.box_corner(r)
+        for eps in (Fraction(1, 10), Fraction(7, 100), Fraction(1, 2), Fraction(2), Fraction(5, 2)):
+            assert Z.corner_floor(r, eps) == Z1.corner_floor(r, eps), (r, eps)
+    for r in range(6):
+        block = Z.box_block(r)
+        assert block.shape == (2 * r + 1,) and not block.flags.writeable
+        assert np.array_equal(block, Z1.box_block(r).reshape(-1))

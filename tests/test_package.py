@@ -101,3 +101,24 @@ def test_ratio_and_box_overlap_have_one_body_each():
         return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "corner_floor"]
 
     assert reads(helper) and len(reads(tree)) == len(reads(helper))
+
+
+def test_one_lattice_geometry():
+    from ergolab import groups
+    from ergolab.groups import Group, IntegerGroup, LatticeGroup
+
+    # Z is Z^1 with int elements: the block law and the box geometry are the lattice's, not copies
+    assert issubclass(IntegerGroup, LatticeGroup)
+    inherited = {"translate_block", "box_card", "box_reaches", "box_overlaps", "corner_floor"}
+    assert inherited.isdisjoint(vars(IntegerGroup))
+    classes = {c for c in vars(groups).values() if isinstance(c, type) and issubclass(c, Group)}
+    assert {c for c in classes if "check_element" in vars(c)} == {Group, IntegerGroup}
+    # the other modules read geometry through the Group interface and name no concrete group
+    concrete = {c.__name__ for c in classes} - {"Group"}
+    found = []
+    for name in ("folner.py", "fluctuation.py", "cli.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"))):
+            field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}.get(type(node))
+            if field and getattr(node, field) in concrete:
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
