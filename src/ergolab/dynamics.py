@@ -34,11 +34,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import DomainError, StructureError
 from .folner import FolnerFamily, as_fraction
 from .groups import Group, HeisenbergGroup, IntegerGroup, LatticeGroup, row_codes, to_block
 
@@ -243,21 +243,35 @@ def lp_norm(system: FiniteMeasureSystem, f: Observable) -> float:
     return _lp_norms(system, f.values[None], f.p)[0]
 
 
-def lp_distances(system: FiniteMeasureSystem, avgs: Sequence[Observable]) -> np.ndarray:
-    """The symmetric table of ||avgs[i] - avgs[j]||_p; the averages share one length and one p.
+def lp_distances(
+    system: FiniteMeasureSystem, avgs: Sequence[Observable], beta: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """The symmetric L x L table of ||avgs[i] - avgs[j]||_p; the averages share one length and one p.
 
-    Rows of the upper triangle are filled one at a time from the stacked
-    averages, so memory stays O(len(avgs) * points).  Each entry is bitwise
-    lp_norm(system, Observable(avgs[i] - avgs[j])).
+    beta: optional at-distance map, one integer beta(n) per average on 1-based
+    indices, as max_chain takes it.  Row n is then filled only at the columns
+    m >= max(n + 1, beta(n)), and mirrored below the diagonal: the pairs a
+    chain at distance beta can step along.  Every other entry stays 0.0.
+    Each filled entry is one _lp_norms row, so bitwise lp_norm(system,
+    Observable(avgs[i] - avgs[j])) whichever entries are filled.
     """
     shapes = {(len(a), a.p) for a in avgs}
     if len(shapes) != 1:
         raise StructureError(f"lp_distances needs averages of one length and one p, got {sorted(shapes)}")
-    stacked = np.stack([a.values for a in avgs])
     L = len(avgs)
+    starts = range(1, L)  # 0-based: row i from column i + 1
+    if beta is not None:
+        beta = list(beta)
+        if len(beta) != L:
+            raise StructureError(f"beta needs one value per average, got {len(beta)} for {L}")
+        if not all(type(b) is int or isinstance(b, np.integer) for b in beta):
+            raise DomainError("beta values must be integers")
+        starts = [max(i + 1, int(b) - 1) for i, b in enumerate(beta)]
+    stacked = np.stack([a.values for a in avgs])
     mat = np.zeros((L, L))
-    for i in range(L - 1):
-        mat[i, i + 1 :] = mat[i + 1 :, i] = _lp_norms(system, stacked[i] - stacked[i + 1 :], avgs[0].p)
+    for i, lo in enumerate(starts):
+        if lo < L:
+            mat[i, lo:] = mat[lo:, i] = _lp_norms(system, stacked[i] - stacked[lo:], avgs[0].p)
     return mat
 
 

@@ -118,6 +118,10 @@ def max_chain(distances, eps: float, beta: Optional[Sequence[int]] = None) -> Fl
     predecessor is the first j < i of greatest chain length among the
     admissible ones, exactly the one a scan over j with a strict > keeps, so
     the chain itself (not only its length) is that of the nested-loop DP.
+    With beta the steps start at the 1-based index min(beta), the first any
+    predecessor may reach; each earlier index keeps chain length 1 and no
+    predecessor, as its step would.  Entries the beta mask rules out are never
+    edges, so lp_distances(..., beta=b) serves any map pointwise at least b.
     """
     eps = float(eps)
     if not eps > 0:  # NaN too: no d >= NaN holds, so every count would read 0
@@ -133,7 +137,7 @@ def max_chain(distances, eps: float, beta: Optional[Sequence[int]] = None) -> Fl
     beta_arr = None if beta_vals is None else np.array([min(v, L + 1) for v in beta_vals])
     best = np.ones(L, dtype=np.int64)
     pred = [-1] * L
-    for i in range(1, L):
+    for i in range(1 if beta_arr is None else max(1, int(beta_arr.min()) - 1), L):
         ok = mat[:i, i] >= eps
         if beta_arr is not None:
             ok &= beta_arr[:i] <= i + 1
@@ -259,7 +263,9 @@ def _verify(system, family, convexity_modulus, f, epsilons, window, eta, certify
     family to count on and its at-distance map (None for a plain count), and
     the modulus table it certified against, or None.  The zero observable
     counts on `family`.  With lam the bound is lam * bound + lam.  Each
-    distinct family's window is averaged once, into one distance table.
+    distinct family's window is averaged once, into one distance table that
+    holds the pairs its eps's maps admit: under the pointwise least of those
+    maps, or every pair when one eps counts plainly.
     """
     if not (type(window) is int and 1 <= window <= family.n_max):
         raise DomainError(f"window must be in [1, {family.n_max}], got {window}")
@@ -269,12 +275,16 @@ def _verify(system, family, convexity_modulus, f, epsilons, window, eta, certify
     zero = [family] * len(epsilons), [], None
     families, betas, modulus_table = certify([b.tolerance for b in branches], window) if branches else zero
 
+    least = {}  # id(family) -> the least at-distance map over its eps, None if one counts plainly
+    for fam, beta_vals in zip(families, betas):
+        prev = least.get(id(fam), beta_vals)
+        least[id(fam)] = None if prev is None or beta_vals is None else list(map(min, prev, beta_vals))
     averaged = {}  # id(family) -> (its averages, their distance table)
     reports = []
     for eps, branch, fam, beta_vals in itertools.zip_longest(epsilons, branches, families, betas):
         if id(fam) not in averaged:
             avgs = average_sequence(system, fam, f, window)
-            averaged[id(fam)] = avgs, (lp_distances(system, avgs) if norm > 0.0 else None)
+            averaged[id(fam)] = avgs, (lp_distances(system, avgs, least[id(fam)]) if norm > 0.0 else None)
         avgs, table = averaged[id(fam)]
         if branch is None:
             mode = "at-distance" if lam is None else "plain"

@@ -445,7 +445,8 @@ class HeisenbergGroup(Group):
             ceil = root + (root * root < central)
         else:
             ceil = np.array([math.isqrt(c - 1) + 1 if c else 0 for c in central.tolist()], dtype=object)
-        return np.maximum(_abs(block[:, :2]).max(axis=1), ceil)
+        # column by column, as on lattices: on a tall block, faster than a row-wise max(axis=1)
+        return np.maximum(np.maximum(_abs(block[:, 0]), _abs(block[:, 1])), ceil)
 
     def box_elements(self, r):
         rng = range(-r, r + 1)

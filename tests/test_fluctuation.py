@@ -14,6 +14,7 @@ import pytest
 from ergolab import (
     ConvexityModulus,
     DomainError,
+    ModulusEntry,
     ModulusTable,
     NotFastError,
     RefinedFamily,
@@ -210,6 +211,128 @@ def test_pairwise_norms_bitwise_equal_per_pair_lp_norm():
                     if i != j:
                         expect[i, j] = lp_norm(system, Observable(avgs[i].values - avgs[j].values, p))
             assert np.array_equal(mat, expect)
+
+
+def beta_maps(rng, L):
+    """Valid at-distance maps on 1..L of each kind a caller may hand over."""
+    steps = rng.integers(1, 6, size=L)
+    envelope = np.maximum.accumulate(np.arange(1, L + 1) + steps)  # nondecreasing, as the verifier builds them
+    arbitrary = [n + int(rng.integers(1, L + 2)) for n in range(1, L + 1)]
+    past_end = [v if rng.random() < 0.6 else L + 1 + int(rng.integers(0, 3)) * 10**30 for v in arbitrary]
+    return {
+        "envelope": [int(v) for v in envelope],
+        "arbitrary": arbitrary,
+        "past-end": past_end,
+        "numpy": list(np.array(arbitrary, dtype=np.int64)),  # numpy integer values
+        "adjacent": [n + 1 for n in range(1, L + 1)],  # every pair admitted
+        "none": [L + 1] * L,  # no pair admitted
+    }
+
+
+def admitted(beta, L):
+    """The entries lp_distances(..., beta) fills: row n at m >= max(n + 1, beta(n)), mirrored."""
+    upper = np.zeros((L, L), dtype=bool)
+    for i, b in enumerate(beta):
+        upper[i, max(i + 1, min(int(b), L + 1) - 1) :] = True
+    return upper | upper.T
+
+
+def test_distances_restricted_to_a_beta_map_are_the_full_tables_entries():
+    rng = np.random.default_rng(4242)
+    z_perm = [(s + 1) % 10 for s in range(10)] + [10 + (s + 1) % 7 for s in range(7)]
+    z_weights = [Fraction(1, 30)] * 10 + [Fraction(2, 21)] * 7
+    systems = [
+        (FiniteMeasureSystem(Z, z_weights, {"t": z_perm}), standard_family(Z, 25), 25),
+        (torus_translation_system(3, 4), standard_family(Z2, 6), 6),
+    ]
+    checked = set()
+    for system, family, window in systems:
+        for p in (1.5, 2.0, 3.0):
+            f = system.observable(rng.normal(size=system.n_points) * 2.0, p)
+            avgs = average_sequence(system, family, f, window)
+            avgs += [system.observable(rng.normal(size=system.n_points) * 10.0**k, p) for k in (-3, 0, 2)]
+            L = len(avgs)
+            full = lp_distances(system, avgs)
+            for kind, beta in beta_maps(rng, L).items():
+                table = lp_distances(system, avgs, beta=beta)
+                mask = admitted(beta, L)
+                expect = np.where(mask, full, 0.0)
+                assert table.shape == (L, L) and table.dtype == np.float64
+                assert np.array_equal(table.view(np.int64), expect.view(np.int64)), kind  # bitwise
+                later = [b + int(rng.integers(0, 3)) for b in beta]  # a map at least beta serves too
+                for eps in (0.05, 0.3, 1.0):
+                    for b in (beta, later):
+                        got, want = max_chain(table, eps, b), max_chain(full, eps, b)
+                        assert (got.chain, got.count, got.beta_used) == (want.chain, want.count, want.beta_used)
+                        checked.add(got.count > 0)
+    assert checked == {True, False}  # both chains with jumps and without
+
+
+def test_distances_restricted_to_a_beta_map_refuse_a_malformed_map():
+    system = rotation_system(4)
+    avgs = [system.observable(np.arange(4.0) * k, 2) for k in range(3)]
+    with pytest.raises(StructureError):
+        lp_distances(system, avgs, beta=[2, 3])
+    for bad in ([2, 3.0, 4], [2, True, 4], [2, "3", 4]):
+        with pytest.raises(DomainError):
+            lp_distances(system, avgs, beta=bad)
+
+
+def recorded_tables(monkeypatch) -> list:
+    """Every distance table the verifiers hand to max_chain, in call order."""
+    tables = []
+
+    def recording(distances, eps, beta=None):
+        tables.append(np.array(distances))
+        return max_chain(distances, eps, beta)
+
+    monkeypatch.setattr(fluctuation, "max_chain", recording)
+    return tables
+
+
+def test_verify_main_on_small_moduli_counts_over_the_admitted_pairs(monkeypatch):
+    # a hand-made table of small moduli admits many pairs, so the counts are nonzero
+    system = rotation_system(12)
+    fam = standard_family(Z, 30)
+    f = system.observable(np.random.default_rng(11).normal(size=12), 2)
+    hm = ConvexityModulus.hanner(2)
+    norm = lp_norm(system, f)
+    epsilons = [0.02, 0.05, 0.1]
+    # the two smaller eps read the first tolerance's moduli, the largest the second's
+    low, high = (Branch.of(hm, norm, eps).tolerance for eps in (0.02, 0.1))
+    entries = [ModulusEntry(n, low, n + 2 + n % 3, "empirical", None) for n in range(1, 31)]
+    entries += [ModulusEntry(n, high, n + 1, "empirical", None) for n in range(1, 31)]
+    tables = recorded_tables(monkeypatch)
+    reports = verify_main_theorem(system, fam, ModulusTable("Z", "hand", entries), hm, f, epsilons, window=30)
+    full = lp_distances(system, average_sequence(system, fam, f, 30))
+    for rep in reports:
+        want = max_chain(full, rep.epsilon, rep.beta_used)
+        assert (rep.chain, rep.count, rep.beta_used) == (want.chain, want.count, want.beta_used)
+    assert reports[0].beta_used[:4] == [4, 6, 6, 7]  # the envelope of n + 2 + n % 3
+    assert reports[2].beta_used == list(range(2, 32))
+    assert all(rep.count > 0 for rep in reports)
+    # one table, holding the pairs the least map admits
+    least = [min(vals) for vals in zip(*(rep.beta_used for rep in reports))]
+    assert len(tables) == 3 and all(t is not None for t in tables)
+    assert np.array_equal(tables[0], np.where(admitted(least, 30), full, 0.0))
+
+
+def test_verify_main_on_the_wide_z_shape_evaluates_no_distance(monkeypatch):
+    # Z on 24 points, window 400: every branch tolerance puts beta(1) past the window
+    system = rotation_system(24)
+    fam = standard_family(Z, 400)
+    f = system.observable(np.random.default_rng(0).normal(size=24), 2)
+    hm = ConvexityModulus.hanner(2)
+    epsilons = [0.05, 0.1, 0.2]
+    tables = recorded_tables(monkeypatch)
+    reports = verify_main_theorem(system, fam, None, hm, f, epsilons, window=400)
+    assert len(tables) == 3 and all(t.shape == (400, 400) and not t.any() for t in tables)
+    assert all(rep.beta_used[0] > 400 for rep in reports)
+    full = lp_distances(system, average_sequence(system, fam, f, 400))
+    assert full.any()
+    for rep in reports:
+        want = max_chain(full, rep.epsilon, rep.beta_used)
+        assert (rep.chain, rep.count, rep.beta_used) == (want.chain, want.count, want.beta_used)
 
 
 # ---------------------------------------------------------------------------
