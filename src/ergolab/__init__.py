@@ -71,7 +71,6 @@ from .folner import (
     envelope,
     family_from_jsonable,
     fast_refinement,
-    folner_ratio,
     greedy_folner,
     least_index,
     standard_family,

@@ -5,8 +5,7 @@ All cardinality comparisons are exact: set sizes are integers, tolerances are
 are decided without floating point.  Standard box families are represented by
 their radii, so ratios on them come from closed-form overlap counts, as do
 explicit lattice sets that fill their bounding box (`Group.filled_overlaps`);
-`folner_ratio` always counts literally (every element translated, the shared
-rows counted), which the tests replay against the closed forms.
+other explicit sets count the rows they share with each translate.
 
 A set is read only as `FolnerFamily.block(n)`, one read-only `to_block` array
 of distinct rows in ascending canonical order.  A worst ratio over F_n is
@@ -309,19 +308,6 @@ def family_from_jsonable(data: dict) -> FolnerFamily:
         sets = [[tuple(g) if isinstance(g, list) else g for g in s] for s in data["sets"]]
         return ExplicitFamily(group, sets, provenance=data.get("provenance", "explicit"))
     raise StructureError(f"unknown family kind {kind!r}")
-
-
-def folner_ratio(family: FolnerFamily, n: int, g) -> Fraction:
-    """|F_n delta g F_n| / |F_n| by exact set arithmetic.
-
-    Translates every element of F_n's `block` by the group law
-    (`Group.translate_block`) and counts the elements shared with F_n:
-    |F delta gF| = 2(|F| - |F intersect gF|).  Independent of the
-    closed-form counts of `family.overlaps`, whose one row is `family.ratio`.
-    """
-    rows = family.block(n)
-    shared = _common_rows(rows, family.group.translate_block(rows, g))
-    return Fraction(2 * (len(rows) - shared), len(rows))
 
 
 # ---------------------------------------------------------------------------

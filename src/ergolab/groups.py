@@ -8,8 +8,9 @@ Heisenberg group H3(Z) in the upper-triangular presentation
 Canonical forms are plain Python ints (Z) or tuples of ints (Z^d, H3), so
 equality of canonical forms is group equality and arithmetic never wraps
 around; Z is Z^1 with an int for its canonical form.  Every group carries one
-fixed computable enumeration g_1, g_2, ... starting at the identity;
-constructions that consume the enumeration are deterministic across runs.
+fixed computable enumeration g_1, g_2, ... starting at the identity (on H3, its
+shells are read from `box_block`); constructions that consume the enumeration
+are deterministic across runs.
 
 Each group also knows the geometry of its standard Folner boxes (cardinality,
 the least radius holding each element, exact translation overlap counts, and
@@ -21,8 +22,9 @@ its one corner count and one box threshold.  A block of elements is one array
 int64 wherever no value can reach 2^62 and by the same numpy steps on Python
 ints (an object array) past that; on a lattice it is prod max(0, w_i - |g_i|)
 over side widths w_i, for boxes and sets filling their bounding box alike
-(`Group.filled_overlaps`).  `Group.box_overlap` is one row of the block; Z
-and Z^d keep a scalar product for the threshold's one-corner probes.
+(`Group.filled_overlaps`).  The one `Group.multiply` is one row of
+`translate_block`, and `Group.box_overlap` one row of `box_overlaps`; Z and
+Z^d keep a scalar product for the threshold's one-corner probes.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GroupElementError, UnsupportedGroupError
+from .errors import GroupElementError, UnsupportedGroupError
 
 
 # every int64 intermediate of an array overlap route stays strictly below this
@@ -172,16 +174,11 @@ class Group:
         return to_block(elems)
 
     def multiply(self, a, b):
-        raise NotImplementedError
-
-    def inverse(self, a):
-        raise NotImplementedError
-
-    def enumerate_prefix(self, count: int) -> list:
-        """First count elements of the fixed enumeration, identity first."""
-        if not (type(count) is int and count >= 1):  # an int, not a bool
-            raise DomainError(f"enumeration prefix length must be an integer >= 1, got {count!r}")
-        return list(itertools.islice(self.enumeration(), count))
+        """a*b as a canonical form: a and b are checked in that order, and the product is one row of
+        `translate_block`."""
+        self.check_element(a)
+        self.check_element(b)
+        return from_block(self.translate_block(to_block([b]), a))[0]
 
     def enumeration(self) -> Iterator:
         """The fixed enumeration g_1, g_2, ..., identity first, drawn lazily."""
@@ -204,11 +201,9 @@ class Group:
         """
         raise NotImplementedError
 
-    def box_elements(self, r: int) -> Iterator:
-        raise NotImplementedError
-
     def box_block(self, r: int) -> np.ndarray:
-        """B_r as a read-only int64 `to_block` array in ascending canonical order, `box_elements`' order."""
+        """B_r as a read-only int64 `to_block` array in ascending canonical order: the first coordinate
+        slowest, each over its range from least to greatest, as `itertools.product` of the ranges."""
         raise NotImplementedError
 
     def box_overlap(self, r: int, g) -> int:
@@ -266,15 +261,6 @@ class LatticeGroup(Group):
     def identity(self):
         return (0,) * self.dimension
 
-    def multiply(self, a, b):
-        self.check_element(a)
-        self.check_element(b)
-        return tuple(x + y for x, y in zip(a, b))
-
-    def inverse(self, a):
-        self.check_element(a)
-        return tuple(-x for x in a)
-
     def _shell(self, s: int) -> List[tuple]:
         """Elements of 1-norm exactly s, in the decided deterministic order."""
         partial = [((), s)]  # (leading coordinates, 1-norm left for the rest)
@@ -304,9 +290,6 @@ class LatticeGroup(Group):
         reaches = _abs(block)
         # column by column: on a tall block, 10x faster than max(axis=1)
         return reaches if reaches.ndim == 1 else functools.reduce(np.maximum, reaches.T)
-
-    def box_elements(self, r):
-        return itertools.product(range(-r, r + 1), repeat=self.dimension)
 
     def box_block(self, r):
         return _grid(*[r] * self.dimension).reshape(-1, *np.shape(self.identity))  # (N,) on Z
@@ -346,7 +329,7 @@ class LatticeGroup(Group):
 
 class IntegerGroup(LatticeGroup):
     """The integers under addition: Z^1 with a plain Python int as canonical form and blocks of shape (N,);
-    Z^1's block law, box geometry and enumeration order, with the scalar element methods."""
+    Z^1's block law, box geometry and enumeration order, with ints for elements."""
 
     def __init__(self):
         super().__init__(1)
@@ -360,20 +343,8 @@ class IntegerGroup(LatticeGroup):
         if not _is_int(a):
             raise GroupElementError(f"Z element must be an int, got {a!r}")
 
-    def multiply(self, a, b):
-        self.check_element(a)
-        self.check_element(b)
-        return a + b
-
-    def inverse(self, a):
-        self.check_element(a)
-        return -a
-
     def enumeration(self):
         return (k for (k,) in super().enumeration())
-
-    def box_elements(self, r):
-        return iter(range(-r, r + 1))
 
     def box_overlap(self, r, g):
         return max(0, 2 * r + 1 - abs(g))
@@ -396,27 +367,12 @@ class HeisenbergGroup(Group):
     def identity(self):
         return (0, 0, 0)
 
-    def multiply(self, x, y):
-        self.check_element(x)
-        self.check_element(y)
-        a, b, c = x
-        ap, bp, cp = y
-        return (a + ap, b + bp, c + cp + a * bp)
-
-    def inverse(self, x):
-        self.check_element(x)
-        a, b, c = x
-        return (-a, -b, -c + a * b)
-
     def enumeration(self):
-        # box-radius sweep: new elements of B_r \ B_{r-1} per shell, zig-zag keyed
+        # box-radius sweep: the shell B_r \ B_{r-1}, the rows of B_r that r first reaches, zig-zag keyed
         yield (0, 0, 0)
         for r in itertools.count(1):
-            shell = [
-                (a, b, c)
-                for a, b, c in self.box_elements(r)
-                if max(abs(a), abs(b)) > r - 1 or abs(c) > (r - 1) ** 2
-            ]
+            box = self.box_block(r)
+            shell = from_block(box[self.box_reaches(box) == r])
             shell.sort(key=lambda t: (_zigzag_rank(t[0]), _zigzag_rank(t[1]), _zigzag_rank(t[2])))
             yield from shell
 
@@ -447,11 +403,6 @@ class HeisenbergGroup(Group):
             ceil = np.array([math.isqrt(c - 1) + 1 if c else 0 for c in central.tolist()], dtype=object)
         # column by column, as on lattices: on a tall block, faster than a row-wise max(axis=1)
         return np.maximum(np.maximum(_abs(block[:, 0]), _abs(block[:, 1])), ceil)
-
-    def box_elements(self, r):
-        rng = range(-r, r + 1)
-        crng = range(-r * r, r * r + 1)
-        return itertools.product(rng, rng, crng)
 
     def box_block(self, r):
         return _grid(r, r, r * r)

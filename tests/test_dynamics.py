@@ -5,9 +5,11 @@ Fraction arithmetic and raw permutation powers, independent of the library's
 float pipeline.
 """
 
+import itertools
 import re
 from fractions import Fraction
 
+import group_oracles as literal
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,7 +97,7 @@ def test_koopman_isometry_random():
     rng = np.random.default_rng(123)
     systems = [rotation_system(12), torus_translation_system(5, 4), heisenberg_torus_system(4, 4)]
     for system in systems:
-        pool = system.group.enumerate_prefix(30)
+        pool = literal.prefix(system.group, 30)
         for _ in range(25):
             f = system.observable(rng.normal(size=system.n_points), float(rng.uniform(1.2, 5.0)))
             g = pool[int(rng.integers(len(pool)))]
@@ -129,9 +131,26 @@ def test_action_validation_weights_constant_on_orbits():
 
 
 def test_shipped_systems_are_exact_homomorphisms():
-    rotation_system(12).validate_action(pairs=80)
-    torus_translation_system(10, 10).validate_action(pairs=80)
-    heisenberg_torus_system(5, 5).validate_action(pairs=80)
+    rotation_system(12).validate_action()
+    torus_translation_system(10, 10).validate_action()
+    heisenberg_torus_system(5, 5).validate_action()
+    heisenberg_mod3_system()[0].validate_action()
+
+
+def non_commuting_last_pair(d):
+    """Z^d on 3 points: t_(d-1) = (0 1), t_d = (1 2) and every other generator the identity; t_(d-1) and
+    t_d do not commute, so this is no action of Z^d."""
+    gens = {f"t{i}": [0, 1, 2] for i in range(1, d + 1)}
+    gens[f"t{d - 1}"], gens[f"t{d}"] = [1, 0, 2], [0, 2, 1]
+    return FiniteMeasureSystem(group_by_name(f"Z^{d}"), [Fraction(1, 3)] * 3, gens)
+
+
+def test_validate_action_refuses_non_commuting_last_generators():
+    # every relation is checked, the last pair of Z^10 and Z^64 included
+    for d in list(range(3, 11)) + [64]:
+        relation = f"t{d - 1} t{d} = t{d} t{d - 1}"
+        with pytest.raises(StructureError, match=re.escape(f"the Z^{d} relation {relation} fails")):
+            non_commuting_last_pair(d).validate_action()
 
 
 def test_heisenberg_center_acts_trivially():
@@ -149,7 +168,7 @@ def heisenberg_mod3_system():
     h3 = HeisenbergGroup()
 
     def left(g):
-        return [index[tuple(v % 3 for v in h3.multiply(g, h))] for h in points]
+        return [index[tuple(v % 3 for v in literal.law(h3, g, h))] for h in points]
 
     gens = {"x": left((1, 0, 0)), "y": left((0, 1, 0)), "z": left((0, 0, 1))}
     return FiniteMeasureSystem(h3, [Fraction(1, 27)] * 27, gens), left
@@ -157,9 +176,9 @@ def heisenberg_mod3_system():
 
 def test_heisenberg_act_is_left_multiplication():
     system, left = heisenberg_mod3_system()
-    for g in system.group.enumerate_prefix(200):
+    for g in literal.prefix(system.group, 200):
         assert system.act(g).tolist() == left(g)
-    system.validate_action(pairs=200, prefix=200)
+    system.validate_action()
 
 
 def test_act_returns_equal_read_only_arrays():
@@ -582,7 +601,7 @@ def oracle_families(draw, group):
         return boxes
     if kind == "refined":
         return RefinedFamily(boxes, sorted(draw(st.sets(st.integers(1, boxes.n_max), min_size=1))))
-    pool = group.enumerate_prefix(60)
+    pool = literal.prefix(group, 60)
     subsets = st.sets(st.sampled_from(pool), min_size=1, max_size=25)
     return ExplicitFamily(group, draw(st.lists(subsets, min_size=1, max_size=3)))
 
@@ -599,7 +618,7 @@ def plain_action(system, g):
     """s -> g . s as a list, composed from the generator lists in plain Python.
 
     g is written as a word in the generators, x^a y^b z^(c - ab) on H3, and the
-    word is checked against g by the group law; a point then takes the word's
+    word is checked against g by the literal law; a point then takes the word's
     letters right to left, each a generator power stepped out by power_by_steps.
     """
     key = (system, g)
@@ -613,9 +632,9 @@ def plain_action(system, g):
             word = list(zip(units, [g] if group.name == "Z" else g))
         product = group.identity
         for name, k in word:
-            unit = units[name] if k >= 0 else group.inverse(units[name])
+            unit = units[name] if k >= 0 else literal.inverse(group, units[name])
             for _ in range(abs(k)):
-                product = group.multiply(product, unit)
+                product = literal.law(group, product, unit)
         assert product == g, (g, word)
         perm = list(range(system.n_points))
         for name, k in reversed(word):
@@ -659,23 +678,53 @@ def test_element_sum_averages_are_bitwise_the_per_set_loop(data, name, shape, se
     assert np.array_equal(got, element_sum_oracle(system, family, indices, values))
 
 
-def test_validate_action_names_the_first_sampled_pair_that_fails():
-    # commuting x and y with a z that moves points: not an action of H3, whose [x, y] = z
+def test_validate_action_names_the_first_relation_that_fails():
+    # H3's relations in order: z x = x z, z y = y z, x y = y x z
     torus = heisenberg_torus_system(3, 3)
     gens = {name: perm.tolist() for name, perm in torus.generators.items()}
-    gens["z"] = gens["x"]
-    system = FiniteMeasureSystem(torus.group, torus.weights, gens)
-    pool = system.group.enumerate_prefix(24)
-    rng = np.random.default_rng(0)
-    for _ in range(50):  # the pairs validate_action samples, in its order
-        g, h = pool[int(rng.integers(len(pool)))], pool[int(rng.integers(len(pool)))]
-        act_g, act_h = plain_action(system, g), plain_action(system, h)
-        if plain_action(system, system.group.multiply(g, h)) != [act_g[v] for v in act_h]:
-            break
-    else:
-        pytest.fail("no sampled pair fails")
-    with pytest.raises(StructureError, match=re.escape(f"action is not a homomorphism at g={g!r}, h={h!r}")):
+    x, y = gens["x"], gens["y"]
+    swap = [1, 0] + list(range(2, 9))  # commutes with neither torus shift
+    for z, relation in [(x, "x y = y x z"), (swap, "z x = x z"), (y, "x y = y x z")]:
+        system = FiniteMeasureSystem(torus.group, torus.weights, dict(gens, z=z))
+        with pytest.raises(StructureError, match=re.escape(f"the H3 relation {relation} fails")):
+            system.validate_action()
+    # with x central, z fails to commute with y first
+    system = FiniteMeasureSystem(torus.group, torus.weights, dict(gens, x=list(range(9)), z=swap))
+    with pytest.raises(StructureError, match=re.escape("the H3 relation z y = y z fails")):
         system.validate_action()
+    # Z^3's relations in order: t1 t2, t1 t3, t2 t3, each the two products compared
+    ident, a, b = [0, 1, 2], [1, 0, 2], [0, 2, 1]
+    for gens, relation in [
+        ({"t1": a, "t2": b, "t3": b}, "t1 t2 = t2 t1"),
+        ({"t1": a, "t2": a, "t3": b}, "t1 t3 = t3 t1"),
+        ({"t1": ident, "t2": a, "t3": b}, "t2 t3 = t3 t2"),
+    ]:
+        system = FiniteMeasureSystem(group_by_name("Z^3"), [Fraction(1, 3)] * 3, gens)
+        with pytest.raises(StructureError, match=re.escape(f"the Z^3 relation {relation} fails")):
+            system.validate_action()
+
+
+GENERATOR_NAMES = {"Z^2": ["t1", "t2"], "Z^3": ["t1", "t2", "t3"], "H3": ["x", "y", "z"]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), name=st.sampled_from(sorted(GENERATOR_NAMES)), points=st.integers(2, 4))
+def test_validate_action_passes_exactly_when_the_action_is_a_homomorphism(data, name, points):
+    # act(gh) = act(g) o act(h) for all g, h in B_1, gh by the literal law, decides it exactly
+    group = group_by_name(name)
+    gens = {k: data.draw(st.permutations(range(points))) for k in GENERATOR_NAMES[name]}
+    system = FiniteMeasureSystem(group, [Fraction(1, points)] * points, gens)
+    ball = literal.box(group, 1)
+    pairs = list(itertools.product(ball, repeat=2))
+    rows = system.act_block(to_block(ball + [literal.law(group, g, h) for g, h in pairs]))
+    act = dict(zip(ball, rows))
+    homomorphic = all(np.array_equal(row, act[g][act[h]]) for (g, h), row in zip(pairs, rows[len(ball) :]))
+    try:
+        system.validate_action()
+    except StructureError:
+        assert not homomorphic
+    else:
+        assert homomorphic
 
 
 BOX_FAMILIES = {

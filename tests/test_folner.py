@@ -1,8 +1,8 @@
 """Folner family, ratio, modulus, greedy-construction and refinement tests.
 
-Brute-force oracles here use nothing but frozensets and the group law, so the
-closed-form routes and the row counts of explicit sets are checked against
-literal set arithmetic.
+Brute-force oracles here use nothing but frozensets and the literal group law
+and boxes of `group_oracles`, so the closed-form routes and the row counts of
+explicit sets are checked against literal set arithmetic.
 """
 
 import itertools
@@ -13,6 +13,7 @@ import re
 import time
 from fractions import Fraction
 
+import group_oracles as literal
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,6 @@ from ergolab import (
     envelope,
     family_from_jsonable,
     fast_refinement,
-    folner_ratio,
     greedy_folner,
     group_by_name,
     least_index,
@@ -62,9 +62,9 @@ H3 = group_by_name("H3")
 
 
 def brute_ratio(group, elems, g):
-    """|F delta gF| / |F| straight from the definition."""
+    """|F delta gF| / |F| straight from the definition, by the literal law."""
     s = frozenset(elems)
-    gs = frozenset(group.multiply(g, x) for x in s)
+    gs = frozenset(literal.law(group, g, x) for x in s)
     return Fraction(len(s ^ gs), len(s))
 
 
@@ -91,37 +91,35 @@ def test_ratio_identity_is_zero():
         fam = standard_family(group, 4)
         for n in range(1, 5):
             assert fam.ratio(n, group.identity) == 0
-            assert folner_ratio(fam, n, group.identity) == 0
+            assert brute_ratio(group, fam.elements(n), group.identity) == 0
 
 
 def test_ratio_z_example():
     fam = standard_family(Z, 10)
-    assert folner_ratio(fam, 5, 2) == Fraction(4, 11)
+    assert brute_ratio(Z, fam.elements(5), 2) == Fraction(4, 11)
     assert fam.ratio(5, 2) == Fraction(4, 11)
 
 
 def test_ratio_z2_axis_example():
     fam = standard_family(Z2, 10)
     for m in range(1, 11):
-        assert folner_ratio(fam, m, (1, 0)) == Fraction(2, 2 * m + 1)
+        assert brute_ratio(Z2, fam.elements(m), (1, 0)) == Fraction(2, 2 * m + 1)
 
 
 @pytest.mark.parametrize("group", [Z, Z2], ids=lambda g: g.name)
 def test_closed_form_equals_set_arithmetic(group):
     fam = standard_family(group, 8)
     rng = random.Random(2311)
-    pool = group.enumerate_prefix(40)
+    pool = literal.prefix(group, 40)
     for m in range(1, 9):
         for g in rng.sample(pool, 12):
-            expected = brute_ratio(group, fam.elements(m), g)
-            assert fam.ratio(m, g) == expected
-            assert folner_ratio(fam, m, g) == expected
+            assert fam.ratio(m, g) == brute_ratio(group, fam.elements(m), g)
 
 
 def test_h3_overlap_formula_against_brute_force():
     fam = standard_family(H3, 3)
     rng = random.Random(7)
-    pool = H3.enumerate_prefix(80)
+    pool = literal.prefix(H3, 80)
     for r in (1, 2):
         for g in rng.sample(pool, 15):
             assert fam.ratio(r, g) == brute_ratio(H3, fam.elements(r), g)
@@ -156,7 +154,7 @@ def test_explicit_family_overlaps_match_sets():
 def test_explicit_tuple_sets_match_sets(group):
     # boxes, random subsets, and sets with coordinates at and past int64's ends
     rng = random.Random(8)
-    box = sorted(group.box_elements(2))
+    box = literal.box(group, 2)
     big = [2**70, -(2**63), 2**63 - 1, 2**31, 0, 1]
     far = {tuple(rng.choice(big) for _ in group.identity) for _ in range(12)}
     # a bounding box of about 2^65 points, where int64 codes of (0, 0) and (0, 2^32) would meet
@@ -167,10 +165,10 @@ def test_explicit_tuple_sets_match_sets(group):
     gs = box[::7] + sorted(far) + [tuple(-c for c in g) for g in far] + sorted(wide)
     for n, s in enumerate(sets, start=1):
         assert fam.overlaps(n, to_block(gs)).tolist() == [
-            len(frozenset(s) & {group.multiply(g, x) for x in s}) for g in gs
+            len(frozenset(s) & {literal.law(group, g, x) for x in s}) for g in gs
         ]
         for g in gs:
-            assert fam.ratio(n, g) == brute_ratio(group, s, g) == folner_ratio(fam, n, g)
+            assert fam.ratio(n, g) == brute_ratio(group, s, g)
 
 
 def sweep_rows(group):
@@ -183,13 +181,13 @@ def sweep_rows(group):
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_translations_and_overlaps_match_the_group_law(data):
-    # 20 derandomised draws per group: every translated row against multiply, every overlap against sets
+    # 20 derandomised draws per group: every translated row against the literal law, every overlap against sets
     for group in (Z, Z2, Z3, H3):
         rows, gs = data.draw(sweep_rows(group)), data.draw(sweep_rows(group))
         fam, s = ExplicitFamily(group, [rows]), frozenset(rows)
         for g in gs:
-            assert from_block(group.translate_block(to_block(rows), g)) == [group.multiply(g, x) for x in rows]
-        assert fam.overlaps(1, to_block(gs)).tolist() == [len(s & {group.multiply(g, x) for x in s}) for g in gs]
+            assert from_block(group.translate_block(to_block(rows), g)) == [literal.law(group, g, x) for x in rows]
+        assert fam.overlaps(1, to_block(gs)).tolist() == [len(s & {literal.law(group, g, x) for x in s}) for g in gs]
 
 
 def test_empty_set_rejected():
@@ -208,14 +206,14 @@ def test_empty_set_rejected():
     ],
 )
 def test_explicit_sets_are_checked_in_one_pass_with_the_element_errors(group, bad, message, monkeypatch):
-    good = [group.identity, group.enumerate_prefix(3)[-1]]
+    good = [group.identity, literal.prefix(group, 3)[-1]]
     with pytest.raises(GroupElementError) as info:
         ExplicitFamily(group, [good, good + [bad]])
     assert str(info.value) == message
     # a valid set is accepted without a per-element check
     calls = []
     monkeypatch.setattr(type(group), "check_element", lambda self, a: calls.append(a))
-    ExplicitFamily(group, [good, group.enumerate_prefix(50)])
+    ExplicitFamily(group, [good, literal.prefix(group, 50)])
     assert calls == []
 
 
@@ -224,11 +222,11 @@ def test_box_elements_are_the_group_box(monkeypatch):
     for group, top in ((Z, 149), (Z2, 8), (H3, 2)):
         fam = standard_family(group, top + 1)
         for n in list(range(1, top + 1)) + [1, top, 1]:
-            assert fam.elements(n) == frozenset(group.box_elements(n))
+            assert fam.elements(n) == frozenset(literal.box(group, n))
             assert fam.block(n) is fam.block(n)  # the latest box is kept
         with pytest.raises(FamilyTooLargeError):
             fam.elements(top + 1)
-        assert fam.elements(1) == frozenset(group.box_elements(1))
+        assert fam.elements(1) == frozenset(literal.box(group, 1))
 
 
 @pytest.mark.parametrize(
@@ -249,7 +247,7 @@ def _block_cases():
     rng = random.Random(5)
     edge = 2**63 - 2
     explicit_ints = ExplicitFamily(Z, [[3, -1, 3, 0], [5], rng.sample(range(-40, 40), 25) * 2])
-    box = sorted(Z2.box_elements(3))
+    box = literal.box(Z2, 3)
     explicit_tuples = ExplicitFamily(Z2, [[(1, 0), (0, 1), (1, 0), (-1, 5)], rng.sample(box, 20)])
     past_int64 = ExplicitFamily(Z, [[2**70, -(2**63), 0, edge, 2**70], [edge, edge + 1, edge + 3, -5]])
     tuples_past_int64 = ExplicitFamily(H3, [[(2**64, 0, 0), (0, 0, 0), (-1, 2**70, 3), (0, 0, 0)], [(1, 2, 3)]])
@@ -322,7 +320,7 @@ def test_library_reads_no_frozenset(monkeypatch):
     for family in (greedy, explicit, standard_family(H3, 4)):
         build_modulus_table(family, range(1, 3), [Fraction(3, 2)], m_max=4)
         check_fast(family, 1, Fraction(3, 2), 4)
-        assert folner_ratio(family, 2, family.group.identity) == 0
+        assert family.ratio(2, family.group.identity) == 0
         worst_ratio(family, 2, 1)
     assert fast_refinement(explicit, Fraction(1, 2)).indices == [1, 2, 3, 5]
     torus = torus_translation_system(4, 4)
@@ -340,7 +338,7 @@ def test_worst_ratio_witness_is_the_first_maximiser_in_ascending_order():
         maximisers = [h for h in sorted(fam.elements(1)) if fam.ratio(m, h) == r]
         assert g == maximisers[0] == (-1, -1, -1)
         # frozenset order would pick another one: the witness is pinned to the sorted order
-        assert next(h for h in frozenset(H3.box_elements(1)) if fam.ratio(m, h) == r) != g
+        assert next(h for h in frozenset(literal.box(H3, 1)) if fam.ratio(m, h) == r) != g
     report = check_fast(fam, 1, Fraction(1, 2), 3)
     assert report.violation == (1, 2, (-1, -1, -1), Fraction(14, 15))
 
@@ -506,14 +504,16 @@ def test_modulus_h3_empirical_and_reverified():
     fam = standard_family(H3, 12)
     entry = convergence_modulus(fam, 1, Fraction(1, 2), m_max=12)
     assert entry.kind == "empirical" and entry.certified_up_to == 12
-    # independent re-verification by literal set arithmetic over the window
+    # independent re-verification over the window, by the literal law and box
+    def literal_ratio(m, g):
+        card = (2 * m + 1) ** 2 * (2 * m * m + 1)
+        return Fraction(2 * (card - literal.box_overlap(H3, m, g)), card)
+
     for m in range(entry.value, 13):
         for g in fam.elements(1):
-            assert folner_ratio(fam, m, g) < Fraction(1, 2)
+            assert literal_ratio(m, g) < Fraction(1, 2)
     if entry.value > 1:
-        assert any(
-            folner_ratio(fam, entry.value - 1, g) >= Fraction(1, 2) for g in fam.elements(1)
-        )
+        assert any(literal_ratio(entry.value - 1, g) >= Fraction(1, 2) for g in fam.elements(1))
 
 
 def test_modulus_entries_reverify():
@@ -582,14 +582,14 @@ def test_greedy_guarantee_small_window():
 
 def test_greedy_is_nested_and_contains_enumeration():
     fam = greedy_folner(Z, 6)
-    enum = Z.enumerate_prefix(6)
+    enum = literal.prefix(Z, 6)
     for n in range(1, 6):
         assert fam.elements(n) <= fam.elements(n + 1)
         assert enum[n - 1] in fam.elements(n)
 
 
 def test_greedy_draws_each_enumerated_element_when_its_stage_is_built(monkeypatch):
-    drawn, first_six = [], Z.enumerate_prefix(6)
+    drawn, first_six = [], literal.prefix(Z, 6)
     enumerate_all = Z.enumeration
     monkeypatch.setattr(Z, "enumeration", lambda: (drawn.append(g) or g for g in enumerate_all()))
     assert greedy_folner(Z, 6).n_max == 6 and drawn == first_six
@@ -636,7 +636,7 @@ def scalar_greedy(group, n_max, search_budget=10_000):
             return abs(g[0]) <= r and abs(g[1]) <= r and abs(g[2]) <= r * r
         return all(abs(c) <= r for c in (g if isinstance(g, tuple) else (g,)))
 
-    enum = group.enumerate_prefix(n_max)
+    enum = literal.prefix(group, n_max)
     sets = [frozenset([enum[0]])]
     for stage in range(2, n_max + 1):
         prev = sets[-1]
@@ -649,7 +649,7 @@ def scalar_greedy(group, n_max, search_budget=10_000):
             if r and r >= reach:
                 card, overlap_of = group.box_card(r), lambda g: group.box_overlap(r, g)
             else:
-                s = prev | frozenset(group.box_elements(r)) if r else prev
+                s = prev | frozenset(literal.box(group, r)) if r else prev
                 if r and s == prev:
                     return False  # the r = 0 candidate, probed first and refuted
                 one = ExplicitFamily(group, [s])
@@ -657,7 +657,7 @@ def scalar_greedy(group, n_max, search_budget=10_000):
             return all(stage * 2 * (card - overlap_of(g)) < card for g in sorted(prev))
 
         radius = least_index(valid, 0)
-        chosen = prev | frozenset(group.box_elements(radius)) if radius else prev
+        chosen = prev | frozenset(literal.box(group, radius)) if radius else prev
         sets.append(chosen | {enum[stage - 1]})
     return sets
 
@@ -849,19 +849,6 @@ def test_checks_refuse_a_nonpositive_tolerance(eps):
         check_modulus(fam, 1, eps, 2, 5)
 
 
-def test_folner_ratio_never_uses_the_family_ratio(monkeypatch):
-    sets = [{0}, {-1, 0, 1, 2}, {-3, -1, 0, 2, 5}, set(range(-4, 5))]
-    fam = ExplicitFamily(Z, sets)
-
-    def refuse(self, n, g):
-        raise AssertionError("folner_ratio took the family's own ratio route")
-
-    monkeypatch.setattr(ExplicitFamily, "ratio", refuse)
-    for n, s in enumerate(sets, start=1):
-        for g in range(-10, 11):
-            assert folner_ratio(fam, n, g) == brute_ratio(Z, s, g)
-
-
 def test_check_fast_matches_explicit_route():
     boxes = standard_family(Z, 15)
     explicit = ExplicitFamily(Z, [boxes.elements(n) for n in range(1, 16)])
@@ -921,7 +908,7 @@ class CornerlessLattice(LatticeGroup):
 def _worst_ratio_cases():
     rng = random.Random(3)
     non_nested = ExplicitFamily(Z, [rng.sample(range(-30, 30), k) for k in (3, 9, 5, 12)])
-    tuples = ExplicitFamily(Z2, [rng.sample(sorted(Z2.box_elements(3)), k) for k in (2, 7, 4)])
+    tuples = ExplicitFamily(Z2, [rng.sample(literal.box(Z2, 3), k) for k in (2, 7, 4)])
     edge = 2**62 - 10  # translations shift past int64
     huge = ExplicitFamily(Z, [{edge, -3}, {edge, edge + 2, 0, 5}, {2**70, 1, -(2**64), 9}])
     return [
@@ -1169,7 +1156,6 @@ EXACT_INT_ARGUMENTS = {  # name: (call, an int it accepts)
     "corollary_bound lam": (lambda x: corollary_bound(ConvexityModulus.hanner(2), 1.0, 0.5, 0.001, x), 2),
     "verify_corollary lam": (_verify_corollary_with_lambda, 1),
     "max_chain beta": (lambda x: max_chain([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 0.5, beta=[x, 3, 4]), 2),
-    "enumerate_prefix count": (lambda x: Z.enumerate_prefix(x), 2),
 }
 
 

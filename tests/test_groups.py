@@ -1,15 +1,17 @@
 """Group law, enumeration and canonical-form tests."""
 
+import functools
 import itertools
 import math
 import random
 import re
 from fractions import Fraction
 
+import group_oracles as literal
 import numpy as np
 import pytest
 
-from ergolab import ExplicitFamily, GroupElementError, UnsupportedGroupError, folner_ratio, group_by_name
+from ergolab import ExplicitFamily, GroupElementError, UnsupportedGroupError, group_by_name
 from ergolab.folner import _common_rows
 from ergolab.groups import MAX_DIMENSION, LatticeGroup, from_block, row_codes, to_block
 
@@ -31,50 +33,53 @@ def test_h3_multiply_example():
 
 
 def test_inverse_examples():
-    assert Z.inverse(7) == -7
-    assert Z2.inverse((0, 0)) == (0, 0)
+    # the literal inverses multiply to the identity on either side
+    assert Z.multiply(7, -7) == Z.multiply(-7, 7) == Z.identity
+    assert Z2.multiply((3, -1), (-3, 1)) == Z2.identity
     # solve (1,1,1)(x,y,z) = (0,0,0) under the chosen law
-    assert H3.inverse((1, 1, 1)) == (-1, -1, 0)
-    assert H3.multiply((1, 1, 1), H3.inverse((1, 1, 1))) == H3.identity
+    assert literal.inverse(H3, (1, 1, 1)) == (-1, -1, 0)
+    assert H3.multiply((1, 1, 1), (-1, -1, 0)) == H3.multiply((-1, -1, 0), (1, 1, 1)) == H3.identity
 
 
 def test_enumeration_examples():
-    assert Z.enumerate_prefix(5) == [0, 1, -1, 2, -2]
-    assert Z.enumerate_prefix(1) == [0]
-    assert Z2.enumerate_prefix(5) == [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
-    assert H3.enumerate_prefix(1) == [(0, 0, 0)]
+    assert literal.prefix(Z, 5) == [0, 1, -1, 2, -2]
+    assert literal.prefix(Z, 1) == [0]
+    assert literal.prefix(Z2, 5) == [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+    assert literal.prefix(H3, 1) == [(0, 0, 0)]
 
 
 @pytest.mark.parametrize("group", [Z, Z2, H3], ids=lambda g: g.name)
 def test_enumeration_prefix_property(group):
-    long = group.enumerate_prefix(120)
+    long = literal.prefix(group, 120)
     assert len(set(long)) == 120  # injective
     for n in (1, 7, 30, 119):
-        assert group.enumerate_prefix(n) == long[:n]
+        assert literal.prefix(group, n) == long[:n]  # the same order on every draw
 
 
 def test_group_axioms_exhaustive_z():
-    elems = Z.enumerate_prefix(30)
+    elems = literal.prefix(Z, 30)
+    multiply = functools.lru_cache(maxsize=None)(Z.multiply)  # each distinct product computed once
     for a, b, c in itertools.product(elems, repeat=3):
-        assert Z.multiply(Z.multiply(a, b), c) == Z.multiply(a, Z.multiply(b, c))
+        assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
     for a in elems:
         assert Z.multiply(a, Z.identity) == a
         assert Z.multiply(Z.identity, a) == a
-        assert Z.multiply(a, Z.inverse(a)) == Z.identity
-        assert Z.multiply(Z.inverse(a), a) == Z.identity
+        assert Z.multiply(a, literal.inverse(Z, a)) == Z.identity
+        assert Z.multiply(literal.inverse(Z, a), a) == Z.identity
 
 
 @pytest.mark.parametrize("group", [Z2, H3], ids=lambda g: g.name)
 def test_group_axioms_randomized(group):
     rng = random.Random(20240803)
-    pool = group.enumerate_prefix(200)
+    pool = literal.prefix(group, 200)
     for _ in range(1000):
         a, b, c = (rng.choice(pool) for _ in range(3))
+        assert group.multiply(a, b) == literal.law(group, a, b)
         assert group.multiply(group.multiply(a, b), c) == group.multiply(a, group.multiply(b, c))
         assert group.multiply(a, group.identity) == a
         assert group.multiply(group.identity, a) == a
-        assert group.multiply(a, group.inverse(a)) == group.identity
-        assert group.multiply(group.inverse(a), a) == group.identity
+        assert group.multiply(a, literal.inverse(group, a)) == group.identity
+        assert group.multiply(literal.inverse(group, a), a) == group.identity
 
 
 def test_mismatched_kinds_raise():
@@ -83,9 +88,34 @@ def test_mismatched_kinds_raise():
     with pytest.raises(GroupElementError):
         Z2.multiply((1, 0), (1, 0, 0))
     with pytest.raises(GroupElementError):
-        H3.inverse((1, 2))
+        H3.multiply((1, 2), H3.identity)
     with pytest.raises(GroupElementError):
         Z.multiply(True, 1)  # bools are not canonical forms
+
+
+def test_multiply_checks_a_then_b_and_is_exact_past_int64():
+    # one Group.multiply: a is checked before b, each with its own element error
+    for group, bad_a, bad_b in [
+        (Z, True, (1, 0)),
+        (Z, 1.5, True),
+        (Z2, (1, True), (1, 0, 0)),
+        (Z2, [1, 0], (1,)),
+        (H3, (1, 2), (False, 0, 0)),
+        (H3, np.zeros(3, dtype=np.int64), "abc"),
+    ]:
+        for a, b, named in [(bad_a, bad_b, bad_a), (group.identity, bad_b, bad_b), (bad_a, group.identity, bad_a)]:
+            with pytest.raises(GroupElementError, match=re.escape(f"got {named!r}")):
+                group.multiply(a, b)
+    # Python ints past 2^63 in either factor, and products that leave int64 from int64 factors
+    big = [0, 1, -1, 2**62, 2**63 - 1, -(2**63), 2**63, 2**70, -(2**70)]
+    rng = random.Random(63)
+    for group in (Z, Z2, Z3, H3):
+        for _ in range(200):
+            a, b = ((rng.choice(big) if group is Z else tuple(rng.choice(big) for _ in group.identity)) for _ in range(2))
+            product = group.multiply(a, b)
+            assert product == literal.law(group, a, b), (a, b)
+            assert all(type(c) is int for c in ([product] if group is Z else product))  # canonical: no numpy ints
+    assert H3.multiply((2**40, 1, 2), (1, 2**40, 3)) == (2**40 + 1, 2**40 + 1, 2**80 + 5)
 
 
 def test_group_by_name():
@@ -108,12 +138,12 @@ def test_lattice_dimension_is_capped():
 
 
 def test_lattice_enumeration_prefix_is_pinned():
-    assert Z2.enumerate_prefix(25) == [
+    assert literal.prefix(Z2, 25) == [
         (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (-2, 0), (1, 1), (-1, 1), (1, -1), (-1, -1),
         (0, 2), (0, -2), (3, 0), (-3, 0), (2, 1), (-2, 1), (2, -1), (-2, -1), (1, 2), (-1, 2), (1, -2),
         (-1, -2), (0, 3), (0, -3),
     ]
-    assert Z3.enumerate_prefix(25) == [
+    assert literal.prefix(Z3, 25) == [
         (0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (2, 0, 0),
         (-2, 0, 0), (1, 1, 0), (-1, 1, 0), (1, -1, 0), (-1, -1, 0), (0, 2, 0), (0, -2, 0), (1, 0, 1),
         (-1, 0, 1), (0, 1, 1), (0, -1, 1), (1, 0, -1), (-1, 0, -1), (0, 1, -1), (0, -1, -1), (0, 0, 2),
@@ -121,9 +151,26 @@ def test_lattice_enumeration_prefix_is_pinned():
     ]
 
 
+def test_h3_enumeration_is_pinned_through_b3():
+    # the identity, then each shell B_r minus B_(r-1) in zig-zag order 0, 1, -1, 2, -2, ... of a, then b, then c
+    def zigzag(k):
+        return 2 * k - 1 if k > 0 else -2 * k
+
+    expected = [(0, 0, 0)]
+    for r in (1, 2, 3):
+        shell = [
+            (a, b, c)
+            for a, b, c in itertools.product(range(-r, r + 1), range(-r, r + 1), range(-r * r, r * r + 1))
+            if max(abs(a), abs(b)) > r - 1 or abs(c) > (r - 1) ** 2
+        ]
+        expected += sorted(shell, key=lambda g: tuple(map(zigzag, g)))
+    assert len(expected) == H3.box_card(3) == 931
+    assert list(itertools.islice(H3.enumeration(), 931)) == expected
+
+
 def test_lattice_enumeration_at_the_dimension_cap():
     group = LatticeGroup(MAX_DIMENSION)
-    prefix = group.enumerate_prefix(2 * MAX_DIMENSION + 1)
+    prefix = literal.prefix(group, 2 * MAX_DIMENSION + 1)
     # the identity, then the shell of 1-norm 1: +e_1, -e_1, +e_2, -e_2, ...
     unit = [tuple(int(i == k) for i in range(MAX_DIMENSION)) for k in range(MAX_DIMENSION)]
     assert prefix == [group.identity] + [v for e in unit for v in (e, tuple(-c for c in e))]
@@ -136,11 +183,11 @@ EDGES = [0, 1, -1, 2**30, 2**30 + 1, -(2**30), 2**60, 2**60 + 1, 2**62 - 1, 2**6
 def test_translate_block_matches_multiply():
     rng = random.Random(99)
     for group in (Z, Z2, H3):
-        pool = group.enumerate_prefix(60)
+        pool = literal.prefix(group, 60)
         s = rng.sample(pool, 25)
         g = rng.choice(pool)
         moved = group.translate_block(to_block(s), g)
-        assert moved.dtype == np.int64 and from_block(moved) == [group.multiply(g, x) for x in s]
+        assert moved.dtype == np.int64 and from_block(moved) == [literal.law(group, g, x) for x in s]
     for group in (Z, Z2, Z3, H3):
         rows = EDGES if group is Z else [tuple(rng.choice(EDGES) for _ in group.identity) for _ in range(100)]
         # the rows within each size: int64 blocks, and blocks that reach the edges of the int64 routes
@@ -155,7 +202,7 @@ def test_translate_block_matches_multiply():
         for within in blocks:
             block = to_block(within)
             for g in rows:
-                assert from_block(group.translate_block(block, g)) == [group.multiply(g, x) for x in within], g
+                assert from_block(group.translate_block(block, g)) == [literal.law(group, g, x) for x in within], g
             assert from_block(block) == within  # the block is left as it was
 
 
@@ -163,7 +210,7 @@ def test_h3_box_geometry_against_enumeration():
     # |B_1| = 3*3*3 for the quadratically scaled central coordinate
     assert H3.box_card(1) == 27
     assert H3.box_card(2) == 25 * 9
-    elems = set(H3.box_elements(1))
+    elems = set(literal.box(H3, 1))
     assert len(elems) == 27
     assert int(H3.box_reaches(to_block(sorted(elems))).max()) == 1
 
@@ -214,7 +261,7 @@ def test_h3_box_overlap_matches_fibre_loop_on_full_grid(r):
 def test_h3_box_overlap_matches_set_arithmetic():
     rng = random.Random(77)
     for r in range(4):
-        box = frozenset(H3.box_elements(r))
+        box = frozenset(literal.box(H3, r))
         # translations just beyond the reach of the box, the identity, and a random sample
         side, depth = 2 * r + 1, 2 * r * r + 1
         gs = list(itertools.product((-side, 0, side), (-side, 0, side), (-depth, 0, depth)))
@@ -222,7 +269,7 @@ def test_h3_box_overlap_matches_set_arithmetic():
             a, b = rng.randint(-side, side), rng.randint(-side, side)
             gs.append((a, b, rng.randint(-2 * depth, 2 * depth)))
         for g in gs:
-            assert H3.box_overlap(r, g) == len(box & {H3.multiply(g, x) for x in box}), (r, g)
+            assert H3.box_overlap(r, g) == len(box & {literal.law(H3, g, x) for x in box}), (r, g)
 
 
 def test_h3_box_overlap_is_exact_beyond_machine_integers():
@@ -245,7 +292,7 @@ def test_h3_box_overlap_is_exact_beyond_machine_integers():
     r = 10**12
     assert H3.box_overlap(r, H3.identity) == H3.box_card(r)
     for g in [(r, -r // 3, r * r // 2), (-2 * r, r, 1), (1, 2 * r, -(r * r)), (7, -5, 3 * r * r), (-r // 7, r // 11, 2**70)]:
-        assert H3.box_overlap(r, g) == H3.box_overlap(r, H3.inverse(g)), g
+        assert H3.box_overlap(r, g) == H3.box_overlap(r, literal.inverse(H3, g)), g
     # a = 0: every x2 fibre has the same depth
     b, c = r // 2, r * r // 3
     assert H3.box_overlap(r, (0, b, c)) == (2 * r + 1) * (2 * r + 1 - b) * (2 * r * r + 1 - c)
@@ -330,13 +377,13 @@ def test_box_overlaps_are_exact_beyond_machine_integers():
 
 def brute_reach(group, gs):
     """The least r whose materialized box B_r holds every g."""
-    return next(r for r in itertools.count() if set(gs) <= set(group.box_elements(r)))
+    return next(r for r in itertools.count() if set(gs) <= set(literal.box(group, r)))
 
 
 @pytest.mark.parametrize("group", [Z, Z2, H3], ids=lambda g: g.name)
 def test_box_reach_equals_least_containing_box(group):
     rng = random.Random(len(group.name))
-    pool = list(group.box_elements(3))
+    pool = literal.box(group, 3)
     blocks = [[group.identity], [group.box_corner(2) or (2, -2, -4)]] + [rng.sample(pool, min(k, len(pool))) for k in (1, 2, 5, 30)]
     if group is H3:
         # central coordinates between squares, negative ones included: (0, 0, 5) needs r = 3
@@ -348,7 +395,7 @@ def test_box_reach_equals_least_containing_box(group):
         want = brute_reach(group, gs)
         assert int(group.box_reaches(block).max()) == want, gs
         assert int(group.box_reaches(np.array(gs, dtype=object)).max()) == want, gs  # the object route agrees
-        # per row: the least r with g in box_elements(r), whose max is the least r holding them all
+        # per row: the least r with g in B_r, whose max is the least r holding them all
         reaches = [brute_reach(group, [g]) for g in gs]
         assert group.box_reaches(block).tolist() == reaches and max(reaches) == want, gs
         assert group.box_reaches(np.array(gs, dtype=object)).tolist() == reaches, gs
@@ -444,7 +491,7 @@ def test_check_element_accepts_exactly_the_general_check(group):
 
 @pytest.mark.parametrize("group", [Z, Z2, H3], ids=lambda g: g.name)
 def test_check_elements_on_a_block_accepts_exactly_its_rows(group):
-    elems = group.enumerate_prefix(6)
+    elems = literal.prefix(group, 6)
     flat = np.array(elems, dtype=np.int64).reshape(len(elems), -1)
     blocks = [
         to_block(elems),
@@ -475,7 +522,7 @@ def test_check_elements_on_a_block_accepts_exactly_its_rows(group):
 def test_box_block_is_box_elements_as_one_read_only_array(group, top):
     for r in range(top + 1):
         block = group.box_block(r)
-        expected = to_block(list(group.box_elements(r)))
+        expected = to_block(literal.box(group, r))
         assert block.dtype == expected.dtype == np.int64 and block.shape == expected.shape
         assert np.array_equal(block, expected) and len(block) == group.box_card(r)
         assert not block.flags.writeable
@@ -555,7 +602,7 @@ def test_filled_overlaps_equal_the_literal_row_count(group):
             if not past_int64:
                 assert got.dtype == np.int64  # -2^63 included: |F| bounds every factor and product
             for g, shared in zip(gs, got.tolist()):
-                assert folner_ratio(fam, 1, g) == Fraction(2 * (len(rows) - shared), len(rows)), g
+                assert shared == len(set(rows) & {literal.law(group, g, x) for x in rows}), g
 
 
 def test_filled_overlaps_is_none_without_a_closed_form():
@@ -564,13 +611,13 @@ def test_filled_overlaps_is_none_without_a_closed_form():
         Z1: [[(0,), (2,)], [(-(2**63),), (2**63 - 1,)]],
         Z2: [
             sorted({(x, 0) for x in range(4)} | {(0, y) for y in range(4)}),  # an L
-            [g for g in Z2.box_elements(2) if g != (2, 2)],  # a box less a corner
+            [g for g in literal.box(Z2, 2) if g != (2, 2)],  # a box less a corner
             [(0, 0), (5, 5)],
             [(-(2**63), 0), (2**63 - 1, 1)],
         ],
-        Z3: [[g for g in Z3.box_elements(1) if g != (0, 0, 0)], [(0, 0, 0), (1, 1, 1)]],
+        Z3: [[g for g in literal.box(Z3, 1) if g != (0, 0, 0)], [(0, 0, 0), (1, 1, 1)]],
         H3: [
-            list(H3.box_elements(1)),
+            literal.box(H3, 1),
             [H3.identity],
             list(itertools.product(range(2), range(3), range(-1, 1))),  # fills its coordinate box
             [(0, 0, 0), (5, 5, 5)],
@@ -584,7 +631,7 @@ def test_filled_overlaps_is_none_without_a_closed_form():
 
 def test_z_is_the_scalar_z1():
     assert isinstance(Z, LatticeGroup) and Z.dimension == 1 and Z != Z1 and Z.name == "Z"
-    assert Z.enumerate_prefix(120) == as_z(Z, Z1.enumerate_prefix(120))
+    assert literal.prefix(Z, 120) == as_z(Z, literal.prefix(Z1, 120))
     gs = SHIFTS + [2**70, -(2**70)]
     ints, ones = to_block(gs), to_block([(g,) for g in gs])
     assert Z.box_reaches(ints).tolist() == Z1.box_reaches(ones).tolist()

@@ -122,3 +122,17 @@ def test_one_lattice_geometry():
             if field and getattr(node, field) in concrete:
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_one_group_law_and_no_scalar_oracles():
+    from ergolab import groups
+    from ergolab.groups import Group
+
+    # the law has one scalar form, one row of translate_block on Group; the tests keep their own oracles
+    classes = [c for c in vars(groups).values() if isinstance(c, type) and issubclass(c, Group)]
+    assert "multiply" in vars(Group) and [c for c in classes if c is not Group and "multiply" in vars(c)] == []
+    gone = {"inverse", "enumerate_prefix", "box_elements"}
+    assert [(c.__name__, name) for c in classes for name in sorted(gone & set(vars(c)))] == []
+    # the action is validated by its relations, with no sampling
+    tree = ast.parse((SRC / "dynamics.py").read_text(encoding="utf-8"))
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "random"] == []
