@@ -66,11 +66,24 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _write(path, text: Optional[str]) -> None:
+    """text as the UTF-8 file at path, or with text None, path as a directory with its parents;
+    an OSError is a ConfigError naming path, so the command exits 1 rather than with a traceback."""
+    path = Path(path)
+    try:
+        if text is None:
+            path.mkdir(parents=True, exist_ok=True)
+        else:
+            path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: undecodable UTF-8 or JSON
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -131,11 +144,9 @@ def _system(spec: dict, group: Group) -> FiniteMeasureSystem:
     else:
         raise ConfigError('weights must be "uniform" or a list of rational strings')
     try:
-        system = FiniteMeasureSystem(group, weights, generators)
-        system.validate_action()
+        return FiniteMeasureSystem(group, weights, generators)
     except ErgolabError as exc:
         raise ConfigError(f"system does not validate: {exc}") from exc
-    return system
 
 
 def _observable(spec: dict, system: FiniteMeasureSystem, p: float, rng) -> Observable:
@@ -280,18 +291,17 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
     result = ExperimentResult(exit_code=exit_code_for(reports), reports=reports, seed=inp.seed)
     if write:
         out = Path(out_dir if out_dir is not None else get_str(config, "output_dir", "."))
-        out.mkdir(parents=True, exist_ok=True)
-        csv = _averages_csv(system, csv_family, f, reports[0].averages, inp.defect_against)
-        (out / "averages.csv").write_text(csv, encoding="utf-8")
+        _write(out, None)
+        _write(out / "averages.csv", _averages_csv(system, csv_family, f, reports[0].averages, inp.defect_against))
         report_doc = {
             "seed": inp.seed,
             "config": config,
             "all_verdicts_true": result.exit_code == 0,
             "reports": [r.to_jsonable() for r in reports],
         }
-        (out / "report.json").write_text(_json_text(report_doc), encoding="utf-8")
+        _write(out / "report.json", _json_text(report_doc))
         modulus_doc = table.to_jsonable() if table is not None else {"entries": []}
-        (out / "modulus.json").write_text(_json_text(modulus_doc), encoding="utf-8")
+        _write(out / "modulus.json", _json_text(modulus_doc))
         result.paths = {
             "averages": str(out / "averages.csv"),
             "report": str(out / "report.json"),
@@ -312,7 +322,7 @@ def _cmd_folner_build(args) -> int:
     for n in range(1, family.n_max + 1):
         print(f"{n} {family.card(n)}")
     if args.out:
-        Path(args.out).write_text(_json_text(family.to_jsonable()), encoding="utf-8")
+        _write(args.out, _json_text(family.to_jsonable()))
     return 0
 
 
@@ -337,7 +347,7 @@ def _cmd_folner_refine(args) -> int:
     refined = fast_refinement(source, as_fraction(args.eps), count=count)
     print(" ".join(str(i) for i in refined.indices))
     if args.out:
-        Path(args.out).write_text(_json_text(refined.to_jsonable()), encoding="utf-8")
+        _write(args.out, _json_text(refined.to_jsonable()))
     return 0
 
 
@@ -365,7 +375,7 @@ def _cmd_modulus_compute(args) -> int:
     for n in ns:
         print(f"{n} {table.value(n, eps)}")
     if args.out:
-        Path(args.out).write_text(_json_text(table.to_jsonable()), encoding="utf-8")
+        _write(args.out, _json_text(table.to_jsonable()))
     return 0
 
 
@@ -375,7 +385,7 @@ def _cmd_avg_run(args) -> int:
     avgs = average_sequence(inp.system, family, inp.f, inp.window)
     csv = _averages_csv(inp.system, family, inp.f, avgs, inp.defect_against)
     if args.out:
-        Path(args.out).write_text(csv, encoding="utf-8")
+        _write(args.out, csv)
         print(args.out)
     else:
         sys.stdout.write(csv)
@@ -387,7 +397,9 @@ def _cmd_fluct_count(args) -> int:
     for x in data:
         _within_half_range(x, "--data value")
     beta = None
-    if args.beta:
+    if args.beta is not None:  # `--beta=` names no value, which max_chain refuses as `--beta ,` is
+        if args.lam is not None:
+            raise ConfigError("--beta and --lam each give beta; pass one of them")
         beta = _parsed_list(args.beta, int, "--beta")
     elif args.lam is not None:
         beta = [n + args.lam for n in range(1, len(data) + 1)]

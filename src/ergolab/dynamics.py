@@ -5,20 +5,14 @@ generator images (permutations).  Every permutation here is a read-only numpy
 index array: each generator is validated into one when the system is built.
 The action has one primitive, act_block, which takes a block of elements (a
 `groups.to_block` array) and returns one permutation row per element; act(g)
-is its one-row case.  Each element is factored into generator powers (_word),
-one exponent column per generator; the distinct exponents of a column are
-raised by repeated squaring, for any integer exponent, and memoized, at most
-_POWER_MEMO powers per system; the stacked powers are then gathered once per
-generator:
-
-    Z:    k         -> T^k
-    Z^d:  (k_1...)  -> T_1^{k_1} ... T_d^{k_d}
-    H3:   (a, b, c) -> X^a Y^b Z^{c - a*b}     (since x^a y^b z^m = (a, b, ab+m))
-
-That word map is an action exactly when the generators satisfy the group's
-relations, which validate_action checks one by one (none on Z, commuting
-generators on Z^d, and on H3 a central Z with X Y = Y X Z); no element is
-sampled.
+is its one-row case.  Each element is factored into generator powers by the
+group's presentation (Group.word), one exponent column per generator; the
+distinct exponents of a column are raised by repeated squaring, for any
+integer exponent, and memoized, at most _POWER_MEMO powers per system; the
+stacked powers are then gathered once per generator.  That word map is an
+action exactly when the generators satisfy the group's relations
+(Group.relations), which the constructor checks one by one, so every system
+that is built is an action; no element is sampled.
 
 Weights are exact rationals so measure preservation is checked exactly;
 observables and norms are double precision.  Every average goes through
@@ -36,7 +30,6 @@ sets' rows together (row_codes).  Every L^p norm goes through _lp_norms.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,36 +90,6 @@ def _perm_power(perm: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _word(group: Group, block: np.ndarray) -> List[Tuple[str, np.ndarray]]:
-    """The rows of a nonempty `to_block` array as generator powers (name, exponent column),
-    in the order they act on a point.
-
-    Only for the groups FiniteMeasureSystem accepts: Z, Z^d and H3.
-    """
-    if isinstance(group, IntegerGroup):
-        return [("t", block)]
-    if isinstance(group, LatticeGroup):
-        return [(f"t{i + 1}", block[:, i]) for i in range(group.dimension)]
-    # H3; with every |coordinate| < 2^31, |c - a*b| < 2^31 + 2^62 fits int64
-    if block.dtype != np.int64 or max(int(block.max()), -int(block.min())) >= 2**31:
-        block = block.astype(object)
-    a, b, c = block.T
-    return [("z", c - a * b), ("y", b), ("x", a)]
-
-
-def _relations(group: Group) -> List[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
-    """The relations of the presentation `_word` writes elements in, as pairs of words that must act alike.
-
-    A word (A, B) is the composition A o B, (A B)[s] = A[B[s]], as act_block composes
-    x^a y^b z^m.  Z has none; Z^d has t_i t_j = t_j t_i for i < j; on H3, z commutes
-    with x and with y, and x y = y x z, the image of (1, 0, 0)(0, 1, 0) = (1, 1, 1).
-    """
-    if isinstance(group, HeisenbergGroup):
-        return [(("z", "x"), ("x", "z")), (("z", "y"), ("y", "z")), (("x", "y"), ("y", "x", "z"))]
-    names = [name for name, _ in _word(group, to_block([group.identity]))]
-    return [((a, b), (b, a)) for a, b in itertools.combinations(names, 2)]
-
-
 @dataclass(frozen=True)
 class Observable:
     """A real function on the system's points, measured in the L^p norm."""
@@ -160,15 +123,16 @@ class FiniteMeasureSystem:
         if any(w <= 0 for w in self.weights):
             raise StructureError("weights must be positive rationals")
         self.n_points = len(self.weights)
-        if not isinstance(group, (LatticeGroup, HeisenbergGroup)):
+        if type(group).word is Group.word:
             raise StructureError(f"unsupported group for dynamics: {group!r}")
-        names = [name for name, _ in _word(group, to_block([group.identity]))]
+        names = [name for name, _ in group.word(to_block([group.identity]))]
         if set(generators) != set(names):
             raise StructureError(
                 f"group {group.name} needs generators named {sorted(names)}, got {sorted(generators)}"
             )
         self.generators = {k: _perm_array(v, self.n_points) for k, v in generators.items()}
         self._check_measure_preserving()
+        self._check_relations()
         gens = self.generators
         self._power = functools.lru_cache(_POWER_MEMO)(lambda name, k: _perm_power(gens[name], k))
         self._weights_float = np.array([float(w) for w in self.weights])
@@ -183,6 +147,22 @@ class FiniteMeasureSystem:
                         f"weight({img}) != weight({s})"
                     )
 
+    def _check_relations(self) -> None:
+        """Check exactly that the generators satisfy the group's `relations`, so act_block's word map is a
+        homomorphism, act(gh) = act(g) o act(h): each side is one gather of the points per letter past its
+        last, and the first relation that fails, in `relations`' order, is named."""
+        gens = self.generators
+        for relation in self.group.relations():
+            # A[B[...Z[s]]]: the last letter's permutation, gathered through the others from the inside out
+            left, right = (
+                functools.reduce(lambda perm, name: gens[name][perm], word[-2::-1], gens[word[-1]]) for word in relation
+            )
+            if not np.array_equal(left, right):
+                lhs, rhs = (" ".join(word) for word in relation)
+                raise StructureError(
+                    f"action is not a homomorphism: the {self.group.name} relation {lhs} = {rhs} fails"
+                )
+
     def act_block(self, block: np.ndarray) -> np.ndarray:
         """Row i is the permutation s -> g_i . s for row g_i of a `to_block` array.
 
@@ -195,7 +175,7 @@ class FiniteMeasureSystem:
             perms = np.empty((0, self.n_points), dtype=np.intp)
         else:
             perms = None
-            for name, column in _word(self.group, block):
+            for name, column in self.group.word(block):
                 exponents, which = np.unique(column, return_inverse=True)
                 powers = np.stack([self._power(name, k) for k in exponents.tolist()])
                 perms = powers[which] if perms is None else powers[which[:, None], perms]
@@ -206,25 +186,6 @@ class FiniteMeasureSystem:
         """The permutation s -> g . s, as a new read-only index array: `act_block` of one row."""
         self.group.check_element(g)
         return self.act_block(to_block([g]))[0]
-
-    def validate_action(self) -> None:
-        """Check exactly that the generators satisfy the group's `_relations`, so that act_block's word map
-        is a homomorphism, act(gh) = act(g) o act(h); the identity's word is the identity by construction.
-
-        Each side of a relation is one gather of the points per letter past its last, one
-        row of n_points indices; the first relation that fails, in `_relations`' order, is named.
-        """
-        gens = self.generators
-        for relation in _relations(self.group):
-            # A[B[...Z[s]]]: the last letter's permutation, gathered through the others from the inside out
-            left, right = (
-                functools.reduce(lambda perm, name: gens[name][perm], word[-2::-1], gens[word[-1]]) for word in relation
-            )
-            if not np.array_equal(left, right):
-                lhs, rhs = (" ".join(word) for word in relation)
-                raise StructureError(
-                    f"action is not a homomorphism: the {self.group.name} relation {lhs} = {rhs} fails"
-                )
 
     def observable(self, values, p: float) -> Observable:
         v = np.asarray(values, dtype=float)

@@ -10,7 +10,9 @@ equality of canonical forms is group equality and arithmetic never wraps
 around; Z is Z^1 with an int for its canonical form.  Every group carries one
 fixed computable enumeration g_1, g_2, ... starting at the identity (on H3, its
 shells are read from `box_block`); constructions that consume the enumeration
-are deterministic across runs.
+are deterministic across runs.  Each group owns its presentation: `Group.word`
+writes elements as generator powers (on H3, (a, b, c) is x^a y^b z^(c - ab)),
+and `Group.relations` lists the relations the generators satisfy.
 
 Each group also knows the geometry of its standard Folner boxes (cardinality,
 the least radius holding each element, exact translation overlap counts, and
@@ -33,7 +35,7 @@ import functools
 import itertools
 import math
 import re
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -189,6 +191,18 @@ class Group:
         stays below 2^62 in size, and past that the same steps on Python ints (an object array)."""
         raise NotImplementedError
 
+    # -- presentation ------------------------------------------------------
+
+    def word(self, block: np.ndarray) -> List[Tuple[str, np.ndarray]]:
+        """The rows of a nonempty `to_block` array as generator powers (name, exponent column), in the
+        order they act on a point: row g is the product of the powers read from last to first."""
+        raise NotImplementedError
+
+    def relations(self) -> List[Tuple[Tuple[str, ...], Tuple[str, ...]]]:
+        """The relations of `word`'s generators, as pairs of words that must act alike: a word (A, B) is the
+        product A B, which a left action composes as A(B(s)), so `word` is a homomorphism exactly when they hold."""
+        raise NotImplementedError
+
     # -- standard Folner box geometry -------------------------------------
 
     def box_card(self, r: int) -> int:
@@ -283,6 +297,14 @@ class LatticeGroup(Group):
             block, shift = block.astype(object), shift.astype(object)
         return block + shift
 
+    def word(self, block):
+        return [(f"t{i + 1}", block[:, i]) for i in range(self.dimension)]
+
+    def relations(self):
+        # t_i t_j = t_j t_i for i < j; none on Z
+        names = [name for name, _ in self.word(to_block([self.identity]))]
+        return [((a, b), (b, a)) for a, b in itertools.combinations(names, 2)]
+
     def box_card(self, r):
         return (2 * r + 1) ** self.dimension
 
@@ -346,6 +368,9 @@ class IntegerGroup(LatticeGroup):
     def enumeration(self):
         return (k for (k,) in super().enumeration())
 
+    def word(self, block):
+        return [("t", block)]
+
     def box_overlap(self, r, g):
         return max(0, 2 * r + 1 - abs(g))
 
@@ -386,6 +411,18 @@ class HeisenbergGroup(Group):
             block = block.astype(object)
         x1, x2, x3 = block.T
         return np.column_stack([a + x1, b + x2, c + x3 + a * x2])
+
+    def word(self, block):
+        # by the law, x^a y^b = (a, 0, 0)(0, b, 0) = (a, b, ab) and z^m adds m to c, so (a, b, c) is
+        # x^a y^b z^(c - ab); with every |coordinate| < 2^31, |c - ab| < 2^31 + 2^62 fits int64
+        if not _within(block, 2**31 - 1):
+            block = block.astype(object)
+        a, b, c = block.T
+        return [("z", c - a * b), ("y", b), ("x", a)]
+
+    def relations(self):
+        # z is central, and x y = (1, 1, 1) = y x z
+        return [(("z", "x"), ("x", "z")), (("z", "y"), ("y", "z")), (("x", "y"), ("y", "x", "z"))]
 
     def box_card(self, r):
         return (2 * r + 1) ** 2 * (2 * r * r + 1)

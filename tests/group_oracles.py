@@ -1,8 +1,9 @@
 """Literal group oracles for the tests, written out from the definitions.
 
-The law, inverse, boxes and box overlaps of Z, Z^d and H3, apart from the
-library's array forms (`Group.translate_block`, `Group.box_block`), so the
-tests that compare against them compare two independent computations.
+The law, inverse, boxes and box overlaps of Z, Z^d and H3, and the action a
+word in the generators defines, apart from the library's array forms
+(`Group.translate_block`, `Group.box_block`, `Group.word`), so the tests that
+compare against them compare two independent computations.
 Elements are canonical forms: an int on Z, a tuple of ints elsewhere.
 H3's law is the upper-triangular one, (a, b, c)(a', b', c') = (a + a',
 b + b', c + c' + a b').
@@ -66,3 +67,51 @@ def box_overlap(group, r, g):
     moved = [moved] if group.name == "Z" else moved
     bounds = [r, r, r * r] if group.name == "H3" else [r] * len(moved)
     return int(np.logical_and.reduce([np.abs(c) <= bound for c, bound in zip(moved, bounds)]).sum())
+
+
+def units(group):
+    """The generators by name: t on Z, t1 ... td on Z^d (the unit vectors), and x, y, z on H3."""
+    if group.name == "Z":
+        return {"t": 1}
+    if group.name == "H3":
+        return {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
+    return {f"t{i + 1}": tuple(int(i == j) for j in range(group.dimension)) for i in range(group.dimension)}
+
+
+def power_by_steps(perm, k):
+    """perm^k as a list: step perm (its inverse when k < 0) |k| times from every point."""
+    step = list(perm)
+    if k < 0:
+        step = [0] * len(perm)
+        for s, img in enumerate(perm):
+            step[img] = s
+    out = list(range(len(perm)))
+    for _ in range(abs(k)):
+        out = [step[v] for v in out]
+    return out
+
+
+def word_action(group, generators, g):
+    """s -> g . s as a list, composed from the generator lists (a dict name -> permutation list) in plain Python.
+
+    g is written as a word in the generators, x^a y^b z^(c - ab) on H3, and the
+    word is checked against g by the literal law; a point then takes the word's
+    letters right to left, each a generator power stepped out by power_by_steps.
+    """
+    gens = units(group)
+    if group.name == "H3":
+        a, b, c = g
+        word = [("x", a), ("y", b), ("z", c - a * b)]
+    else:
+        word = list(zip(gens, [g] if group.name == "Z" else g))
+    product = group.identity
+    for name, k in word:
+        unit = gens[name] if k >= 0 else inverse(group, gens[name])
+        for _ in range(abs(k)):
+            product = law(group, product, unit)
+    assert product == g, (g, word)
+    perm = list(range(len(next(iter(generators.values())))))
+    for name, k in reversed(word):
+        power = power_by_steps(generators[name], k)
+        perm = [power[v] for v in perm]
+    return perm

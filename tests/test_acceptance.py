@@ -78,8 +78,7 @@ def trials():
             w = Fraction(int(rng.integers(1, 4)), int(rng.integers(m, 2 * m + 1)))
             for s in orbit:
                 weights[s] = w
-        system = FiniteMeasureSystem(Z, weights, {"t": perm})
-        system.validate_action()
+        system = FiniteMeasureSystem(Z, weights, {"t": perm})  # construction checks the action
         f = system.observable(rng.normal(size=m), 2)
         out.append((system, f))
     return out

@@ -79,6 +79,18 @@ def test_fluct_count_at_distance(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+def test_fluct_count_refuses_beta_and_lam_together(capsys):
+    argv = ["fluct", "count", "--eps", "0.5", "--data", "0,1,0,1,0,1", "--beta", "3,4,5,6,7,8", "--lam", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and err == "error: --beta and --lam each give beta; pass one of them\n"
+
+
+def test_fluct_count_refuses_an_empty_beta_as_it_refuses_a_lone_comma(capsys):
+    for beta in ("--beta=", "--beta=,"):
+        code, out, err = run_cli(capsys, "fluct", "count", "--eps", "0.5", "--data", "0,1,0,1,0,1", beta)
+        assert (code, out) == (1, "") and err == "error: beta needs one value per index, got 0 for length 6\n", beta
+
+
 def test_folner_check_matches_library(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -711,6 +723,39 @@ def test_missing_config_exits_one(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "content", [b'{"group": "\xff\xfe"}', b"[" * 100_000], ids=["not-utf-8", "nested-past-the-recursion-limit"]
+)
+def test_undecodable_config_is_a_config_error(tmp_path, capsys, content):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(content)
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert (code, out) == (1, "") and "Traceback" not in err
+    assert err.startswith(f"error: cannot load config {cfg}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["folner", "build", "--group", "Z", "--n-max", "2", "--out"], "missing/fam.json"),
+        (["folner", "refine", "--group", "Z", "--eps", "1/2", "--count", "2", "--out"], "missing/fam.json"),
+        (["modulus", "compute", "--group", "Z", "--ns", "1-2", "--eps", "1/2", "--window", "5", "--out"],
+         "missing/mod.json"),
+        (["avg", "run", "--config", str(DEMO), "--out"], "missing/avg.csv"),
+        (["run", "--config", str(DEMO), "--out-dir"], "file"),
+        (["verify", "main", "--config", str(DEMO), "--out-dir"], "file/sub"),
+    ],
+    ids=["folner-build", "folner-refine", "modulus-compute", "avg-run", "run", "verify-main"],
+)
+def test_a_write_that_fails_is_a_config_error_naming_the_path(tmp_path, capsys, argv, target):
+    # --out into a missing directory, --out-dir onto a file or under one
+    (tmp_path / "file").write_text("kept")
+    code, _, err = run_cli(capsys, *argv, str(tmp_path / target))
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith(f"error: cannot write {tmp_path / target}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"] and (tmp_path / "file").read_text() == "kept"
+
+
 def count_calls(monkeypatch, module: str, name: str) -> list:
     """One entry per call of ergolab's public `module.name`, under every name an ergolab module binds it to."""
     original = getattr(importlib.import_module(module), name)
@@ -757,8 +802,8 @@ def test_run_acts_once_per_element_of_the_window(tmp_path, monkeypatch):
     monkeypatch.setattr(
         type(system), "act_block", lambda self, block: calls.extend(from_block(block)) or act_block(self, block)
     )
-    system.validate_action()
-    assert calls == []  # the relations are checked on the generators, acting on no element
+    torus_translation_system(10, 10)
+    assert calls == []  # building a system checks the relations on the generators, acting on no element
     run_experiment(config, out_dir=tmp_path)
     boxes = standard_family(group_by_name("Z^2"), 30)
     assert len(calls) == boxes.card(30) == 3_721

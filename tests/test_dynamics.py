@@ -47,23 +47,10 @@ from ergolab.groups import Group, HeisenbergGroup, to_block
 Z = group_by_name("Z")
 
 
-def power_by_steps(perm, k):
-    """perm^k as a list: step perm (its inverse when k < 0) |k| times from every point."""
-    step = list(perm)
-    if k < 0:
-        step = [0] * len(perm)
-        for s, img in enumerate(perm):
-            step[img] = s
-    out = list(range(len(perm)))
-    for _ in range(abs(k)):
-        out = [step[v] for v in out]
-    return out
-
-
 def exact_average(system, elems, values):
     """(1/|F|) sum_{g in F} f(g . s) with exact rationals; Z-systems only."""
     perm = system.generators["t"].tolist()
-    powers = {g: power_by_steps(perm, g) for g in elems}
+    powers = {g: literal.power_by_steps(perm, g) for g in elems}
     out = []
     for s in range(system.n_points):
         acc = Fraction(0)
@@ -127,30 +114,43 @@ def test_action_validation_weights_constant_on_orbits():
     system = FiniteMeasureSystem(
         Z, [Fraction(1, 3), Fraction(1, 3), Fraction(1, 6), Fraction(1, 6)], {"t": [1, 0, 3, 2]}
     )
-    system.validate_action()
+    assert system.act(1).tolist() == [1, 0, 3, 2]
+
+
+def homomorphic_on_the_unit_box(group, generators):
+    """True if the literal word action, on generator lists, has act(gh) = act(g) o act(h) for all g, h in B_1,
+    gh by the literal law: exactly when the generators satisfy the group's relations."""
+    ball = literal.box(group, 1)
+    act = {g: literal.word_action(group, generators, g) for g in ball}
+    return all(
+        literal.word_action(group, generators, literal.law(group, g, h)) == [act[g][v] for v in act[h]]
+        for g, h in itertools.product(ball, repeat=2)
+    )
 
 
 def test_shipped_systems_are_exact_homomorphisms():
-    rotation_system(12).validate_action()
-    torus_translation_system(10, 10).validate_action()
-    heisenberg_torus_system(5, 5).validate_action()
-    heisenberg_mod3_system()[0].validate_action()
+    # each is built, so the constructor has checked its relations; the literal oracle agrees
+    for system in (rotation_system(12), torus_translation_system(10, 10), heisenberg_torus_system(5, 5),
+                   heisenberg_mod3_system()[0]):
+        gens = {name: perm.tolist() for name, perm in system.generators.items()}
+        assert homomorphic_on_the_unit_box(system.group, gens), system.group
 
 
 def non_commuting_last_pair(d):
     """Z^d on 3 points: t_(d-1) = (0 1), t_d = (1 2) and every other generator the identity; t_(d-1) and
-    t_d do not commute, so this is no action of Z^d."""
+    t_d do not commute, so these generators give no action of Z^d."""
     gens = {f"t{i}": [0, 1, 2] for i in range(1, d + 1)}
     gens[f"t{d - 1}"], gens[f"t{d}"] = [1, 0, 2], [0, 2, 1]
-    return FiniteMeasureSystem(group_by_name(f"Z^{d}"), [Fraction(1, 3)] * 3, gens)
+    return gens
 
 
-def test_validate_action_refuses_non_commuting_last_generators():
-    # every relation is checked, the last pair of Z^10 and Z^64 included
+def test_construction_refuses_non_commuting_last_generators():
+    # every relation is checked when the system is built, the last pair of Z^10 and Z^64 included,
+    # so no verifier can be handed such a system
     for d in list(range(3, 11)) + [64]:
         relation = f"t{d - 1} t{d} = t{d} t{d - 1}"
         with pytest.raises(StructureError, match=re.escape(f"the Z^{d} relation {relation} fails")):
-            non_commuting_last_pair(d).validate_action()
+            FiniteMeasureSystem(group_by_name(f"Z^{d}"), [Fraction(1, 3)] * 3, non_commuting_last_pair(d))
 
 
 def test_heisenberg_center_acts_trivially():
@@ -178,7 +178,6 @@ def test_heisenberg_act_is_left_multiplication():
     system, left = heisenberg_mod3_system()
     for g in literal.prefix(system.group, 200):
         assert system.act(g).tolist() == left(g)
-    system.validate_action()
 
 
 def test_act_returns_equal_read_only_arrays():
@@ -302,7 +301,7 @@ def test_perm_power_equals_repeated_composition(name):
     n = len(perm)
     steps = perm.tolist()
     for sign in (1, -1):
-        step = power_by_steps(steps, sign)
+        step = literal.power_by_steps(steps, sign)
         cur = list(range(n))
         for k in range(3 * n + 1):
             assert _perm_power(perm, sign * k).tolist() == cur, (name, sign * k)
@@ -317,7 +316,7 @@ def test_perm_power_huge_exponents_reduce_mod_order(name):
     while cur != list(range(len(steps))):
         order, cur = order + 1, [steps[v] for v in cur]
     for k in (2**70, 10**30 + 7, -(10**30)):
-        assert _perm_power(perm, k).tolist() == power_by_steps(steps, k % order), (name, k)
+        assert _perm_power(perm, k).tolist() == literal.power_by_steps(steps, k % order), (name, k)
 
 
 # ---------------------------------------------------------------------------
@@ -606,41 +605,15 @@ def oracle_families(draw, group):
     return ExplicitFamily(group, draw(st.lists(subsets, min_size=1, max_size=3)))
 
 
-UNIT_GENERATORS = {
-    "Z": {"t": 1},
-    "Z^2": {"t1": (1, 0), "t2": (0, 1)},
-    "H3": {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)},
-}
 _PLAIN_ACTIONS = {}  # (system, g) -> plain_action(system, g)
 
 
 def plain_action(system, g):
-    """s -> g . s as a list, composed from the generator lists in plain Python.
-
-    g is written as a word in the generators, x^a y^b z^(c - ab) on H3, and the
-    word is checked against g by the literal law; a point then takes the word's
-    letters right to left, each a generator power stepped out by power_by_steps.
-    """
+    """s -> g . s as a list: the literal word action of the system's generator lists."""
     key = (system, g)
     if key not in _PLAIN_ACTIONS:
-        group = system.group
-        units = UNIT_GENERATORS[group.name]
-        if group.name == "H3":
-            a, b, c = g
-            word = [("x", a), ("y", b), ("z", c - a * b)]
-        else:
-            word = list(zip(units, [g] if group.name == "Z" else g))
-        product = group.identity
-        for name, k in word:
-            unit = units[name] if k >= 0 else literal.inverse(group, units[name])
-            for _ in range(abs(k)):
-                product = literal.law(group, product, unit)
-        assert product == g, (g, word)
-        perm = list(range(system.n_points))
-        for name, k in reversed(word):
-            power = power_by_steps(system.generators[name].tolist(), k)
-            perm = [power[v] for v in perm]
-        _PLAIN_ACTIONS[key] = perm
+        gens = {name: perm.tolist() for name, perm in system.generators.items()}
+        _PLAIN_ACTIONS[key] = literal.word_action(system.group, gens, g)
     return _PLAIN_ACTIONS[key]
 
 
@@ -678,20 +651,18 @@ def test_element_sum_averages_are_bitwise_the_per_set_loop(data, name, shape, se
     assert np.array_equal(got, element_sum_oracle(system, family, indices, values))
 
 
-def test_validate_action_names_the_first_relation_that_fails():
+def test_construction_names_the_first_relation_that_fails():
     # H3's relations in order: z x = x z, z y = y z, x y = y x z
     torus = heisenberg_torus_system(3, 3)
     gens = {name: perm.tolist() for name, perm in torus.generators.items()}
     x, y = gens["x"], gens["y"]
     swap = [1, 0] + list(range(2, 9))  # commutes with neither torus shift
     for z, relation in [(x, "x y = y x z"), (swap, "z x = x z"), (y, "x y = y x z")]:
-        system = FiniteMeasureSystem(torus.group, torus.weights, dict(gens, z=z))
         with pytest.raises(StructureError, match=re.escape(f"the H3 relation {relation} fails")):
-            system.validate_action()
+            FiniteMeasureSystem(torus.group, torus.weights, dict(gens, z=z))
     # with x central, z fails to commute with y first
-    system = FiniteMeasureSystem(torus.group, torus.weights, dict(gens, x=list(range(9)), z=swap))
     with pytest.raises(StructureError, match=re.escape("the H3 relation z y = y z fails")):
-        system.validate_action()
+        FiniteMeasureSystem(torus.group, torus.weights, dict(gens, x=list(range(9)), z=swap))
     # Z^3's relations in order: t1 t2, t1 t3, t2 t3, each the two products compared
     ident, a, b = [0, 1, 2], [1, 0, 2], [0, 2, 1]
     for gens, relation in [
@@ -699,32 +670,25 @@ def test_validate_action_names_the_first_relation_that_fails():
         ({"t1": a, "t2": a, "t3": b}, "t1 t3 = t3 t1"),
         ({"t1": ident, "t2": a, "t3": b}, "t2 t3 = t3 t2"),
     ]:
-        system = FiniteMeasureSystem(group_by_name("Z^3"), [Fraction(1, 3)] * 3, gens)
         with pytest.raises(StructureError, match=re.escape(f"the Z^3 relation {relation} fails")):
-            system.validate_action()
-
-
-GENERATOR_NAMES = {"Z^2": ["t1", "t2"], "Z^3": ["t1", "t2", "t3"], "H3": ["x", "y", "z"]}
+            FiniteMeasureSystem(group_by_name("Z^3"), [Fraction(1, 3)] * 3, gens)
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), name=st.sampled_from(sorted(GENERATOR_NAMES)), points=st.integers(2, 4))
-def test_validate_action_passes_exactly_when_the_action_is_a_homomorphism(data, name, points):
-    # act(gh) = act(g) o act(h) for all g, h in B_1, gh by the literal law, decides it exactly
+@given(data=st.data(), name=st.sampled_from(["H3", "Z^2", "Z^3"]), points=st.integers(2, 4))
+def test_construction_succeeds_exactly_when_the_action_is_a_homomorphism(data, name, points):
+    # the literal word action, homomorphic over B_1 x B_1, decides it exactly; a built system acts as it does
     group = group_by_name(name)
-    gens = {k: data.draw(st.permutations(range(points))) for k in GENERATOR_NAMES[name]}
-    system = FiniteMeasureSystem(group, [Fraction(1, points)] * points, gens)
-    ball = literal.box(group, 1)
-    pairs = list(itertools.product(ball, repeat=2))
-    rows = system.act_block(to_block(ball + [literal.law(group, g, h) for g, h in pairs]))
-    act = dict(zip(ball, rows))
-    homomorphic = all(np.array_equal(row, act[g][act[h]]) for (g, h), row in zip(pairs, rows[len(ball) :]))
+    gens = {k: data.draw(st.permutations(range(points))) for k in literal.units(group)}
+    homomorphic = homomorphic_on_the_unit_box(group, gens)
     try:
-        system.validate_action()
-    except StructureError:
-        assert not homomorphic
+        system = FiniteMeasureSystem(group, [Fraction(1, points)] * points, gens)
+    except StructureError as exc:
+        assert not homomorphic and "action is not a homomorphism" in str(exc)
     else:
         assert homomorphic
+        ball = literal.box(group, 1)
+        assert system.act_block(to_block(ball)).tolist() == [literal.word_action(group, gens, g) for g in ball]
 
 
 BOX_FAMILIES = {

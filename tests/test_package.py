@@ -136,3 +136,29 @@ def test_one_group_law_and_no_scalar_oracles():
     # the action is validated by its relations, with no sampling
     tree = ast.parse((SRC / "dynamics.py").read_text(encoding="utf-8"))
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "random"] == []
+
+
+def test_a_built_system_is_an_action_and_the_group_owns_its_presentation():
+    from ergolab import groups
+    from ergolab.dynamics import FiniteMeasureSystem
+    from ergolab.groups import Group
+
+    # the constructor checks the relations: there is no second, optional call
+    assert not hasattr(FiniteMeasureSystem, "validate_action")
+    assert {"word", "relations"} <= set(vars(Group))
+    tree = ast.parse((SRC / "dynamics.py").read_text(encoding="utf-8"))
+    assert {"_word", "_relations"}.isdisjoint(n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))
+    # dynamics names a concrete group only in the residue route's Z test and in the shipped example systems
+    concrete = {c.__name__ for c in vars(groups).values() if isinstance(c, type) and issubclass(c, Group)} - {"Group"}
+    found = sorted(
+        (getattr(stmt, "name", f"line {stmt.lineno}"), node.id)
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and node.id in concrete
+    )
+    assert found == [
+        ("average_block", "IntegerGroup"),
+        ("heisenberg_torus_system", "HeisenbergGroup"),
+        ("rotation_system", "IntegerGroup"),
+        ("torus_translation_system", "LatticeGroup"),
+    ]
