@@ -32,7 +32,6 @@ from .dynamics import (
 )
 from .errors import (
     ConfigError,
-    ConstructionBudgetError,
     DomainError,
     ErgolabError,
     FamilyTooLargeError,

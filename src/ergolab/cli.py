@@ -110,6 +110,16 @@ class _Number(argparse.Action):
         setattr(namespace, self.dest, _parsed(values, self.convert, self.option_strings[0]))
 
 
+class _Path(argparse.Action):
+    """An output path flag: an empty value (`--out=`) names no path, and is a ConfigError (exit 1)
+    before any work, rather than read as no flag or, by `Path("")`, as the current directory."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == "":
+            raise ConfigError(f"{self.option_strings[0]} names no path")
+        setattr(namespace, self.dest, values)
+
+
 def _parsed_list(text: str, convert: Callable, name: str) -> list:
     return [_parsed(tok, convert, name) for tok in text.split(",") if tok != ""]
 
@@ -184,7 +194,7 @@ def _family(spec: dict, group: Group, window: int) -> FolnerFamily:
     if kind == "standard":
         family = standard_family(group, max(window, get_int(spec, "n_max", window, lo=1)))
     elif kind == "greedy":
-        family = greedy_folner(group, get_int(spec, "n_max", lo=1), get_int(spec, "budget", 10_000, lo=1))
+        family = greedy_folner(group, get_int(spec, "n_max", lo=1))
     else:
         sets = get(spec, "sets")
         try:
@@ -317,11 +327,11 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
 
 def _cmd_folner_build(args) -> int:
     n_max = get_int({"--n-max": args.n_max}, "--n-max", lo=1, hi=NS_SPAN_CAP + 1)
-    spec = {"type": args.kind, "n_max": n_max, "budget": args.budget}
+    spec = {"type": args.kind, "n_max": n_max}
     family = _family(spec, group_by_name(args.group), n_max)
     for n in range(1, family.n_max + 1):
         print(f"{n} {family.card(n)}")
-    if args.out:
+    if args.out is not None:
         _write(args.out, _json_text(family.to_jsonable()))
     return 0
 
@@ -334,7 +344,7 @@ def _cli_window(args) -> int:
 def _cmd_folner_check(args) -> int:
     window = _cli_window(args)
     n_max = max(window, args.n)
-    spec = {"type": args.family, "n_max": n_max, "budget": args.budget}
+    spec = {"type": args.family, "n_max": n_max}
     family = _family(spec, group_by_name(args.group), n_max)
     print(convergence_modulus(family, args.n, as_fraction(args.eps), m_max=window).value)
     return 0
@@ -346,7 +356,7 @@ def _cmd_folner_refine(args) -> int:
     count = get_int({"--count": args.count}, "--count", lo=1, hi=NS_SPAN_CAP + 1)
     refined = fast_refinement(source, as_fraction(args.eps), count=count)
     print(" ".join(str(i) for i in refined.indices))
-    if args.out:
+    if args.out is not None:
         _write(args.out, _json_text(refined.to_jsonable()))
     return 0
 
@@ -368,13 +378,13 @@ def _cmd_modulus_compute(args) -> int:
     ns = _parse_ns(args.ns)
     window = _cli_window(args)
     n_max = max(max(ns), window)
-    spec = {"type": args.family, "n_max": n_max, "budget": args.budget}
+    spec = {"type": args.family, "n_max": n_max}
     family = _family(spec, group_by_name(args.group), n_max)
     eps = as_fraction(args.eps)
     table = build_modulus_table(family, ns, [eps], m_max=window)
     for n in ns:
         print(f"{n} {table.value(n, eps)}")
-    if args.out:
+    if args.out is not None:
         _write(args.out, _json_text(table.to_jsonable()))
     return 0
 
@@ -384,7 +394,7 @@ def _cmd_avg_run(args) -> int:
     family = _family(inp.family, inp.group, inp.window)
     avgs = average_sequence(inp.system, family, inp.f, inp.window)
     csv = _averages_csv(inp.system, family, inp.f, avgs, inp.defect_against)
-    if args.out:
+    if args.out is not None:
         _write(args.out, csv)
         print(args.out)
     else:
@@ -448,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--group", required=True)
     b.add_argument("--kind", default="standard", choices=["standard", "greedy"])
     b.add_argument("--n-max", action=_Number, convert=int, required=True, dest="n_max")
-    b.add_argument("--budget", action=_Number, convert=int, default=10_000)
-    b.add_argument("--out")
+    b.add_argument("--out", action=_Path)
     b.set_defaults(func=_cmd_folner_build)
 
     c = folner_sub.add_parser("check")
@@ -458,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", action=_Number, convert=int, required=True)
     c.add_argument("--eps", required=True)
     c.add_argument("--window", action=_Number, convert=int, required=True)
-    c.add_argument("--budget", action=_Number, convert=int, default=10_000)
     c.set_defaults(func=_cmd_folner_check)
 
     r = folner_sub.add_parser("refine")
@@ -466,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--eps", required=True)
     r.add_argument("--count", action=_Number, convert=int, default=8)
     r.add_argument("--source-n-max", action=_Number, convert=int, default=10**12, dest="source_n_max")
-    r.add_argument("--out")
+    r.add_argument("--out", action=_Path)
     r.set_defaults(func=_cmd_folner_refine)
 
     p_mod = sub.add_parser("modulus", help="compute convergence moduli")
@@ -477,15 +485,14 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--ns", required=True, help=f"indices, e.g. 1-10 or 1,3,5; a span names at most {NS_SPAN_CAP}")
     mc.add_argument("--eps", required=True)
     mc.add_argument("--window", action=_Number, convert=int, required=True)
-    mc.add_argument("--budget", action=_Number, convert=int, default=10_000)
-    mc.add_argument("--out")
+    mc.add_argument("--out", action=_Path)
     mc.set_defaults(func=_cmd_modulus_compute)
 
     p_avg = sub.add_parser("avg", help="ergodic average tables")
     avg_sub = p_avg.add_subparsers(dest="subcommand", required=True)
     ar = avg_sub.add_parser("run")
     ar.add_argument("--config", required=True)
-    ar.add_argument("--out")
+    ar.add_argument("--out", action=_Path)
     ar.set_defaults(func=_cmd_avg_run)
 
     p_fl = sub.add_parser("fluct", help="fluctuation counting")
@@ -515,12 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
     for which in ("main", "corollary"):
         v = ver_sub.add_parser(which)
         v.add_argument("--config", required=True)
-        v.add_argument("--out-dir", dest="out_dir")
+        v.add_argument("--out-dir", action=_Path, dest="out_dir")
         v.set_defaults(func=_cmd_run, which=which)
 
     p_run = sub.add_parser("run", help="run a full experiment config")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out-dir", dest="out_dir")
+    p_run.add_argument("--out-dir", action=_Path, dest="out_dir")
     p_run.set_defaults(func=_cmd_run, which=None)
 
     return parser

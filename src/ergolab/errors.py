@@ -41,15 +41,6 @@ class ModulusNotFoundError(ErgolabError):
         )
 
 
-class ConstructionBudgetError(ErgolabError):
-    """The greedy construction ran out of candidate evaluations at some stage."""
-
-    def __init__(self, stage, budget):
-        self.stage = stage
-        self.budget = budget
-        super().__init__(f"construction budget exhausted at stage {stage} (budget={budget})")
-
-
 class RefinementWindowError(ErgolabError):
     """The source family ended before the next fast-refinement term was found."""
 

@@ -18,11 +18,13 @@ undecidable for arbitrary families; empirical entries are therefore stamped
 a known box corner are analytic: one corner count, (|B_r delta cB_r|, |B_r|),
 and one threshold search over it, beta(r, eps), certify every larger index
 (the box ratio is monotone in m), and box refinements step by that threshold.
+
+The greedy construction is bounded by MATERIALIZE_CAP alone: each stage
+searches only the box radii whose box fits it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -31,7 +33,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 import numpy as np
 
 from .errors import (
-    ConstructionBudgetError,
     DomainError,
     FamilyTooLargeError,
     ModulusNotFoundError,
@@ -589,7 +590,7 @@ def worst_ratio_table(family: FolnerFamily, n_hi: int, m_hi: int) -> Dict[Tuple[
 # ---------------------------------------------------------------------------
 
 
-def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> ExplicitFamily:
+def greedy_folner(group: Group, n_max: int) -> ExplicitFamily:
     """The computable greedy Folner construction.
 
     F_1 = {g_1}; for n >= 2 the augmented set F~_n is the first candidate in a
@@ -599,20 +600,22 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
     located by `least_index` up to hi, the largest radius whose box is within
     MATERIALIZE_CAP; it matches a radius-by-radius scan whenever validity is
     monotone in the radius (true for the supported box geometries at these
-    scales), and a stage whose search finds none raises FamilyTooLargeError.
-    Each probe counts against search_budget.  A candidate at or past F_{n-1}'s
-    reach (`Group.box_reaches`) is the box, counted by `Group.box_overlaps`; a
-    smaller one is `Group.box_block` and the rows of F_{n-1} outside it,
-    disjoint, so no probe unions or sorts, counted as `ExplicitFamily.overlaps`
-    counts but up to the first g that refutes it, unless F_{n-1} holds B_r,
-    when it is F_{n-1} itself, refuted by the search's first probe.  The least
-    overlap decides, in integers.  Only the chosen F_n is sorted.
+    scales).  The cap is a stage's only bound: doubling then bisecting over
+    [0, hi] makes O(log hi) probes, at most 41 on Z, whose hi is 999,999,
+    and a stage whose search finds none raises FamilyTooLargeError.
+
+    A candidate at or past F_{n-1}'s reach (`Group.box_reaches`) is the box,
+    counted by `Group.box_overlaps`; a smaller one is `Group.box_block` and
+    the rows of F_{n-1} outside it, disjoint, so no probe unions or sorts,
+    counted as `ExplicitFamily.overlaps` counts but up to the first g that
+    refutes it, unless F_{n-1} holds B_r, when it is F_{n-1} itself, refuted
+    by the search's first probe.  The least overlap decides, in integers.
+    Only the chosen F_n is sorted.
 
     Every built stage then satisfies |F_n delta g F_n|/|F_n| < 3/n for all
     g in F_{n-1}.
     """
     _check_int(n_max, "n_max", 1)
-    _check_int(search_budget, "search_budget", 1)
     hi = least_index(lambda r: group.box_card(r + 1) > MATERIALIZE_CAP, 0)  # the largest box within the cap
     enum = group.enumeration()  # g_n is drawn when stage n is built
     sets = [to_block([next(enum)])]
@@ -621,14 +624,11 @@ def greedy_folner(group: Group, n_max: int, search_budget: int = 10_000) -> Expl
         prev = sets[-1]
         reaches = group.box_reaches(prev)
         reach = int(reaches.max())
-        evals = itertools.count(1)
 
         def candidate(r: int) -> np.ndarray:
             return np.concatenate([group.box_block(r), prev[reaches > r]]) if r else prev
 
         def candidate_valid(r: int) -> bool:
-            if next(evals) > search_budget:
-                raise ConstructionBudgetError(stage, search_budget)
             if r and r >= reach:
                 card = group.box_card(r)
                 overlaps = group.box_overlaps(r, prev)

@@ -756,6 +756,39 @@ def test_a_write_that_fails_is_a_config_error_naming_the_path(tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"] and (tmp_path / "file").read_text() == "kept"
 
 
+@pytest.mark.parametrize("empty", [["--out="], ["--out", ""]], ids=["joined", "separate"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["folner", "build", "--group", "Z", "--n-max", "2"],
+        ["folner", "refine", "--group", "Z", "--eps", "1/2", "--count", "2"],
+        ["modulus", "compute", "--group", "Z", "--ns", "1-2", "--eps", "1/2", "--window", "5"],
+        ["avg", "run", "--config", str(DEMO)],
+    ],
+    ids=["folner-build", "folner-refine", "modulus-compute", "avg-run"],
+)
+def test_an_empty_out_is_refused_naming_the_flag(tmp_path, monkeypatch, capsys, argv, empty):
+    # an empty --out names no path: refused before any work, so nothing is written or printed
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv, *empty) == (1, "", "error: --out names no path\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("empty", [["--out-dir="], ["--out-dir", ""]], ids=["joined", "separate"])
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--config", str(DEMO)], ["verify", "main", "--config", str(DEMO)],
+     ["verify", "corollary", "--config", str(COROLLARY)]],
+    ids=["run", "verify-main", "verify-corollary"],
+)
+def test_an_empty_out_dir_is_refused_naming_the_flag(tmp_path, monkeypatch, capsys, argv, empty):
+    # an empty --out-dir names no directory: refused before any work, so no artifact lands in the
+    # current directory, which Path("") would name
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *argv, *empty) == (1, "", "error: --out-dir names no path\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def count_calls(monkeypatch, module: str, name: str) -> list:
     """One entry per call of ergolab's public `module.name`, under every name an ergolab module binds it to."""
     original = getattr(importlib.import_module(module), name)

@@ -5,7 +5,6 @@ and boxes of `group_oracles`, so the closed-form routes and the row counts of
 explicit sets are checked against literal set arithmetic.
 """
 
-import itertools
 import json
 import math
 import random
@@ -21,7 +20,6 @@ from hypothesis import strategies as st
 
 from ergolab import (
     Branch,
-    ConstructionBudgetError,
     ConvexityModulus,
     DomainError,
     ExplicitFamily,
@@ -353,24 +351,29 @@ def test_greedy_stage_past_the_cap_is_refused_before_a_larger_box_is_built():
     )
 
 
-def test_greedy_stage_is_refused_when_the_largest_box_within_the_cap_is_not_valid(monkeypatch):
-    monkeypatch.setattr(folner, "MATERIALIZE_CAP", 100)  # B_49 of Z is the largest box within it
-    assert [greedy_folner(Z, 4).card(n) for n in range(1, 5)] == [1, 2, 7, 25]  # as without the cap
+def stage_searches(monkeypatch) -> list:
+    """A list to which each later greedy stage appends the radii its search probes, in order:
+    `folner.least_index` wrapped, each stage's search being the one given an upper end."""
     searches = []
     real = folner.least_index
 
-    def spy(pred, lo, hi=None):  # each stage's search is the one given an upper end
+    def spy(pred, lo, hi=None):
         if hi is not None:
             searches.append([])
         return real(pred if hi is None else lambda r: searches[-1].append(r) or pred(r), lo, hi)
 
     monkeypatch.setattr(folner, "least_index", spy)
+    return searches
+
+
+def test_greedy_stage_is_refused_when_the_largest_box_within_the_cap_is_not_valid(monkeypatch):
+    monkeypatch.setattr(folner, "MATERIALIZE_CAP", 100)  # B_49 of Z is the largest box within it
+    assert [greedy_folner(Z, 4).card(n) for n in range(1, 5)] == [1, 2, 7, 25]  # as without the cap
+    searches = stage_searches(monkeypatch)
     with pytest.raises(FamilyTooLargeError, match="greedy stage 5 .* cap 100: no radius up to 49 "):
         greedy_folner(Z, 5)  # stage 5 takes radius 60 without the cap
     assert len(searches) == 4 and searches[-1] == [0, 1, 2, 4, 8, 16, 32, 49]  # stage 5 stops at the cap
-    # stage 4 takes 9 probes and stage 5 eight, where an unbounded search took 13
-    with pytest.raises(FamilyTooLargeError):
-        greedy_folner(Z, 5, search_budget=9)
+    assert [len(s) for s in searches] == [1, 5, 9, 8]
 
 
 # ---------------------------------------------------------------------------
@@ -594,17 +597,12 @@ def test_greedy_draws_each_enumerated_element_when_its_stage_is_built(monkeypatc
     monkeypatch.setattr(Z, "enumeration", lambda: (drawn.append(g) or g for g in enumerate_all()))
     assert greedy_folner(Z, 6).n_max == 6 and drawn == first_six
     drawn.clear()
-    # stage 3 exhausts a budget of 1, so no g past g_2 is drawn: 10**6 is not enumerated up front
-    with pytest.raises(ConstructionBudgetError):
-        greedy_folner(Z, 10**6, search_budget=1)
+    # B_1 is the largest box within a cap of 4, and no radius up to 1 is valid at stage 3,
+    # so no g past g_2 is drawn: 10**6 is not enumerated up front
+    monkeypatch.setattr(folner, "MATERIALIZE_CAP", 4)
+    with pytest.raises(FamilyTooLargeError, match="greedy stage 3 "):
+        greedy_folner(Z, 10**6)
     assert drawn == [0, 1]
-
-
-def test_greedy_budget_exhaustion():
-    with pytest.raises(ConstructionBudgetError) as err:
-        greedy_folner(Z, 6, search_budget=2)
-    assert err.value.budget == 2
-    assert err.value.stage >= 2
 
 
 @pytest.mark.parametrize(
@@ -622,13 +620,13 @@ def test_greedy_stage_cardinalities_are_pinned(group, n_max, cards):
     assert [fam.card(n) for n in range(1, n_max + 1)] == cards
 
 
-def scalar_greedy(group, n_max, search_budget=10_000):
+def scalar_greedy(group, n_max, probes=None):
     """The greedy construction with every candidate tested one g at a time: the reference
     for `greedy_folner`'s blocks.  The reach is a `least_index` search over coordinate
     containment, and each g of F_{n-1} is decided alone: by the scalar `box_overlap` on a
     box, and on a set by a one-row `overlaps` block (the rows shared with `translate_block`
     on every set with no closed form), g in ascending canonical order, the order of F_{n-1}'s
-    block; the probes, and so the budget count, are `greedy_folner`'s.
+    block.  With a list given as probes, each stage appends the list of radii it probes.
     """
 
     def contains(r, g):
@@ -641,11 +639,12 @@ def scalar_greedy(group, n_max, search_budget=10_000):
     for stage in range(2, n_max + 1):
         prev = sets[-1]
         reach = least_index(lambda r: all(contains(r, g) for g in prev), 0)
-        evals = itertools.count(1)
+        probed = []
+        if probes is not None:
+            probes.append(probed)
 
         def valid(r):
-            if next(evals) > search_budget:
-                raise ConstructionBudgetError(stage, search_budget)
+            probed.append(r)
             if r and r >= reach:
                 card, overlap_of = group.box_card(r), lambda g: group.box_overlap(r, g)
             else:
@@ -663,19 +662,15 @@ def scalar_greedy(group, n_max, search_budget=10_000):
 
 
 @pytest.mark.parametrize(
-    "group, n_max, least_budget", [(Z, 8, 31), (Z2, 4, 11), (H3, 3, 3)], ids=lambda v: getattr(v, "name", None)
+    "group, n_max, most", [(Z, 8, 31), (Z2, 4, 11), (H3, 3, 3)], ids=lambda v: getattr(v, "name", None)
 )
-def test_greedy_blocks_match_the_per_g_construction(group, n_max, least_budget):
+def test_greedy_blocks_match_the_per_g_construction(group, n_max, most, monkeypatch):
+    searches = stage_searches(monkeypatch)
     fam = greedy_folner(group, n_max)
-    assert [fam.elements(n) for n in range(1, n_max + 1)] == scalar_greedy(group, n_max)
-    # the same probes: every smaller budget runs out at the same stage, and the least one that suffices is pinned
-    for budget in range(1, least_budget):
-        with pytest.raises(ConstructionBudgetError) as got:
-            greedy_folner(group, n_max, search_budget=budget)
-        with pytest.raises(ConstructionBudgetError) as want:
-            scalar_greedy(group, n_max, search_budget=budget)
-        assert got.value.stage == want.value.stage, budget
-    assert greedy_folner(group, n_max, search_budget=least_budget).to_jsonable() == fam.to_jsonable()
+    want = []
+    assert [fam.elements(n) for n in range(1, n_max + 1)] == scalar_greedy(group, n_max, want)
+    # the same radii probed at every stage, in the same order, and the most at any one stage pinned
+    assert searches == want and max(map(len, searches)) == most
 
 
 @pytest.mark.parametrize("group, n_max", [(Z2, 4), (H3, 3)], ids=lambda v: getattr(v, "name", None))
@@ -1144,7 +1139,6 @@ def _verify_corollary_with_lambda(lam):
 EXACT_INT_ARGUMENTS = {  # name: (call, an int it accepts)
     "FolnerFamily n_max": (lambda x: standard_family(Z, x), 2),
     "greedy_folner n_max": (lambda x: greedy_folner(Z, x), 2),
-    "greedy_folner search_budget": (lambda x: greedy_folner(Z, 3, search_budget=x), 100),
     "convergence_modulus m_max": (lambda x: convergence_modulus(
         ExplicitFamily(Z, [range(-k, k + 1) for k in range(1, 6)]), 1, Fraction(5, 2), m_max=x
     ), 5),

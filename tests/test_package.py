@@ -162,3 +162,29 @@ def test_a_built_system_is_an_action_and_the_group_owns_its_presentation():
         ("rotation_system", "IntegerGroup"),
         ("torus_translation_system", "LatticeGroup"),
     ]
+
+
+def test_the_greedy_search_has_no_budget(capsys):
+    import argparse
+    import inspect
+
+    from ergolab import cli, errors
+    from ergolab.folner import greedy_folner
+
+    # the materialization cap is a greedy stage's only bound: no budget knob, error or flag
+    assert not hasattr(errors, "ConstructionBudgetError")
+    assert list(inspect.signature(greedy_folner).parameters) == ["group", "n_max"]
+    parsers, found = [cli.build_parser()], []
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            elif "--budget" in action.option_strings:
+                found.append(parser.prog)
+    assert found == []
+    for argv in (["folner", "build", "--group", "Z", "--kind", "greedy", "--n-max", "2"],
+                 ["folner", "check", "--group", "Z", "--family", "greedy", "--n", "2", "--eps", "1/2", "--window", "5"],
+                 ["modulus", "compute", "--group", "Z", "--family", "greedy", "--ns", "1", "--eps", "1/2", "--window", "2"]):
+        assert cli.main([*argv, "--budget", "3"]) == 2  # argparse's usage error
+        assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
