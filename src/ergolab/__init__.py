@@ -26,6 +26,7 @@ from .dynamics import (
     koopman_apply,
     lp_distances,
     lp_norm,
+    lp_norms,
     rotation_system,
     torus_translation_system,
     weighted_mean,

@@ -26,6 +26,7 @@ from .dynamics import (
     average_block,
     average_sequence,
     lp_norm,
+    lp_norms,
 )
 from .errors import ConfigError, ErgolabError, StructureError
 from .fluctuation import (
@@ -250,14 +251,18 @@ def _averages_csv(system, family: FolnerFamily, f: Observable, avgs: List[Observ
     if defect_against:
         a_n_f = average_block(system, family, defect_against, f.values)  # row j is A_N f
         refs = average_block(system, family, range(1, window + 1), a_n_f.T)
+    # one block norm per column, the norm_Anf and each defect_N: `lp_norms` rows are `lp_norm`'s, bitwise
+    stacked = np.stack([a.values for a in avgs])
+    defects = [stacked - refs[:, :, j] for j in range(len(defect_against))]
+    if not all(np.isfinite(d).all() for d in defects):
+        raise StructureError("observable values must be finite")  # as the defect's Observable would say
+    columns = [lp_norms(system, block, f.p) for block in [stacked] + defects]
     for n in range(1, window + 1):
         cells = [str(n)]
         if refined:
             cells.append(str(family.indices[n - 1]))
         cells.append(str(family.card(n)))
-        cells.append(_fmt(lp_norm(system, avgs[n - 1])))
-        for j in range(len(defect_against)):
-            cells.append(_fmt(lp_norm(system, Observable(avgs[n - 1].values - refs[n - 1, :, j], f.p))))
+        cells += [_fmt(column[n - 1]) for column in columns]
         rows.append(",".join(cells))
     return "\n".join(rows) + "\n"
 
@@ -310,8 +315,7 @@ def run_experiment(config: dict, out_dir=None, write: bool = True) -> Experiment
             "reports": [r.to_jsonable() for r in reports],
         }
         _write(out / "report.json", _json_text(report_doc))
-        modulus_doc = table.to_jsonable() if table is not None else {"entries": []}
-        _write(out / "modulus.json", _json_text(modulus_doc))
+        _write(out / "modulus.json", table.to_json_text() if table is not None else _json_text({"entries": []}))
         result.paths = {
             "averages": str(out / "averages.csv"),
             "report": str(out / "report.json"),
@@ -382,10 +386,10 @@ def _cmd_modulus_compute(args) -> int:
     family = _family(spec, group_by_name(args.group), n_max)
     eps = as_fraction(args.eps)
     table = build_modulus_table(family, ns, [eps], m_max=window)
-    for n in ns:
-        print(f"{n} {table.value(n, eps)}")
+    row = table.entries_at(eps)  # one lookup of the tolerance, however many ns
+    print("\n".join(f"{n} {row[n].value}" for n in ns))
     if args.out is not None:
-        _write(args.out, _json_text(table.to_jsonable()))
+        _write(args.out, table.to_json_text())
     return 0
 
 

@@ -24,7 +24,7 @@ none), else the element sum, acting once per distinct element, in chunks
 whose gathered values stay within _GATHER_BYTES.  On boxes of Z^d and H3 the
 element sum reads the largest box's block once, and an element is added to the
 rows whose radius reaches it (Group.box_reaches); other families code their
-sets' rows together (row_codes).  Every L^p norm goes through _lp_norms.
+sets' rows together (row_codes).  Every L^p norm goes through lp_norms.
 """
 
 from __future__ import annotations
@@ -206,13 +206,18 @@ def koopman_apply(system: FiniteMeasureSystem, g, f: Observable) -> Observable:
     return Observable(out, f.p)
 
 
-def _lp_norms(system: FiniteMeasureSystem, rows: np.ndarray, p: float) -> List[float]:
-    """(sum_s mu_s |row(s)|^p)^(1/p) for each row of a 2-d array: the one L^p formula.
+def lp_norms(system: FiniteMeasureSystem, rows: np.ndarray, p: float) -> List[float]:
+    """(sum_s mu_s |row(s)|^p)^(1/p) for each row of a 2-d float array: the one L^p formula.
 
     Each row is one contiguous numpy sum, and the 1/p root is the scalar pow
     (Python float ** float), not an array power, whose fast paths can round
-    differently in the last place; so a row's norm does not depend on its stack.
+    differently in the last place; so a row's norm does not depend on its stack,
+    and row i is bitwise lp_norm(system, Observable(rows[i], p)).
     """
+    if np.ndim(rows) != 2:
+        raise StructureError(f"lp_norms needs a 2-d array of rows, got shape {np.shape(rows)}")
+    if not 1 < p < math.inf:
+        raise StructureError(f"p must lie in (1, inf), got {p}")
     _check_length(system, rows.shape[1])
     root = 1.0 / p
     return [s ** root for s in np.sum(system._weights_float * np.abs(rows) ** p, axis=1).tolist()]
@@ -220,7 +225,7 @@ def _lp_norms(system: FiniteMeasureSystem, rows: np.ndarray, p: float) -> List[f
 
 def lp_norm(system: FiniteMeasureSystem, f: Observable) -> float:
     """(sum_s mu_s |f(s)|^p)^(1/p)."""
-    return _lp_norms(system, f.values[None], f.p)[0]
+    return lp_norms(system, f.values[None], f.p)[0]
 
 
 def lp_distances(
@@ -232,7 +237,7 @@ def lp_distances(
     indices, as max_chain takes it.  Row n is then filled only at the columns
     m >= max(n + 1, beta(n)), and mirrored below the diagonal: the pairs a
     chain at distance beta can step along.  Every other entry stays 0.0.
-    Each filled entry is one _lp_norms row, so bitwise lp_norm(system,
+    Each filled entry is one lp_norms row, so bitwise lp_norm(system,
     Observable(avgs[i] - avgs[j])) whichever entries are filled.
     """
     shapes = {(len(a), a.p) for a in avgs}
@@ -251,7 +256,7 @@ def lp_distances(
     mat = np.zeros((L, L))
     for i, lo in enumerate(starts):
         if lo < L:
-            mat[i, lo:] = mat[lo:, i] = _lp_norms(system, stacked[i] - stacked[lo:], avgs[0].p)
+            mat[i, lo:] = mat[lo:, i] = lp_norms(system, stacked[i] - stacked[lo:], avgs[0].p)
     return mat
 
 

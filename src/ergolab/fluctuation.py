@@ -331,8 +331,9 @@ def verify_main_theorem(
         if table is None:
             table = build_modulus_table(family, range(1, window + 1), tolerances, m_max=window)
         betas = []
+        covering = [e for e in table.epsilons() if table.covers(window, e)]  # each table tolerance once
         for eps_beta in tolerances:
-            usable = [e for e in table.epsilons() if e <= eps_beta and table.covers(window, e)]
+            usable = [e for e in covering if e <= eps_beta]
             if not usable:
                 raise UncertifiedModulusError(
                     f"modulus table does not certify the window [1, {window}] at any tolerance <= {eps_beta} "

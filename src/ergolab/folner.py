@@ -25,6 +25,7 @@ searches only the box radii whose box fits it.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -325,21 +326,74 @@ class ModulusEntry:
     certified_up_to: Optional[int]  # None = certified for every m >= value
 
 
+_KINDS = ("analytic", "empirical")
+
+
+def _entry_problem(e) -> Optional[str]:
+    """Why e is no entry a table can hold, or None: n, N and a cap are ints (not bools) >= 1,
+    the kind is one of _KINDS, and eps is a positive Fraction."""
+    if not isinstance(e, ModulusEntry):
+        return "not a ModulusEntry"
+    ints = {"n": e.n, "N": e.value, "certified_up_to": 1 if e.certified_up_to is None else e.certified_up_to}
+    bad = [name for name, v in ints.items() if not (type(v) is int and v >= 1)]
+    if bad:
+        return f"{' and '.join(bad)} not an integer >= 1"
+    if e.kind not in _KINDS:
+        return f"kind not one of {_KINDS}"
+    if not (isinstance(e.epsilon, Fraction) and e.epsilon > 0):
+        return "eps not a positive Fraction"
+    return None
+
+
+# one entry, and the table around them, as json.dumps(indent=2, sort_keys=True) lays them out
+_ENTRY_TEXT = (
+    '    {\n      "N": %d,\n      "certified_up_to": %s,\n      "eps": "%d/%d",\n'
+    '      "kind": "%s",\n      "n": %d\n    }'
+)
+_TABLE_TEXT = '{\n  "certified_up_to": %s,\n  "entries": %s,\n  "group": %s,\n  "kind": "%s",\n  "provenance": %s\n}\n'
+
+
+def _json_int(x: Optional[int]) -> str:
+    return "null" if x is None else "%d" % x
+
+
 class ModulusTable:
     """Certified values of the Folner convergence modulus beta(n, eps).
 
     Entries are keyed by tolerance, then by n.  Hashing an exact tolerance
     costs a modular inverse of its denominator (about 104 bits for a float
-    tolerance), so each query looks its tolerance up once and then indexes
-    by integers.
+    tolerance), so each tolerance is hashed once per row: a table is built row
+    by row (`build_modulus_table` hands over finished rows), and each query
+    looks its tolerance up once and then indexes by integers.  The constructor
+    and `from_jsonable` check every entry, and a malformed one is a
+    StructureError naming it; `build_modulus_table`'s rows are well formed as
+    built.  So `to_json_text` formats only ints, known kinds and positive
+    tolerances.
     """
 
     def __init__(self, group_name: str, provenance: str, entries: Iterable[ModulusEntry]):
+        rows: Dict[Fraction, Dict[int, ModulusEntry]] = {}
+        for e in entries:
+            problem = _entry_problem(e)
+            if problem is not None:
+                raise StructureError(f"malformed modulus entry {e!r}: {problem}")
+            rows.setdefault(e.epsilon, {})[e.n] = e
+        self._take(group_name, provenance, rows)
+
+    @classmethod
+    def _of_rows(cls, group_name: str, provenance: str, rows: Dict[Fraction, Dict[int, ModulusEntry]]):
+        """A table over finished rows, trusted as built: row eps holds well-formed entries at eps, keyed by n."""
+        table = cls.__new__(cls)
+        table._take(group_name, provenance, rows)
+        return table
+
+    def _take(self, group_name: str, provenance: str, rows: Dict[Fraction, Dict[int, ModulusEntry]]) -> None:
+        for what, name in (("group name", group_name), ("provenance", provenance)):
+            if not isinstance(name, str):
+                raise StructureError(f"modulus table {what} must be a string, got {name!r}")
         self.group_name = group_name
         self.provenance = provenance
-        self._rows: Dict[Fraction, Dict[int, ModulusEntry]] = {}
-        for e in entries:
-            self._rows.setdefault(e.epsilon, {})[e.n] = e
+        self._rows = rows
 
     def _all(self) -> Iterator[ModulusEntry]:
         return (e for row in self._rows.values() for e in row.values())
@@ -402,18 +456,44 @@ class ModulusTable:
             ],
         }
 
+    def to_json_text(self) -> str:
+        """`json.dumps(self.to_jsonable(), indent=2, sort_keys=True) + "\\n"`, byte for byte, written
+        entry by entry in that layout: the entries sorted by (str(eps), n), which is rows by
+        str(eps), then n; json.dumps writes the two free strings, the group name and the provenance."""
+        entries = [
+            _ENTRY_TEXT % (e.value, _json_int(e.certified_up_to), eps.numerator, eps.denominator, e.kind, e.n)
+            for eps in sorted(self._rows, key=str)
+            for _, e in sorted(self._rows[eps].items())
+        ]
+        return _TABLE_TEXT % (
+            _json_int(self.certified_up_to),
+            "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]",
+            json.dumps(self.group_name),
+            self.kind,
+            json.dumps(self.provenance),
+        )
+
     @classmethod
     def from_jsonable(cls, data: dict) -> "ModulusTable":
-        entries = [
-            ModulusEntry(
-                n=e["n"],
-                epsilon=as_fraction(e["eps"]),
-                value=e["N"],
-                kind=e.get("kind", "empirical"),
-                certified_up_to=e.get("certified_up_to"),
-            )
-            for e in data["entries"]
-        ]
+        """The table a `to_jsonable` document describes; a malformed entry is a StructureError naming it."""
+        if not (isinstance(data, dict) and isinstance(data.get("entries"), list) and "group" in data):
+            raise StructureError("a modulus table document is an object with a group and a list of entries")
+        entries = []
+        for i, e in enumerate(data["entries"]):
+            try:
+                entry = ModulusEntry(
+                    n=e["n"],
+                    epsilon=as_fraction(e["eps"]),
+                    value=e["N"],
+                    kind=e.get("kind", "empirical"),
+                    certified_up_to=e.get("certified_up_to"),
+                )
+            except (TypeError, KeyError, AttributeError, DomainError) as exc:
+                raise StructureError(f"malformed modulus entry {i}: {e!r} ({exc})") from None
+            problem = _entry_problem(entry)
+            if problem is not None:
+                raise StructureError(f"malformed modulus entry {i}: {e!r}: {problem}")
+            entries.append(entry)
         return cls(data["group"], data.get("provenance", "explicit"), entries)
 
 
@@ -496,6 +576,15 @@ def _worst_ratios(family: FolnerFamily, n: int, ms: Iterable[int], over=None) ->
         yield Fraction(2 * (card - int(overlaps[i])), card), from_block(block[i : i + 1])[0]
 
 
+def _box_entry(family: FolnerFamily, n: int, eps: Fraction) -> Optional[ModulusEntry]:
+    """The analytic entry beta(n, eps) of a standard box family whose group knows the corner of F_n,
+    else None; n is a checked index and eps a checked tolerance."""
+    value = _box_threshold(family.group, n, eps) if isinstance(family, StandardBoxFamily) else None
+    if value is None:
+        return None
+    return ModulusEntry(n=n, epsilon=eps, value=value, kind="analytic", certified_up_to=None)
+
+
 def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] = None) -> ModulusEntry:
     """A certified entry N = beta(n, eps) for the family.
 
@@ -510,9 +599,9 @@ def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] 
     if m_max is not None:
         _check_int(m_max, "m_max")  # its range matters only to an empirical entry
 
-    value = _box_threshold(family.group, n, eps) if isinstance(family, StandardBoxFamily) else None
-    if value is not None:  # certifies every larger m, also past the family's length
-        return ModulusEntry(n=n, epsilon=eps, value=value, kind="analytic", certified_up_to=None)
+    entry = _box_entry(family, n, eps)
+    if entry is not None:  # certifies every larger m, also past the family's length
+        return entry
 
     if m_max is None:
         raise DomainError("m_max is required for empirical modulus certification")
@@ -534,12 +623,26 @@ def build_modulus_table(
     epsilons: Iterable,
     m_max: Optional[int] = None,
 ) -> ModulusTable:
-    entries = [
-        convergence_modulus(family, n, eps, m_max=m_max)
-        for eps in list(epsilons)
-        for n in list(ns)
-    ]
-    return ModulusTable(family.group.name, family.provenance, entries)
+    """The table of `convergence_modulus(family, n, eps, m_max)` for every eps of epsilons and n of ns,
+    built one row per tolerance.  Every tolerance, and m_max's type, is checked once, also when ns is
+    empty, and each tolerance keys its row once.  A standard box family whose group knows the box
+    corner fills its rows from the box threshold, each n checked as an index; every other entry is a
+    `convergence_modulus` call.
+    """
+    ns = list(ns)
+    tolerances = [_tolerance(eps, "modulus") for eps in epsilons]
+    if m_max is not None:
+        _check_int(m_max, "m_max")
+
+    def row(eps: Fraction) -> Dict[int, ModulusEntry]:
+        out = {}
+        for n in ns:
+            family._check_index(n)
+            out[n] = _box_entry(family, n, eps) or convergence_modulus(family, n, eps, m_max=m_max)
+        return out
+
+    rows = {eps: row(eps) for eps in tolerances} if ns else {}
+    return ModulusTable._of_rows(family.group.name, family.provenance, rows)
 
 
 def envelope(table: ModulusTable) -> ModulusTable:

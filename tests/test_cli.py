@@ -10,8 +10,10 @@ import re
 import shlex
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from ergolab import (
     ConvexityModulus,
     average_defect,
+    average_sequence,
     convergence_modulus,
     group_by_name,
     lp_norm,
@@ -380,8 +383,6 @@ def test_avg_run_matches_library(capsys, tmp_path):
     assert lines[0] == "n,card,norm_Anf"
     system = rotation_system(12)
     f = system.observable([1.0] + [0.0] * 11, 2)
-    from ergolab import average_sequence
-
     fam = standard_family(group_by_name("Z"), 10)
     avgs = average_sequence(system, fam, f, 10)
     for n, line in enumerate(lines[1:], start=1):
@@ -867,6 +868,65 @@ def test_avg_run_with_defects_makes_three_averaging_passes(tmp_path, monkeypatch
     boxes = standard_family(group_by_name("Z^2"), 6)
     for n, row in enumerate(rows, start=1):
         assert row.split(",")[3:] == [repr(average_defect(system, boxes, N, n, f)) for N in (1, 2, 6)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 1.7])
+def test_averages_csv_cells_are_bitwise_the_norm_of_their_row(tmp_path, p):
+    # the norm and defect columns are block norms; each cell is still lp_norm of its own row, bitwise
+    system = rotation_system(24)
+    config = {
+        "group": "Z",
+        "system": {"points": 24, "weights": "uniform", "generators": {"t": [(s + 1) % 24 for s in range(24)]}},
+        "observable": {"type": "random", "distribution": "normal", "scale": 1.0},
+        "p": p,
+        "window": 120,
+        "seed": 5,
+        "defect_against": [1, 7, 120],
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["avg", "run", "--config", str(cfg), "--out", str(tmp_path / "avg.csv")]) == 0
+    header, *rows = (tmp_path / "avg.csv").read_text().splitlines()
+    assert header == "n,card,norm_Anf,defect_1,defect_7,defect_120"
+    values = np.random.default_rng(5).normal(0.0, 1.0, size=24)
+    f = system.observable(values, p)
+    boxes = standard_family(group_by_name("Z"), 120)
+    avgs = average_sequence(system, boxes, f, 120)
+    for n, row in enumerate(rows, start=1):
+        cells = row.split(",")
+        assert cells[2] == repr(lp_norm(system, avgs[n - 1]))
+        assert cells[3:] == [repr(average_defect(system, boxes, N, n, f)) for N in (1, 7, 120)]
+
+
+def test_a_defect_row_that_overflows_is_refused_as_its_observable_would_be(tmp_path, capsys):
+    # F_1 = {1}: A_n A_1 f is A_n f shifted by one point, and f - (f shifted) overflows on 2 points
+    config = {
+        "group": "Z",
+        "system": {"points": 2, "weights": "uniform", "generators": {"t": [1, 0]}},
+        "observable": {"type": "explicit", "values": [1.7e308, -1.7e308]},
+        "p": 2,
+        "window": 2,
+        "family": {"type": "explicit", "sets": [[1], [2]]},
+        "defect_against": [1],
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with np.errstate(over="ignore"):
+        code, out, err = run_cli(capsys, "avg", "run", "--config", str(cfg))
+    assert (code, out, err) == (1, "", "error: observable values must be finite\n")
+
+
+def test_modulus_compute_looks_its_tolerance_up_once(capsys, monkeypatch):
+    from ergolab.folner import ModulusTable
+
+    lookups = []
+    entries_at = ModulusTable.entries_at
+    monkeypatch.setattr(ModulusTable, "entries_at", lambda self, eps: lookups.append(eps) or entries_at(self, eps))
+    monkeypatch.setattr(ModulusTable, "value", lambda self, n, eps: pytest.fail("value() looks eps up per n"))
+    code, out, _ = run_cli(capsys, "modulus", "compute", "--group", "Z", "--ns", "1-500", "--eps", "1/7", "--window", "9")
+    assert (code, len(lookups)) == (0, 1)
+    family = standard_family(group_by_name("Z"), 500)
+    assert out == "".join(f"{n} {convergence_modulus(family, n, Fraction(1, 7)).value}\n" for n in range(1, 501))
 
 
 @pytest.mark.parametrize(

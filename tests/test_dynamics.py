@@ -33,6 +33,7 @@ from ergolab import (
     koopman_apply,
     lp_distances,
     lp_norm,
+    lp_norms,
     rotation_system,
     standard_family,
     torus_translation_system,
@@ -333,6 +334,23 @@ def test_lp_distances_refuses_no_averages_and_mixed_shapes():
         lp_distances(system, [f, system.observable([0, 1, 0, 0], 3)])
     with pytest.raises(StructureError):
         lp_distances(system, [f, Observable(np.ones(3), 2)])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 7.0])
+def test_lp_norms_rows_are_bitwise_lp_norm_whatever_the_block(p):
+    system = rotation_system(12)
+    block = np.random.default_rng(7).normal(0.0, 3.0, size=(37, 12))
+    norms = lp_norms(system, block, p)
+    assert norms == [lp_norm(system, Observable(row, p)) for row in block]
+    assert lp_norms(system, block[5:9], p) == norms[5:9]
+
+
+def test_lp_norms_refuses_a_block_it_cannot_read():
+    system = rotation_system(4)
+    bad = [(np.ones(4), 2), (np.ones((2, 2, 4)), 2), (np.ones((2, 3)), 2), (np.ones((2, 4)), 1), (np.ones((2, 4)), np.inf)]
+    for rows, p in bad:
+        with pytest.raises(StructureError):
+            lp_norms(system, rows, p)
 
 
 def test_lp_norm_examples():

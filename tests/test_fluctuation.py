@@ -701,6 +701,35 @@ def test_one_call_over_several_epsilons_builds_one_modulus_table(monkeypatch):
     assert reports[0].modulus_table.to_jsonable() == expected.to_jsonable()
 
 
+def test_a_supplied_table_checks_each_of_its_tolerances_once(monkeypatch):
+    # which table tolerances cover the window is decided once each, not once per branch tolerance
+    system = rotation_system(12)
+    fam = standard_family(Z, 30)
+    f = system.observable([1.0] + [0.0] * 11, 2)
+    hm = ConvexityModulus.hanner(2)
+    epsilons = [0.3, 0.2, 0.1, 0.05, 0.04]
+    table = build_modulus_table(fam, range(1, 31), [Fraction(1, 2**k) for k in range(8, 40)], m_max=30)
+    calls = []
+    covers = ModulusTable.covers
+    monkeypatch.setattr(ModulusTable, "covers", lambda self, window, e: calls.append(e) or covers(self, window, e))
+    reports = verify_main_theorem(system, fam, table, hm, f, epsilons, window=30)
+    assert sorted(calls) == table.epsilons()
+    # each eps counts at the largest table tolerance at or below its branch tolerance, as before
+    for eps, rep in zip(epsilons, reports):
+        tolerance = Branch.of(hm, lp_norm(system, f), eps).tolerance
+        chosen = max(e for e in table.epsilons() if e <= tolerance)
+        alone = build_modulus_table(fam, range(1, 31), [chosen], m_max=30)
+        assert rep.to_jsonable() == verify_main_theorem(system, fam, alone, hm, f, [eps], 30)[0].to_jsonable()
+    # a branch tolerance below every covering one is refused with the same message
+    tiny = Branch.of(hm, lp_norm(system, f), 1e-5).tolerance
+    with pytest.raises(UncertifiedModulusError) as info:
+        verify_main_theorem(system, fam, table, hm, f, [0.3, 1e-5], window=30)
+    assert str(info.value) == (
+        f"modulus table does not certify the window [1, 30] at any tolerance <= {tiny} "
+        f"(have {table.epsilons()}, certified_up_to=None)"
+    )
+
+
 def test_reports_of_one_call_share_the_modulus_table():
     system = rotation_system(12)
     fam = standard_family(Z, 30)

@@ -5,6 +5,7 @@ and boxes of `group_oracles`, so the closed-form routes and the row counts of
 explicit sets are checked against literal set arithmetic.
 """
 
+import dataclasses
 import json
 import math
 import random
@@ -561,6 +562,186 @@ def test_modulus_table_roundtrip():
     assert back.entries.keys() == table.entries.keys()
     for key, entry in table.entries.items():
         assert back.entries[key] == entry
+
+
+def json_dumps_oracle(table: ModulusTable) -> str:
+    return json.dumps(table.to_jsonable(), indent=2, sort_keys=True) + "\n"
+
+
+# tolerances whose string order differs from their numeric order, huge and float-exact ones, an integer
+WRITER_TOLERANCES = [Fraction(1, 10), Fraction(1, 2), Fraction(3, 7), Fraction(0.1), Fraction(10**40 + 1, 3 * 10**39), Fraction(5)]
+
+
+def writer_tables():
+    mixed = [
+        ModulusEntry(n=n, epsilon=eps, value=v, kind=kind, certified_up_to=cap)
+        for i, eps in enumerate(WRITER_TOLERANCES)
+        for n, v, kind, cap in [(3, 2**70 + i, "analytic", None), (1, 4, "empirical", 9 + i), (2, 1, "analytic", 12)]
+    ]
+    return {
+        "mixed": ModulusTable("Z", 'hand "quoted" \u00e9\u2603 \\ /', mixed),
+        "one empirical": ModulusTable("H3", "explicit", mixed[1:2]),
+        "one analytic": ModulusTable("Z^2", "standard-box", mixed[:1]),
+        "empty": ModulusTable("Z^3", "explicit", []),
+        "empty build": build_modulus_table(standard_family(Z, 5), [], WRITER_TOLERANCES),
+        "z-wide shape": build_modulus_table(standard_family(Z, 400), range(1, 401), [0.05, 0.1, 0.2]),
+        "greedy": build_modulus_table(greedy_folner(Z, 8), range(1, 7), [Fraction(1, 2), Fraction(1, 10)], m_max=8),
+        "h3": build_modulus_table(standard_family(H3, 6), [2, 1], [Fraction(3, 2), Fraction(1)], m_max=6),
+    }
+
+
+@pytest.mark.parametrize("name", list(writer_tables()))
+def test_modulus_json_text_is_json_dumps_byte_for_byte(name):
+    table = writer_tables()[name]
+    assert table.to_json_text() == json_dumps_oracle(table)
+    if name == "mixed":  # the entries run in str(eps) order, which is not the numeric order
+        eps_order = list(dict.fromkeys(e["eps"] for e in json.loads(table.to_json_text())["entries"]))
+        assert eps_order == sorted(eps_order) != sorted(eps_order, key=Fraction)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entries=st.lists(
+        st.tuples(
+            st.integers(1, 10**6),
+            st.builds(Fraction, st.integers(1, 10**40), st.integers(1, 10**40)),
+            st.integers(1, 2**80),
+            st.sampled_from(["analytic", "empirical"]),
+            st.none() | st.integers(1, 10**9),
+        ),
+        max_size=12,
+    ),
+    names=st.tuples(st.text(max_size=8), st.text(max_size=8)),
+)
+def test_modulus_json_text_matches_json_dumps_on_random_tables(entries, names):
+    table = ModulusTable(*names, [ModulusEntry(n, eps, v, kind, cap) for n, eps, v, kind, cap in entries])
+    assert table.to_json_text() == json_dumps_oracle(table)
+
+
+def per_entry_table(family, ns, epsilons, m_max=None) -> ModulusTable:
+    """The table as one `convergence_modulus` call per (eps, n), handed to the public constructor."""
+    entries = [convergence_modulus(family, n, eps, m_max=m_max) for eps in epsilons for n in ns]
+    return ModulusTable(family.group.name, family.provenance, entries)
+
+
+@pytest.mark.parametrize(
+    "family, ns, epsilons, m_max",
+    [
+        (standard_family(Z, 60), range(1, 61), [0.05, Fraction(1, 10), "3/7", 0.05], None),
+        (standard_family(Z2, 30), [3, 1, 2, 2, 30], [Fraction(1, 2), 0.1], 30),
+        (standard_family(H3, 6), [1, 2], [Fraction(3, 2), Fraction(1)], 6),  # empirical: H3 has no box corner
+        (greedy_folner(Z, 8), range(1, 7), [Fraction(1, 2), Fraction(1, 10), "3/7"], 8),
+    ],
+    ids=["Z", "Z^2", "H3-empirical", "greedy-Z"],
+)
+def test_modulus_table_by_rows_equals_the_per_entry_table(family, ns, epsilons, m_max):
+    table = build_modulus_table(family, ns, epsilons, m_max=m_max)
+    expected = per_entry_table(family, ns, epsilons, m_max)
+    assert list(table.entries.items()) == list(expected.entries.items())
+    assert table.epsilons() == expected.epsilons()
+    assert (table.group_name, table.provenance, table.kind) == (expected.group_name, expected.provenance, expected.kind)
+    assert table.to_json_text() == json_dumps_oracle(expected)
+
+
+@pytest.mark.parametrize("family", [standard_family(Z, 10), greedy_folner(Z, 6)], ids=["boxes", "greedy"])
+@pytest.mark.parametrize(
+    "n, eps, m_max",
+    [
+        (True, Fraction(1, 2), 6),
+        (0, Fraction(1, 2), 6),
+        (99, Fraction(1, 2), 6),
+        (2.0, Fraction(1, 2), 6),
+        (1, 0, 6),
+        (1, "-1/2", 6),
+        (1, -0.5, 6),
+        (1, "x", 6),
+        (1, Fraction(1, 2), 6.0),
+        (1, Fraction(1, 2), True),
+    ],
+)
+def test_modulus_table_by_rows_refuses_what_convergence_modulus_refuses(family, n, eps, m_max):
+    with pytest.raises((DomainError, StructureError)) as per_entry:
+        convergence_modulus(family, n, eps, m_max=m_max)
+    with pytest.raises(type(per_entry.value)) as by_rows:
+        build_modulus_table(family, [1, n], [Fraction(1, 2), eps], m_max=m_max)
+    assert str(by_rows.value) == str(per_entry.value)
+
+
+def test_modulus_table_with_no_index_still_checks_its_tolerances_and_m_max():
+    # with no ns there is no entry, but each tolerance and m_max's type are checked once all the same
+    family = standard_family(Z, 10)
+    for eps in (0, "-1/2", "x"):
+        with pytest.raises(DomainError):
+            build_modulus_table(family, [], [Fraction(1, 2), eps])
+    with pytest.raises(DomainError, match="m_max must be an integer"):
+        build_modulus_table(family, [], [Fraction(1, 2)], m_max=2.5)
+    empty = build_modulus_table(family, [], [Fraction(1, 2)], m_max=4)
+    assert (empty.entries, empty.epsilons(), empty.kind) == ({}, [], "analytic")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"n": True},
+        {"n": 0},
+        {"n": 1.0},
+        {"N": 3.5},
+        {"N": 0},
+        {"N": "3"},
+        {"kind": "bogus"},
+        {"certified_up_to": "x"},
+        {"certified_up_to": 0},
+        {"certified_up_to": False},
+        {"eps": "-1/2"},
+        {"eps": "0"},
+        {"eps": "one half"},
+        {"eps": True},
+        {"eps": None},
+    ],
+)
+def test_modulus_table_from_jsonable_refuses_a_malformed_entry_naming_it(change):
+    doc = build_modulus_table(standard_family(Z, 5), range(1, 4), [Fraction(1, 2)]).to_jsonable()
+    assert ModulusTable.from_jsonable(json.loads(json.dumps(doc))).to_json_text() == json_dumps_oracle(
+        ModulusTable.from_jsonable(doc)
+    )
+    doc["entries"][1].update(change)
+    with pytest.raises(StructureError, match=r"^malformed modulus entry") as info:
+        ModulusTable.from_jsonable(doc)
+    assert repr(next(iter(change.values()))) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [],
+        {"group": "Z"},
+        {"group": "Z", "entries": {}},
+        {"entries": []},
+        {"group": 5, "entries": []},
+        {"group": "Z", "provenance": ["x"], "entries": []},
+        {"group": "Z", "entries": [5]},
+        {"group": "Z", "entries": [{"n": 1, "eps": "1/2"}]},
+    ],
+)
+def test_modulus_table_from_jsonable_refuses_a_malformed_document(doc):
+    with pytest.raises(StructureError):
+        ModulusTable.from_jsonable(doc)
+
+
+def test_modulus_table_constructor_refuses_a_malformed_entry():
+    good = ModulusEntry(n=1, epsilon=Fraction(1, 2), value=3, kind="analytic", certified_up_to=None)
+    assert ModulusTable("Z", "hand", [good]).value(1, "1/2") == 3
+    for bad in (
+        dataclasses.replace(good, value=3.5),
+        dataclasses.replace(good, n=True),
+        dataclasses.replace(good, kind="bogus"),
+        dataclasses.replace(good, certified_up_to="x"),
+        dataclasses.replace(good, epsilon=0.5),
+        dataclasses.replace(good, epsilon=Fraction(-1, 2)),
+        (1, Fraction(1, 2), 3, "analytic", None),
+    ):
+        with pytest.raises(StructureError, match=re.escape(f"malformed modulus entry {bad!r}")):
+            ModulusTable("Z", "hand", [good, bad])
 
 
 # ---------------------------------------------------------------------------
