@@ -248,15 +248,18 @@ def _averages_csv(system, family: FolnerFamily, f: Observable, avgs: List[Observ
     window = len(avgs)
     # refs[n - 1, :, j] = A_n A_N f for N = defect_against[j]: one pass for the A_N f, one for the window
     refs = np.empty((window, system.n_points, 0))
-    if defect_against:
-        a_n_f = average_block(system, family, defect_against, f.values)  # row j is A_N f
-        refs = average_block(system, family, range(1, window + 1), a_n_f.T)
-    # one block norm per column, the norm_Anf and each defect_N: `lp_norms` rows are `lp_norm`'s, bitwise
     stacked = np.stack([a.values for a in avgs])
-    defects = [stacked - refs[:, :, j] for j in range(len(defect_against))]
-    if not all(np.isfinite(d).all() for d in defects):
-        raise StructureError("observable values must be finite")  # as the defect's Observable would say
-    columns = [lp_norms(system, block, f.p) for block in [stacked] + defects]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below, with no numpy warning
+        if defect_against:
+            a_n_f = average_block(system, family, defect_against, f.values)  # row j is A_N f
+            refs = average_block(system, family, range(1, window + 1), a_n_f.T)
+        defects = [stacked - refs[:, :, j] for j in range(len(defect_against))]
+        if not all(np.isfinite(d).all() for d in defects):
+            raise StructureError("observable values must be finite")  # as the defect's Observable would say
+        # one block norm per column, the norm_Anf and each defect_N: `lp_norms` rows are `lp_norm`'s, bitwise
+        columns = [lp_norms(system, block, f.p) for block in [stacked] + defects]
+    if not np.isfinite(columns).all():
+        raise StructureError("the L^p norms of the observable's averages are not finite")
     for n in range(1, window + 1):
         cells = [str(n)]
         if refined:

@@ -224,8 +224,12 @@ def lp_norms(system: FiniteMeasureSystem, rows: np.ndarray, p: float) -> List[fl
 
 
 def lp_norm(system: FiniteMeasureSystem, f: Observable) -> float:
-    """(sum_s mu_s |f(s)|^p)^(1/p)."""
-    return lp_norms(system, f.values[None], f.p)[0]
+    """(sum_s mu_s |f(s)|^p)^(1/p); a StructureError, with no numpy warning, where that overflows."""
+    with np.errstate(over="ignore"):
+        norm = lp_norms(system, f.values[None], f.p)[0]
+    if not math.isfinite(norm):
+        raise StructureError(f"the observable's L^p norm is not finite (p = {f.p})")
+    return norm
 
 
 def lp_distances(
@@ -365,10 +369,15 @@ def ergodic_average(system: FiniteMeasureSystem, family: FolnerFamily, n: int, f
 def average_sequence(
     system: FiniteMeasureSystem, family: FolnerFamily, f: Observable, window: int
 ) -> List[Observable]:
-    """[A_1 f, ..., A_window f], each bitwise equal to ergodic_average at its index."""
+    """[A_1 f, ..., A_window f], each bitwise equal to ergodic_average at its index; a StructureError,
+    with no numpy warning, where a sum overflows."""
     if not (type(window) is int and 1 <= window <= family.n_max):
         raise StructureError(f"window must be in [1, {family.n_max}], got {window}")
-    return [Observable(row, f.p) for row in average_block(system, family, range(1, window + 1), f.values)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = average_block(system, family, range(1, window + 1), f.values)
+    if not np.isfinite(block).all():
+        raise StructureError("the observable's ergodic averages are not finite")
+    return [Observable(row, f.p) for row in block]
 
 
 def average_operator(system: FiniteMeasureSystem, family: FolnerFamily, n: int) -> np.ndarray:

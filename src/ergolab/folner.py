@@ -10,7 +10,9 @@ other explicit sets count the rows they share with each translate.
 A set is read only as `FolnerFamily.block(n)`, one read-only `to_block` array
 of distinct rows in ascending canonical order.  A worst ratio over F_n is
 decided in integers: `overlaps` counts |F_m intersect gF_m| for every row g of
-F_n at once, and one `Fraction` is built per (n, m) from the least count.
+F_n at once (and, where the F_m are boxes, a chunk of m at once, one radius
+column per `Group.box_overlaps` call), and one `Fraction` is built per (n, m)
+from the least count.
 
 The universally quantified "for all m >= N" in the modulus definition is
 undecidable for arbitrary families; empirical entries are therefore stamped
@@ -25,6 +27,7 @@ searches only the box radii whose box fits it.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +46,8 @@ from .errors import (
 from .groups import Group, from_block, group_by_name, row_codes, to_block
 
 MATERIALIZE_CAP = 2_000_000
+# the most (m, g) pairs one `_worst_ratios` chunk counts at once
+_CHUNK_ENTRIES = 2**12
 
 
 def as_fraction(x) -> Fraction:
@@ -201,6 +206,8 @@ class ExplicitFamily(FolnerFamily):
     kind = "explicit"
 
     def __init__(self, group: Group, sets: Sequence[Iterable], provenance: str = "explicit"):
+        if not isinstance(provenance, str):
+            raise StructureError(f"family provenance must be a string, got {provenance!r}")
         blocks = []
         for i, s in enumerate(sets):
             block = group.check_elements(s)
@@ -557,9 +564,15 @@ def worst_ratio(family: FolnerFamily, n: int, m: int, over=None) -> Tuple[Fracti
 
 
 def _worst_ratios(family: FolnerFamily, n: int, ms: Iterable[int], over=None) -> Iterator[tuple]:
-    """`worst_ratio(family, n, m, over)` for each m of ms in turn, F_n's array read once."""
+    """`worst_ratio(family, n, m, over)` for each m of ms in turn, F_n's array read once.
+
+    ms is drawn lazily, a chunk at a time: off the corner route, a box F_m takes the next ms with it,
+    up to _CHUNK_ENTRIES (m, g) pairs (one m at least), and where every F_m of the chunk is a box the
+    chunk is one `Group.box_overlaps` call, every index checked first; other sets are counted one m at
+    a time.  A consumer that stops early counts at most one chunk past the m it stopped at.
+    """
     corner = _corner(family, n) if over is None else None
-    block = None
+    block, ms = None, iter(ms)
     for m in ms:
         r = None if corner is None else family.box_radius(m)
         if r is not None:
@@ -567,13 +580,21 @@ def _worst_ratios(family: FolnerFamily, n: int, ms: Iterable[int], over=None) ->
             continue
         if block is None:
             block = family.block(n) if over is None else family.group.check_elements(over)
+            size = max(1, _CHUNK_ENTRIES // max(1, len(block)))
         if not len(block):
             yield Fraction(0), None
             continue
-        card = family.card(m)
-        overlaps = family.overlaps(m, block)
-        i = int(np.argmin(overlaps))
-        yield Fraction(2 * (card - int(overlaps[i])), card), from_block(block[i : i + 1])[0]
+        r = family.box_radius(m)
+        chunk = [m] if r is None else [m, *itertools.islice(ms, size - 1)]
+        radii = [r, *map(family.box_radius, chunk[1:])]
+        if None in radii:
+            rows = (family.overlaps(k, block) for k in chunk)
+        else:
+            rows = family.group.box_overlaps(radii, block)
+        for k, row in zip(chunk, rows):
+            i = int(np.argmin(row))
+            card = family.card(k)
+            yield Fraction(2 * (card - int(row[i])), card), from_block(block[i : i + 1])[0]
 
 
 def _box_entry(family: FolnerFamily, n: int, eps: Fraction) -> Optional[ModulusEntry]:
@@ -592,7 +613,10 @@ def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] 
     entry valid for every m >= N: the box threshold beta(n, eps), the one
     integer search from the group's `corner_floor` that box refinements step
     by too.  Other families get the least N such that the defining condition
-    holds for all m in [N, m_max], stamped certified_up_to = m_max.
+    holds for all m in [N, m_max], stamped certified_up_to = m_max: the scan
+    runs down from m_max and stops at the first m that fails, so no m below
+    N - 1 is counted.  If m_max itself fails, ModulusNotFoundError carries the
+    worst ratio at every m in [1, m_max], counted on that path alone.
     """
     eps = _tolerance(eps, "modulus")
     family._check_index(n)
@@ -607,13 +631,14 @@ def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] 
         raise DomainError("m_max is required for empirical modulus certification")
     _check_int(m_max, "m_max", 1, family.n_max)
 
-    ms = range(1, m_max + 1)
-    worst_by_m = {m: r for m, (r, _) in zip(ms, _worst_ratios(family, n, ms))}
-    if worst_by_m[m_max] >= eps:
-        raise ModulusNotFoundError(n, eps, m_max, worst_by_m)
-    value = m_max
-    while value > 1 and worst_by_m[value - 1] < eps:
-        value -= 1
+    value = None  # the last m, down from m_max, whose worst ratio is below eps
+    for m, (ratio, _) in zip(range(m_max, 0, -1), _worst_ratios(family, n, range(m_max, 0, -1))):
+        if ratio >= eps:
+            break
+        value = m
+    if value is None:
+        ms = range(1, m_max + 1)
+        raise ModulusNotFoundError(n, eps, m_max, {m: r for m, (r, _) in zip(ms, _worst_ratios(family, n, ms))})
     return ModulusEntry(n=n, epsilon=eps, value=value, kind="empirical", certified_up_to=m_max)
 
 

@@ -24,7 +24,10 @@ its one corner count and one box threshold.  A block of elements is one array
 int64 wherever no value can reach 2^62 and by the same numpy steps on Python
 ints (an object array) past that; on a lattice it is prod max(0, w_i - |g_i|)
 over side widths w_i, for boxes and sets filling their bounding box alike
-(`Group.filled_overlaps`).  The one `Group.multiply` is one row of
+(`Group.filled_overlaps`).  `box_overlaps` takes one radius, or a sequence of
+radii as a column that broadcasts against the block's columns, so one call
+counts B_r for every r of the sequence, one row each; its int64 proof is the
+one radius's, applied at the largest.  The one `Group.multiply` is one row of
 `translate_block`, and `Group.box_overlap` one row of `box_overlaps`; Z and
 Z^d keep a scalar product for the threshold's one-corner probes.
 """
@@ -39,7 +42,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GroupElementError, UnsupportedGroupError
+from .errors import DomainError, GroupElementError, UnsupportedGroupError
 
 
 # every int64 intermediate of an array overlap route stays strictly below this
@@ -60,6 +63,30 @@ def _grid(*radii) -> np.ndarray:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_radius(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
+
+
+def _radii(r):
+    """(radii, top) for the radius argument of `box_overlaps`: radii a Python int where r is one
+    radius, else a list of them, and top the largest (0 for none); a DomainError unless each radius
+    is an int >= 0 (numpy ints too, bools not)."""
+    if _is_radius(r):
+        return int(r), int(r)
+    listed = isinstance(r, np.ndarray) and r.ndim == 1 or isinstance(r, Sequence) and not isinstance(r, (str, bytes))
+    bad = [x for x in (r if listed else [r]) if not _is_radius(x)]
+    if bad:
+        raise DomainError(f"box radius must be an integer >= 0, got {bad[0]!r}")
+    radii = [int(x) for x in r]
+    return radii, max(radii, default=0)
+
+
+def _radius_column(radii, exact: bool):
+    """The radii of `_radii` as they broadcast against a block's columns: the one int itself, else an
+    (R, 1) column, of Python ints (an object array) where exact, else int64."""
+    return radii if isinstance(radii, int) else np.array(radii, dtype=object if exact else np.int64).reshape(-1, 1)
 
 
 def to_block(elems: Sequence) -> np.ndarray:
@@ -224,10 +251,15 @@ class Group:
         """|B_r intersect g*B_r| as an exact integer: one row of `box_overlaps`."""
         return int(self.box_overlaps(r, to_block([g]))[0])
 
-    def box_overlaps(self, r: int, block: np.ndarray) -> np.ndarray:
+    def box_overlaps(self, r, block: np.ndarray) -> np.ndarray:
         """|B_r intersect g*B_r| for each translation g of a `to_block` array, in order.
 
-        int64 where every intermediate provably stays below 2^62; past that,
+        r is one radius, giving shape (N,), or a sequence of radii, giving shape
+        (len(r), N) with row i at radius r[i]; each radius is an int >= 0
+        (numpy ints too, bools not), else a DomainError.  The radii are one
+        column broadcast against the block's columns, so a sequence is one pass
+        of the same formula.  int64 where every intermediate provably stays
+        below 2^62 at the largest radius, which bounds every row's; past that,
         the same steps on Python ints give an exact object array.
         """
         raise NotImplementedError
@@ -323,9 +355,12 @@ class LatticeGroup(Group):
         return prod
 
     def box_overlaps(self, r, block):
-        if self.box_card(r) >= _INT64_SAFE or not _within(block, _INT64_SAFE):
+        radii, top = _radii(r)
+        # each row's widths are at most the largest radius's, so _span_overlaps's int64 proof holds row by row
+        exact = self.box_card(top) >= _INT64_SAFE or not _within(block, _INT64_SAFE)
+        if exact:
             block = block.astype(object)  # Python ints past 2^62
-        return _span_overlaps([2 * r + 1] * self.dimension, block)
+        return _span_overlaps([2 * _radius_column(radii, exact) + 1] * self.dimension, block)
 
     def filled_overlaps(self, rows, block):
         # F fills its bounding box exactly when the box has |F| points, and is then that box, of
@@ -455,10 +490,16 @@ class HeisenbergGroup(Group):
         # (2R+1)(4R+1)(4R^2+1) < 2^54.  lo and hi lie in [-2R, 2R]; a progression with k > 0
         # has both ends there and one with k = 0 adds 0, so each sum is at most
         # (4R+1)(4R^2+1) + R(4R)(4R+1)/2 < 2^41, and each overlap is below 2^55 < 2^62.
+        # A column of radii is bounded by its largest, so the proof holds entry by entry.
         # Past that bound the same steps run on Python ints.
+        radii, top = _radii(r)
         reach = _H3_ARRAY_REACH
-        if r > reach or not (all(_within(block[:, k], reach) for k in (0, 1)) and _within(block[:, 2], reach * reach)):
+        exact = top > reach or not (
+            all(_within(block[:, k], reach) for k in (0, 1)) and _within(block[:, 2], reach * reach)
+        )
+        if exact:
             block = block.astype(object)
+        r = _radius_column(radii, exact)
         a, b, c = block[:, 0], block[:, 1], block[:, 2]
         cnt_x1 = 2 * r + 1 - np.abs(a)
         # x2 in [-r, r] and x2 - b in [-r, r]

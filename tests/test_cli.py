@@ -10,6 +10,7 @@ import re
 import shlex
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from ergolab import (
 )
 from ergolab.cli import NS_SPAN_CAP, WINDOW_LIMIT, exit_code_for, main, run_experiment
 from ergolab.fluctuation import FluctuationReport
-from ergolab.groups import MAX_DIMENSION, from_block
+from ergolab.groups import MAX_DIMENSION, HeisenbergGroup, from_block
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO = REPO / "configs" / "demo.json"
@@ -968,3 +969,72 @@ def test_readme_cli_examples_print_what_they_claim(capsys):
     for command, expected in examples:
         code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
         assert (code, out.strip()) == (0, expected.strip()), command
+
+
+def overflowing_config(values, p, **observable):
+    return {
+        "group": "Z",
+        "system": {"points": len(values), "weights": "uniform", "generators": {"t": [*range(1, len(values)), 0]}},
+        "observable": {"type": "explicit", "values": values, **observable},
+        "p": p,
+        "epsilons": [0.1],
+        "window": 5,
+    }
+
+
+@pytest.mark.parametrize(
+    "command, values, p, observable, message",
+    [
+        ("run", [1.7e308, -1.7e308] * 6, 2, {}, "the observable's L^p norm is not finite (p = 2.0)"),
+        # rescaling to a target norm divides by the norm: an overflow made it the zero observable
+        ("run", [1.7e308, -1.7e308] * 6, 2, {"norm": 1.0}, "the observable's L^p norm is not finite (p = 2.0)"),
+        ("avg run", [1.7e308, -1.7e308] * 6, 2, {}, "the observable's ergodic averages are not finite"),
+        ("avg run", [1.7e308] * 12, 1.0000001, {}, "the observable's ergodic averages are not finite"),  # finite norm
+    ],
+    ids=["run", "run-rescaled", "avg-run", "avg-run-finite-norm"],
+)
+def test_an_overflowing_observable_is_refused_with_no_numpy_warning(
+    tmp_path, capsys, command, values, p, observable, message
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overflowing_config(values, p, **observable)))
+    out_flag = ["--out-dir", str(tmp_path / "out")] if command == "run" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise here
+        code, out, err = run_cli(capsys, *command.split(), "--config", str(cfg), *out_flag)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def spy_box_overlaps(monkeypatch):
+    """Record (radii, entries returned) for every H3 box_overlaps call."""
+    calls = []
+    count = HeisenbergGroup.box_overlaps
+
+    def spy(self, r, block):
+        out = count(self, r, block)
+        calls.append((r, out.size))
+        return out
+
+    monkeypatch.setattr(HeisenbergGroup, "box_overlaps", spy)
+    return calls
+
+
+def test_h3_modulus_counts_chunks_of_radii_down_to_its_answer(capsys, monkeypatch):
+    calls = spy_box_overlaps(monkeypatch)
+    code, out, _ = run_cli(capsys, "modulus", "compute", "--group", "H3", "--ns", "1-4", "--eps", "1/2", "--window", "40")
+    assert (code, out) == (0, "1 5\n2 9\n3 14\n4 19\n")
+    assert all(isinstance(r, list) for r, _ in calls) and max(size for _, size in calls) <= 2**12
+    # m from 40 down to N - 1 for each n is (37 * 27 + 33 * 225 + 28 * 931 + 23 * 2673) translations; a chunk
+    # may count the rest of itself past N - 1; the full upward scan counted 154,240
+    assert 95_971 <= sum(size for _, size in calls) < 95_971 + 4 * 2**12
+    assert len(calls) < 40
+
+
+def test_folner_refine_on_h3_draws_its_m_range_a_chunk_at_a_time(capsys, monkeypatch):
+    # the source is 10^12 sets long: listing its m range would not fit in memory
+    calls = spy_box_overlaps(monkeypatch)
+    code, out, _ = run_cli(capsys, "folner", "refine", "--group", "H3", "--eps", "1/2", "--count", "3")
+    assert (code, out) == (0, "1 5 23\n")
+    # F_1 (27 rows) takes 151 radii a call, and the union B_5 (6,171 rows, past 2^12) one radius a call
+    assert all(size <= 2**12 or len(r) == 1 for r, size in calls)
+    assert [len(r) for r, _ in calls] == [151] + [1] * 18  # m = 2..152, then m = 6..23

@@ -6,7 +6,9 @@ float pipeline.
 """
 
 import itertools
+import math
 import re
+import warnings
 from fractions import Fraction
 
 import group_oracles as literal
@@ -858,3 +860,16 @@ def test_norm_limit_is_window_infimum_for_rotation():
     f = system.observable([1.0] + [0.0] * 11, 2)
     norms = [lp_norm(system, a) for a in average_sequence(system, fam, f, 60)]
     assert min(norms) >= norms[-1] - 1e-6
+
+
+def test_an_overflowing_norm_or_average_is_a_structure_error_with_no_numpy_warning():
+    system = rotation_system(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would raise here
+        with pytest.raises(StructureError, match=re.escape("the observable's L^p norm is not finite (p = 2.0)")):
+            lp_norm(system, system.observable([1.7e308, -1.7e308], 2))
+        # p near 1: the norm is finite, but A_1 f sums f over three points of a 2-cycle
+        f = system.observable([1.7e308, 1.7e308], 1.0000001)
+        assert math.isfinite(lp_norm(system, f))
+        with pytest.raises(StructureError, match="the observable's ergodic averages are not finite"):
+            average_sequence(system, standard_family(group_by_name("Z"), 3), f, 3)

@@ -189,6 +189,16 @@ def test_translations_and_overlaps_match_the_group_law(data):
         assert fam.overlaps(1, to_block(gs)).tolist() == [len(s & {literal.law(group, g, x) for x in s}) for g in gs]
 
 
+@pytest.mark.parametrize("provenance", [5, None, ["x"], b"x", 1.5], ids=repr)
+def test_an_explicit_family_refuses_a_provenance_that_is_not_a_string(provenance):
+    message = re.escape(f"family provenance must be a string, got {provenance!r}")
+    with pytest.raises(StructureError, match=message):
+        family_from_jsonable({"kind": "explicit", "group": "Z", "sets": [[0], [0, 1]], "provenance": provenance})
+    with pytest.raises(StructureError, match=message):
+        ExplicitFamily(Z, [[0]], provenance=provenance)
+    assert ExplicitFamily(Z, [[0]], provenance="from a file").provenance == "from a file"
+
+
 def test_empty_set_rejected():
     with pytest.raises(StructureError):
         ExplicitFamily(Z, [set()])
@@ -502,6 +512,49 @@ def test_modulus_not_found_carries_data():
         convergence_modulus(fam, 4, Fraction(1, 100), m_max=5)
     assert err.value.n == 4 and err.value.m_max == 5
     assert err.value.worst_by_m[5] >= Fraction(1, 100)
+
+
+def upward_modulus(worst, eps, m_max):
+    """The modulus the definition gives from a full upward scan of worst ratios {m: ratio}: the least N
+    with every m in [N, m_max] below eps, or, when m_max itself fails, the error with every m's ratio."""
+    if worst[m_max] >= eps:
+        return ModulusNotFoundError(worst["n"], eps, m_max, {m: worst[m] for m in range(1, m_max + 1)})
+    N = m_max
+    while N > 1 and worst[N - 1] < eps:
+        N -= 1
+    return N
+
+
+MODULUS_SCAN_FAMILIES = {
+    "H3": lambda: (standard_family(H3, 10), [1, 2]),
+    "refined-H3": lambda: (RefinedFamily(standard_family(H3, 30), [1, 2, 3, 5, 8, 12]), [1, 2]),
+    "greedy-Z": lambda: (greedy_folner(Z, 8), [1, 3, 6]),
+    "greedy-Z^2": lambda: (greedy_folner(Z2, 4), [1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("name", MODULUS_SCAN_FAMILIES)
+def test_the_downward_modulus_scan_is_the_upward_full_scan(name):
+    # the worst ratios by one `family.ratio` per translation, m ascending; entries and errors alike
+    family, ns = MODULUS_SCAN_FAMILIES[name]()
+    outcomes = set()
+    for n in ns:
+        worst = {"n": n}
+        for m in range(1, family.n_max + 1):
+            worst[m] = per_translation_worst(family, m, sorted(family.elements(n)))[0]
+        for eps in (Fraction(1, 2), Fraction(1, 5), Fraction(3, 7), Fraction(1, 100), Fraction(2), nudged(0.3)):
+            for m_max in sorted({1, 3, family.n_max - 1, family.n_max}):
+                want = upward_modulus(worst, eps, m_max)
+                if isinstance(want, ModulusNotFoundError):
+                    with pytest.raises(ModulusNotFoundError) as err:
+                        convergence_modulus(family, n, eps, m_max=m_max)
+                    assert str(err.value) == str(want)
+                    assert list(err.value.worst_by_m.items()) == list(want.worst_by_m.items())  # complete, ascending
+                else:
+                    entry = convergence_modulus(family, n, eps, m_max=m_max)
+                    assert (entry.value, entry.kind, entry.certified_up_to) == (want, "empirical", m_max)
+                outcomes.add((type(want), want == 1))
+    assert outcomes == {(ModulusNotFoundError, False), (int, True), (int, False)}  # errors, N = 1 and N > 1
 
 
 def test_modulus_h3_empirical_and_reverified():
@@ -1203,6 +1256,75 @@ def test_worst_ratio_validates_every_given_translation(family, bad):
             worst_ratio(family, 1, 2, over=over)
         with pytest.raises(GroupElementError):
             per_translation_worst(family, 2, over)  # as the per-translation route does
+
+
+CHUNK_FAMILIES = {
+    "H3": lambda: (standard_family(H3, 9), 9),
+    "refined-H3": lambda: (RefinedFamily(standard_family(H3, 30), [1, 2, 4, 7, 11]), 5),
+    "Z^2-no-corner": lambda: (standard_family(CornerlessLattice(2), 12), 12),
+    "Z-no-corner": lambda: (standard_family(CornerlessLattice(1), 20), 20),
+}
+
+
+@pytest.mark.parametrize("cap", [2**12, 40, 1], ids=lambda c: f"cap{c}")
+@pytest.mark.parametrize("name", CHUNK_FAMILIES)
+def test_worst_ratios_in_chunks_are_the_per_m_loop(name, cap, monkeypatch):
+    # values and first-maximiser witnesses, whatever the chunk cap, for ms in any order and repeated
+    monkeypatch.setattr(folner, "_CHUNK_ENTRIES", cap)
+    family, top = CHUNK_FAMILIES[name]()
+    for n in (1, 2):
+        elements = sorted(family.elements(n))
+        over = sorted(elements, key=str)[::3]
+        for ms in (range(1, top + 1), range(top, 0, -1), [3, 1, 3, 2, top, 1], []):
+            got = list(folner._worst_ratios(family, n, ms))
+            assert repr(got) == repr([per_translation_worst(family, m, elements) for m in ms])
+            got = list(folner._worst_ratios(family, n, ms, over=over))
+            assert repr(got) == repr([per_translation_worst(family, m, over) for m in ms])
+        assert list(folner._worst_ratios(family, n, [1, 2], over=[])) == [(0, None), (0, None)]
+
+
+def test_worst_ratios_draw_their_ms_a_chunk_at_a_time():
+    # F_1 of H3 has 27 rows, so a chunk is 2^12 // 27 = 151 radii; a 10^12-long range is never listed
+    drawn = []
+    ms = (drawn.append(m) or m for m in range(2, 10**12))
+    ratios = folner._worst_ratios(standard_family(H3, 10**12), 1, ms)
+    next(ratios)
+    assert drawn == list(range(2, 153))
+    for _ in range(151):
+        next(ratios)
+    assert drawn == list(range(2, 304))
+
+
+def test_a_chunk_checks_every_index_before_it_is_counted(monkeypatch):
+    family = standard_family(H3, 6)
+    monkeypatch.setattr(H3, "box_overlaps", lambda r, block: pytest.fail(f"counted {r}"))
+    with pytest.raises(StructureError, match=re.escape("family index must be in [1, 6], got 7")):
+        next(folner._worst_ratios(family, 1, [5, 6, 7]))
+
+
+@pytest.mark.parametrize("cap", [2**12, 64, 1], ids=lambda c: f"cap{c}")
+def test_h3_refinements_and_fastness_checks_are_the_parents(cap, monkeypatch):
+    # pinned from the per-m scan, before chunks: indices, verdicts, violations and witnesses
+    monkeypatch.setattr(folner, "_CHUNK_ENTRIES", cap)
+    source = standard_family(H3, 10**12)
+    assert [fast_refinement(source, Fraction(1, k), count=c).indices for k, c in ((2, 3), (3, 3), (5, 2))] == [
+        [1, 5, 23], [1, 7, 50], [1, 12]
+    ]
+    assert fast_refinement(standard_family(H3, 22), Fraction(1, 2)).indices == [1, 5]
+    assert fast_refinement(standard_family(H3, 9), Fraction(2, 3)).indices == [1, 4]
+    family = standard_family(H3, 12)
+    reports = [check_fast(family, lam, eps, w) for lam, eps, w in (
+        (1, Fraction(1, 2), 12), (3, Fraction(1, 2), 12), (8, Fraction(3, 4), 12), (1, Fraction(2), 6), (4, Fraction(1, 3), 12)
+    )]
+    assert [r.violation for r in reports] == [
+        (1, 2, (-1, -1, -1), Fraction(14, 15)),
+        (1, 4, (-1, -1, -1), Fraction(470, 891)),
+        None,
+        None,
+        (1, 5, (-1, -1, -1), Fraction(894, 2057)),
+    ]
+    assert [r.ok for r in reports] == [False, False, True, True, False]
+    assert check_fast(RefinedFamily(standard_family(H3, 40), [1, 5, 23]), 1, Fraction(1, 2), 3).ok
 
 
 def test_worst_ratio_table_matches_direct_loops():

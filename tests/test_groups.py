@@ -11,7 +11,7 @@ import group_oracles as literal
 import numpy as np
 import pytest
 
-from ergolab import ExplicitFamily, GroupElementError, UnsupportedGroupError, group_by_name
+from ergolab import DomainError, ExplicitFamily, GroupElementError, UnsupportedGroupError, group_by_name
 from ergolab.folner import _common_rows
 from ergolab.groups import MAX_DIMENSION, LatticeGroup, from_block, row_codes, to_block
 
@@ -373,6 +373,78 @@ def test_box_overlaps_are_exact_beyond_machine_integers():
     got = H3.box_overlaps(r, to_block(gs))
     assert got.dtype == object
     assert got.tolist() == [H3.box_card(r)] + [scalar_overlap(H3, r, g) for g in gs[1:]]
+
+
+@pytest.mark.parametrize("group", [Z, Z2, H3], ids=lambda g: g.name)
+def test_box_overlaps_of_a_radius_column_are_its_rows(group):
+    # unsorted and repeated radii, 0 included, as a list, a tuple, a range and a numpy array
+    rng = random.Random(11)
+    gs = random_translations(group, 3, 120, rng) + [group.identity]
+    block = to_block(gs)
+    for radii in ([0, 3, 1, 3, 5, 2], (4,), range(6), np.array([2, 0, 1], dtype=np.int32)):
+        got = group.box_overlaps(radii, block)
+        assert got.dtype == np.int64 and got.shape == (len(radii), len(gs))
+        for r, row in zip(radii, got):
+            assert row.tolist() == group.box_overlaps(int(r), block).tolist(), (group, r)
+            assert row.tolist() == [literal.box_overlap(group, int(r), g) for g in gs], (group, r)
+
+
+def test_box_overlaps_of_a_radius_column_past_the_int64_route():
+    reach = 2**12
+    # the largest radius decides the route for the whole column, as its own proof does for one radius
+    for group, radii, gs in [
+        (H3, [1, reach], [(reach, -reach, reach * reach), (0, reach, 5), (3, -4, 11)]),
+        (Z, [2, 2**61 - 1], [0, 2**62, 12345]),
+    ]:
+        got = group.box_overlaps(radii, to_block(gs))
+        assert got.dtype == np.int64, group
+        assert [row.tolist() for row in got] == [[scalar_overlap(group, r, g) for g in gs] for r in radii], group
+    for group, radii, gs in [
+        (H3, [3, reach + 1, 0], [(0, 0, 0), (1, 2, 3), (reach, -reach, 5)]),  # a radius past the reach
+        (H3, [2, 3], [(reach + 1, 0, 0), (0, 1, 2)]),  # a coordinate past it
+        # |b| within 2 of 2r: the fibre loop sums at most three x2 fibres
+        (H3, [1, 10**12], [(0, 2 * 10**12 - 1, 0), (1, 2 * 10**12, -(10**24)), (-7, 2 - 2 * 10**12, 3)]),
+        (Z, [3, 10**30], [0, 1, 10**40]),
+        (Z2, [1, 2**31], [(0, 0), (1, -1), (2**31, 5)]),  # (2^32 + 1)^2 points: a box past 2^62
+        (Z2, [2, 1], [(2**63, 0), (1, -1)]),  # a coordinate past int64
+    ]:
+        block = to_block(gs)
+        got = group.box_overlaps(radii, block)
+        assert got.dtype == object and got.shape == (len(radii), len(gs)), (group, radii)
+        for r, row in zip(radii, got):
+            assert row.tolist() == group.box_overlaps(r, block).tolist() == [scalar_overlap(group, r, g) for g in gs]
+
+
+@pytest.mark.parametrize("group", [Z, Z2, H3], ids=lambda g: g.name)
+def test_box_overlaps_with_no_radius_or_no_translation(group):
+    block = group.box_block(1)
+    assert group.box_overlaps([], block).shape == (0, len(block))
+    assert group.box_overlaps(np.array([], dtype=np.int64), block).shape == (0, len(block))
+    empty = block[:0]
+    assert group.box_overlaps([2, 0], empty).shape == (2, 0)
+    assert group.box_overlaps(2, empty).shape == (0,)
+
+
+BAD_RADII = [2.5, 2.0, True, False, -1, np.bool_(True), np.float64(1.0), "3", "", None, [1, -1], [1, 2.0], [True],
+             np.array(3), np.array([[1, 2]]), np.array([1.0])]
+
+
+@pytest.mark.parametrize("group", [Z, Z2, H3], ids=lambda g: g.name)
+@pytest.mark.parametrize("bad", BAD_RADII, ids=repr)
+def test_box_overlaps_refuses_a_radius_that_is_no_integer_at_least_zero(group, bad):
+    with pytest.raises(DomainError, match="box radius must be an integer >= 0"):
+        group.box_overlaps(bad, group.box_block(1))
+
+
+def test_box_overlaps_takes_numpy_integer_radii():
+    block = H3.box_block(2)
+    want = H3.box_overlaps(2, block)
+    for r in (np.int64(2), np.int8(2), np.uint64(2)):
+        assert H3.box_overlaps(r, block).tolist() == want.tolist()
+        assert Z2.box_overlaps(r, Z2.box_block(2)).tolist() == Z2.box_overlaps(2, Z2.box_block(2)).tolist()
+    # H3's box_overlap is one row of box_overlaps, so its radius is refused alike
+    with pytest.raises(DomainError):
+        H3.box_overlap(1.5, (0, 0, 0))
 
 
 def brute_reach(group, gs):
