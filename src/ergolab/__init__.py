@@ -72,7 +72,6 @@ from .folner import (
     family_from_jsonable,
     fast_refinement,
     greedy_folner,
-    least_index,
     standard_family,
     worst_ratio,
     worst_ratio_table,
@@ -83,6 +82,7 @@ from .groups import (
     IntegerGroup,
     LatticeGroup,
     group_by_name,
+    least_index,
 )
 
 __version__ = "0.1.0"

@@ -160,7 +160,7 @@ def _system(spec: dict, group: Group) -> FiniteMeasureSystem:
         raise ConfigError(f"system does not validate: {exc}") from exc
 
 
-def _observable(spec: dict, system: FiniteMeasureSystem, p: float, rng) -> Observable:
+def _observable(spec: dict, system: FiniteMeasureSystem, p: float, seed: int) -> Observable:
     kind = get_choice(spec, "type", ("explicit", "indicator", "random"))
     if kind == "explicit":
         values = np.asarray(get_floats(spec, "values"), dtype=float)
@@ -172,6 +172,7 @@ def _observable(spec: dict, system: FiniteMeasureSystem, p: float, rng) -> Obser
         scale = get_float(spec, "scale", 1.0)
         if scale < 0:
             raise ConfigError(f"observable scale must be >= 0, got {scale!r}")
+        rng = np.random.default_rng(seed)  # only here: other observables never import numpy.random
         if dist == "normal":
             values = rng.normal(0.0, scale, size=system.n_points)
         else:
@@ -224,8 +225,7 @@ class _Inputs:
         group = group_by_name(get(config, "group"))
         seed = _seed(config)
         system = _system(get_section(config, "system"), group)
-        rng = np.random.default_rng(seed)
-        f = _observable(get_section(config, "observable"), system, get_float(config, "p"), rng)
+        f = _observable(get_section(config, "observable"), system, get_float(config, "p"), seed)
         window = get_int(config, "window", lo=1, hi=WINDOW_LIMIT)
         defect_against = get_ints(config, "defect_against", [], lo=1)
         return cls(group, seed, system, f, window, defect_against, get_section(config, "family", {}))

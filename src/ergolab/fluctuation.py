@@ -339,9 +339,7 @@ def verify_main_theorem(
                     f"modulus table does not certify the window [1, {window}] at any tolerance <= {eps_beta} "
                     f"(have {table.epsilons()}, certified_up_to={table.certified_up_to})"
                 )
-            row = table.entries_at(max(usable))
-            envelope = itertools.accumulate((row[n].value for n in range(1, window + 1)), max)
-            betas.append([max(v, n + 1) for n, v in enumerate(envelope, start=1)])
+            betas.append([max(v, n + 1) for n, v in enumerate(table.envelope_at(max(usable), window), start=1)])
         return [family] * len(tolerances), betas, table
 
     return _verify(system, family, convexity_modulus, f, epsilons, window, eta, beta_maps)

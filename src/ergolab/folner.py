@@ -17,9 +17,10 @@ from the least count.
 The universally quantified "for all m >= N" in the modulus definition is
 undecidable for arbitrary families; empirical entries are therefore stamped
 `certified_up_to = m_max`, while entries for standard boxes of a group with
-a known box corner are analytic: one corner count, (|B_r delta cB_r|, |B_r|),
-and one threshold search over it, beta(r, eps), certify every larger index
+a known box corner are analytic: the group's box threshold beta(r, eps), a
+row of radii per `Group.box_thresholds` call, certifies every larger index
 (the box ratio is monotone in m), and box refinements step by that threshold.
+A modulus table holds one row of columns per tolerance.
 
 The greedy construction is bounded by MATERIALIZE_CAP alone: each stage
 searches only the box radii whose box fits it.
@@ -32,7 +33,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .errors import (
     RefinementWindowError,
     StructureError,
 )
-from .groups import Group, from_block, group_by_name, row_codes, to_block
+from .groups import Group, from_block, group_by_name, least_index, row_codes, to_block
 
 MATERIALIZE_CAP = 2_000_000
 # the most (m, g) pairs one `_worst_ratios` chunk counts at once
@@ -128,18 +129,6 @@ def check_box_size(group: Group, r: int) -> None:
         raise FamilyTooLargeError(
             f"box F_{r} of {group.name} has {card} elements; cannot materialize beyond {MATERIALIZE_CAP}"
         )
-
-
-def _corner_count(group: Group, r: int, corner) -> Tuple[int, int]:
-    """(|B_r delta corner B_r|, |B_r|) as exact integers; corner comes from `box_corner`."""
-    card = group.box_card(r)
-    return 2 * (card - group.box_overlap(r, corner)), card
-
-
-def _below(group: Group, r: int, corner, eps: Fraction) -> bool:
-    """|B_r delta corner B_r| / |B_r| < eps, decided in integers."""
-    diff, card = _corner_count(group, r, corner)
-    return diff * eps.denominator < eps.numerator * card
 
 
 class FolnerFamily:
@@ -352,81 +341,101 @@ def _entry_problem(e) -> Optional[str]:
     return None
 
 
-# one entry, and the table around them, as json.dumps(indent=2, sort_keys=True) lays them out
+# one entry, eps written in, and the table around them, as json.dumps(indent=2, sort_keys=True) lays them out
 _ENTRY_TEXT = (
-    '    {\n      "N": %d,\n      "certified_up_to": %s,\n      "eps": "%d/%d",\n'
-    '      "kind": "%s",\n      "n": %d\n    }'
+    '    {\n      "N": %%d,\n      "certified_up_to": %%s,\n      "eps": "%d/%d",\n'
+    '      "kind": "%%s",\n      "n": %%d\n    }'
 )
 _TABLE_TEXT = '{\n  "certified_up_to": %s,\n  "entries": %s,\n  "group": %s,\n  "kind": "%s",\n  "provenance": %s\n}\n'
 
 
-def _json_int(x: Optional[int]) -> str:
-    return "null" if x is None else "%d" % x
+class _Row(NamedTuple):
+    """One tolerance's entries as columns in ascending n: n, N, kind and cap (None for every m >= N),
+    Python ints and strings, so an N past int64 stays exact."""
+
+    ns: List[int]
+    values: List[int]
+    kinds: List[str]
+    caps: List[Optional[int]]
+
+    @classmethod
+    def of(cls, entries: Mapping[int, ModulusEntry]) -> "_Row":
+        """The row of entries keyed by their n."""
+        return cls(*map(list, zip(*((e.n, e.value, e.kind, e.certified_up_to) for _, e in sorted(entries.items())))))
+
+    def entries(self, eps: Fraction) -> Dict[int, ModulusEntry]:
+        return {n: ModulusEntry(n, eps, v, k, c) for n, v, k, c in zip(*self)}
+
+    def holds(self, window: int) -> bool:
+        """Whether the row has every n = 1 ... window: its ns are distinct ints >= 1 in ascending order."""
+        return len(self.ns) >= window and (window < 1 or self.ns[window - 1] == window)
+
+
+_NO_ROW = _Row([], [], [], [])
 
 
 class ModulusTable:
     """Certified values of the Folner convergence modulus beta(n, eps).
 
-    Entries are keyed by tolerance, then by n.  Hashing an exact tolerance
-    costs a modular inverse of its denominator (about 104 bits for a float
-    tolerance), so each tolerance is hashed once per row: a table is built row
-    by row (`build_modulus_table` hands over finished rows), and each query
-    looks its tolerance up once and then indexes by integers.  The constructor
-    and `from_jsonable` check every entry, and a malformed one is a
-    StructureError naming it; `build_modulus_table`'s rows are well formed as
-    built.  So `to_json_text` formats only ints, known kinds and positive
-    tolerances.
+    One row of columns per tolerance (`_Row`), hashed once: an exact tolerance's
+    hash costs a modular inverse of its denominator (about 104 bits for a float
+    tolerance).  A `ModulusEntry` is built only when `entries`, `entries_at` or
+    `value` asks.  `build_modulus_table` hands over finished rows; the
+    constructor and `from_jsonable` check every entry, a malformed one a
+    StructureError naming it, so `to_json_text` formats only ints, known kinds
+    and positive tolerances.
     """
 
     def __init__(self, group_name: str, provenance: str, entries: Iterable[ModulusEntry]):
+        for what, name in (("group name", group_name), ("provenance", provenance)):
+            if not isinstance(name, str):
+                raise StructureError(f"modulus table {what} must be a string, got {name!r}")
         rows: Dict[Fraction, Dict[int, ModulusEntry]] = {}
         for e in entries:
             problem = _entry_problem(e)
             if problem is not None:
                 raise StructureError(f"malformed modulus entry {e!r}: {problem}")
             rows.setdefault(e.epsilon, {})[e.n] = e
-        self._take(group_name, provenance, rows)
+        self.group_name, self.provenance = group_name, provenance
+        self._rows = {eps: _Row.of(row) for eps, row in rows.items()}
 
     @classmethod
-    def _of_rows(cls, group_name: str, provenance: str, rows: Dict[Fraction, Dict[int, ModulusEntry]]):
-        """A table over finished rows, trusted as built: row eps holds well-formed entries at eps, keyed by n."""
-        table = cls.__new__(cls)
-        table._take(group_name, provenance, rows)
+    def _of_rows(cls, group_name: str, provenance: str, rows: Dict[Fraction, _Row]) -> "ModulusTable":
+        """A table over finished rows, trusted as built: each a nonempty `_Row` of well-formed entries."""
+        table = cls(group_name, provenance, ())
+        table._rows = rows
         return table
-
-    def _take(self, group_name: str, provenance: str, rows: Dict[Fraction, Dict[int, ModulusEntry]]) -> None:
-        for what, name in (("group name", group_name), ("provenance", provenance)):
-            if not isinstance(name, str):
-                raise StructureError(f"modulus table {what} must be a string, got {name!r}")
-        self.group_name = group_name
-        self.provenance = provenance
-        self._rows = rows
-
-    def _all(self) -> Iterator[ModulusEntry]:
-        return (e for row in self._rows.values() for e in row.values())
 
     @property
     def entries(self) -> Mapping[Tuple[int, Fraction], ModulusEntry]:
         """Every entry keyed by (n, eps), as a read-only view."""
-        return MappingProxyType({(e.n, e.epsilon): e for e in self._all()})
+        return MappingProxyType({(n, eps): e for eps, row in self._rows.items() for n, e in row.entries(eps).items()})
 
     def entries_at(self, eps) -> Mapping[int, ModulusEntry]:
         """The entries at one tolerance keyed by n, as a read-only view (empty if none)."""
-        return MappingProxyType(self._rows.get(as_fraction(eps), {}))
+        eps = as_fraction(eps)
+        return MappingProxyType(self._rows.get(eps, _NO_ROW).entries(eps))
+
+    def envelope_at(self, eps, window: int) -> List[int]:
+        """max over i <= n of beta(i, eps) for n = 1 ... window >= 0: the running max of the row's N
+        column, which must hold n = 1 ... window (a StructureError if not)."""
+        row = self._rows.get(as_fraction(eps), _NO_ROW)
+        if not row.holds(window):
+            raise StructureError(f"envelope needs entries for all n <= {window} at eps={eps}, have n in {row.ns}")
+        return list(itertools.accumulate(row.values[:window], max))
 
     @property
     def kind(self) -> str:
-        return "analytic" if all(e.kind == "analytic" for e in self._all()) else "empirical"
+        return "empirical" if any("empirical" in row.kinds for row in self._rows.values()) else "analytic"
 
     @property
     def certified_up_to(self) -> Optional[int]:
-        caps = [e.certified_up_to for e in self._all() if e.certified_up_to is not None]
-        return min(caps) if caps else None
+        return min((c for row in self._rows.values() for c in row.caps if c is not None), default=None)
 
     def value(self, n: int, eps) -> int:
         eps = as_fraction(eps)
         try:
-            return self._rows[eps][n].value
+            return dict(zip(*self._rows.get(eps, _NO_ROW)[:2]))[n]
         except KeyError:
             raise StructureError(f"no modulus entry for (n={n}, eps={eps})") from None
 
@@ -435,45 +444,34 @@ class ModulusTable:
 
     def covers(self, window: int, eps) -> bool:
         """True if entries exist for n = 1..window at eps and certify past window."""
-        row = self.entries_at(eps)
-        for n in range(1, window + 1):
-            e = row.get(n)
-            if e is None:
-                return False
-            if e.certified_up_to is not None and e.certified_up_to < window:
-                return False
-        return True
+        row = self._rows.get(as_fraction(eps), _NO_ROW)
+        return window < 1 or row.holds(window) and all(c is None or c >= window for c in row.caps[:window])
 
     def to_jsonable(self) -> dict:
-        entries = sorted(self._all(), key=lambda e: (str(e.epsilon), e.n))
         return {
             "group": self.group_name,
             "provenance": self.provenance,
             "kind": self.kind,
             "certified_up_to": self.certified_up_to,
             "entries": [
-                {
-                    "n": e.n,
-                    "eps": f"{e.epsilon.numerator}/{e.epsilon.denominator}",
-                    "N": e.value,
-                    "kind": e.kind,
-                    "certified_up_to": e.certified_up_to,
-                }
-                for e in entries
+                {"n": n, "eps": f"{eps.numerator}/{eps.denominator}", "N": v, "kind": k, "certified_up_to": c}
+                for eps in sorted(self._rows, key=str)
+                for n, v, k, c in zip(*self._rows[eps])
             ],
         }
 
     def to_json_text(self) -> str:
         """`json.dumps(self.to_jsonable(), indent=2, sort_keys=True) + "\\n"`, byte for byte, written
-        entry by entry in that layout: the entries sorted by (str(eps), n), which is rows by
-        str(eps), then n; json.dumps writes the two free strings, the group name and the provenance."""
-        entries = [
-            _ENTRY_TEXT % (e.value, _json_int(e.certified_up_to), eps.numerator, eps.denominator, e.kind, e.n)
-            for eps in sorted(self._rows, key=str)
-            for _, e in sorted(self._rows[eps].items())
-        ]
+        row by row in that layout: the entries sorted by (str(eps), n), which is rows by str(eps),
+        then n, each row's entry text with its eps written in once; json.dumps writes the two free
+        strings, the group name and the provenance."""
+        entries = []
+        for eps in sorted(self._rows, key=str):
+            text = _ENTRY_TEXT % (eps.numerator, eps.denominator)
+            entries += [text % (v, "null" if c is None else c, k, n) for n, v, k, c in zip(*self._rows[eps])]
+        cap = self.certified_up_to
         return _TABLE_TEXT % (
-            _json_int(self.certified_up_to),
+            "null" if cap is None else cap,
             "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]",
             json.dumps(self.group_name),
             self.kind,
@@ -504,48 +502,10 @@ class ModulusTable:
         return cls(data["group"], data.get("provenance", "explicit"), entries)
 
 
-def least_index(pred: Callable[[int], bool], lo: int, hi: Optional[int] = None) -> Optional[int]:
-    """Least i in [lo, hi] with pred(i) for pred monotone in i (false, then true), else None.
-
-    Probes lo, then doubles (0 steps to 1) until pred holds or hi is reached,
-    then bisects between the last false and the first true probe: for a
-    monotone pred, the index an index-by-index scan finds.  With hi None the
-    range has no upper end, and the search ends only when pred holds.
-    """
-    if hi is not None and lo > hi:
-        return None
-    if pred(lo):
-        return lo
-    bad = lo
-    while hi is None or bad < hi:
-        good = max(2 * bad, bad + 1)
-        good = good if hi is None else min(good, hi)
-        if pred(good):
-            while good - bad > 1:
-                mid = (bad + good) // 2
-                if pred(mid):
-                    good = mid
-                else:
-                    bad = mid
-            return good
-        bad = good
-    return None
-
-
 def _corner(family: FolnerFamily, n: int):
     """The group's box corner at F_n's box radius; None unless F_n is a box with a known corner."""
     r = family.box_radius(n)
     return None if r is None else family.group.box_corner(r)
-
-
-def _box_threshold(group: Group, r: int, eps: Fraction) -> Optional[int]:
-    """beta(r, eps) of the standard boxes, or None without a box corner: the least m >= 1 with
-    |B_m delta cB_m| < eps |B_m|, c the corner of B_r, which dominates B_r and whose ratio falls in m
-    to 0, so it exists; searched from the group's `corner_floor`, below which no m qualifies."""
-    corner = group.box_corner(r)
-    if corner is None:
-        return None
-    return least_index(lambda m: _below(group, m, corner, eps), group.corner_floor(r, eps))
 
 
 def worst_ratio(family: FolnerFamily, n: int, m: int, over=None) -> Tuple[Fraction, object]:
@@ -558,7 +518,7 @@ def worst_ratio(family: FolnerFamily, n: int, m: int, over=None) -> Tuple[Fracti
     collection of elements, each validated, in place of F_n when given), the
     least count is the largest ratio, and one `Fraction` is built from it.  The
     witness is the first maximum in F_n's order, ascending canonical order (in
-    `over`'s order).  No elements give (0, None).
+    `over`'s order).  No elements give (0, None), m checked as an index all the same.
     """
     return next(_worst_ratios(family, n, (m,), over))
 
@@ -576,12 +536,14 @@ def _worst_ratios(family: FolnerFamily, n: int, ms: Iterable[int], over=None) ->
     for m in ms:
         r = None if corner is None else family.box_radius(m)
         if r is not None:
-            yield Fraction(*_corner_count(family.group, r, corner)), corner
+            card = family.group.box_card(r)  # the corner's count: |B_r delta corner B_r| over |B_r|
+            yield Fraction(2 * (card - family.group.box_overlap(r, corner)), card), corner
             continue
         if block is None:
             block = family.block(n) if over is None else family.group.check_elements(over)
             size = max(1, _CHUNK_ENTRIES // max(1, len(block)))
         if not len(block):
+            family._check_index(m)
             yield Fraction(0), None
             continue
         r = family.box_radius(m)
@@ -597,21 +559,12 @@ def _worst_ratios(family: FolnerFamily, n: int, ms: Iterable[int], over=None) ->
             yield Fraction(2 * (card - int(row[i])), card), from_block(block[i : i + 1])[0]
 
 
-def _box_entry(family: FolnerFamily, n: int, eps: Fraction) -> Optional[ModulusEntry]:
-    """The analytic entry beta(n, eps) of a standard box family whose group knows the corner of F_n,
-    else None; n is a checked index and eps a checked tolerance."""
-    value = _box_threshold(family.group, n, eps) if isinstance(family, StandardBoxFamily) else None
-    if value is None:
-        return None
-    return ModulusEntry(n=n, epsilon=eps, value=value, kind="analytic", certified_up_to=None)
-
-
 def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] = None) -> ModulusEntry:
     """A certified entry N = beta(n, eps) for the family.
 
     Standard box families whose group knows the box corner get an analytic
-    entry valid for every m >= N: the box threshold beta(n, eps), the one
-    integer search from the group's `corner_floor` that box refinements step
+    entry valid for every m >= N: the box threshold beta(n, eps), the
+    group's `Group.box_thresholds` at one radius, which box refinements step
     by too.  Other families get the least N such that the defining condition
     holds for all m in [N, m_max], stamped certified_up_to = m_max: the scan
     runs down from m_max and stops at the first m that fails, so no m below
@@ -623,9 +576,9 @@ def convergence_modulus(family: FolnerFamily, n: int, eps, m_max: Optional[int] 
     if m_max is not None:
         _check_int(m_max, "m_max")  # its range matters only to an empirical entry
 
-    entry = _box_entry(family, n, eps)
-    if entry is not None:  # certifies every larger m, also past the family's length
-        return entry
+    value = family.group.box_thresholds([n], eps) if isinstance(family, StandardBoxFamily) else None
+    if value is not None:  # certifies every larger m, also past the family's length
+        return ModulusEntry(n=n, epsilon=eps, value=value[0], kind="analytic", certified_up_to=None)
 
     if m_max is None:
         raise DomainError("m_max is required for empirical modulus certification")
@@ -649,50 +602,44 @@ def build_modulus_table(
     m_max: Optional[int] = None,
 ) -> ModulusTable:
     """The table of `convergence_modulus(family, n, eps, m_max)` for every eps of epsilons and n of ns,
-    built one row per tolerance.  Every tolerance, and m_max's type, is checked once, also when ns is
-    empty, and each tolerance keys its row once.  A standard box family whose group knows the box
-    corner fills its rows from the box threshold, each n checked as an index; every other entry is a
-    `convergence_modulus` call.
+    built one row of columns per tolerance.  Every tolerance, and m_max's type, is checked once, also
+    when ns is empty, and each tolerance keys its row once; then every n is checked as an index.  A
+    standard box family whose group knows the box corner fills each row with one
+    `Group.box_thresholds` call; every other entry is a `convergence_modulus` call, in the order ns
+    gives them.
     """
     ns = list(ns)
-    tolerances = [_tolerance(eps, "modulus") for eps in epsilons]
+    tolerances = dict.fromkeys([_tolerance(eps, "modulus") for eps in epsilons])
     if m_max is not None:
         _check_int(m_max, "m_max")
+    for n in ns if tolerances else ():
+        family._check_index(n)
+    ordered = sorted(set(ns))
+    analytic = ["analytic"] * len(ordered), [None] * len(ordered)
 
-    def row(eps: Fraction) -> Dict[int, ModulusEntry]:
-        out = {}
-        for n in ns:
-            family._check_index(n)
-            out[n] = _box_entry(family, n, eps) or convergence_modulus(family, n, eps, m_max=m_max)
-        return out
+    def row(eps: Fraction) -> _Row:
+        values = family.group.box_thresholds(ordered, eps) if isinstance(family, StandardBoxFamily) else None
+        if values is not None:
+            return _Row(ordered, values, *analytic)
+        return _Row.of({n: convergence_modulus(family, n, eps, m_max=m_max) for n in dict.fromkeys(ns)})
 
     rows = {eps: row(eps) for eps in tolerances} if ns else {}
     return ModulusTable._of_rows(family.group.name, family.provenance, rows)
 
 
 def envelope(table: ModulusTable) -> ModulusTable:
-    """Nondecreasing-in-n envelope: entry(n) -> max over i <= n of entry(i).
+    """Nondecreasing-in-n envelope: entry(n) -> max over i <= n of entry(i) (`ModulusTable.envelope_at`),
+    with the least cap so far, and empirical from the first empirical entry on.
 
     Requires contiguous coverage n = 1..k at each tolerance present.
     """
-    out: List[ModulusEntry] = []
+    rows = {}
     for eps in table.epsilons():
-        row = table.entries_at(eps)
-        ns = sorted(row)
-        if ns != list(range(1, len(ns) + 1)):
-            raise StructureError(f"envelope needs entries for all i <= n at eps={eps}, have n in {ns}")
-        running = 0
-        cap: Optional[int] = None
-        kind = "analytic"
-        for n in ns:
-            e = row[n]
-            running = max(running, e.value)
-            if e.certified_up_to is not None:
-                cap = e.certified_up_to if cap is None else min(cap, e.certified_up_to)
-            if e.kind != "analytic":
-                kind = "empirical"
-            out.append(ModulusEntry(n=n, epsilon=eps, value=running, kind=kind, certified_up_to=cap))
-    return ModulusTable(table.group_name, table.provenance, out)
+        ns, _, kinds, caps = table._rows[eps]
+        caps = itertools.accumulate(caps, lambda a, b: b if a is None else a if b is None else min(a, b))
+        kinds = itertools.accumulate(kinds, max)  # "empirical" > "analytic"
+        rows[eps] = _Row(ns, table.envelope_at(eps, len(ns)), list(kinds), list(caps))
+    return ModulusTable._of_rows(table.group_name, table.provenance, rows)
 
 
 def check_modulus(family: FolnerFamily, n: int, eps, claimed: int, window: int) -> bool:
@@ -811,7 +758,7 @@ def fast_refinement(family: FolnerFamily, eps, count: Optional[int] = None) -> R
         last = indices[-1]
         if box_mode:
             # nested boxes: the union is F_last, whose corner ratio is its worst and falls in the radius
-            beta = _box_threshold(family.group, family.box_radius(last), eps)
+            [beta] = family.group.box_thresholds([family.box_radius(last)], eps)
             nxt = least_index(lambda m: family.box_radius(m) >= beta, last + 1, family.n_max)
         else:
             union = family.block(last) if union is None else _sorted_rows(np.concatenate([union, family.block(last)]))

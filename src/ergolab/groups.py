@@ -16,8 +16,9 @@ and `Group.relations` lists the relations the generators satisfy.
 
 Each group also knows the geometry of its standard Folner boxes (cardinality,
 the least radius holding each element, exact translation overlap counts, and
-the box corner with its `corner_floor`), which the folner module reads through
-its one corner count and one box threshold.  A block of elements is one array
+the box corner with its `corner_floor`), and their thresholds beta(r, eps) a
+row at a time (`Group.box_thresholds`: the corner floor itself on Z, a search
+up from it on Z^d, none on H3).  A block of elements is one array
 (`to_block`, B_r's is `Group.box_block`, each row coded as one integer by
 `row_codes`); `Group.translate_block` applies the law to each row and
 `Group.box_overlaps` counts a block of translations by one formula, both in
@@ -29,7 +30,7 @@ radii as a column that broadcasts against the block's columns, so one call
 counts B_r for every r of the sequence, one row each; its int64 proof is the
 one radius's, applied at the largest.  The one `Group.multiply` is one row of
 `translate_block`, and `Group.box_overlap` one row of `box_overlaps`; Z and
-Z^d keep a scalar product for the threshold's one-corner probes.
+Z^d keep a scalar product for one-corner counts.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import functools
 import itertools
 import math
 import re
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,6 +162,34 @@ def _zigzag_rank(k: int) -> int:
     return 2 * k - 1 if k > 0 else -2 * k
 
 
+def least_index(pred: Callable[[int], bool], lo: int, hi: Optional[int] = None) -> Optional[int]:
+    """Least i in [lo, hi] with pred(i) for pred monotone in i (false, then true), else None.
+
+    Probes lo, then doubles (0 steps to 1) until pred holds or hi is reached,
+    then bisects between the last false and the first true probe: for a
+    monotone pred, the index an index-by-index scan finds.  With hi None the
+    range has no upper end, and the search ends only when pred holds.
+    """
+    if hi is not None and lo > hi:
+        return None
+    if pred(lo):
+        return lo
+    bad = lo
+    while hi is None or bad < hi:
+        good = max(2 * bad, bad + 1)
+        good = good if hi is None else min(good, hi)
+        if pred(good):
+            while good - bad > 1:
+                mid = (bad + good) // 2
+                if pred(mid):
+                    good = mid
+                else:
+                    bad = mid
+            return good
+        bad = good
+    return None
+
+
 class Group:
     """Base interface; elements are canonical integer forms."""
 
@@ -272,17 +301,32 @@ class Group:
     def box_corner(self, r: int):
         """A translation c in B_r maximizing |B_m delta g*B_m| over g in B_r for every m, or None.
 
-        folner relies on this, on |B_m delta c*B_m| / |B_m| being nonincreasing in m with
-        limit 0, and on `corner_floor(r, eps)` never exceeding the least m where it is < eps.
+        folner and `box_thresholds` rely on this, on |B_m delta c*B_m| / |B_m| being nonincreasing
+        in m with limit 0, and on `corner_floor(r, eps)` never exceeding the least m where it is < eps.
         """
         return None
 
     def corner_floor(self, r: int, eps) -> int:
         """A proven lower bound on the least m >= 1 with |B_m delta c*B_m| < eps*|B_m|, c = box_corner(r).
 
-        folner's box threshold starts its search here; 1 is always sound.
+        `box_thresholds` starts its search here; 1 is always sound.
         """
         return 1
+
+    def box_thresholds(self, radii: Sequence[int], eps) -> Optional[List[int]]:
+        """beta(r, eps) of the standard boxes for each radius r >= 1 of radii, in order, or None without
+        a box corner (a group knows the corner of every box or of none): the least m >= 1 with
+        |B_m delta c*B_m| < eps*|B_m|, c = box_corner(r), in integers, which exists as c's ratio falls
+        in m to 0, searched up from `corner_floor`."""
+        if self.box_corner(1) is None:
+            return None
+        num, den = eps.numerator, eps.denominator
+
+        def below(corner, m: int) -> bool:
+            card = self.box_card(m)
+            return 2 * (card - self.box_overlap(m, corner)) * den < num * card
+
+        return [least_index(functools.partial(below, self.box_corner(r)), self.corner_floor(r, eps)) for r in radii]
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name!r})"
@@ -372,16 +416,27 @@ class LatticeGroup(Group):
         return (r,) * self.dimension
 
     def corner_floor(self, r, eps):
-        """Least m >= 1 with 2r/(2m+1) < eps, or 1 if eps > 2; eps is an exact rational.
+        return max(1, self._corner_floors([r], eps)[0])  # B_0's floor, 0 unclamped, is 1
+
+    def _corner_floors(self, radii, eps) -> List[int]:
+        """For each r >= 1 of radii, the least m >= 1 with 2r/(2m+1) < eps, or 1 if eps > 2; eps is an exact rational.
 
         With x = r/(2m+1), the ratio of B_m and its corner translate (r, ..., r)
         on Z^d is 2(1 - (1 - x)^d) >= 2x when 2m+1 >= r, and 2 otherwise; on
-        Z^1 it is 2x, so there the floor is the least m itself.
+        Z^1 it is 2x, so there the floor is the least m itself.  With eps <= 2
+        and r >= 1, 2r*den - num >= 0, so each m below is at least 1 unclamped.
         """
         num, den = eps.numerator, eps.denominator
         if num > 2 * den:
-            return 1
-        return max(1, (2 * r * den - num) // (2 * num) + 1)
+            return [1] * len(radii)
+        den2, num2 = 2 * den, 2 * num
+        return [(den2 * r - num) // num2 + 1 for r in radii]
+
+    def box_thresholds(self, radii, eps):
+        # on Z^1 the corner floor is the threshold itself; Z^d searches up from it
+        if self.dimension > 1 or self.box_corner(1) is None:
+            return super().box_thresholds(radii, eps)
+        return self._corner_floors(radii, eps)
 
 
 class IntegerGroup(LatticeGroup):

@@ -2,12 +2,15 @@
 
 import contextlib
 import gzip
+import hashlib
 import importlib
 import importlib.util
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -789,6 +792,27 @@ def test_an_empty_out_dir_is_refused_naming_the_flag(tmp_path, monkeypatch, caps
     monkeypatch.chdir(tmp_path)
     assert run_cli(capsys, *argv, *empty) == (1, "", "error: --out-dir names no path\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# sha256 of the artifacts `run` writes for configs/demo.json
+DEMO_DIGESTS = {
+    "averages.csv": "5666dd38e700b90ff0a38adff3267e4d1ac0191f0d09015c817a1084869e4e41",
+    "modulus.json": "11fc3d2e01b94517026e25348dd0a5c8e0e831173aee771e3486957341940e01",
+    "report.json": "e0e37c507fa3808101e2117c5e61b88b925ac75ce371bd0f9d914bc528cfb9ac",
+}
+
+
+def test_a_run_with_no_random_observable_never_imports_numpy_random(tmp_path):
+    # demo.json's observable is an indicator: a fresh interpreter runs it with no numpy.random
+    script = (
+        "import sys\nfrom ergolab.cli import main\n"
+        f"code = main(['run', '--config', {str(DEMO)!r}, '--out-dir', {str(tmp_path)!r}])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert done.stdout.splitlines()[-1] == "0 False", done.stderr
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()} == DEMO_DIGESTS
 
 
 def count_calls(monkeypatch, module: str, name: str) -> list:

@@ -479,10 +479,35 @@ def test_analytic_modulus_at_exact_ties_two_and_above(group):
     assert convergence_modulus(standard_family(Z, 100), 5, Fraction(10, 21)).value == 11
 
 
-def test_an_analytic_z_entry_makes_one_overlap_probe_and_no_fraction(monkeypatch):
+def z_wide_tolerances() -> list:
+    """The branch tolerances of `ergolab run` on a 24-point rotation with a normal observable (seeds
+    0-9), the Hanner modulus at p = 2 and eps 0.05, 0.1, 0.2: denominators of 104 to 114 bits."""
+    system, hanner = rotation_system(24), ConvexityModulus.hanner(2)
+    observables = [system.observable(np.random.default_rng(seed).normal(0.0, 1.0, size=24), 2) for seed in range(10)]
+    return [Branch.of(hanner, lp_norm(system, f), eps).tolerance for f in observables for eps in (0.05, 0.1, 0.2)]
+
+
+@pytest.mark.parametrize("group", [Z, Z2], ids=lambda g: g.name)
+def test_box_thresholds_are_the_least_index_search_from_the_corner_floor(group):
+    radii = [*range(1, 301), 10**30]
+    wide = z_wide_tolerances()
+    assert {eps.denominator.bit_length() for eps in wide} <= set(range(104, 115))
+    for eps in [Fraction(5, 2), 2 + Fraction(1, 10**20), Fraction(2), Fraction(1, 2), *wide]:
+        got = group.box_thresholds(radii, eps)
+        for r, value in zip(radii, got):
+            corner = group.box_corner(r)
+            below = lambda m: closed_box_ratio(group, m, corner) < eps  # noqa: E731
+            assert value == least_index(below, group.corner_floor(r, eps)), (r, eps)
+            assert value == 1 or not below(value - 1), (r, eps)  # and nothing smaller qualifies
+    assert H3.box_thresholds(radii, Fraction(1, 2)) is None
+
+
+def test_an_analytic_z_entry_makes_no_overlap_probe_and_no_fraction(monkeypatch):
+    # on Z the corner floor is the threshold itself, so no overlap is counted at all
     probes = []
-    overlap = IntegerGroup.box_overlap
-    monkeypatch.setattr(IntegerGroup, "box_overlap", lambda self, r, g: probes.append(r) or overlap(self, r, g))
+    for name in ("box_overlap", "box_overlaps"):
+        spied = getattr(IntegerGroup, name)
+        monkeypatch.setattr(IntegerGroup, name, lambda self, r, g, spied=spied: probes.append(r) or spied(self, r, g))
 
     def no_fraction_per_probe(*args):
         raise AssertionError("a Fraction ratio taken in the analytic search")
@@ -491,9 +516,10 @@ def test_an_analytic_z_entry_makes_one_overlap_probe_and_no_fraction(monkeypatch
     fam = standard_family(Z, 10**30)
     for n, eps in ((1, Fraction(1, 2)), (400, nudged(0.05)), (5, Fraction(10, 21)), (7, Fraction(5, 2)),
                    (7, Fraction(2)), (10**30, Fraction(1, 10**25)), (9, Fraction(5, 10**324))):
+        value = convergence_modulus(fam, n, eps).value
+        assert probes == [], (n, eps, probes)
+        assert value == oracle_modulus(Z, n, eps)  # which probes
         probes.clear()
-        convergence_modulus(fam, n, eps)
-        assert len(probes) == 1, (n, eps, probes)
 
 
 def test_modulus_empirical_matches_analytic_on_boxes():
@@ -694,6 +720,62 @@ def test_modulus_table_by_rows_equals_the_per_entry_table(family, ns, epsilons, 
     assert table.epsilons() == expected.epsilons()
     assert (table.group_name, table.provenance, table.kind) == (expected.group_name, expected.provenance, expected.kind)
     assert table.to_json_text() == json_dumps_oracle(expected)
+
+
+def outcome(call):
+    """call()'s value, or the type and text of what it raised."""
+    try:
+        return call()
+    except (StructureError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def public_view(table: ModulusTable, epsilons, top: int) -> dict:
+    """Everything a table shows: its queries at each eps of epsilons and n, window in [0, top]."""
+    return {
+        "entries": dict(table.entries),
+        "entries_at": {eps: dict(table.entries_at(eps)) for eps in epsilons},
+        "value": {(n, eps): outcome(lambda: table.value(n, eps)) for n in range(top + 1) for eps in epsilons},
+        "covers": {(w, eps): table.covers(w, eps) for w in range(top + 1) for eps in epsilons},
+        "kind": table.kind,
+        "certified_up_to": table.certified_up_to,
+        "epsilons": table.epsilons(),
+        "to_jsonable": table.to_jsonable(),
+        "to_json_text": table.to_json_text(),
+    }
+
+
+def row_tables():
+    """Tables handed finished rows, as `build_modulus_table` builds them: analytic and empirical rows,
+    gaps in n, different caps, an N past int64, and rows that each cover 1..k."""
+    row = folner._Row
+    mixed = {
+        Fraction(1, 10): row([1, 2, 3, 4], [3, 2, 7, 7], ["analytic", "empirical"] * 2, [None, 9, None, 12]),
+        Fraction(1, 2): row([1, 3, 8], [2, 2**70, 5], ["analytic"] * 3, [None] * 3),
+        Fraction(0.1): row([2, 5], [4, 6], ["empirical"] * 2, [5, 7]),
+    }
+    covering = {eps: r for eps, r in mixed.items() if r.ns == list(range(1, len(r.ns) + 1))}
+    return {
+        "mixed": ModulusTable._of_rows("Z", "hand", mixed),
+        "covering": ModulusTable._of_rows("H3", "hand", covering),
+        "boxes with gaps": build_modulus_table(standard_family(Z, 40), [9, 1, 3, 30, 3], [0.05, Fraction(1, 2), 3]),
+        "greedy": build_modulus_table(greedy_folner(Z, 8), [5, 1, 2, 3, 4], [Fraction(1, 2), Fraction(1, 10)], m_max=8),
+    }
+
+
+@pytest.mark.parametrize("name", list(row_tables()))
+def test_a_table_of_rows_is_the_table_of_its_entries(name):
+    by_rows = row_tables()[name]
+    by_entries = ModulusTable(by_rows.group_name, by_rows.provenance, reversed(list(by_rows.entries.values())))
+    epsilons = [*by_rows.epsilons(), Fraction(1, 3)]
+    assert public_view(by_rows, epsilons, 10) == public_view(by_entries, epsilons, 10)
+    assert by_rows.to_json_text() == json_dumps_oracle(by_entries)
+    envelopes = outcome(lambda: envelope(by_rows)), outcome(lambda: envelope(by_entries))
+    if isinstance(envelopes[0], ModulusTable):
+        assert public_view(envelopes[0], epsilons, 10) == public_view(envelopes[1], epsilons, 10)
+    else:
+        assert envelopes[0] == envelopes[1] and envelopes[0][0] is StructureError
+    assert name != "covering" or isinstance(envelopes[0], ModulusTable)
 
 
 @pytest.mark.parametrize("family", [standard_family(Z, 10), greedy_folner(Z, 6)], ids=["boxes", "greedy"])
@@ -1001,7 +1083,7 @@ def test_box_refinement_of_z_starts_at_the_corner_floor(monkeypatch):
     monkeypatch.setattr(IntegerGroup, "box_overlap", lambda self, r, g: probes.append(r) or overlap(self, r, g))
     refined = fast_refinement(standard_family(Z, 10**30), Fraction(1, 1000), count=8)
     assert refined.indices == [10 ** (3 * j) for j in range(8)]
-    assert len(probes) == 7  # the floor is the least index on Z: one probe per step
+    assert probes == []  # the floor is the least index on Z: no probe at all
 
 
 STEP_TOLERANCES = [Fraction(1, 10), Fraction(7, 100), Fraction(1, 3), Fraction(1, 2), Fraction(3, 2), Fraction(2), Fraction(5, 2)]
@@ -1300,6 +1382,9 @@ def test_a_chunk_checks_every_index_before_it_is_counted(monkeypatch):
     monkeypatch.setattr(H3, "box_overlaps", lambda r, block: pytest.fail(f"counted {r}"))
     with pytest.raises(StructureError, match=re.escape("family index must be in [1, 6], got 7")):
         next(folner._worst_ratios(family, 1, [5, 6, 7]))
+    for over in ([(0, 0, 0)], []):  # with no translation to count, m is checked all the same
+        with pytest.raises(StructureError, match=re.escape("family index must be in [1, 5], got 99")):
+            worst_ratio(standard_family(H3, 5), 1, 99, over=over)
 
 
 @pytest.mark.parametrize("cap", [2**12, 64, 1], ids=lambda c: f"cap{c}")

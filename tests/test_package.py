@@ -93,14 +93,16 @@ def test_ratio_and_box_overlap_have_one_body_each():
     assert vars(StandardBoxFamily)["ratio"] is vars(ExplicitFamily)["ratio"] is FolnerFamily.ratio
     assert "ratio" not in vars(RefinedFamily)
     assert vars(HeisenbergGroup)["box_overlap"] is Group.box_overlap
-    # the analytic box threshold is searched in one place: only its helper reads the corner floor
+    # the analytic box threshold has one home, the group's row hook: folner only calls it, and in
+    # groups only the hook's search reads the corner floor
+    def reads(node, attr):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == attr]
+
     tree = ast.parse((SRC / "folner.py").read_text(encoding="utf-8"))
-    [helper] = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_box_threshold"]
-
-    def reads(node):
-        return [n for n in ast.walk(node) if isinstance(n, ast.Attribute) and n.attr == "corner_floor"]
-
-    assert reads(helper) and len(reads(tree)) == len(reads(helper))
+    assert reads(tree, "box_thresholds") and not reads(tree, "corner_floor")
+    tree = ast.parse((SRC / "groups.py").read_text(encoding="utf-8"))
+    methods = [(c.name, f) for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body if isinstance(f, ast.FunctionDef)]
+    assert [(c, f.name) for c, f in methods if reads(f, "corner_floor")] == [("Group", "box_thresholds")]
 
 
 def test_one_lattice_geometry():
@@ -109,7 +111,7 @@ def test_one_lattice_geometry():
 
     # Z is Z^1 with int elements: the block law and the box geometry are the lattice's, not copies
     assert issubclass(IntegerGroup, LatticeGroup)
-    inherited = {"translate_block", "box_card", "box_reaches", "box_overlaps", "corner_floor"}
+    inherited = {"translate_block", "box_card", "box_reaches", "box_overlaps", "corner_floor", "box_thresholds"}
     assert inherited.isdisjoint(vars(IntegerGroup))
     classes = {c for c in vars(groups).values() if isinstance(c, type) and issubclass(c, Group)}
     assert {c for c in classes if "check_element" in vars(c)} == {Group, IntegerGroup}
